@@ -8,8 +8,13 @@ closures in reverse topological order and accumulates gradients into ``.grad``.
 Broadcasting in binary elementwise ops is deliberately restricted to three
 cases: identical shapes, a scalar on either side, and a trailing-axis vector
 against a higher-rank operand (the row-wise bias/scale case). Pairwise
-structures are built with dedicated ``outer_add``/``outer_sub`` ops instead of
-general broadcasting.
+structures have no general op here: :func:`custom` builds a node from a
+forward value and a hand-written backward, which is how the fused pairwise
+similarities in :mod:`probalign.gaussians` enter a graph.
+
+A node's first incoming gradient is stored as is, without a copy, so gradient
+arrays may alias one another (``add`` hands the same array to both parents).
+Nothing here writes into a ``.grad`` array; callers must not either.
 
 There is no global tape: independent graphs can be built concurrently.
 """
@@ -104,9 +109,7 @@ class Tensor:
         if self.size != 1:
             raise ValueError(f"backward requires a scalar loss node, got shape {self.shape}")
         order = _topo_order(self)
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad = self.grad + np.ones_like(self.data)
+        _accumulate(self, np.ones_like(self.data))
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -141,9 +144,12 @@ def tensor(value) -> Tensor:
 
 
 def _accumulate(node: Tensor, grad: np.ndarray) -> None:
+    # The first write stores the array itself; later writes allocate a new sum,
+    # so an array shared with another node is never modified.
     if node.grad is None:
-        node.grad = np.zeros_like(node.data)
-    node.grad = node.grad + grad
+        node.grad = grad
+    else:
+        node.grad = node.grad + grad
 
 
 def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -487,31 +493,17 @@ def l2_normalize(a) -> Tensor:
     return out
 
 
-def outer_add(a, b) -> Tensor:
-    """out[i, j, :] = a[i, :] + b[j, :] for (N, D) and (M, D) operands."""
-    a, b = tensor(a), tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise _shape_error("outer_add", a.shape, b.shape)
-    out = Tensor(a.data[:, None, :] + b.data[None, :, :], (a, b))
+def custom(value, parents: tuple[Tensor, ...], vjp) -> Tensor:
+    """A node with a hand-written backward.
+
+    ``vjp(g)`` maps the upstream gradient to one gradient per parent, in the
+    order of ``parents``.
+    """
+    out = Tensor(value, parents)
 
     def _back(g):
-        _accumulate(a, g.sum(axis=1))
-        _accumulate(b, g.sum(axis=0))
-
-    out._backward = _back
-    return out
-
-
-def outer_sub(a, b) -> Tensor:
-    """out[i, j, :] = a[i, :] - b[j, :] for (N, D) and (M, D) operands."""
-    a, b = tensor(a), tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise _shape_error("outer_sub", a.shape, b.shape)
-    out = Tensor(a.data[:, None, :] - b.data[None, :, :], (a, b))
-
-    def _back(g):
-        _accumulate(a, g.sum(axis=1))
-        _accumulate(b, -g.sum(axis=0))
+        for parent, grad in zip(parents, vjp(g)):
+            _accumulate(parent, grad)
 
     out._backward = _back
     return out

@@ -113,6 +113,8 @@ def corpus_config_from_doc(doc: dict) -> CorpusConfig:
 
 
 def train_config_from_doc(doc: dict, seed: int) -> TrainConfig:
+    if "negate_similarity" in doc:
+        raise ConfigError("train.negate_similarity is no longer supported; remove the key")
     lw = doc.get("loss_weights", {})
     weights = LossWeights(
         alpha=lw.get("alpha", 1.0),
@@ -142,7 +144,6 @@ def train_config_from_doc(doc: dict, seed: int) -> TrainConfig:
             hidden_dim=doc.get("hidden_dim", 64),
             embed_dim=doc.get("embed_dim", 32),
             eval_every=doc.get("eval_every", 500),
-            negate_similarity=doc.get("negate_similarity", False),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -14,10 +14,17 @@ which is symmetric and bounded in [0, 1]. Bhattacharyya distance, the expected
 squared Euclidean distance between independent samples ("csd"), and plain
 cosine on the means are provided as alternatives.
 
-Every similarity exists in two routes: a vectorized numpy route for
-evaluation/retrieval, and a graph route over :mod:`probalign.autodiff`
-tensors for training. Both are checked against each other and against
-quadrature/Monte Carlo oracles in the test suite.
+The scalar functions evaluate one pair and serve as the reference the oracles
+check. Batches go through one kernel per formula, shared by evaluation and
+training. Hellinger and Bhattacharyya are both functions of the summed log
+Bhattacharyya coefficient S (the exponent above): the Bhattacharyya
+similarity is -D_B = S and the Hellinger similarity is 1 - sqrt(1 - e^S).
+``_log_affinity`` computes S in row blocks; ``_csd_distance`` computes csd in
+the closed form of PCME++ through one matmul. ``pairwise_similarity_arrays``
+finishes those arrays with numpy for evaluation, and
+``pairwise_similarity_graph`` wraps each in one :mod:`probalign.autodiff` node
+with an analytic backward for training, so the two routes share their forward
+values.
 """
 
 from __future__ import annotations
@@ -29,8 +36,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-
-LN2 = float(np.log(2.0))
 
 # Variance floor applied inside distance computations only; keeps pathological
 # inputs (log_var -> -inf) from dividing by zero. The clamp gradient is zero
@@ -176,18 +181,77 @@ def stack_embeddings(embeddings) -> tuple[np.ndarray, np.ndarray]:
     return mu, lv
 
 
+def _variances(log_var: np.ndarray) -> np.ndarray:
+    return np.maximum(np.exp(log_var), VAR_FLOOR)
+
+
+def _log_affinity(
+    mu_a: np.ndarray, va: np.ndarray, mu_b: np.ndarray, vb: np.ndarray, chunk: int = 16
+) -> np.ndarray:
+    """|A| x |B| matrix S of summed log Bhattacharyya coefficients (<= 0).
+
+    With the per-dimension mean variance m = (va + vb) / 2,
+
+        S_ij = 1/4 sum ln va_i + 1/4 sum ln vb_j
+               - 1/2 sum ln m_ij - 1/8 sum (mua_i - mub_j)^2 / m_ij
+
+    The first two sums are separable and formed once per row, so each pair
+    costs one log and one divide per dimension. Rows of A go through
+    preallocated (chunk, |B|, D) buffers, which keeps the temporaries near
+    cache size. When a row of A equals a row of B, m equals their variance
+    bit for bit and every term is a power-of-two multiple of one sum, so S is
+    exactly 0.
+    """
+    n, d = mu_a.shape
+    half_a, half_b = 0.5 * va, 0.5 * vb
+    log_sum = np.empty((n, mu_b.shape[0]))
+    quad_sum = np.empty_like(log_sum)
+    rows = max(1, min(chunk, n))
+    mean_var = np.empty((rows, mu_b.shape[0], d))
+    diff = np.empty_like(mean_var)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        m, dm = mean_var[: stop - start], diff[: stop - start]
+        np.add(half_a[start:stop, None, :], half_b[None, :, :], out=m)
+        np.subtract(mu_a[start:stop, None, :], mu_b[None, :, :], out=dm)
+        np.multiply(dm, dm, out=dm)
+        np.divide(dm, m, out=dm)
+        np.log(m, out=m)
+        np.einsum("ijo->ij", m, out=log_sum[start:stop])
+        np.einsum("ijo->ij", dm, out=quad_sum[start:stop])
+    log_sum *= -0.5
+    log_sum += 0.25 * np.einsum("io->i", np.log(va))[:, None]
+    log_sum += 0.25 * np.einsum("io->i", np.log(vb))[None, :]
+    quad_sum *= 0.125
+    log_sum -= quad_sum
+    return log_sum
+
+
+def _csd_distance(mu_a: np.ndarray, va: np.ndarray, mu_b: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """|A| x |B| expected squared distances, in the closed form of PCME++:
+
+        csd_ij = |mua_i|^2 + |mub_j|^2 - 2 mua_i . mub_j + sum va_i + sum vb_j
+    """
+    out = mu_a @ mu_b.T
+    out *= -2.0
+    out += (np.einsum("ij,ij->i", mu_a, mu_a) + va.sum(axis=1))[:, None]
+    out += (np.einsum("ij,ij->i", mu_b, mu_b) + vb.sum(axis=1))[None, :]
+    return out
+
+
 def pairwise_similarity_arrays(
     mu_a: np.ndarray,
     lv_a: np.ndarray,
     mu_b: np.ndarray,
     lv_b: np.ndarray,
     kind: SimilarityKind,
-    chunk: int = 256,
+    chunk: int = 16,
 ) -> np.ndarray:
     """|A| x |B| similarity matrix from stacked parameters.
 
     For the distance-valued kinds (csd, bhattacharyya) the negated distance is
-    returned so that larger always means more similar.
+    returned so that larger always means more similar. ``chunk`` is the row
+    block of the log-affinity kernel; the result does not depend on it.
     """
     if mu_a.shape[1] != mu_b.shape[1]:
         raise ValueError(
@@ -201,26 +265,19 @@ def pairwise_similarity_arrays(
             raise ValueError("pairwise_similarity: zero-norm mean vector under cosine")
         return (mu_a / norms_a) @ (mu_b / norms_b).T
 
-    va = np.maximum(np.exp(lv_a), VAR_FLOOR)
-    vb = np.maximum(np.exp(lv_b), VAR_FLOOR)
-    out = np.empty((mu_a.shape[0], mu_b.shape[0]))
-    for start in range(0, mu_a.shape[0], chunk):
-        stop = min(start + chunk, mu_a.shape[0])
-        mu_c, va_c = mu_a[start:stop], va[start:stop]
-        d2 = (mu_c[:, None, :] - mu_b[None, :, :]) ** 2
-        if kind is SimilarityKind.CSD:
-            out[start:stop] = -(d2.sum(axis=-1) + (va_c.sum(axis=1)[:, None] + vb.sum(axis=1)[None, :]))
-            continue
-        s2 = va_c[:, None, :] + vb[None, :, :]
-        quad = d2 / (4.0 * s2)
-        sigma_prod = np.sqrt(va_c[:, None, :] * vb[None, :, :])
-        if kind is SimilarityKind.BHATTACHARYYA:
-            log_ratio = np.log(0.5 * s2 / sigma_prod)
-            out[start:stop] = -(quad + 0.5 * log_ratio).sum(axis=-1)
-        else:  # Hellinger similarity
-            log_term = 0.5 * np.log(2.0 * sigma_prod / s2)
-            h2 = np.maximum(1.0 - np.exp((log_term - quad).sum(axis=-1)), 0.0)
-            out[start:stop] = 1.0 - np.sqrt(h2)
+    va, vb = _variances(lv_a), _variances(lv_b)
+    if kind is SimilarityKind.CSD:
+        out = _csd_distance(mu_a, va, mu_b, vb)
+        np.negative(out, out=out)
+        return out
+    out = _log_affinity(mu_a, va, mu_b, vb, chunk)
+    if kind is SimilarityKind.HELLINGER:
+        # 1 - sqrt(H^2) with H^2 = max(1 - e^S, 0), in place.
+        np.exp(out, out=out)
+        np.subtract(1.0, out, out=out)
+        np.maximum(out, 0.0, out=out)
+        np.sqrt(out, out=out)
+        np.subtract(1.0, out, out=out)
     return out
 
 
@@ -257,11 +314,6 @@ class GaussianBatch:
     def dim(self) -> int:
         return self.mu.shape[1]
 
-    @classmethod
-    def from_embeddings(cls, embeddings) -> "GaussianBatch":
-        mu, lv = stack_embeddings(embeddings)
-        return cls(Tensor(mu), Tensor(lv))
-
     def to_embeddings(self) -> list[GaussianEmbedding]:
         return [
             GaussianEmbedding(self.mu.data[i].copy(), self.log_var.data[i].copy())
@@ -269,29 +321,73 @@ class GaussianBatch:
         ]
 
 
+def _variance_grad(var: np.ndarray) -> np.ndarray:
+    """d var / d log_var of the floored variance: zero where exp(lv) <= VAR_FLOOR."""
+    return np.where(var > VAR_FLOOR, var, 0.0)
+
+
+def _log_affinity_op(a: GaussianBatch, b: GaussianBatch) -> Tensor:
+    """S of :func:`_log_affinity` as one node; backward recomputes the (A, B, D) terms."""
+    mu_a, mu_b = a.mu.data, b.mu.data
+    va, vb = _variances(a.log_var.data), _variances(b.log_var.data)
+
+    def vjp(g):
+        # With r = (mua - mub) / m:  dS/dmua = -r/4,  dS/dmub = r/4,
+        # dS/dva = 1/(4 va) + (r^2 - 4/m)/16, and likewise for vb.
+        m = np.add(0.5 * va[:, None, :], 0.5 * vb[None, :, :])
+        r = np.subtract(mu_a[:, None, :], mu_b[None, :, :])
+        r /= m
+        np.reciprocal(m, out=m)
+        m *= 4.0
+        w = r * r
+        w -= m
+        g_r_a, g_r_b = np.einsum("ij,ijo->io", g, r), np.einsum("ij,ijo->jo", g, r)
+        g_w_a, g_w_b = np.einsum("ij,ijo->io", g, w), np.einsum("ij,ijo->jo", g, w)
+        live_a, live_b = _variance_grad(va), _variance_grad(vb)
+        grad_lv_a = live_a * (0.25 * g.sum(axis=1)[:, None] / va + g_w_a / 16.0)
+        grad_lv_b = live_b * (0.25 * g.sum(axis=0)[:, None] / vb + g_w_b / 16.0)
+        return -0.25 * g_r_a, grad_lv_a, 0.25 * g_r_b, grad_lv_b
+
+    value = _log_affinity(mu_a, va, mu_b, vb)
+    return ad.custom(value, (a.mu, a.log_var, b.mu, b.log_var), vjp)
+
+
+def _csd_op(a: GaussianBatch, b: GaussianBatch) -> Tensor:
+    """-csd of :func:`_csd_distance` as one node with a matmul backward."""
+    mu_a, mu_b = a.mu.data, b.mu.data
+    va, vb = _variances(a.log_var.data), _variances(b.log_var.data)
+
+    def vjp(g):
+        rows, cols = g.sum(axis=1)[:, None], g.sum(axis=0)[:, None]
+        return (
+            -2.0 * (rows * mu_a - g @ mu_b),
+            -rows * _variance_grad(va),
+            -2.0 * (cols * mu_b - g.T @ mu_a),
+            -cols * _variance_grad(vb),
+        )
+
+    value = _csd_distance(mu_a, va, mu_b, vb)
+    np.negative(value, out=value)
+    return ad.custom(value, (a.mu, a.log_var, b.mu, b.log_var), vjp)
+
+
 def pairwise_similarity_graph(a: GaussianBatch, b: GaussianBatch, kind: SimilarityKind) -> Tensor:
-    """Differentiable |A| x |B| similarity matrix (distances negated)."""
+    """Differentiable |A| x |B| similarity matrix (distances negated).
+
+    Forward values equal :func:`pairwise_similarity_arrays`, except that the
+    Hellinger route floors H^2 at _H2_FLOOR before the sqrt, where its
+    gradient is zero. The variance gradient is zero where
+    exp(log_var) <= VAR_FLOOR.
+    """
     if a.dim != b.dim:
         raise ValueError(f"pairwise_similarity: embedding dimensions differ ({a.dim} vs {b.dim})")
     kind = SimilarityKind(kind)
     if kind is SimilarityKind.COSINE:
         return ad.matmul(ad.l2_normalize(a.mu), ad.transpose(ad.l2_normalize(b.mu)))
-
-    dmu = ad.outer_sub(a.mu, b.mu)
     if kind is SimilarityKind.CSD:
-        va = ad.clamp_min(ad.exp(a.log_var), VAR_FLOOR)
-        vb = ad.clamp_min(ad.exp(b.log_var), VAR_FLOOR)
-        return ad.neg(ad.sum_last(dmu * dmu + ad.outer_add(va, vb)))
-
-    va = ad.clamp_min(ad.exp(a.log_var), VAR_FLOOR)
-    vb = ad.clamp_min(ad.exp(b.log_var), VAR_FLOOR)
-    s2 = ad.outer_add(va, vb)
-    quad = (dmu * dmu) / (4.0 * s2)
-    log_sigma_sum = ad.outer_add(0.5 * ad.log(va), 0.5 * ad.log(vb))
+        return _csd_op(a, b)
+    log_affinity = _log_affinity_op(a, b)
     if kind is SimilarityKind.BHATTACHARYYA:
-        log_ratio = ad.log(0.5 * s2) - log_sigma_sum
-        return ad.neg(ad.sum_last(quad + 0.5 * log_ratio))
-
-    log_term = 0.5 * (LN2 + (log_sigma_sum - ad.log(s2)))
-    h2 = 1.0 - ad.exp(ad.sum_last(log_term - quad))
+        return log_affinity
+    h2 = 1.0 - ad.exp(log_affinity)
     return 1.0 - ad.sqrt(ad.clamp_min(h2, _H2_FLOOR))

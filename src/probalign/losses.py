@@ -77,14 +77,8 @@ def info_nce_prob(
     keys: GaussianBatch,
     kind: SimilarityKind,
     tau: float,
-    negate_similarity: bool = False,
 ) -> Tensor:
-    """Contrastive loss over matched query/key batches (position i positive).
-
-    ``negate_similarity`` flips the sign fed to the softmax, which turns the
-    objective into one that pushes positives apart; it exists purely for
-    experimentation and is off by default.
-    """
+    """Contrastive loss over matched query/key batches (position i positive)."""
     if queries.n == 0 or keys.n == 0:
         raise ValueError("info_nce_prob: empty batch")
     if queries.n != keys.n:
@@ -92,8 +86,7 @@ def info_nce_prob(
     if tau <= 0:
         raise ValueError("info_nce_prob: tau must be positive")
     sim = pairwise_similarity_graph(queries, keys, kind)
-    sign = -1.0 if negate_similarity else 1.0
-    return _nce_from_logits(sim * (sign / tau))
+    return _nce_from_logits(sim * (1.0 / tau))
 
 
 def sis_loss(
@@ -153,7 +146,6 @@ def pair_loss(
     kind: SimilarityKind,
     rng: np.random.Generator | None = None,
     sis_eps: tuple[np.ndarray, np.ndarray] | None = None,
-    negate_similarity: bool = False,
 ) -> tuple[Tensor, LossBreakdown]:
     """Weighted pair objective; returns the scalar graph node and its breakdown.
 
@@ -171,9 +163,8 @@ def pair_loss(
     zero = Tensor(0.0)
     if w.alpha > 0:
         sim = pairwise_similarity_graph(batch_m1, batch_m2, kind)
-        sign = -1.0 if negate_similarity else 1.0
-        mod_f = _nce_from_logits(sim * (sign / w.tau))
-        mod_b = _nce_from_logits(ad.transpose(sim) * (sign / w.tau))
+        mod_f = _nce_from_logits(sim * (1.0 / w.tau))
+        mod_b = _nce_from_logits(ad.transpose(sim) * (1.0 / w.tau))
     else:
         mod_f = mod_b = zero
     if w.beta > 0:

@@ -54,7 +54,6 @@ class TrainConfig:
     hidden_dim: int = 64
     embed_dim: int = 32
     eval_every: int = 500
-    negate_similarity: bool = False
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -64,6 +63,8 @@ class TrainConfig:
         if self.batch_size < 2:
             raise ValueError("TrainConfig: batch_size must be at least 2")
         if self.pair_sampling_weights is not None:
+            if any(w < 0 for w in self.pair_sampling_weights.values()):
+                raise ValueError("TrainConfig: pair sampling weights must be nonnegative")
             total = sum(self.pair_sampling_weights.values())
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"TrainConfig: pair sampling weights sum to {total}, expected 1")
@@ -121,12 +122,15 @@ class TrainerState:
 
 
 def _clip_gradients(grads: list[np.ndarray], grad_clip: float) -> float:
-    """Scale gradients in place to a global norm of at most grad_clip."""
+    """Scale the listed gradients to a global norm of at most grad_clip.
+
+    Scaled entries replace the list's arrays rather than being written into
+    them: gradient arrays may alias each other and the parameters' ``.grad``.
+    """
     total = math.sqrt(sum(float((g * g).sum()) for g in grads))
     if total > grad_clip:
         scale = grad_clip / total
-        for g in grads:
-            g *= scale
+        grads[:] = [g * scale for g in grads]
     return min(total, grad_clip)
 
 
@@ -164,7 +168,6 @@ def train_step(state: TrainerState, pair: PairType, batch: PairBatch) -> LossBre
         state.cfg.effective_weights(),
         cfg.similarity,
         rng=state.rng,
-        negate_similarity=cfg.negate_similarity,
     )
     if not math.isfinite(breakdown.total):
         raise TrainingAbort(
@@ -178,19 +181,18 @@ def train_step(state: TrainerState, pair: PairType, batch: PairBatch) -> LossBre
             p.zero_grad()
     total.backward()
 
-    grads: dict[Modality, dict[str, np.ndarray]] = {}
-    flat: list[np.ndarray] = []
-    for modality, enc in involved:
-        per = {}
-        for name, p in enc.params.items():
-            per[name] = np.zeros_like(p.data) if p.grad is None else p.grad
-        grads[modality] = per
-        flat.extend(per.values())
+    flat = [
+        np.zeros_like(p.data) if p.grad is None else p.grad
+        for _, enc in involved
+        for p in enc.params.values()
+    ]
     _clip_gradients(flat, cfg.grad_clip)
 
     lr = cosine_lr(state.step, cfg.total_steps, cfg.lr)
+    clipped = iter(flat)
     for modality, enc in involved:
-        _adamw_update(enc, state.optimizer[modality], grads[modality], lr, cfg)
+        grads = {name: next(clipped) for name in enc.params}
+        _adamw_update(enc, state.optimizer[modality], grads, lr, cfg)
     for _, enc in involved:
         for p in enc.params.values():
             p.zero_grad()

@@ -28,6 +28,10 @@ class OracleResult:
     error: float
     tolerance: float
 
+    def __post_init__(self):
+        # Oracles compute errors in numpy; reports need plain JSON numbers.
+        self.error = float(self.error)
+
     @property
     def passed(self) -> bool:
         return self.error < self.tolerance

@@ -136,6 +136,21 @@ class TestTrain:
         cfg = json.loads((out / "effective_config.json").read_text())
         assert cfg["train"]["similarity"] == "csd"
 
+    @pytest.mark.parametrize(
+        "train_doc,message",
+        [
+            ({"negate_similarity": False}, "negate_similarity"),
+            ({"pair_sampling_weights": [[["mod_a", "text"], 1.5], [["mod_b", "text"], -0.5]]}, "nonnegative"),
+        ],
+        ids=["removed_negate_similarity_key", "negative_pair_weight"],
+    )
+    def test_rejected_train_config_exits_1(self, corpus_dir, tmp_path, capsys, train_doc, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"train": train_doc}))
+        argv = ["train", "--config", str(bad), "--corpus", str(corpus_dir), "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+
     def test_missing_corpus_path_exits_1(self, config_path, tmp_path, capsys):
         assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "x")]) == 1
         assert "corpus" in capsys.readouterr().err
@@ -236,6 +251,12 @@ class TestVerify:
         for token in ("hellinger", "Monte Carlo", "identity", "gradient"):
             assert token in out
         assert "tolerance" in out
+
+    def test_out_writes_parseable_report(self, tmp_path, capsys):
+        assert main(["verify", "--fast", "--out", str(tmp_path / "v")]) == 0
+        report = json.loads((tmp_path / "v" / "verify_report.json").read_text())
+        assert len(report) == len(capsys.readouterr().out.splitlines()) - 1
+        assert all(entry["passed"] is True and entry["error"] < entry["tolerance"] for entry in report)
 
     def test_corrupted_hellinger_fails_loudly(self, capsys, monkeypatch):
         import probalign.gaussians as g

@@ -13,9 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from composed_graph import composed_similarity_graph
+
 import probalign.autodiff as ad
 from probalign.autodiff import Tensor, grad_check
 from probalign.gaussians import (
+    VAR_FLOOR,
     GaussianBatch,
     GaussianEmbedding,
     SimilarityKind,
@@ -250,9 +253,93 @@ class TestPairwise:
         rng = np.random.default_rng(12)
         mu_a, lv_a = rng.normal(size=(7, 4)), rng.uniform(-1, 1, (7, 4))
         mu_b, lv_b = rng.normal(size=(9, 4)), rng.uniform(-1, 1, (9, 4))
-        full = pairwise_similarity_arrays(mu_a, lv_a, mu_b, lv_b, SimilarityKind.HELLINGER)
-        chunked = pairwise_similarity_arrays(mu_a, lv_a, mu_b, lv_b, SimilarityKind.HELLINGER, chunk=3)
-        np.testing.assert_array_equal(full, chunked)
+        for kind in SimilarityKind:
+            full = pairwise_similarity_arrays(mu_a, lv_a, mu_b, lv_b, kind, chunk=7)
+            for chunk in (1, 2, 3, 5, 16):
+                chunked = pairwise_similarity_arrays(mu_a, lv_a, mu_b, lv_b, kind, chunk=chunk)
+                np.testing.assert_array_equal(full, chunked, err_msg=f"{kind.value}, chunk {chunk}")
+
+    def test_identical_rows_score_exactly(self):
+        # The separable kernel keeps the exact zero distance of identical pairs.
+        rng = np.random.default_rng(13)
+        mu, lv = rng.normal(size=(20, 32)), rng.uniform(-3, 3, (20, 32))
+        bhatt = pairwise_similarity_arrays(mu, lv, mu, lv, SimilarityKind.BHATTACHARYYA)
+        hell = pairwise_similarity_arrays(mu, lv, mu, lv, SimilarityKind.HELLINGER)
+        assert np.all(np.diag(bhatt) == 0.0)
+        assert np.all(np.diag(hell) == 1.0)
+        assert np.all(bhatt <= 0.0) and np.all((hell >= 0.0) & (hell <= 1.0))
+
+
+class TestFusedOps:
+    """The fused similarity ops against the composed-graph oracle in tests/."""
+
+    B, D = 64, 32
+    FUSED_KINDS = (SimilarityKind.HELLINGER, SimilarityKind.BHATTACHARYYA, SimilarityKind.CSD)
+
+    def params(self, seed):
+        rng = np.random.default_rng(seed)
+        # Spreads that keep exp(S) near 1/2, where the Hellinger gradient is large.
+        mu_a, lv_a = rng.normal(0, 0.2, (self.B, self.D)), rng.uniform(-0.5, 0.5, (self.B, self.D))
+        mu_b, lv_b = rng.normal(0, 0.2, (self.B, self.D)), rng.uniform(-0.5, 0.5, (self.B, self.D))
+        # Rows 0-3 of A sit below the variance floor in half their dimensions.
+        lv_a[:4, ::2] = math.log(VAR_FLOOR) - rng.uniform(1, 5, (4, self.D // 2))
+        # Rows 10-13 of A and B are identical, so their H^2 is under _H2_FLOOR.
+        mu_b[10:14], lv_b[10:14] = mu_a[10:14], lv_a[10:14]
+        weights = rng.normal(size=(self.B, self.B))
+        return [mu_a, lv_a, mu_b, lv_b], weights
+
+    @staticmethod
+    def run(graph, arrays, weights, kind):
+        params = [Tensor(x.copy()) for x in arrays]
+        sim = graph(GaussianBatch(params[0], params[1]), GaussianBatch(params[2], params[3]), kind)
+        ad.sum_all(sim * Tensor(weights)).backward()
+        return sim.data, [p.grad for p in params]
+
+    @pytest.mark.parametrize("kind", FUSED_KINDS, ids=lambda k: k.value)
+    def test_forward_and_gradients_match_composed_graph(self, kind):
+        arrays, weights = self.params(31)
+        value, grads = self.run(pairwise_similarity_graph, arrays, weights, kind)
+        ref_value, ref_grads = self.run(composed_similarity_graph, arrays, weights, kind)
+        np.testing.assert_allclose(value, ref_value, rtol=0, atol=1e-12)
+        for name, g, ref in zip(("mu_a", "lv_a", "mu_b", "lv_b"), grads, ref_grads):
+            np.testing.assert_allclose(g, ref, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("kind", FUSED_KINDS, ids=lambda k: k.value)
+    def test_floored_variance_has_zero_gradient(self, kind):
+        arrays, weights = self.params(32)
+        _, grads = self.run(pairwise_similarity_graph, arrays, weights, kind)
+        below = arrays[1] <= math.log(VAR_FLOOR)
+        assert below.sum() == 4 * self.D // 2
+        assert np.all(grads[1][below] == 0.0)
+        assert np.all(grads[1][~below] != 0.0)
+
+    def test_identical_rows_hit_the_h2_floor(self):
+        arrays, weights = self.params(33)
+        value, grads = self.run(pairwise_similarity_graph, arrays, weights, SimilarityKind.HELLINGER)
+        np.testing.assert_array_equal(np.diag(value)[10:14], 1.0 - math.sqrt(1e-12))
+        # Only row i of A meets row i of B at the floor: zeroing that one
+        # upstream entry leaves every gradient unchanged.
+        masked = weights.copy()
+        masked[np.arange(10, 14), np.arange(10, 14)] = 0.0
+        _, masked_grads = self.run(pairwise_similarity_graph, arrays, masked, SimilarityKind.HELLINGER)
+        for g, m in zip(grads, masked_grads):
+            np.testing.assert_array_equal(g, m)
+
+    def test_forward_equals_numpy_route(self):
+        arrays, _ = self.params(34)
+        for kind in (SimilarityKind.BHATTACHARYYA, SimilarityKind.CSD):
+            graph = pairwise_similarity_graph(
+                GaussianBatch(Tensor(arrays[0]), Tensor(arrays[1])),
+                GaussianBatch(Tensor(arrays[2]), Tensor(arrays[3])),
+                kind,
+            )
+            np.testing.assert_array_equal(graph.data, pairwise_similarity_arrays(*arrays, kind))
+
+    def test_dimension_mismatch_rejected(self):
+        a = GaussianBatch(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+        b = GaussianBatch(Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))))
+        with pytest.raises(ValueError, match="dimensions differ"):
+            pairwise_similarity_graph(a, b, SimilarityKind.HELLINGER)
 
 
 @settings(max_examples=200, deadline=None)

@@ -92,14 +92,6 @@ class TestInfoNce:
         with pytest.raises(ValueError, match="batch sizes"):
             info_nce_prob(b, random_batch(np.random.default_rng(0), 3, 3), SimilarityKind.HELLINGER, 0.07)
 
-    def test_negate_similarity_flag_changes_sign_of_preference(self):
-        rng = np.random.default_rng(2)
-        q = random_batch(rng, 4, 3, mu_scale=0.3)
-        k = random_batch(rng, 4, 3, mu_scale=0.3)
-        plain = info_nce_prob(q, k, SimilarityKind.HELLINGER, 0.07).item()
-        negated = info_nce_prob(q, k, SimilarityKind.HELLINGER, 0.07, negate_similarity=True).item()
-        assert plain != negated
-
 
 class TestSisLoss:
     def test_orthogonal_siblings_hand_value(self):

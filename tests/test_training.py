@@ -116,6 +116,24 @@ class TestTrainStep:
         for g, o in zip(grads, original):
             np.testing.assert_array_equal(g, o)
 
+    def test_shared_gradient_array_is_scaled_once(self):
+        import probalign.autodiff as ad
+        from probalign.autodiff import Tensor
+        from probalign.training import _clip_gradients
+
+        # add hands one upstream array to both parents, so their grads alias.
+        x, y = Tensor([3.0, 0.0]), Tensor([0.0, 4.0])
+        ad.sum_all((x + y) * Tensor([3.0, 4.0])).backward()
+        assert x.grad is y.grad
+        before = x.grad.copy()
+        grads = [x.grad, y.grad]
+        norm = _clip_gradients(grads, 1.0)
+        assert norm == pytest.approx(1.0)
+        scale = 1.0 / math.sqrt(50.0)
+        for g in grads:
+            np.testing.assert_allclose(g, before * scale, rtol=1e-15)
+        np.testing.assert_array_equal(x.grad, before)
+
     def test_non_finite_loss_aborts_with_batch_ids(self, corpus):
         from probalign.training import TrainingAbort
 
@@ -158,6 +176,11 @@ class TestPairSampling:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum"):
             small_cfg(pair_sampling_weights={(A, T): 0.5})
+
+    def test_negative_weight_rejected_at_construction(self):
+        weights = {(A, T): 1.5, (B, T): -0.5}
+        with pytest.raises(ValueError, match="nonnegative"):
+            small_cfg(pair_sampling_weights=weights)
 
 
 class TestTrain:
