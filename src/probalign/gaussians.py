@@ -165,7 +165,7 @@ def sample(e: GaussianEmbedding, n: int, rng: np.random.Generator) -> np.ndarray
     return e.mu + sigma * eps
 
 
-# -- batched similarities (numpy route) ---------------------------------------
+# -- batched similarities (shared kernels, numpy route) -------------------------
 
 
 def stack_embeddings(embeddings) -> tuple[np.ndarray, np.ndarray]:

@@ -247,7 +247,10 @@ class TestPairwise:
                 kind,
             )
             n = pairwise_similarity_arrays(mu_a, lv_a, mu_b, lv_b, kind)
-            np.testing.assert_allclose(g.data, n, atol=1e-12)
+            if kind is SimilarityKind.COSINE:
+                np.testing.assert_allclose(g.data, n, atol=1e-12)
+            else:  # the fused ops take their forward from the numpy kernels
+                np.testing.assert_array_equal(g.data, n)
 
     def test_chunking_invariance(self):
         rng = np.random.default_rng(12)
@@ -324,16 +327,6 @@ class TestFusedOps:
         _, masked_grads = self.run(pairwise_similarity_graph, arrays, masked, SimilarityKind.HELLINGER)
         for g, m in zip(grads, masked_grads):
             np.testing.assert_array_equal(g, m)
-
-    def test_forward_equals_numpy_route(self):
-        arrays, _ = self.params(34)
-        for kind in (SimilarityKind.BHATTACHARYYA, SimilarityKind.CSD):
-            graph = pairwise_similarity_graph(
-                GaussianBatch(Tensor(arrays[0]), Tensor(arrays[1])),
-                GaussianBatch(Tensor(arrays[2]), Tensor(arrays[3])),
-                kind,
-            )
-            np.testing.assert_array_equal(graph.data, pairwise_similarity_arrays(*arrays, kind))
 
     def test_dimension_mismatch_rejected(self):
         a = GaussianBatch(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
