@@ -23,13 +23,13 @@ import numpy as np
 
 from .data import (
     Corpus,
-    CorpusConfig,
     Modality,
     TRAINABLE_PAIRS,
     config_from_json,
     eligible_records,
     generate,
     read_corpus,
+    reject_unknown_keys,
     synth_text_prompts,
     write_corpus,
 )
@@ -78,73 +78,24 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
 
 
-def _modality_map(doc: dict, cast) -> dict[Modality, object]:
-    return {Modality(k): cast(v) for k, v in doc.items()}
-
-
-def corpus_config_from_doc(doc: dict) -> CorpusConfig:
-    defaults = CorpusConfig()
-    full = {
-        "n_records": doc.get("n_records", defaults.n_records),
-        "n_classes": doc.get("n_classes", defaults.n_classes),
-        "latent_dim": doc.get("latent_dim", defaults.latent_dim),
-        "cluster_std": doc.get("cluster_std", defaults.cluster_std),
-        "view_dims": _modality_map(doc["view_dims"], int) if "view_dims" in doc else defaults.view_dims,
-        "noise_scales": _modality_map(doc["noise_scales"], float)
-        if "noise_scales" in doc
-        else defaults.noise_scales,
-        "projection_seeds": _modality_map(doc["projection_seeds"], int)
-        if "projection_seeds" in doc
-        else defaults.projection_seeds,
-        "n_text_variants": doc.get("n_text_variants", defaults.n_text_variants),
-        "split_fractions": tuple(doc.get("split_fractions", defaults.split_fractions)),
-        "class_weights": tuple(doc["class_weights"]) if doc.get("class_weights") else None,
-    }
-    if "pair_probs" in doc:
-        full["pair_probs"] = {
-            (Modality(p[0]), Modality(p[1])): float(w) for p, w in doc["pair_probs"]
-        }
-    if "holdout_pair" in doc:
-        full["holdout_pair"] = (Modality(doc["holdout_pair"][0]), Modality(doc["holdout_pair"][1]))
-    try:
-        return CorpusConfig(**full)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+_TRAIN_CASTS = {
+    "loss_weights": lambda v: LossWeights(**v),
+    "similarity": SimilarityKind,
+    "betas": tuple,
+    "pair_sampling_weights": lambda v: (
+        {(Modality(p[0]), Modality(p[1])): float(w) for p, w in v} if v else None
+    ),
+}
 
 
 def train_config_from_doc(doc: dict, seed: int) -> TrainConfig:
-    if "negate_similarity" in doc:
-        raise ConfigError("train.negate_similarity is no longer supported; remove the key")
-    lw = doc.get("loss_weights", {})
-    weights = LossWeights(
-        alpha=lw.get("alpha", 1.0),
-        beta=lw.get("beta", 0.5),
-        gamma=lw.get("gamma", 1e-4),
-        tau=lw.get("tau", 0.07),
-    )
-    sampling = None
-    if doc.get("pair_sampling_weights"):
-        sampling = {
-            (Modality(p[0]), Modality(p[1])): float(w) for p, w in doc["pair_sampling_weights"]
-        }
+    """TrainConfig from a config file's ``train`` section; absent keys take the
+    TrainConfig defaults, unknown keys raise ConfigError."""
     try:
-        return TrainConfig(
-            loss_weights=weights,
-            similarity=SimilarityKind(doc.get("similarity", "hellinger")),
-            batch_size=doc.get("batch_size", 64),
-            total_steps=doc.get("total_steps", 2000),
-            lr=doc.get("lr", 1e-4),
-            weight_decay=doc.get("weight_decay", 1e-5),
-            betas=tuple(doc.get("betas", (0.9, 0.95))),
-            grad_clip=doc.get("grad_clip", 1.0),
-            bn_enabled=doc.get("bn_enabled", True),
-            sis_enabled=doc.get("sis_enabled", True),
-            seed=doc.get("seed", seed),
-            pair_sampling_weights=sampling,
-            hidden_dim=doc.get("hidden_dim", 64),
-            embed_dim=doc.get("embed_dim", 32),
-            eval_every=doc.get("eval_every", 500),
-        )
+        reject_unknown_keys("train", doc, TrainConfig)
+        reject_unknown_keys("train.loss_weights", doc.get("loss_weights", {}), LossWeights)
+        kwargs = {k: _TRAIN_CASTS.get(k, lambda v: v)(v) for k, v in doc.items()}
+        return TrainConfig(**{"seed": seed, **kwargs})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -179,7 +130,7 @@ def _load_corpus(path) -> Corpus:
 def cmd_gen(args) -> int:
     doc = load_config(args.config)
     seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    cfg = corpus_config_from_doc(doc.get("corpus", {}))
+    cfg = config_from_json(doc.get("corpus", {}))
     run_dir = resolve_run_dir(args.out, "gen")
     corpus = generate(cfg, seed)
     manifest = write_corpus(corpus, run_dir)

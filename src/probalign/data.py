@@ -8,18 +8,27 @@ maps to many texts and many texts map to nearby concepts. Records carry an
 availability subset of the four trainable modality pairs; the held-out pair
 never appears, which is what the emergent-alignment evaluations rely on.
 
-The corpus serializes to line-delimited JSON (one record per line, exact
-float round-trip) plus a manifest with the config, seed, per-split counts and
-content checksums. Latent generator parameters (cluster centers, projections,
+The corpus serializes to one JSONL file per split plus a manifest with the
+config, seed, per-split counts and the sha256 of each split file (format
+``probalign-corpus-v2``). A record line holds its structure as plain JSON
+(``record_id``, ``class_label``, ``available_pairs``) and all its floats in one
+``floats`` field: the base64 of the little-endian float64 values of the
+concept, then each view in ``Modality`` order, then the text variants. The
+reader slices that buffer back using the config's dimensions, so the round
+trip is exact bit for bit and no decimal float is formatted or parsed.
+``read_corpus`` checks each split file against its manifest checksum before
+parsing it. Latent generator parameters (cluster centers, projections,
 variant offsets) are derived from dedicated seed streams so a corpus read
 back from disk can rebuild them exactly.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -40,8 +49,11 @@ HOLDOUT_PAIRS: tuple[PairType, ...] = (
 )
 
 
+CORPUS_FORMAT = "probalign-corpus-v2"
+
+
 class CorpusFormatError(ValueError):
-    """Raised when a corpus file cannot be parsed."""
+    """Raised when a corpus file cannot be parsed or fails its checksum."""
 
 
 def _default_view_dims() -> dict[Modality, int]:
@@ -280,26 +292,60 @@ def _pair_from_json(obj) -> PairType:
     return (Modality(obj[0]), Modality(obj[1]))
 
 
-def _record_to_json(r: SyntheticRecord) -> str:
+def _record_layout(cfg: CorpusConfig, pairs) -> tuple[list[Modality], list[int]]:
+    """View modalities and float segment sizes of a record with these pairs.
+
+    The segments are the concept, then each view in ``Modality`` order, then
+    the text variants: the order of a record's ``floats`` blob.
+    """
+    modalities = _record_modalities(pairs)
+    views = [m for m in modalities if m is not Modality.TEXT]
+    n_text = cfg.n_text_variants if Modality.TEXT in modalities else 0
+    sizes = [cfg.latent_dim, *(cfg.view_dims[m] for m in views)]
+    return views, sizes + [cfg.view_dims[Modality.TEXT]] * n_text
+
+
+def _record_to_json(r: SyntheticRecord, cfg: CorpusConfig) -> str:
+    views, sizes = _record_layout(cfg, r.available_pairs)
+    parts = [r.concept, *(r.views[m] for m in views if m in r.views), *r.text_variants]
+    if set(r.views) != set(views) or [p.size for p in parts] != sizes:
+        raise ValueError(
+            f"write_corpus: record {r.record_id} does not have the views and dimensions "
+            f"its available pairs and the corpus config call for"
+        )
+    floats = np.concatenate(parts).astype("<f8", copy=False)
     doc = {
         "record_id": r.record_id,
         "class_label": r.class_label,
-        "concept": r.concept.tolist(),
-        "views": {m.value: v.tolist() for m, v in r.views.items()},
-        "text_variants": [t.tolist() for t in r.text_variants],
+        "floats": base64.b64encode(floats.tobytes()).decode("ascii"),
         "available_pairs": [_pair_to_json(p) for p in r.available_pairs],
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _record_from_json(doc: dict) -> SyntheticRecord:
+def _record_from_json(doc: dict, cfg: CorpusConfig, layouts: dict) -> SyntheticRecord:
+    """Rebuild a record; ``layouts`` caches the parsed pairs and blob layout by
+    the pairs' JSON form, since a corpus has only a few distinct pair sets."""
+    key = tuple(tuple(p) for p in doc["available_pairs"])
+    if key not in layouts:
+        pairs = tuple(_pair_from_json(p) for p in key)
+        views, sizes = _record_layout(cfg, pairs)
+        ends = np.cumsum(sizes).tolist()
+        layouts[key] = (pairs, views, list(zip([0, *ends[:-1]], ends)), 8 * ends[-1])
+    pairs, views, bounds, n_bytes = layouts[key]
+    raw = base64.b64decode(doc["floats"], validate=True)
+    if len(raw) != n_bytes:
+        raise ValueError(f"floats holds {len(raw)} bytes, expected {n_bytes} for pairs {list(key)}")
+    # A bytearray, not bytes, so the arrays are writable like freshly generated ones.
+    floats = np.frombuffer(bytearray(raw), dtype="<f8").astype(np.float64, copy=False)
+    segments = [floats[a:b] for a, b in bounds]
     return SyntheticRecord(
         record_id=doc["record_id"],
         class_label=doc["class_label"],
-        concept=np.asarray(doc["concept"], dtype=np.float64),
-        views={Modality(k): np.asarray(v, dtype=np.float64) for k, v in doc["views"].items()},
-        text_variants=[np.asarray(t, dtype=np.float64) for t in doc["text_variants"]],
-        available_pairs=tuple(_pair_from_json(p) for p in doc["available_pairs"]),
+        concept=segments[0],
+        views=dict(zip(views, segments[1:])),
+        text_variants=segments[1 + len(views) :],
+        available_pairs=pairs,
     )
 
 
@@ -320,21 +366,34 @@ def _config_to_json(cfg: CorpusConfig) -> dict:
     }
 
 
+def _modality_map(doc: dict, cast) -> dict[Modality, object]:
+    return {Modality(k): cast(v) for k, v in doc.items()}
+
+
+_CONFIG_CASTS = {
+    "view_dims": lambda v: _modality_map(v, int),
+    "noise_scales": lambda v: _modality_map(v, float),
+    "projection_seeds": lambda v: _modality_map(v, int),
+    "pair_probs": lambda v: {_pair_from_json(p): float(w) for p, w in v},
+    "holdout_pair": _pair_from_json,
+    "split_fractions": tuple,
+    "class_weights": lambda v: tuple(v) if v else None,
+}
+
+
+def reject_unknown_keys(section: str, doc: dict, cls) -> None:
+    """Raise ValueError naming every key of ``doc`` that is not a field of dataclass ``cls``."""
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {section} key(s): {', '.join(unknown)}")
+
+
 def config_from_json(doc: dict) -> CorpusConfig:
-    return CorpusConfig(
-        n_records=doc["n_records"],
-        n_classes=doc["n_classes"],
-        latent_dim=doc["latent_dim"],
-        cluster_std=doc["cluster_std"],
-        view_dims={Modality(k): v for k, v in doc["view_dims"].items()},
-        noise_scales={Modality(k): v for k, v in doc["noise_scales"].items()},
-        projection_seeds={Modality(k): v for k, v in doc["projection_seeds"].items()},
-        n_text_variants=doc["n_text_variants"],
-        pair_probs={_pair_from_json(p): w for p, w in doc["pair_probs"]},
-        holdout_pair=_pair_from_json(doc["holdout_pair"]),
-        split_fractions=tuple(doc["split_fractions"]),
-        class_weights=tuple(doc["class_weights"]) if doc["class_weights"] is not None else None,
-    )
+    """CorpusConfig from its JSON form (a config file's ``corpus`` section or a
+    manifest's ``config``); absent keys take the defaults, unknown keys raise
+    ValueError."""
+    reject_unknown_keys("corpus", doc, CorpusConfig)
+    return CorpusConfig(**{k: _CONFIG_CASTS.get(k, lambda v: v)(v) for k, v in doc.items()})
 
 
 def corpus_manifest(corpus: Corpus, checksums: dict[str, str]) -> dict:
@@ -347,7 +406,7 @@ def corpus_manifest(corpus: Corpus, checksums: dict[str, str]) -> dict:
             )
         pair_counts[split] = counts
     return {
-        "format": "probalign-corpus-v1",
+        "format": CORPUS_FORMAT,
         "config": _config_to_json(corpus.config),
         "seed": corpus.seed,
         "label_rule": corpus.label_rule,
@@ -359,15 +418,13 @@ def corpus_manifest(corpus: Corpus, checksums: dict[str, str]) -> dict:
 
 def write_corpus(corpus: Corpus, path) -> dict:
     """Write one JSONL file per split plus manifest.json; returns the manifest."""
-    from pathlib import Path
-
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     checksums = {}
     for split, records in corpus.splits.items():
-        body = "".join(_record_to_json(r) + "\n" for r in records)
-        (out / f"{split}.jsonl").write_text(body, encoding="utf-8")
-        checksums[split] = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        body = "".join(_record_to_json(r, corpus.config) + "\n" for r in records).encode("ascii")
+        (out / f"{split}.jsonl").write_bytes(body)
+        checksums[split] = hashlib.sha256(body).hexdigest()
     manifest = corpus_manifest(corpus, checksums)
     (out / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -376,26 +433,46 @@ def write_corpus(corpus: Corpus, path) -> dict:
 
 
 def read_corpus(path) -> Corpus:
-    from pathlib import Path
+    """Read a corpus written by ``write_corpus``.
 
+    Raises CorpusFormatError for a missing manifest, a manifest of another
+    format, a split file whose sha256 differs from the manifest's, or a line
+    that does not parse (naming the file and line).
+    """
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise CorpusFormatError(f"read_corpus: no manifest.json under {root}")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    cfg = config_from_json(manifest["config"])
+    if manifest.get("format") != CORPUS_FORMAT:
+        raise CorpusFormatError(
+            f"{manifest_path}: corpus format {manifest.get('format')!r} is not {CORPUS_FORMAT!r}; "
+            f"regenerate the corpus with `probalign gen`"
+        )
+    try:
+        cfg = config_from_json(manifest["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorpusFormatError(f"{manifest_path}: bad corpus config: {exc}") from exc
     seed = manifest["seed"]
+    checksums = manifest.get("checksums", {})
+    layouts: dict = {}
     splits = {}
     for split in ("train", "valid", "test"):
+        split_path = root / f"{split}.jsonl"
+        body = split_path.read_bytes()
+        if hashlib.sha256(body).hexdigest() != checksums.get(split):
+            raise CorpusFormatError(
+                f"{split_path}: sha256 does not match the checksum in manifest.json; "
+                f"the file changed after it was written"
+            )
         records = []
-        text = (root / f"{split}.jsonl").read_text(encoding="utf-8")
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(body.splitlines(), start=1):
             if not line.strip():
                 continue
             try:
-                records.append(_record_from_json(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise CorpusFormatError(f"{split}.jsonl line {lineno}: {exc}") from exc
+                records.append(_record_from_json(json.loads(line.decode()), cfg, layouts))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CorpusFormatError(f"{split_path} line {lineno}: {exc}") from exc
         splits[split] = records
     latent = build_latent_space(cfg, seed)
     corpus = Corpus(cfg, seed, latent, splits["train"], splits["valid"], splits["test"])

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from probalign.cli import main
+from probalign.cli import ConfigError, main, train_config_from_doc
+from probalign.gaussians import SimilarityKind
+from probalign.training import TrainConfig
 from probalign.verification import run_oracle_suite
 
 
@@ -69,8 +71,24 @@ class TestGen:
         assert main(["gen", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert "sum to 1" in capsys.readouterr().err
 
+    def test_misspelt_corpus_key_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"corpus": {"n_record": 100}}))
+        assert main(["gen", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert "unknown corpus key(s): n_record" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
 
 class TestTrain:
+    def test_config_parser_rejects_misspelt_keys(self):
+        with pytest.raises(ConfigError, match="batchsize, similarty"):
+            train_config_from_doc({"batchsize": 8, "similarty": "csd"}, 0)
+
+    def test_config_parser_fills_defaults(self):
+        assert train_config_from_doc({}, 5) == TrainConfig(seed=5)
+        cfg = train_config_from_doc({"similarity": "csd", "betas": [0.8, 0.9], "seed": 2}, 5)
+        assert cfg == TrainConfig(similarity=SimilarityKind.CSD, betas=(0.8, 0.9), seed=2)
+
     def test_outputs(self, trained_dir):
         assert (trained_dir / "checkpoint.json").exists()
         assert (trained_dir / "metrics.csv").exists()
@@ -141,8 +159,10 @@ class TestTrain:
         [
             ({"negate_similarity": False}, "negate_similarity"),
             ({"pair_sampling_weights": [[["mod_a", "text"], 1.5], [["mod_b", "text"], -0.5]]}, "nonnegative"),
+            ({"batchsize": 8, "similarty": "csd"}, "unknown train key(s): batchsize, similarty"),
+            ({"loss_weights": {"tua": 0.1}}, "unknown train.loss_weights key(s): tua"),
         ],
-        ids=["removed_negate_similarity_key", "negative_pair_weight"],
+        ids=["removed_negate_similarity_key", "negative_pair_weight", "misspelt_keys", "misspelt_loss_weight"],
     )
     def test_rejected_train_config_exits_1(self, corpus_dir, tmp_path, capsys, train_doc, message):
         bad = tmp_path / "bad.json"

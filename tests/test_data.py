@@ -1,5 +1,9 @@
 """Corpus generation, batching, and serialization tests."""
 
+import base64
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,7 @@ from probalign.data import (
     HOLDOUT_PAIRS,
     Modality,
     TRAINABLE_PAIRS,
+    config_from_json,
     eligible_records,
     generate,
     generate_complementary,
@@ -30,6 +35,15 @@ def corpus():
     return generate(SMALL, seed=11)
 
 
+def rewrite_split(root, split, lines):
+    """Replace a split file's lines and update its manifest checksum to match."""
+    body = ("\n".join(lines) + "\n").encode("utf-8")
+    (root / f"{split}.jsonl").write_bytes(body)
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["checksums"][split] = hashlib.sha256(body).hexdigest()
+    (root / "manifest.json").write_text(json.dumps(manifest))
+
+
 class TestConfig:
     def test_fractions_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -46,6 +60,14 @@ class TestConfig:
     def test_holdout_must_involve_mod_c(self):
         with pytest.raises(ValueError, match="holdout"):
             CorpusConfig(holdout_pair=(A, T))
+
+    def test_from_json_fills_defaults(self):
+        assert config_from_json({}) == CorpusConfig()
+        assert config_from_json({"n_records": 7, "view_dims": {"mod_a": 5}}).view_dims == {A: 5}
+
+    def test_from_json_rejects_unknown_keys(self):
+        with pytest.raises(ValueError, match="n_record, noise"):
+            config_from_json({"n_record": 100, "noise": 0.1, "n_classes": 3})
 
 
 class TestGenerate:
@@ -196,9 +218,87 @@ class TestSerialization:
         path = tmp_path / "bad" / "valid.jsonl"
         lines = path.read_text().splitlines()
         lines[1] = '{"record_id": 3, "oops": true}'
-        path.write_text("\n".join(lines) + "\n")
+        rewrite_split(tmp_path / "bad", "valid", lines)
         with pytest.raises(CorpusFormatError, match="valid.jsonl line 2"):
             read_corpus(tmp_path / "bad")
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda floats: "!" + floats[1:],
+            lambda floats: floats[:-1],
+            lambda floats: base64.b64encode(base64.b64decode(floats)[:-8]).decode(),
+            lambda floats: base64.b64encode(base64.b64decode(floats) + bytes(8)).decode(),
+        ],
+        ids=["invalid_base64", "bad_padding", "one_float_short", "one_float_long"],
+    )
+    def test_bad_float_blob_reports_line_number(self, corpus, tmp_path, corrupt):
+        write_corpus(corpus, tmp_path / "bad")
+        lines = (tmp_path / "bad" / "test.jsonl").read_text().splitlines()
+        doc = json.loads(lines[2])
+        doc["floats"] = corrupt(doc["floats"])
+        lines[2] = json.dumps(doc)
+        rewrite_split(tmp_path / "bad", "test", lines)
+        with pytest.raises(CorpusFormatError, match="test.jsonl line 3"):
+            read_corpus(tmp_path / "bad")
+
+    def test_flipped_byte_fails_checksum(self, corpus, tmp_path):
+        write_corpus(corpus, tmp_path / "flip")
+        path = tmp_path / "flip" / "train.jsonl"
+        body = bytearray(path.read_bytes())
+        body[len(body) // 2] ^= 0x01
+        path.write_bytes(bytes(body))
+        with pytest.raises(CorpusFormatError, match="train.jsonl: sha256 does not match"):
+            read_corpus(tmp_path / "flip")
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda m: m.update(format="probalign-corpus-v1"), "regenerate the corpus with `probalign gen`"),
+            (lambda m: m.pop("format"), "format None"),
+            (lambda m: m["config"].update(n_record=5), "bad corpus config: unknown corpus key"),
+        ],
+        ids=["v1_format", "no_format", "unknown_config_key"],
+    )
+    def test_stale_or_bad_manifest_rejected(self, corpus, tmp_path, edit, message):
+        write_corpus(corpus, tmp_path / "stale")
+        path = tmp_path / "stale" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(CorpusFormatError, match=message):
+            read_corpus(tmp_path / "stale")
+
+    def test_floats_blob_layout(self, corpus, tmp_path):
+        write_corpus(corpus, tmp_path / "layout")
+        first = (tmp_path / "layout" / "train.jsonl").read_text().splitlines()[0]
+        doc = json.loads(first)
+        assert sorted(doc) == ["available_pairs", "class_label", "floats", "record_id"]
+        r = corpus.train[0]
+        expected = np.concatenate(
+            [r.concept, *(r.views[m] for m in Modality if m in r.views), *r.text_variants]
+        )
+        blob = np.frombuffer(base64.b64decode(doc["floats"]), dtype="<f8")
+        np.testing.assert_array_equal(blob, expected)
+
+    def test_read_arrays_are_writable_float64(self, corpus, tmp_path):
+        write_corpus(corpus, tmp_path / "w")
+        again = read_corpus(tmp_path / "w")
+        r = again.train[0]
+        for a in [r.concept, *r.views.values(), *r.text_variants]:
+            assert a.dtype == np.float64 and a.flags.writeable
+        before = again.train[1].concept.copy()
+        r.concept[:] = 0.0
+        r.text_variants[-1][:] = 0.0
+        np.testing.assert_array_equal(again.train[1].concept, before)
+        assert again.train[0] != corpus.train[0] and again.train[1] == corpus.train[1]
+
+    def test_record_not_matching_its_pairs_is_not_written(self, corpus, tmp_path):
+        bad = generate(SMALL, seed=11)
+        record = next(r for r in bad.train if A in r.views)
+        del record.views[A]
+        with pytest.raises(ValueError, match=f"record {record.record_id}"):
+            write_corpus(bad, tmp_path / "nope")
 
     def test_missing_manifest(self, tmp_path):
         (tmp_path / "nothing").mkdir()
@@ -226,6 +326,13 @@ class TestComplementaryCorpus:
         assert again.label_rule == "sum_sign"
         assert again == comp
         assert np.all(again.latent.projections[A][:, 1] == 0.0)
+
+    @pytest.mark.parametrize("n_records", [0, 1])
+    def test_tiny_corpus_round_trips_with_label_rule(self, tmp_path, n_records):
+        comp = generate_complementary(n_records, seed=5, split_fractions=(0.0, 0.0, 1.0))
+        write_corpus(comp, tmp_path / "tiny")
+        again = read_corpus(tmp_path / "tiny")
+        assert again == comp and len(again.test) == n_records
 
 
 class TestPrompts:
