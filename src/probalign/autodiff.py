@@ -280,7 +280,9 @@ def sqrt(a) -> Tensor:
 def relu(a) -> Tensor:
     a = tensor(a)
     mask = a.data > 0.0
-    out = Tensor(np.where(mask, a.data, 0.0), (a,))
+    # NaN passes through (NaN <= 0 is false): a corrupt weight must show up in
+    # the output, not be zeroed like a negative pre-activation.
+    out = Tensor(np.where(a.data <= 0.0, 0.0, a.data), (a,))
 
     def _back(g):
         _accumulate(a, g * mask)

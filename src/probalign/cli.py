@@ -7,7 +7,8 @@ directories are timestamped only in their default NAME, never in file
 contents, so reruns into a fixed ``--out`` produce bit-identical artifacts.
 
 Exit codes: 0 success, 1 usage/config error, 2 numerical failure (non-finite
-training loss or a failed verification oracle).
+training loss, a non-finite embedding during eval, or a failed verification
+oracle).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    SPLITS,
     Corpus,
     Modality,
     TRAINABLE_PAIRS,
@@ -33,7 +35,7 @@ from .data import (
     synth_text_prompts,
     write_corpus,
 )
-from .encoders import load_checkpoint
+from .encoders import NonFiniteEmbedding, load_checkpoint
 from .evaluation import (
     EvalReport,
     PromptSet,
@@ -117,11 +119,11 @@ def echo_config(run_dir: Path, doc: dict) -> None:
     )
 
 
-def _load_corpus(path) -> Corpus:
+def _load_corpus(path, splits=SPLITS) -> Corpus:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"corpus directory not found: {p}")
-    return read_corpus(p)
+    return read_corpus(p, splits=splits)
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -184,10 +186,17 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _split_records(corpus: Corpus, name: str):
-    if name not in corpus.splits:
-        raise ConfigError(f"unknown split {name!r}")
-    return corpus.splits[name]
+def _eval_splits(args) -> set[str]:
+    """The corpus splits an eval protocol reads, so only those are parsed."""
+    if args.protocol in ("fewshot", "multimodal"):
+        return {"train", "test"}
+    if args.protocol == "noiseprobe":
+        return {"test"}
+    if args.split not in SPLITS:
+        raise ConfigError(f"unknown split {args.split!r}")
+    if args.protocol == "zeroshot" and args.prototypes != "text":
+        return {args.split, "valid"}  # cross-modality prototypes come from valid
+    return {args.split}
 
 
 def _embed_items(model, records, modality: Modality):
@@ -201,7 +210,7 @@ def _records_with_view(records, modality: Modality):
 
 def cmd_eval(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
-    corpus = _load_corpus(args.corpus)
+    corpus = _load_corpus(args.corpus, splits=_eval_splits(args))
     kind = SimilarityKind(args.similarity)
     rng = np.random.default_rng(args.seed)
     run_dir = resolve_run_dir(args.out, f"eval-{args.protocol}")
@@ -234,7 +243,7 @@ def cmd_eval(args) -> int:
 
 
 def _protocol_retrieval(model, corpus, kind, args) -> EvalReport:
-    records = _split_records(corpus, args.split)
+    records = corpus.splits[args.split]
     ks = [int(k) for k in args.ks.split(",")]
     out = validation_retrieval(model, records, kind, ks=tuple(ks), max_gallery=args.max_gallery)
     return EvalReport("retrieval", {"rsum": out["rsum"]}, {"tasks": out["tasks"], "ks": ks})
@@ -252,7 +261,7 @@ def _prompt_set(corpus, args, rng) -> PromptSet:
 
 def _protocol_zeroshot(model, corpus, kind, args, rng) -> EvalReport:
     modality = Modality(args.modality)
-    records = _records_with_view(_split_records(corpus, args.split), modality)
+    records = _records_with_view(corpus.splits[args.split], modality)
     if not records:
         raise ConfigError(f"no {modality.value} views in split {args.split}")
     labels = np.array([r.class_label for r in records])
@@ -468,7 +477,7 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError) as exc:
         print(f"probalign {args.command}: error: {exc}", file=sys.stderr)
         return 1
-    except TrainingAbort as exc:
+    except (TrainingAbort, NonFiniteEmbedding) as exc:
         print(f"probalign {args.command}: numerical failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

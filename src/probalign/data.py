@@ -16,10 +16,10 @@ config, seed, per-split counts and the sha256 of each split file (format
 concept, then each view in ``Modality`` order, then the text variants. The
 reader slices that buffer back using the config's dimensions, so the round
 trip is exact bit for bit and no decimal float is formatted or parsed.
-``read_corpus`` checks each split file against its manifest checksum before
-parsing it. Latent generator parameters (cluster centers, projections,
-variant offsets) are derived from dedicated seed streams so a corpus read
-back from disk can rebuild them exactly.
+``read_corpus`` checks every split file against its manifest checksum and
+parses only the splits its caller asks for. Latent generator parameters
+(cluster centers, projections, variant offsets) are derived from dedicated
+seed streams so a corpus read back from disk can rebuild them exactly.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ HOLDOUT_PAIRS: tuple[PairType, ...] = (
 
 
 CORPUS_FORMAT = "probalign-corpus-v2"
+
+SPLITS = ("train", "valid", "test")
 
 
 class CorpusFormatError(ValueError):
@@ -145,6 +147,9 @@ class LatentSpace:
 
 @dataclass
 class Corpus:
+    """A generated or read-back corpus. A split that ``read_corpus`` was not
+    asked to parse holds an ``UnreadSplit``, which raises when used."""
+
     config: CorpusConfig
     seed: int
     latent: LatentSpace
@@ -165,7 +170,7 @@ class Corpus:
             and self.seed == other.seed
             and self.label_rule == other.label_rule
             and self.config == other.config
-            and all(self.splits[k] == other.splits[k] for k in ("train", "valid", "test"))
+            and all(self.splits[k] == other.splits[k] for k in SPLITS)
         )
 
 
@@ -432,13 +437,47 @@ def write_corpus(corpus: Corpus, path) -> dict:
     return manifest
 
 
-def read_corpus(path) -> Corpus:
+class UnreadSplitError(RuntimeError):
+    """Raised when a split that ``read_corpus`` was not asked to parse is used."""
+
+
+class UnreadSplit:
+    """Stands in for a split whose file was verified but not parsed.
+
+    Iterating, indexing, taking the length, testing truth or comparing it
+    raises ``UnreadSplitError``, so a caller that forgot to ask for a split
+    fails loudly instead of seeing a split without records.
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def _unread(self, *args):
+        raise UnreadSplitError(
+            f"split {self.name!r} was not read; pass it in read_corpus(..., splits=...)"
+        )
+
+    __iter__ = __len__ = __getitem__ = __contains__ = __bool__ = __eq__ = _unread
+
+    def __repr__(self) -> str:
+        return f"UnreadSplit({self.name!r})"
+
+
+def read_corpus(path, splits=SPLITS) -> Corpus:
     """Read a corpus written by ``write_corpus``.
+
+    Every split file is checked against its sha256 in the manifest, but only
+    the records of ``splits`` are parsed; the other splits of the returned
+    corpus are ``UnreadSplit`` placeholders that raise when used.
 
     Raises CorpusFormatError for a missing manifest, a manifest of another
     format, a split file whose sha256 differs from the manifest's, or a line
-    that does not parse (naming the file and line).
+    that does not parse (naming the file and line), and ValueError for a
+    split name that is not one of ``SPLITS``.
     """
+    unknown = sorted(set(splits) - set(SPLITS))
+    if unknown:
+        raise ValueError(f"read_corpus: unknown split(s): {', '.join(map(repr, unknown))}")
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
@@ -456,8 +495,8 @@ def read_corpus(path) -> Corpus:
     seed = manifest["seed"]
     checksums = manifest.get("checksums", {})
     layouts: dict = {}
-    splits = {}
-    for split in ("train", "valid", "test"):
+    records_by_split: dict[str, list[SyntheticRecord] | UnreadSplit] = {}
+    for split in SPLITS:
         split_path = root / f"{split}.jsonl"
         body = split_path.read_bytes()
         if hashlib.sha256(body).hexdigest() != checksums.get(split):
@@ -465,6 +504,9 @@ def read_corpus(path) -> Corpus:
                 f"{split_path}: sha256 does not match the checksum in manifest.json; "
                 f"the file changed after it was written"
             )
+        if split not in splits:
+            records_by_split[split] = UnreadSplit(split)
+            continue
         records = []
         for lineno, line in enumerate(body.splitlines(), start=1):
             if not line.strip():
@@ -473,9 +515,9 @@ def read_corpus(path) -> Corpus:
                 records.append(_record_from_json(json.loads(line.decode()), cfg, layouts))
             except (KeyError, TypeError, ValueError) as exc:
                 raise CorpusFormatError(f"{split_path} line {lineno}: {exc}") from exc
-        splits[split] = records
+        records_by_split[split] = records
     latent = build_latent_space(cfg, seed)
-    corpus = Corpus(cfg, seed, latent, splits["train"], splits["valid"], splits["test"])
+    corpus = Corpus(cfg, seed, latent, *(records_by_split[s] for s in SPLITS))
     corpus.label_rule = manifest.get("label_rule", "cluster")
     if corpus.label_rule == "sum_sign":
         latent.projections[Modality.MOD_A][:, 1] = 0.0

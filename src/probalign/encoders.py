@@ -43,6 +43,10 @@ class Modality(str, Enum):
     TEXT = "text"
 
 
+class NonFiniteEmbedding(FloatingPointError):
+    """Raised when eval-mode encoding yields a non-finite mean or log-variance."""
+
+
 @dataclass
 class EncoderDims:
     input_dim: int
@@ -167,7 +171,15 @@ class AlignmentModel:
         return cls(encoders, embed_dim)
 
     def encode(self, modality: Modality, x: np.ndarray, train: bool = False) -> GaussianBatch:
-        return self.encoders[modality].encode(x, train=train)
+        """Encode with one modality's encoder. In eval mode a non-finite mean or
+        log-variance raises NonFiniteEmbedding (training checks its loss instead)."""
+        batch = self.encoders[modality].encode(x, train=train)
+        if not train and not all(np.isfinite(t.data).all() for t in (batch.mu, batch.log_var)):
+            raise NonFiniteEmbedding(
+                f"the {modality.value} encoder produced a non-finite embedding; "
+                f"check the checkpoint and the inputs for NaN or inf"
+            )
+        return batch
 
     def named_parameters(self):
         for modality in Modality:

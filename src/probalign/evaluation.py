@@ -13,7 +13,6 @@ Everything here is read-only over the model and takes explicit rngs.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 
@@ -38,17 +37,18 @@ PROBE_L2 = 1e-4
 
 
 def tied_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned their average rank."""
+    """1-based ranks with ties assigned their average rank (each NaN ranks alone)."""
     values = np.asarray(values, dtype=np.float64)
     order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ordered = values[order]
+    n = len(values)
+    # Run boundaries in sorted order, with sentinels at 0 and n.
+    boundary = np.ones(n + 1, dtype=bool)
+    boundary[1:-1] = ordered[1:] != ordered[:-1]
+    edges = np.flatnonzero(boundary)
+    starts, stops = edges[:-1], edges[1:]
+    ranks = np.empty(n)
+    ranks[order] = np.repeat(0.5 * (starts + stops - 1) + 1.0, stops - starts)
     return ranks
 
 
@@ -94,6 +94,14 @@ def macro_ovr_auroc(scores: np.ndarray, labels, classes) -> float:
     if not per_class:
         raise ValueError("macro_ovr_auroc: no class has both positives and negatives")
     return float(np.mean(per_class))
+
+
+def _class_auroc(scores: np.ndarray, labels: np.ndarray, classes) -> float:
+    """AUROC of a score matrix whose columns follow ``classes``: the binary
+    AUROC of the second column for two classes, else the macro one-vs-rest."""
+    if len(classes) == 2:
+        return auroc(scores[:, 1], (labels == classes[1]).astype(int))
+    return macro_ovr_auroc(scores, labels, classes)
 
 
 def spearman(x, y) -> float:
@@ -360,10 +368,7 @@ def few_shot(
         y = np.array(y)
 
     w = logistic_probe(x, y, len(classes))
-    scores = probe_scores(w, mu_test)
-    if len(classes) == 2:
-        return auroc(scores[:, 1], (test_labels == classes[1]).astype(int))
-    return macro_ovr_auroc(scores, test_labels, classes)
+    return _class_auroc(probe_scores(w, mu_test), test_labels, classes)
 
 
 # -- multimodal classification -----------------------------------------------------
@@ -410,10 +415,7 @@ def multimodal_classify(
         0.5 * (zs_scores[0] + zs_scores[1]) if fusion == "mean" else np.maximum(*zs_scores)
     )
     for name, scores in zip(names, zs_scores + [fused]):
-        if len(classes) == 2:
-            out["zs"][name] = auroc(scores[:, 1], (test_labels == classes[1]).astype(int))
-        else:
-            out["zs"][name] = macro_ovr_auroc(scores, test_labels, classes)
+        out["zs"][name] = _class_auroc(scores, test_labels, classes)
 
     # Few-shot: same support rows for singles and the concatenation.
     mu_train = [b.mu.data for b in enc_train]
@@ -429,11 +431,7 @@ def multimodal_classify(
     y = np.array([class_index[int(c)] for c in train_labels[support]])
     for name, (x_train, x_test) in zip(names, feature_sets):
         w = logistic_probe(x_train[support], y, len(classes))
-        scores = probe_scores(w, x_test)
-        if len(classes) == 2:
-            out["fs"][name] = auroc(scores[:, 1], (test_labels == classes[1]).astype(int))
-        else:
-            out["fs"][name] = macro_ovr_auroc(scores, test_labels, classes)
+        out["fs"][name] = _class_auroc(probe_scores(w, x_test), test_labels, classes)
     return out
 
 
@@ -520,12 +518,3 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     raise TypeError(f"not JSON-serializable: {type(obj)}")
-
-
-def write_scores_csv(path, header: list[str], rows) -> None:
-    """Optional per-item score dump for external plotting."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])

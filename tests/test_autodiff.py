@@ -13,6 +13,11 @@ def rand(rng, shape, low=0.5, high=2.0):
 
 
 class TestForwardExamples:
+    def test_relu_passes_nan_and_zeroes_signed_zeros(self):
+        out = ad.relu(Tensor([np.nan, -1.0, -0.0, 0.0, 2.0])).data
+        assert np.isnan(out[0])
+        assert out[1:].tobytes() == np.array([0.0, 0.0, 0.0, 2.0]).tobytes()
+
     def test_softmax_symmetry(self):
         np.testing.assert_allclose(ad.softmax(Tensor([0.0, 0.0])).data, [0.5, 0.5])
 

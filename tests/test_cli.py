@@ -1,10 +1,13 @@
 """End-to-end command tests: exit codes, artifacts, determinism, oracles."""
 
+import base64
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from probalign import cli, data
 from probalign.cli import ConfigError, main, train_config_from_doc
 from probalign.gaussians import SimilarityKind
 from probalign.training import TrainConfig
@@ -241,6 +244,90 @@ class TestEval:
             assert code == 0
             outs.append((out / "report.json").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "extra,parsed",
+        [
+            (["--protocol", "retrieval"], {"test"}),
+            (["--protocol", "retrieval", "--split", "valid"], {"valid"}),
+            (["--protocol", "zeroshot", "--n-prompts", "3"], {"test"}),
+            (["--protocol", "zeroshot", "--split", "train", "--n-prompts", "3"], {"train"}),
+            (["--protocol", "zeroshot", "--prototypes", "mod_b"], {"test", "valid"}),
+            (["--protocol", "zeroshot", "--split", "train", "--prototypes", "mod_b"], {"train", "valid"}),
+            (["--protocol", "fewshot", "--shots", "2", "--seeds", "1"], {"train", "test"}),
+            (["--protocol", "multimodal", "--k-shot", "4", "--n-prompts", "2"], {"train", "test"}),
+            (["--protocol", "noiseprobe", "--levels", "0,1,2", "--n-items", "5"], {"test"}),
+        ],
+        ids=[
+            "retrieval",
+            "retrieval-valid",
+            "zeroshot",
+            "zeroshot-train",
+            "zeroshot-emergent",
+            "zeroshot-emergent-train",
+            "fewshot",
+            "multimodal",
+            "noiseprobe",
+        ],
+    )
+    def test_protocol_parses_only_its_splits(
+        self, trained_dir, corpus_dir, tmp_path, monkeypatch, extra, parsed
+    ):
+        full = data.read_corpus(corpus_dir)
+        ids = {name: {r.record_id for r in records} for name, records in full.splits.items()}
+        decoded = []
+        real_decoder = data._record_from_json
+
+        def spy(*args):
+            record = real_decoder(*args)
+            decoded.append(record.record_id)
+            return record
+
+        base = ["eval", "--checkpoint", str(trained_dir / "checkpoint.json"), "--corpus", str(corpus_dir)]
+        with monkeypatch.context() as m:
+            m.setattr(data, "_record_from_json", spy)
+            assert main(base + extra + ["--out", str(tmp_path / "partial")]) == 0
+        assert sorted(decoded) == sorted(i for name in parsed for i in ids[name])
+
+        # The same command over a corpus read in full writes the same bytes.
+        with monkeypatch.context() as m:
+            m.setattr(cli, "read_corpus", lambda path, splits: data.read_corpus(path))
+            assert main(base + extra + ["--out", str(tmp_path / "full")]) == 0
+        partial = (tmp_path / "partial" / "report.json").read_bytes()
+        assert partial == (tmp_path / "full" / "report.json").read_bytes()
+
+    def test_edited_unread_split_still_fails_checksum(self, trained_dir, corpus_dir, tmp_path, capsys):
+        edited = tmp_path / "edited"
+        shutil.copytree(corpus_dir, edited)
+        lines = (edited / "train.jsonl").read_text().splitlines(keepends=True)
+        (edited / "train.jsonl").write_text("".join(lines[1:]))
+        argv = ["eval", "--checkpoint", str(trained_dir / "checkpoint.json"), "--corpus", str(edited),
+                "--protocol", "retrieval", "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert "train.jsonl: sha256 does not match" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "report.json").exists()
+
+    def test_unknown_split_exits_1(self, trained_dir, corpus_dir, tmp_path, capsys):
+        argv = ["eval", "--checkpoint", str(trained_dir / "checkpoint.json"), "--corpus", str(corpus_dir),
+                "--protocol", "retrieval", "--split", "bogus", "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert "unknown split 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("protocol", ["retrieval", "zeroshot"])
+    def test_non_finite_checkpoint_exits_2(self, trained_dir, corpus_dir, tmp_path, capsys, protocol):
+        doc = json.loads((trained_dir / "checkpoint.json").read_text())
+        entry = doc["encoders"]["text"]["params"]["b1"]
+        b1 = np.frombuffer(base64.b64decode(entry["data"]), dtype=np.float64).copy()
+        b1[3] = np.nan
+        entry["data"] = base64.b64encode(b1.tobytes()).decode("ascii")
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(doc))
+        argv = ["eval", "--checkpoint", str(bad), "--corpus", str(corpus_dir),
+                "--protocol", protocol, "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "text encoder produced a non-finite embedding" in err
+        assert not (tmp_path / "o" / "report.json").exists()
 
     def test_unknown_protocol_exits_1(self, trained_dir, corpus_dir, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -14,6 +14,7 @@ from probalign.data import (
     HOLDOUT_PAIRS,
     Modality,
     TRAINABLE_PAIRS,
+    UnreadSplitError,
     config_from_json,
     eligible_records,
     generate,
@@ -241,6 +242,39 @@ class TestSerialization:
         rewrite_split(tmp_path / "bad", "test", lines)
         with pytest.raises(CorpusFormatError, match="test.jsonl line 3"):
             read_corpus(tmp_path / "bad")
+
+    def test_partial_read_parses_only_the_asked_splits(self, corpus, tmp_path):
+        write_corpus(corpus, tmp_path / "part")
+        part = read_corpus(tmp_path / "part", splits=("valid", "test"))
+        assert part.valid == corpus.valid and part.test == corpus.test
+        assert part.config == corpus.config and part.seed == corpus.seed
+
+    @pytest.mark.parametrize(
+        "use",
+        [list, len, bool, lambda s: s[0], lambda s: s == [], lambda s: [r for r in s]],
+        ids=["list", "len", "bool", "index", "equals", "iterate"],
+    )
+    def test_unread_split_raises_instead_of_looking_empty(self, corpus, tmp_path, use):
+        write_corpus(corpus, tmp_path / "part")
+        part = read_corpus(tmp_path / "part", splits=("test",))
+        with pytest.raises(UnreadSplitError, match="split 'train' was not read"):
+            use(part.train)
+        with pytest.raises(UnreadSplitError, match="split 'valid' was not read"):
+            use(part.splits["valid"])
+
+    def test_unknown_split_name_rejected(self, corpus, tmp_path):
+        write_corpus(corpus, tmp_path / "part")
+        with pytest.raises(ValueError, match="unknown split"):
+            read_corpus(tmp_path / "part", splits=("test", "bogus"))
+
+    def test_unread_split_still_checked_against_manifest(self, corpus, tmp_path):
+        write_corpus(corpus, tmp_path / "flip")
+        path = tmp_path / "flip" / "train.jsonl"
+        body = bytearray(path.read_bytes())
+        body[len(body) // 2] ^= 0x01
+        path.write_bytes(bytes(body))
+        with pytest.raises(CorpusFormatError, match="train.jsonl: sha256 does not match"):
+            read_corpus(tmp_path / "flip", splits=("test",))
 
     def test_flipped_byte_fails_checksum(self, corpus, tmp_path):
         write_corpus(corpus, tmp_path / "flip")

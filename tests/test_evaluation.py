@@ -38,6 +38,22 @@ def model():
     return AlignmentModel.build(9, dims, hidden_dim=16, embed_dim=8, bn_enabled=False)
 
 
+def tied_ranks_loop(values) -> np.ndarray:
+    """Reference for ``tied_ranks``: walk the mergesort order run by run.
+    Each NaN compares unequal to everything, so it forms a run of its own."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(len(values))
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 def emb(mu, log_var):
     return GaussianEmbedding(np.asarray(mu, dtype=float), np.asarray(log_var, dtype=float))
 
@@ -121,6 +137,26 @@ class TestAuroc:
 
     def test_tied_ranks_average(self):
         np.testing.assert_allclose(tied_ranks([1.0, 2.0, 2.0, 3.0]), [1.0, 2.5, 2.5, 4.0])
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [4.0],
+            [2.0, 2.0, 2.0, 2.0],
+            [3.0, 1.0, 3.0, 1.0, 2.0, 3.0, 1.0],
+            [np.nan, 1.0, np.nan, 1.0, np.inf, -np.inf, np.nan],
+            [0.0, -0.0, 0.0, -1.0, -0.0],
+            np.random.default_rng(0).integers(0, 5, size=1000).astype(float),
+            np.random.default_rng(1).normal(size=1000),
+        ],
+        ids=["empty", "single", "all_tied", "tie_heavy", "nan_inf", "signed_zeros", "ties_1000", "distinct_1000"],
+    )
+    def test_tied_ranks_match_loop_oracle_bitwise(self, values):
+        got = tied_ranks(values)
+        expected = tied_ranks_loop(values)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestSpearman:
