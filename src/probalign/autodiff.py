@@ -464,22 +464,6 @@ def concat(parts, axis: int = 0) -> Tensor:
     return out
 
 
-def slice_rows(a, start: int, stop: int) -> Tensor:
-    """Contiguous slice along the leading axis."""
-    a = tensor(a)
-    if a.data.ndim < 1 or not (0 <= start <= stop <= a.shape[0]):
-        raise _shape_error(f"slice_rows[{start}:{stop}]", a.shape, a.shape)
-    out = Tensor(a.data[start:stop].copy(), (a,))
-
-    def _back(g):
-        full = np.zeros_like(a.data)
-        full[start:stop] = g
-        _accumulate(a, full)
-
-    out._backward = _back
-    return out
-
-
 def l2_normalize(a) -> Tensor:
     """Normalize each row (last axis) to unit Euclidean norm."""
     a = tensor(a)

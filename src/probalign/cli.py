@@ -186,12 +186,25 @@ def cmd_train(args) -> int:
     return 0
 
 
+# Protocols that always read the same splits, so --split does not apply to them.
+FIXED_SPLITS = {"fewshot": ("train", "test"), "multimodal": ("train", "test"), "noiseprobe": ("test",)}
+
+
 def _eval_splits(args) -> set[str]:
-    """The corpus splits an eval protocol reads, so only those are parsed."""
-    if args.protocol in ("fewshot", "multimodal"):
-        return {"train", "test"}
-    if args.protocol == "noiseprobe":
-        return {"test"}
+    """The corpus splits an eval protocol reads, so only those are parsed.
+
+    Rejects a --split the protocol would ignore, and sets an unset one to test.
+    """
+    fixed = FIXED_SPLITS.get(args.protocol)
+    if fixed is not None:
+        if args.split is not None:
+            raise ConfigError(
+                f"--split does not apply to --protocol {args.protocol}, which reads the "
+                f"{' and '.join(fixed)} split{'s' if len(fixed) > 1 else ''}"
+            )
+        return set(fixed)
+    if args.split is None:
+        args.split = "test"
     if args.split not in SPLITS:
         raise ConfigError(f"unknown split {args.split!r}")
     if args.protocol == "zeroshot" and args.prototypes != "text":
@@ -209,8 +222,9 @@ def _records_with_view(records, modality: Modality):
 
 
 def cmd_eval(args) -> int:
-    model, _ = load_checkpoint(args.checkpoint)
-    corpus = _load_corpus(args.corpus, splits=_eval_splits(args))
+    splits = _eval_splits(args)
+    model = load_checkpoint(args.checkpoint)
+    corpus = _load_corpus(args.corpus, splits=splits)
     kind = SimilarityKind(args.similarity)
     rng = np.random.default_rng(args.seed)
     run_dir = resolve_run_dir(args.out, f"eval-{args.protocol}")
@@ -438,7 +452,7 @@ def build_parser() -> Parser:
     p_eval.add_argument("--out", default=None)
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--similarity", choices=[k.value for k in SimilarityKind], default="hellinger")
-    p_eval.add_argument("--split", default="test")
+    p_eval.add_argument("--split", default=None, help="retrieval and zeroshot only (default test)")
     p_eval.add_argument("--ks", default="1,5")
     p_eval.add_argument("--max-gallery", type=int, default=1000)
     p_eval.add_argument("--modality", default="mod_a")

@@ -202,7 +202,7 @@ def decode_array(obj: dict) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.float64).reshape(obj["shape"]).copy()
 
 
-def checkpoint_document(model: AlignmentModel, optimizer_state: dict | None = None) -> dict:
+def checkpoint_document(model: AlignmentModel) -> dict:
     encoders = {}
     for modality, enc in model.encoders.items():
         encoders[modality.value] = {
@@ -218,18 +218,18 @@ def checkpoint_document(model: AlignmentModel, optimizer_state: dict | None = No
         "format": CHECKPOINT_FORMAT,
         "embed_dim": model.embed_dim,
         "encoders": encoders,
-        "optimizer": optimizer_state,
     }
 
 
-def save_checkpoint(model: AlignmentModel, path, optimizer_state: dict | None = None) -> None:
-    doc = checkpoint_document(model, optimizer_state)
+def save_checkpoint(model: AlignmentModel, path) -> None:
+    doc = checkpoint_document(model)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 
 
-def load_checkpoint(path) -> tuple[AlignmentModel, dict | None]:
+def load_checkpoint(path) -> AlignmentModel:
+    """The model of a checkpoint; an ``optimizer`` block older files carry is ignored."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format") != CHECKPOINT_FORMAT:
@@ -243,5 +243,4 @@ def load_checkpoint(path) -> tuple[AlignmentModel, dict | None]:
         enc.bn_running_mean = decode_array(entry["bn_running_mean"])
         enc.bn_running_var = decode_array(entry["bn_running_var"])
         encoders[modality] = enc
-    model = AlignmentModel(encoders, doc["embed_dim"])
-    return model, doc.get("optimizer")
+    return AlignmentModel(encoders, doc["embed_dim"])

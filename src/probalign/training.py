@@ -21,8 +21,6 @@ from .encoders import (
     AlignmentModel,
     Modality,
     decayable,
-    decode_array,
-    encode_array,
     save_checkpoint,
 )
 from .gaussians import SimilarityKind, pairwise_similarity_arrays
@@ -102,23 +100,6 @@ class TrainerState:
         self.optimizer: dict[Modality, AdamWState] = {m: AdamWState() for m in model.encoders}
         self.step = 0
         self.rng = np.random.default_rng([cfg.seed, 3])
-
-    def optimizer_document(self) -> dict:
-        return {
-            mod.value: {
-                "step": st.step,
-                "m": {k: encode_array(a) for k, a in st.m.items()},
-                "v": {k: encode_array(a) for k, a in st.v.items()},
-            }
-            for mod, st in self.optimizer.items()
-        }
-
-    def load_optimizer_document(self, doc: dict) -> None:
-        for key, entry in doc.items():
-            st = self.optimizer[Modality(key)]
-            st.step = entry["step"]
-            st.m = {k: decode_array(a) for k, a in entry["m"].items()}
-            st.v = {k: decode_array(a) for k, a in entry["v"].items()}
 
 
 def _clip_gradients(grads: list[np.ndarray], grad_clip: float) -> float:
@@ -279,7 +260,6 @@ class TrainResult:
     validation_history: list[dict]
     best_step: int
     best_rsum: float
-    optimizer_document: dict
 
 
 def _snapshot(model: AlignmentModel) -> dict:
@@ -353,7 +333,6 @@ def train(
 
     best = run_validation()
     best_snapshot = _snapshot(model)
-    best_optimizer = state.optimizer_document()
     try:
         for step in range(cfg.total_steps):
             pair = choose_pairs(pairs, weights, pair_rng, 1)[0]
@@ -378,19 +357,17 @@ def train(
                 if entry["rsum"] >= best["rsum"]:
                     best = entry
                     best_snapshot = _snapshot(model)
-                    best_optimizer = state.optimizer_document()
     finally:
         if metrics_file:
             metrics_file.close()
 
     _restore(model, best_snapshot)
     if checkpoint_path:
-        save_checkpoint(model, checkpoint_path, best_optimizer)
+        save_checkpoint(model, checkpoint_path)
     return TrainResult(
         model=model,
         history=history,
         validation_history=validation_history,
         best_step=best["step"],
         best_rsum=best["rsum"],
-        optimizer_document=best_optimizer,
     )

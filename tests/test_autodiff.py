@@ -158,7 +158,6 @@ STRUCTURE_CASES = [
     ("transpose", lambda p: ad.mean_all(ad.transpose(p[0]) * ad.transpose(p[0])), [(3, 4)]),
     ("diagonal", lambda p: ad.mean_all(ad.diagonal(p[0])), [(4, 4)]),
     ("concat", lambda p: ad.mean_all(ad.concat([p[0], p[1]]) * ad.concat([p[1], p[0]])), [(2, 3), (2, 3)]),
-    ("slice_rows", lambda p: ad.mean_all(ad.slice_rows(p[0], 1, 3)), [(4, 3)]),
     ("sum_all", lambda p: ad.sum_all(p[0] * p[0]), [(3, 4)]),
     ("clamp_min", lambda p: ad.mean_all(ad.clamp_min(p[0], 0.25)), [(3, 4)]),
 ]

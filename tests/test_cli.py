@@ -123,7 +123,7 @@ class TestTrain:
         from probalign.encoders import AlignmentModel, load_checkpoint
         from probalign.data import read_corpus
 
-        model, _ = load_checkpoint(out / "checkpoint.json")
+        model = load_checkpoint(out / "checkpoint.json")
         corpus = read_corpus(corpus_dir)
         fresh = AlignmentModel.build(3, dict(corpus.config.view_dims), 16, 8, bn_enabled=True)
         for (name, p), (_, q) in zip(model.named_parameters(), fresh.named_parameters()):
@@ -313,6 +313,37 @@ class TestEval:
         assert main(argv) == 1
         assert "unknown split 'bogus'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "protocol,split,reads",
+        [
+            ("fewshot", "bogus", "the train and test splits"),
+            ("multimodal", "valid", "the train and test splits"),
+            ("noiseprobe", "test", "the test split"),
+        ],
+    )
+    def test_split_rejected_where_it_does_not_apply(
+        self, tmp_path, monkeypatch, capsys, protocol, split, reads
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a file was read before --split was checked")
+
+        monkeypatch.setattr(cli, "load_checkpoint", must_not_run)
+        monkeypatch.setattr(cli, "read_corpus", must_not_run)
+        argv = ["eval", "--checkpoint", str(tmp_path / "ck.json"), "--corpus", str(tmp_path / "c"),
+                "--protocol", protocol, "--split", split, "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"--split does not apply to --protocol {protocol}, which reads {reads}" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_unset_split_is_test(self, trained_dir, corpus_dir, tmp_path):
+        base = ["eval", "--checkpoint", str(trained_dir / "checkpoint.json"), "--corpus", str(corpus_dir),
+                "--protocol", "zeroshot", "--n-prompts", "3"]
+        assert main(base + ["--out", str(tmp_path / "unset")]) == 0
+        assert main(base + ["--split", "test", "--out", str(tmp_path / "test")]) == 0
+        unset = (tmp_path / "unset" / "report.json").read_bytes()
+        assert unset == (tmp_path / "test" / "report.json").read_bytes()
+
     @pytest.mark.parametrize("protocol", ["retrieval", "zeroshot"])
     def test_non_finite_checkpoint_exits_2(self, trained_dir, corpus_dir, tmp_path, capsys, protocol):
         doc = json.loads((trained_dir / "checkpoint.json").read_text())
@@ -351,6 +382,15 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "all oracles passed" in out
         assert out.count("[PASS]") >= 5
+
+    def test_full_suite_passes_with_full_size_labels(self, capsys):
+        assert main(["verify"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 7 and all(line.startswith("[PASS]") for line in lines[:6])
+        assert "(100 random 1-D pairs)" in lines[0]
+        assert "(10 cases, 1e6 samples)" in lines[1]
+        assert "(1000 pairs, D in {1,8,64})" in lines[3]
+        assert lines[6] == "all oracles passed"
 
     def test_report_lists_each_oracle_with_error(self, capsys):
         main(["verify", "--fast"])

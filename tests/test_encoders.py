@@ -1,5 +1,7 @@
 """Encoder tests: heads, batch norm semantics, init, checkpoint round-trip."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -185,12 +187,10 @@ class TestCheckpoint:
         model = self._model()
         rng = np.random.default_rng(10)
         model.encode(Modality.MOD_A, rng.normal(size=(8, 6)), train=True)
-        opt_state = {"mod_a": {"step": 3}}
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
-        save_checkpoint(model, p1, opt_state)
-        loaded, opt = load_checkpoint(p1)
-        save_checkpoint(loaded, p2, opt)
+        save_checkpoint(model, p1)
+        save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_loaded_model_encodes_identically(self, tmp_path):
@@ -198,7 +198,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(11)
         x = rng.normal(size=(4, 6))
         save_checkpoint(model, tmp_path / "m.json")
-        loaded, _ = load_checkpoint(tmp_path / "m.json")
+        loaded = load_checkpoint(tmp_path / "m.json")
         np.testing.assert_array_equal(
             model.encode(Modality.MOD_A, x).mu.data, loaded.encode(Modality.MOD_A, x).mu.data
         )
@@ -209,9 +209,15 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="unrecognized format"):
             load_checkpoint(path)
 
-    def test_optimizer_state_round_trips(self, tmp_path):
-        model = self._model(bn=False)
-        doc = {"mod_a": {"step": 5, "m": {}, "v": {}}}
-        save_checkpoint(model, tmp_path / "m.json", doc)
-        _, opt = load_checkpoint(tmp_path / "m.json")
-        assert opt == doc
+    def test_no_optimizer_block_is_written(self, tmp_path):
+        save_checkpoint(self._model(bn=False), tmp_path / "m.json")
+        assert "optimizer" not in json.loads((tmp_path / "m.json").read_text())
+
+    def test_older_checkpoint_with_optimizer_block_loads(self, tmp_path):
+        model = self._model()
+        save_checkpoint(model, tmp_path / "new.json")
+        doc = json.loads((tmp_path / "new.json").read_text())
+        doc["optimizer"] = {"mod_a": {"step": 5, "m": {}, "v": {}}}
+        (tmp_path / "old.json").write_text(json.dumps(doc))
+        save_checkpoint(load_checkpoint(tmp_path / "old.json"), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "new.json").read_bytes()
