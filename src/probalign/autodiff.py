@@ -354,17 +354,6 @@ def diagonal(a) -> Tensor:
 # -- reductions --------------------------------------------------------------
 
 
-def sum_all(a) -> Tensor:
-    a = tensor(a)
-    out = Tensor(a.data.sum(), (a,))
-
-    def _back(g):
-        _accumulate(a, np.full_like(a.data, float(g)))
-
-    out._backward = _back
-    return out
-
-
 def mean_all(a) -> Tensor:
     a = tensor(a)
     n = a.size
@@ -420,24 +409,6 @@ def logsumexp(a) -> Tensor:
 
     def _back(g):
         _accumulate(a, g[..., None] * softmax_weights)
-
-    out._backward = _back
-    return out
-
-
-def softmax(a) -> Tensor:
-    """Softmax over the last axis via the logsumexp identity."""
-    a = tensor(a)
-    if a.data.ndim == 0:
-        raise _shape_error("softmax", a.shape, a.shape)
-    m = a.data.max(axis=-1, keepdims=True)
-    e = np.exp(a.data - m)
-    s = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(s, (a,))
-
-    def _back(g):
-        inner = (g * s).sum(axis=-1, keepdims=True)
-        _accumulate(a, s * (g - inner))
 
     out._backward = _back
     return out

@@ -26,9 +26,7 @@ from .data import (
     SPLITS,
     Corpus,
     Modality,
-    TRAINABLE_PAIRS,
     config_from_json,
-    eligible_records,
     generate,
     read_corpus,
     reject_unknown_keys,
@@ -45,7 +43,6 @@ from .evaluation import (
     macro_ovr_auroc,
     mean_uncertainty_by_noise,
     multimodal_classify,
-    recall_at_k,
     zero_shot,
     auroc,
 )

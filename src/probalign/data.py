@@ -1,10 +1,13 @@
 """Synthetic many-to-many multimodal corpus.
 
-Each record is a "patient": a latent concept drawn from a mixture of class
-clusters, projected into per-modality feature views through fixed random
-linear maps plus Gaussian noise. Text gets several variants per record
-(distinct noise draws plus a small variant-specific offset), so one concept
-maps to many texts and many texts map to nearby concepts. Records carry an
+Each record is a "patient": a latent concept projected into per-modality
+feature views through fixed random linear maps plus Gaussian noise. The
+config's ``label_rule`` picks the concept: drawn from its class's mixture
+cluster (``cluster``), or from one Gaussian and labelled by the sign of its sum
+(``sum_sign``, where mod_a and mod_b each see one factor of that sum; see
+``complementary_config``). Text gets several variants per record (distinct
+noise draws plus a small variant-specific offset), so one concept maps to many
+texts and many texts map to nearby concepts. Records carry an
 availability subset of the four trainable modality pairs; the held-out pair
 never appears, which is what the emergent-alignment evaluations rely on.
 
@@ -93,10 +96,11 @@ class CorpusConfig:
     holdout_pair: PairType = (Modality.MOD_A, Modality.MOD_C)
     split_fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
     class_weights: tuple[float, ...] | None = None
+    label_rule: str = "cluster"
 
     def __post_init__(self):
-        if abs(sum(self.split_fractions) - 1.0) > 1e-9:
-            raise ValueError(f"CorpusConfig: split fractions must sum to 1, got {self.split_fractions}")
+        if abs(sum(self.split_fractions) - 1.0) > 1e-9 or min(self.split_fractions) < 0:
+            raise ValueError(f"CorpusConfig: split fractions must be >= 0 and sum to 1, got {self.split_fractions}")
         if any(s <= 0 for s in self.noise_scales.values()):
             raise ValueError("CorpusConfig: noise scales must be positive")
         if self.n_text_variants < 2:
@@ -105,6 +109,20 @@ class CorpusConfig:
             raise ValueError(f"CorpusConfig: holdout pair must be one of {HOLDOUT_PAIRS}")
         if self.class_weights is not None and len(self.class_weights) != self.n_classes:
             raise ValueError("CorpusConfig: class_weights length must equal n_classes")
+        untrainable = [p for p in self.pair_probs if p not in TRAINABLE_PAIRS]
+        if untrainable:
+            names = ", ".join("+".join(m.value for m in p) for p in untrainable)
+            raise ValueError(f"CorpusConfig: pair_probs may name only trainable pairs, not {names}")
+        if not all(0.0 <= w <= 1.0 for w in self.pair_probs.values()):
+            raise ValueError("CorpusConfig: pair probabilities must lie in [0, 1]")
+        if not any(w > 0.0 for w in self.pair_probs.values()):
+            raise ValueError("CorpusConfig: at least one trainable pair needs a positive probability")
+        if self.label_rule not in ("cluster", "sum_sign"):
+            raise ValueError(f"CorpusConfig: label_rule must be 'cluster' or 'sum_sign', not {self.label_rule!r}")
+        if self.label_rule == "sum_sign" and not (self.n_classes == 2 and self.latent_dim >= 2):
+            raise ValueError("CorpusConfig: label_rule 'sum_sign' needs n_classes 2 and latent_dim >= 2")
+        if self.label_rule == "sum_sign" and self.class_weights is not None:
+            raise ValueError("CorpusConfig: label_rule 'sum_sign' sets its own class balance; drop class_weights")
 
     def weights(self) -> np.ndarray:
         if self.class_weights is None:
@@ -156,9 +174,6 @@ class Corpus:
     train: list[SyntheticRecord]
     valid: list[SyntheticRecord]
     test: list[SyntheticRecord]
-    # How class labels relate to the latent: mixture clusters, or the sign of
-    # the latent-factor sum (the constructed complementary corpus).
-    label_rule: str = "cluster"
 
     @property
     def splits(self) -> dict[str, list[SyntheticRecord]]:
@@ -168,7 +183,6 @@ class Corpus:
         return (
             isinstance(other, Corpus)
             and self.seed == other.seed
-            and self.label_rule == other.label_rule
             and self.config == other.config
             and all(self.splits[k] == other.splits[k] for k in SPLITS)
         )
@@ -187,6 +201,10 @@ def build_latent_space(cfg: CorpusConfig, seed: int) -> LatentSpace:
     offsets = rng_latent.normal(size=(cfg.n_text_variants, cfg.view_dims[Modality.TEXT]))
     offsets /= np.linalg.norm(offsets, axis=1, keepdims=True)
     offsets *= cfg.noise_scales[Modality.TEXT] / 2.0
+    if cfg.label_rule == "sum_sign":
+        # mod_a sees only the first factor of the label and mod_b only the second.
+        projections[Modality.MOD_A][:, 1] = 0.0
+        projections[Modality.MOD_B][:, 0] = 0.0
     return LatentSpace(centers, projections, offsets)
 
 
@@ -209,8 +227,12 @@ def generate(cfg: CorpusConfig, seed: int) -> Corpus:
 
     records: list[SyntheticRecord] = []
     for record_id in range(cfg.n_records):
-        label = int(rng.choice(cfg.n_classes, p=weights))
-        concept = latent.centers[label] + rng.normal(0.0, cfg.cluster_std, size=cfg.latent_dim)
+        if cfg.label_rule == "sum_sign":
+            concept = rng.normal(0.0, cfg.cluster_std, size=cfg.latent_dim)
+            label = int(concept.sum() > 0.0)
+        else:
+            label = int(rng.choice(cfg.n_classes, p=weights))
+            concept = latent.centers[label] + rng.normal(0.0, cfg.cluster_std, size=cfg.latent_dim)
         while True:
             mask = rng.random(len(pair_list)) < probs
             if mask.any():
@@ -368,6 +390,7 @@ def _config_to_json(cfg: CorpusConfig) -> dict:
         "holdout_pair": _pair_to_json(cfg.holdout_pair),
         "split_fractions": list(cfg.split_fractions),
         "class_weights": list(cfg.class_weights) if cfg.class_weights is not None else None,
+        "label_rule": cfg.label_rule,
     }
 
 
@@ -414,7 +437,6 @@ def corpus_manifest(corpus: Corpus, checksums: dict[str, str]) -> dict:
         "format": CORPUS_FORMAT,
         "config": _config_to_json(corpus.config),
         "seed": corpus.seed,
-        "label_rule": corpus.label_rule,
         "counts": {split: len(records) for split, records in corpus.splits.items()},
         "pair_counts": pair_counts,
         "checksums": checksums,
@@ -489,7 +511,8 @@ def read_corpus(path, splits=SPLITS) -> Corpus:
             f"regenerate the corpus with `probalign gen`"
         )
     try:
-        cfg = config_from_json(manifest["config"])
+        # A manifest written before the label rule was a config field has it at the top level.
+        cfg = config_from_json({"label_rule": manifest.get("label_rule", "cluster"), **manifest["config"]})
     except (KeyError, TypeError, ValueError) as exc:
         raise CorpusFormatError(f"{manifest_path}: bad corpus config: {exc}") from exc
     seed = manifest["seed"]
@@ -517,80 +540,34 @@ def read_corpus(path, splits=SPLITS) -> Corpus:
                 raise CorpusFormatError(f"{split_path} line {lineno}: {exc}") from exc
         records_by_split[split] = records
     latent = build_latent_space(cfg, seed)
-    corpus = Corpus(cfg, seed, latent, *(records_by_split[s] for s in SPLITS))
-    corpus.label_rule = manifest.get("label_rule", "cluster")
-    if corpus.label_rule == "sum_sign":
-        latent.projections[Modality.MOD_A][:, 1] = 0.0
-        latent.projections[Modality.MOD_B][:, 0] = 0.0
-    return corpus
+    return Corpus(cfg, seed, latent, *(records_by_split[s] for s in SPLITS))
 
 
 # -- constructed corpora and prompt synthesis ---------------------------------------
 
 
-def generate_complementary(
-    n_records: int,
-    seed: int,
-    noise_scale: float = 0.2,
-    view_dims: dict[Modality, int] | None = None,
-    split_fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
-) -> Corpus:
-    """Corpus where the two factors of the label live in different modalities.
+def complementary_config(n_records: int) -> CorpusConfig:
+    """Config of a corpus where the two factors of the label live in different modalities.
 
     The latent is (u, v) with label = 1 if u + v > 0. Modality A observes only
     u, modality B only v, text observes both. Either modality alone supports a
     mediocre linear read-out of the label; concatenating both recovers u + v.
     """
-    dims = dict(view_dims or {Modality.MOD_A: 24, Modality.MOD_B: 24,
-                              Modality.MOD_C: 24, Modality.TEXT: 24})
-    cfg = CorpusConfig(
+    return CorpusConfig(
         n_records=n_records,
         n_classes=2,
         latent_dim=2,
         cluster_std=1.0,
-        view_dims=dims,
-        noise_scales={m: noise_scale for m in Modality},
+        view_dims={m: 24 for m in Modality},
+        noise_scales={m: 0.2 for m in Modality},
         pair_probs={
             (Modality.MOD_A, Modality.TEXT): 1.0,
             (Modality.MOD_B, Modality.TEXT): 1.0,
             (Modality.MOD_C, Modality.TEXT): 0.0,
             (Modality.MOD_A, Modality.MOD_B): 1.0,
         },
-        split_fractions=split_fractions,
+        label_rule="sum_sign",
     )
-    latent = build_latent_space(cfg, seed)
-    # Mask the projections so A sees only the first factor and B only the second.
-    latent.projections[Modality.MOD_A][:, 1] = 0.0
-    latent.projections[Modality.MOD_B][:, 0] = 0.0
-    rng = np.random.default_rng([seed, 2])
-
-    pairs = (
-        (Modality.MOD_A, Modality.TEXT),
-        (Modality.MOD_B, Modality.TEXT),
-        (Modality.MOD_A, Modality.MOD_B),
-    )
-    records = []
-    for record_id in range(n_records):
-        concept = rng.normal(0.0, 1.0, size=2)
-        label = int(concept.sum() > 0.0)
-        views = {}
-        text_variants = []
-        for modality in (Modality.MOD_A, Modality.MOD_B):
-            clean = latent.projections[modality] @ concept
-            views[modality] = clean + rng.normal(0.0, noise_scale, size=clean.shape)
-        clean_text = latent.projections[Modality.TEXT] @ concept
-        for v in range(cfg.n_text_variants):
-            noise = rng.normal(0.0, noise_scale, size=clean_text.shape)
-            text_variants.append(clean_text + latent.variant_offsets[v] + noise)
-        records.append(SyntheticRecord(record_id, label, concept, views, text_variants, pairs))
-
-    order = rng.permutation(n_records)
-    n_train = int(round(split_fractions[0] * n_records))
-    n_valid = int(round(split_fractions[1] * n_records))
-    train = [records[i] for i in order[:n_train]]
-    valid = [records[i] for i in order[n_train : n_train + n_valid]]
-    test = [records[i] for i in order[n_train + n_valid :]]
-    return Corpus(cfg, seed, latent, train, valid, test, label_rule="sum_sign")
 
 
 def synth_text_prompts(
@@ -613,9 +590,9 @@ def synth_text_prompts(
     for label in range(cfg.n_classes):
         rows = []
         for _ in range(n_per_class):
-            if corpus.label_rule == "sum_sign":
+            if cfg.label_rule == "sum_sign":
                 while True:
-                    latent = rng.normal(0.0, 1.0, size=cfg.latent_dim)
+                    latent = rng.normal(0.0, cfg.cluster_std, size=cfg.latent_dim)
                     if int(latent.sum() > 0.0) == label:
                         break
             else:

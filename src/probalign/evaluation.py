@@ -6,7 +6,8 @@ the k least-uncertain prompts per class), few-shot linear probing on the mean
 embeddings with an optional sampling-augmented support set, multimodal
 concatenated classification, rank statistics (Mann-Whitney AUROC with the
 half-tie convention, Spearman correlation), a permutation-null significance
-helper, and an input-noise vs predicted-uncertainty probe.
+helper, and an input-noise vs mean predicted-uncertainty probe over a batch of
+items.
 
 Everything here is read-only over the model and takes explicit rngs.
 """
@@ -65,21 +66,6 @@ def auroc(scores, labels) -> float:
         raise ValueError("auroc: both classes must be present")
     ranks = tied_ranks(scores)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
-@dataclass
-class RocCurve:
-    """(score, label) pairs sorted by descending score, with the AUROC."""
-
-    points: list[tuple[float, int]]
-    auroc: float
-
-
-def roc_curve(scores, labels) -> RocCurve:
-    value = auroc(scores, labels)
-    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="mergesort")
-    pts = [(float(scores[i]), int(labels[i])) for i in order]
-    return RocCurve(pts, value)
 
 
 def macro_ovr_auroc(scores: np.ndarray, labels, classes) -> float:
@@ -442,27 +428,6 @@ def multimodal_classify(
 class UncertaintyProbe:
     series: list[tuple[float, float]]  # (noise level, mean uncertainty)
     spearman: float
-
-
-def uncertainty_noise_probe(
-    model: AlignmentModel,
-    modality: Modality,
-    x: np.ndarray,
-    noise_levels,
-    rng: np.random.Generator,
-) -> UncertaintyProbe:
-    """Encode one raw item under increasing input noise; track uncertainty."""
-    levels = [float(v) for v in noise_levels]
-    if levels != sorted(levels) or levels[0] != 0.0:
-        raise ValueError("uncertainty_noise_probe: levels must ascend and start at 0")
-    x = np.asarray(x, dtype=np.float64)
-    series = []
-    for level in levels:
-        noisy = x + rng.standard_normal(x.shape) * level
-        emb = model.encode(modality, noisy[None, :], train=False).to_embeddings()[0]
-        series.append((level, prompt_uncertainty(emb)))
-    rho = spearman([s[0] for s in series], [s[1] for s in series])
-    return UncertaintyProbe(series, rho)
 
 
 def mean_uncertainty_by_noise(

@@ -2,7 +2,11 @@
 
 import base64
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +84,81 @@ class TestGen:
         assert main(["gen", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert "unknown corpus key(s): n_record" in capsys.readouterr().err
         assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+    def test_config_without_a_trainable_pair_exits_1(self, tmp_path):
+        # This config once made gen loop forever, so it runs in a child process with a timeout.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"corpus": {"n_records": 50, "pair_probs": [[["mod_a", "mod_c"], 0.5]]}}))
+        src = str(Path(data.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "probalign.cli", "gen", "--config", str(bad), "--out", str(tmp_path / "o")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "only trainable pairs, not mod_a+mod_c" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+
+COMPLEMENTARY_DOC = {
+    "seed": 4,
+    "corpus": {
+        "n_records": 300,
+        "n_classes": 2,
+        "latent_dim": 2,
+        "cluster_std": 1.0,
+        "view_dims": {"mod_a": 24, "mod_b": 24, "mod_c": 24, "text": 24},
+        "noise_scales": {"mod_a": 0.2, "mod_b": 0.2, "mod_c": 0.2, "text": 0.2},
+        "pair_probs": [
+            [["mod_a", "text"], 1.0],
+            [["mod_b", "text"], 1.0],
+            [["mod_c", "text"], 0.0],
+            [["mod_a", "mod_b"], 1.0],
+        ],
+        "label_rule": "sum_sign",
+    },
+    "train": {"total_steps": 20, "batch_size": 16, "hidden_dim": 16, "embed_dim": 8, "eval_every": 10},
+}
+
+
+class TestComplementaryPipeline:
+    def test_gen_train_eval_multimodal(self, tmp_path):
+        config = tmp_path / "comp.json"
+        config.write_text(json.dumps(COMPLEMENTARY_DOC))
+        corpus_dir, run_dir, report_dir = tmp_path / "corpus", tmp_path / "run", tmp_path / "report"
+        assert main(["gen", "--config", str(config), "--out", str(corpus_dir)]) == 0
+        cfg = data.config_from_json(COMPLEMENTARY_DOC["corpus"])
+        assert cfg == data.complementary_config(300)
+        assert data.read_corpus(corpus_dir) == data.generate(cfg, 4)
+
+        train = ["train", "--config", str(config), "--corpus", str(corpus_dir), "--out", str(run_dir)]
+        assert main(train) == 0
+        code = main(
+            [
+                "eval",
+                "--checkpoint",
+                str(run_dir / "checkpoint.json"),
+                "--corpus",
+                str(corpus_dir),
+                "--protocol",
+                "multimodal",
+                "--k-shot",
+                "4",
+                "--n-prompts",
+                "2",
+                "--out",
+                str(report_dir),
+            ]
+        )
+        assert code == 0
+        metrics = json.loads((report_dir / "report.json").read_text())["metrics"]
+        names = {f"{kind}_{view}" for kind in ("fs", "zs") for view in ("mod_a", "mod_b", "both")}
+        assert set(metrics) == names
+        assert all(0.0 <= v <= 1.0 for v in metrics.values())
 
 
 class TestTrain:

@@ -1,6 +1,7 @@
 """Corpus generation, batching, and serialization tests."""
 
 import base64
+import dataclasses
 import hashlib
 import json
 
@@ -13,12 +14,13 @@ from probalign.data import (
     CorpusFormatError,
     HOLDOUT_PAIRS,
     Modality,
+    SPLITS,
     TRAINABLE_PAIRS,
     UnreadSplitError,
+    complementary_config,
     config_from_json,
     eligible_records,
     generate,
-    generate_complementary,
     make_pair_batches,
     read_corpus,
     synth_text_prompts,
@@ -61,6 +63,46 @@ class TestConfig:
     def test_holdout_must_involve_mod_c(self):
         with pytest.raises(ValueError, match="holdout"):
             CorpusConfig(holdout_pair=(A, T))
+
+    def test_fractions_must_not_be_negative(self):
+        with pytest.raises(ValueError, match=r">= 0 and sum to 1"):
+            CorpusConfig(split_fractions=(1.2, -0.1, -0.1))
+
+    @pytest.mark.parametrize(
+        "pair,names",
+        [((A, C), "mod_a\\+mod_c"), ((B, C), "mod_b\\+mod_c"), ((T, A), "text\\+mod_a")],
+        ids=["holdout", "other-holdout", "reversed"],
+    )
+    def test_pair_probs_name_only_trainable_pairs(self, pair, names):
+        with pytest.raises(ValueError, match=f"only trainable pairs, not {names}"):
+            CorpusConfig(pair_probs={(A, T): 0.9, pair: 0.5})
+
+    @pytest.mark.parametrize("prob", [-0.1, 1.5, float("nan")])
+    def test_pair_probabilities_lie_in_unit_interval(self, prob):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            CorpusConfig(pair_probs={(A, T): 0.9, (B, T): prob})
+
+    @pytest.mark.parametrize("pair_probs", [{}, {(A, T): 0.0, (A, B): 0.0}], ids=["empty", "all-zero"])
+    def test_some_pair_needs_a_positive_probability(self, pair_probs):
+        with pytest.raises(ValueError, match="positive probability"):
+            CorpusConfig(pair_probs=pair_probs)
+
+    def test_label_rule_must_be_known(self):
+        with pytest.raises(ValueError, match="label_rule must be 'cluster' or 'sum_sign', not 'sign'"):
+            CorpusConfig(label_rule="sign")
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"n_classes": 3}, "n_classes 2"),
+            ({"latent_dim": 1}, "latent_dim >= 2"),
+            ({"class_weights": (0.3, 0.7)}, "class_weights"),
+        ],
+        ids=["three-classes", "one-factor", "class-weights"],
+    )
+    def test_invalid_sum_sign_config_rejected(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(complementary_config(10), **change)
 
     def test_from_json_fills_defaults(self):
         assert config_from_json({}) == CorpusConfig()
@@ -334,6 +376,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"record {record.record_id}"):
             write_corpus(bad, tmp_path / "nope")
 
+    def test_default_split_files_match_pinned_sha256(self, tmp_path):
+        # Taken from the writer before the label rule became a config field;
+        # the default (cluster) corpus must stay byte-identical.
+        write_corpus(generate(CorpusConfig(n_records=200), seed=3), tmp_path / "pin")
+        digests = {s: hashlib.sha256((tmp_path / "pin" / f"{s}.jsonl").read_bytes()).hexdigest() for s in SPLITS}
+        assert digests == {
+            "train": "56fd4c097e8a2bc9b585e695c5e3ebd69128a08831db0e443ddd0c9e433f2fd5",
+            "valid": "023beafc02263c97382a68e37ff516f20dfe43b392b2c1ac7d92abdee890a51e",
+            "test": "b2e634426caa3a24c8922db3823a7ca39b59564882e8913014bb4885a7a271d4",
+        }
+
     def test_missing_manifest(self, tmp_path):
         (tmp_path / "nothing").mkdir()
         with pytest.raises(CorpusFormatError, match="manifest"):
@@ -342,31 +395,72 @@ class TestSerialization:
 
 class TestComplementaryCorpus:
     def test_modalities_see_disjoint_factors(self):
-        comp = generate_complementary(200, seed=4)
+        comp = generate(complementary_config(200), seed=4)
         pa = comp.latent.projections[A]
         pb = comp.latent.projections[B]
         assert np.all(pa[:, 1] == 0.0) and np.any(pa[:, 0] != 0.0)
         assert np.all(pb[:, 0] == 0.0) and np.any(pb[:, 1] != 0.0)
 
     def test_label_is_sign_of_factor_sum(self):
-        comp = generate_complementary(200, seed=4)
-        for r in comp.train:
+        comp = generate(complementary_config(200), seed=4)
+        records = [r for split in comp.splits.values() for r in split]
+        assert len(records) == 200
+        for r in records:
             assert r.class_label == int(r.concept.sum() > 0)
+            assert r.available_pairs == ((A, T), (B, T), (A, B))
+        assert {r.class_label for r in records} == {0, 1}
+
+    def test_views_follow_the_masked_projections(self):
+        # At negligible noise each view is its projection of one factor of the concept.
+        cfg = dataclasses.replace(complementary_config(20), noise_scales={m: 1e-12 for m in Modality})
+        comp = generate(cfg, seed=4)
+        for r in comp.train:
+            u_only, v_only = r.concept * [1.0, 0.0], r.concept * [0.0, 1.0]
+            np.testing.assert_allclose(r.views[A], comp.latent.projections[A] @ u_only, atol=1e-9)
+            np.testing.assert_allclose(r.views[B], comp.latent.projections[B] @ v_only, atol=1e-9)
 
     def test_round_trips_with_label_rule(self, tmp_path):
-        comp = generate_complementary(100, seed=5)
+        comp = generate(complementary_config(100), seed=5)
         write_corpus(comp, tmp_path / "comp")
         again = read_corpus(tmp_path / "comp")
-        assert again.label_rule == "sum_sign"
+        assert again.config.label_rule == "sum_sign"
         assert again == comp
         assert np.all(again.latent.projections[A][:, 1] == 0.0)
 
     @pytest.mark.parametrize("n_records", [0, 1])
     def test_tiny_corpus_round_trips_with_label_rule(self, tmp_path, n_records):
-        comp = generate_complementary(n_records, seed=5, split_fractions=(0.0, 0.0, 1.0))
+        cfg = dataclasses.replace(complementary_config(n_records), split_fractions=(0.0, 0.0, 1.0))
+        comp = generate(cfg, seed=5)
         write_corpus(comp, tmp_path / "tiny")
         again = read_corpus(tmp_path / "tiny")
         assert again == comp and len(again.test) == n_records
+
+    @pytest.mark.parametrize("n_records", [0, 1, 100])
+    def test_round_trip_at_default_splits(self, tmp_path, n_records):
+        comp = generate(complementary_config(n_records), seed=8)
+        manifest = write_corpus(comp, tmp_path / "c")
+        assert manifest["config"]["label_rule"] == "sum_sign" and "label_rule" not in manifest
+        again = read_corpus(tmp_path / "c")
+        assert again == comp and sum(manifest["counts"].values()) == n_records
+        for modality, proj in comp.latent.projections.items():
+            np.testing.assert_array_equal(again.latent.projections[modality], proj)
+
+    @pytest.mark.parametrize("rule", ["sum_sign", "cluster"])
+    def test_manifest_with_top_level_rule_reads_back(self, tmp_path, rule):
+        # The shape written before the label rule was a config field: the rule
+        # at the manifest's top level, none in the config.
+        cfg = complementary_config(50) if rule == "sum_sign" else SMALL
+        comp = generate(cfg, seed=9)
+        write_corpus(comp, tmp_path / "old")
+        path = tmp_path / "old" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["label_rule"] = manifest["config"].pop("label_rule")
+        path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        again = read_corpus(tmp_path / "old")
+        assert again.config.label_rule == rule
+        assert again == comp
+        pa, pb = again.latent.projections[A], again.latent.projections[B]
+        assert (np.all(pa[:, 1] == 0.0) and np.all(pb[:, 0] == 0.0)) == (rule == "sum_sign")
 
 
 class TestPrompts:
@@ -391,6 +485,6 @@ class TestPrompts:
                 np.testing.assert_array_equal(a, b)
 
     def test_complementary_prompts_respect_label_rule(self):
-        comp = generate_complementary(100, seed=6)
+        comp = generate(complementary_config(100), seed=6)
         prompts = synth_text_prompts(comp, 4, rng=np.random.default_rng(1))
         assert set(prompts) == {0, 1}

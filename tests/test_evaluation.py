@@ -9,7 +9,6 @@ from probalign.encoders import AlignmentModel, Modality
 from probalign.evaluation import (
     EvalReport,
     PromptSet,
-    RocCurve,
     UncertaintyProbe,
     auroc,
     class_prototype,
@@ -23,10 +22,8 @@ from probalign.evaluation import (
     probe_scores,
     prompt_uncertainty,
     recall_at_k,
-    roc_curve,
     spearman,
     tied_ranks,
-    uncertainty_noise_probe,
     zero_shot,
 )
 from probalign.gaussians import GaussianEmbedding, SimilarityKind
@@ -115,12 +112,6 @@ class TestAuroc:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both classes"):
             auroc([0.1, 0.2], [1, 1])
-
-    def test_roc_curve_sorted_desc(self):
-        curve = roc_curve([0.3, 0.9, 0.1], [1, 1, 0])
-        assert isinstance(curve, RocCurve)
-        assert [p[0] for p in curve.points] == [0.9, 0.3, 0.1]
-        assert curve.auroc == 1.0
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -376,24 +367,28 @@ class TestMultimodal:
 class TestNoiseProbe:
     def test_level_zero_matches_clean_encoding(self, model):
         rng = np.random.default_rng(19)
-        x = rng.normal(size=6)
-        probe = uncertainty_noise_probe(
-            model, Modality.MOD_A, x, [0.0, 0.5, 1.0], np.random.default_rng(20)
+        items = rng.normal(size=(5, 6))
+        probe = mean_uncertainty_by_noise(
+            model, Modality.MOD_A, items, [0.0, 0.5, 1.0], np.random.default_rng(20)
         )
-        clean = model.encode(Modality.MOD_A, x[None, :]).to_embeddings()[0]
-        assert probe.series[0][1] == pytest.approx(prompt_uncertainty(clean))
+        clean = model.encode(Modality.MOD_A, items).to_embeddings()
+        assert probe.series[0][1] == pytest.approx(np.mean([prompt_uncertainty(e) for e in clean]))
 
     def test_deterministic_given_seed(self, model):
         rng = np.random.default_rng(21)
-        x = rng.normal(size=6)
-        p1 = uncertainty_noise_probe(model, Modality.MOD_A, x, [0.0, 1.0], np.random.default_rng(7))
-        p2 = uncertainty_noise_probe(model, Modality.MOD_A, x, [0.0, 1.0], np.random.default_rng(7))
-        assert p1.series == p2.series
+        items = rng.normal(size=(5, 6))
+        p1 = mean_uncertainty_by_noise(model, Modality.MOD_A, items, [0.0, 1.0], np.random.default_rng(7))
+        p2 = mean_uncertainty_by_noise(model, Modality.MOD_A, items, [0.0, 1.0], np.random.default_rng(7))
+        assert p1.series == p2.series and p1.spearman == p2.spearman
 
     def test_levels_must_ascend_from_zero(self, model):
         with pytest.raises(ValueError, match="ascend"):
-            uncertainty_noise_probe(
-                model, Modality.MOD_A, np.zeros(6), [0.5, 1.0], np.random.default_rng(0)
+            mean_uncertainty_by_noise(
+                model, Modality.MOD_A, np.zeros((2, 6)), [0.5, 1.0], np.random.default_rng(0)
+            )
+        with pytest.raises(ValueError, match="ascend"):
+            mean_uncertainty_by_noise(
+                model, Modality.MOD_A, np.zeros((2, 6)), [0.0, 1.0, 0.5], np.random.default_rng(0)
             )
 
     def test_batch_version_returns_probe(self, model):

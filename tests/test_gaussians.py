@@ -295,7 +295,7 @@ class TestFusedOps:
     def run(graph, arrays, weights, kind):
         params = [Tensor(x.copy()) for x in arrays]
         sim = graph(GaussianBatch(params[0], params[1]), GaussianBatch(params[2], params[3]), kind)
-        ad.sum_all(sim * Tensor(weights)).backward()
+        ad.mean_all(sim * Tensor(weights * weights.size)).backward()
         return sim.data, [p.grad for p in params]
 
     @pytest.mark.parametrize("kind", FUSED_KINDS, ids=lambda k: k.value)

@@ -123,7 +123,7 @@ class TestTrainStep:
 
         # add hands one upstream array to both parents, so their grads alias.
         x, y = Tensor([3.0, 0.0]), Tensor([0.0, 4.0])
-        ad.sum_all((x + y) * Tensor([3.0, 4.0])).backward()
+        ad.mean_all((x + y) * Tensor([6.0, 8.0])).backward()
         assert x.grad is y.grad
         before = x.grad.copy()
         grads = [x.grad, y.grad]
