@@ -5,6 +5,12 @@ closure computing local gradients), in the style of scalar micrograd engines but
 generalized to numpy arrays. Calling ``backward()`` on a scalar node runs the
 closures in reverse topological order and accumulates gradients into ``.grad``.
 
+A leaf built with ``Tensor(...)`` is trainable. A leaf built with
+:func:`constant`, and any scalar or raw array an op wraps implicitly, needs no
+gradient; neither does an op output whose parents are all constants. The
+backward pass does not visit such nodes and never sets their ``.grad``, and
+the binary ops skip the gradient of a constant operand.
+
 Broadcasting in binary elementwise ops is deliberately restricted to three
 cases: identical shapes, a scalar on either side, and a trailing-axis vector
 against a higher-rank operand (the row-wise bias/scale case). Pairwise
@@ -40,11 +46,12 @@ def _as_array(value) -> np.ndarray:
 class Tensor:
     """A dense float64 array plus the graph bookkeeping needed for backward."""
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "needs_grad", "_parents", "_backward")
 
     def __init__(self, data, parents: tuple["Tensor", ...] = (), backward=None):
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
+        self.needs_grad = not parents or any(p.needs_grad for p in parents)
         self._parents = parents
         self._backward = backward
 
@@ -117,7 +124,8 @@ class Tensor:
 
 def _topo_order(root: Tensor) -> list[Tensor]:
     # Iterative DFS: graphs from long training expressions can exceed the
-    # recursion limit.
+    # recursion limit. Constants are not descended into: no gradient flows
+    # through them.
     order: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -131,21 +139,31 @@ def _topo_order(root: Tensor) -> list[Tensor]:
         visited.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in visited:
+            if parent.needs_grad and id(parent) not in visited:
                 stack.append((parent, False))
     return order
 
 
+def constant(value) -> Tensor:
+    """A leaf that needs no gradient: inputs, noise, masks, scalar factors."""
+    out = Tensor(value)
+    out.needs_grad = False
+    return out
+
+
 def tensor(value) -> Tensor:
-    """Wrap a scalar/array as a leaf Tensor (no-op on an existing Tensor)."""
+    """An existing Tensor as is; a scalar or raw array as a :func:`constant`."""
     if isinstance(value, Tensor):
         return value
-    return Tensor(value)
+    return constant(value)
 
 
 def _accumulate(node: Tensor, grad: np.ndarray) -> None:
     # The first write stores the array itself; later writes allocate a new sum,
-    # so an array shared with another node is never modified.
+    # so an array shared with another node is never modified. A constant keeps
+    # no gradient.
+    if not node.needs_grad:
+        return
     if node.grad is None:
         node.grad = grad
     else:
@@ -182,8 +200,10 @@ def add(a, b) -> Tensor:
     out = Tensor(a.data + b.data, (a, b))
 
     def _back(g):
-        _accumulate(a, _reduce_to(g, a.shape))
-        _accumulate(b, _reduce_to(g, b.shape))
+        if a.needs_grad:
+            _accumulate(a, _reduce_to(g, a.shape))
+        if b.needs_grad:
+            _accumulate(b, _reduce_to(g, b.shape))
 
     out._backward = _back
     return out
@@ -195,8 +215,10 @@ def sub(a, b) -> Tensor:
     out = Tensor(a.data - b.data, (a, b))
 
     def _back(g):
-        _accumulate(a, _reduce_to(g, a.shape))
-        _accumulate(b, _reduce_to(-g, b.shape))
+        if a.needs_grad:
+            _accumulate(a, _reduce_to(g, a.shape))
+        if b.needs_grad:
+            _accumulate(b, _reduce_to(-g, b.shape))
 
     out._backward = _back
     return out
@@ -208,8 +230,10 @@ def mul(a, b) -> Tensor:
     out = Tensor(a.data * b.data, (a, b))
 
     def _back(g):
-        _accumulate(a, _reduce_to(g * b.data, a.shape))
-        _accumulate(b, _reduce_to(g * a.data, b.shape))
+        if a.needs_grad:
+            _accumulate(a, _reduce_to(g * b.data, a.shape))
+        if b.needs_grad:
+            _accumulate(b, _reduce_to(g * a.data, b.shape))
 
     out._backward = _back
     return out
@@ -221,8 +245,10 @@ def div(a, b) -> Tensor:
     out = Tensor(a.data / b.data, (a, b))
 
     def _back(g):
-        _accumulate(a, _reduce_to(g / b.data, a.shape))
-        _accumulate(b, _reduce_to(-g * a.data / (b.data * b.data), b.shape))
+        if a.needs_grad:
+            _accumulate(a, _reduce_to(g / b.data, a.shape))
+        if b.needs_grad:
+            _accumulate(b, _reduce_to(-g * a.data / (b.data * b.data), b.shape))
 
     out._backward = _back
     return out
@@ -314,8 +340,10 @@ def matmul(a, b) -> Tensor:
     out = Tensor(a.data @ b.data, (a, b))
 
     def _back(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if a.needs_grad:
+            _accumulate(a, g @ b.data.T)
+        if b.needs_grad:
+            _accumulate(b, a.data.T @ g)
 
     out._backward = _back
     return out

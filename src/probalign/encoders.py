@@ -79,7 +79,7 @@ class Encoder:
                 f"encode: expected (N, {self.dims.input_dim}) features, got {x.shape}"
             )
         p = self.params
-        h = ad.relu(ad.matmul(Tensor(x), p["w1"]) + p["b1"])
+        h = ad.relu(ad.matmul(ad.constant(x), p["w1"]) + p["b1"])
         h = ad.relu(ad.matmul(h, p["w2"]) + p["b2"])
         if self.bn_enabled:
             h = self._batch_norm(h, train)

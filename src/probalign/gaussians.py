@@ -186,8 +186,13 @@ def _variances(log_var: np.ndarray) -> np.ndarray:
 
 
 def _log_affinity(
-    mu_a: np.ndarray, va: np.ndarray, mu_b: np.ndarray, vb: np.ndarray, chunk: int = 16
-) -> np.ndarray:
+    mu_a: np.ndarray,
+    va: np.ndarray,
+    mu_b: np.ndarray,
+    vb: np.ndarray,
+    chunk: int = 16,
+    keep_terms: bool = False,
+):
     """|A| x |B| matrix S of summed log Bhattacharyya coefficients (<= 0).
 
     With the per-dimension mean variance m = (va + vb) / 2,
@@ -197,34 +202,42 @@ def _log_affinity(
 
     The first two sums are separable and formed once per row, so each pair
     costs one log and one divide per dimension. Rows of A go through
-    preallocated (chunk, |B|, D) buffers, which keeps the temporaries near
-    cache size. When a row of A equals a row of B, m equals their variance
-    bit for bit and every term is a power-of-two multiple of one sum, so S is
-    exactly 0.
+    (chunk, |B|, D) blocks, which keeps the temporaries near cache size. When
+    a row of A equals a row of B, m equals their variance bit for bit and
+    every term is a power-of-two multiple of one sum, so S is exactly 0.
+
+    By default the blocks reuse two preallocated buffers and S alone is
+    returned. With ``keep_terms`` the blocks fill whole (|A|, |B|, D) arrays
+    m and mua - mub, which are returned after S for a backward pass to
+    reuse; S is the same bit for bit.
     """
     n, d = mu_a.shape
     half_a, half_b = 0.5 * va, 0.5 * vb
     log_sum = np.empty((n, mu_b.shape[0]))
     quad_sum = np.empty_like(log_sum)
     rows = max(1, min(chunk, n))
-    mean_var = np.empty((rows, mu_b.shape[0], d))
+    block = (rows, mu_b.shape[0], d)
+    mean_var = np.empty((n, *block[1:]) if keep_terms else block)
     diff = np.empty_like(mean_var)
+    log_m, quad = (np.empty(block), np.empty(block)) if keep_terms else (mean_var, diff)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        m, dm = mean_var[: stop - start], diff[: stop - start]
+        at = slice(start, stop) if keep_terms else slice(0, stop - start)
+        m, dm = mean_var[at], diff[at]
         np.add(half_a[start:stop, None, :], half_b[None, :, :], out=m)
         np.subtract(mu_a[start:stop, None, :], mu_b[None, :, :], out=dm)
-        np.multiply(dm, dm, out=dm)
-        np.divide(dm, m, out=dm)
-        np.log(m, out=m)
-        np.einsum("ijo->ij", m, out=log_sum[start:stop])
-        np.einsum("ijo->ij", dm, out=quad_sum[start:stop])
+        lm, q = log_m[: stop - start], quad[: stop - start]
+        np.multiply(dm, dm, out=q)
+        np.divide(q, m, out=q)
+        np.log(m, out=lm)
+        np.einsum("ijo->ij", lm, out=log_sum[start:stop])
+        np.einsum("ijo->ij", q, out=quad_sum[start:stop])
     log_sum *= -0.5
     log_sum += 0.25 * np.einsum("io->i", np.log(va))[:, None]
     log_sum += 0.25 * np.einsum("io->i", np.log(vb))[None, :]
     quad_sum *= 0.125
     log_sum -= quad_sum
-    return log_sum
+    return (log_sum, mean_var, diff) if keep_terms else log_sum
 
 
 def _csd_distance(mu_a: np.ndarray, va: np.ndarray, mu_b: np.ndarray, vb: np.ndarray) -> np.ndarray:
@@ -299,8 +312,10 @@ class GaussianBatch:
     log_var: Tensor
 
     def __post_init__(self):
-        self.mu = ad.tensor(self.mu)
-        self.log_var = ad.tensor(self.log_var)
+        # Raw arrays become trainable leaves, so a batch built from arrays
+        # has gradients to read.
+        self.mu = self.mu if isinstance(self.mu, Tensor) else Tensor(self.mu)
+        self.log_var = self.log_var if isinstance(self.log_var, Tensor) else Tensor(self.log_var)
         if self.mu.shape != self.log_var.shape or len(self.mu.shape) != 2:
             raise ValueError(
                 f"GaussianBatch: mu and log_var must both be (N, D), got {self.mu.shape} and {self.log_var.shape}"
@@ -327,20 +342,18 @@ def _variance_grad(var: np.ndarray) -> np.ndarray:
 
 
 def _log_affinity_op(a: GaussianBatch, b: GaussianBatch) -> Tensor:
-    """S of :func:`_log_affinity` as one node; backward recomputes the (A, B, D) terms."""
-    mu_a, mu_b = a.mu.data, b.mu.data
+    """S of :func:`_log_affinity` as one node; backward reuses the forward's (A, B, D) terms."""
     va, vb = _variances(a.log_var.data), _variances(b.log_var.data)
+    value, m, dm = _log_affinity(a.mu.data, va, b.mu.data, vb, keep_terms=True)
 
     def vjp(g):
         # With r = (mua - mub) / m:  dS/dmua = -r/4,  dS/dmub = r/4,
         # dS/dva = 1/(4 va) + (r^2 - 4/m)/16, and likewise for vb.
-        m = np.add(0.5 * va[:, None, :], 0.5 * vb[None, :, :])
-        r = np.subtract(mu_a[:, None, :], mu_b[None, :, :])
-        r /= m
-        np.reciprocal(m, out=m)
-        m *= 4.0
+        r = dm / m
         w = r * r
-        w -= m
+        four_over_m = np.reciprocal(m)
+        four_over_m *= 4.0
+        w -= four_over_m
         g_r_a, g_r_b = np.einsum("ij,ijo->io", g, r), np.einsum("ij,ijo->jo", g, r)
         g_w_a, g_w_b = np.einsum("ij,ijo->io", g, w), np.einsum("ij,ijo->jo", g, w)
         live_a, live_b = _variance_grad(va), _variance_grad(vb)
@@ -348,7 +361,6 @@ def _log_affinity_op(a: GaussianBatch, b: GaussianBatch) -> Tensor:
         grad_lv_b = live_b * (0.25 * g.sum(axis=0)[:, None] / vb + g_w_b / 16.0)
         return -0.25 * g_r_a, grad_lv_a, 0.25 * g_r_b, grad_lv_b
 
-    value = _log_affinity(mu_a, va, mu_b, vb)
     return ad.custom(value, (a.mu, a.log_var, b.mu, b.log_var), vjp)
 
 

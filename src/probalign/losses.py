@@ -160,7 +160,7 @@ def pair_loss(
     if batch_m1.n < 2:
         raise ValueError("pair_loss: need batches of at least 2")
 
-    zero = Tensor(0.0)
+    zero = ad.constant(0.0)
     if w.alpha > 0:
         sim = pairwise_similarity_graph(batch_m1, batch_m2, kind)
         mod_f = _nce_from_logits(sim * (1.0 / w.tau))

@@ -80,6 +80,49 @@ class TestBackwardBasics:
         assert b.grad == pytest.approx(2.0)
 
 
+class TestConstants:
+    def test_implicit_wraps_are_constants(self):
+        x = Tensor([1.0, 2.0])
+        assert x.needs_grad
+        assert ad.tensor(x) is x
+        assert not ad.tensor(2.0).needs_grad
+        assert not ad.tensor(np.ones(2)).needs_grad
+        assert not ad.constant([1.0]).needs_grad
+
+    def test_output_needs_grad_iff_a_parent_does(self):
+        c = ad.constant(np.ones(2))
+        assert not ad.exp(c).needs_grad
+        assert not (c * 3.0).needs_grad
+        assert (c * Tensor(np.ones(2))).needs_grad
+
+    def test_constant_gets_no_gradient_and_is_not_visited(self):
+        w = Tensor(np.array([[0.5, -1.0], [2.0, 0.25]]))
+        x, scale = ad.constant(np.array([[1.0, 2.0], [3.0, 4.0]])), ad.constant(0.5)
+        hidden = ad.exp(x) * scale  # a subgraph of constants only
+        loss = ad.mean_all(ad.matmul(x, w) * scale + hidden / x - x)
+        order = ad._topo_order(loss)
+        assert all(node.needs_grad for node in order)
+        assert not any(node is c for node in order for c in (x, scale, hidden))
+        loss.backward()
+        assert x.grad is None and scale.grad is None and hidden.grad is None
+        assert w.grad is not None
+
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div, ad.matmul], ids=lambda f: f.__name__)
+    def test_gradients_equal_those_of_trainable_leaves(self, op):
+        # The constant operand on either side: the parameter's gradient is the
+        # one the same graph gives when the constant is a trainable leaf.
+        rng = np.random.default_rng(5)
+        p_value, c_value = rng.uniform(0.5, 2.0, (3, 3)), rng.uniform(0.5, 2.0, (3, 3))
+        for constant_first in (False, True):
+            grads = []
+            for make in (ad.constant, Tensor):
+                p, c = Tensor(p_value), make(c_value)
+                out = op(c, p) if constant_first else op(p, c)
+                ad.mean_all(ad.logsumexp(out * p)).backward()
+                grads.append(p.grad)
+            assert grads[0].tobytes() == grads[1].tobytes()
+
+
 class TestShapeErrors:
     def test_elementwise_mismatch_names_op_and_shapes(self):
         with pytest.raises(ShapeError, match=r"add.*\(2, 3\).*\(3, 2\)"):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import probalign.autodiff as ad
 from probalign.autodiff import Tensor, grad_check
 from probalign.encoders import (
     AlignmentModel,
@@ -38,6 +39,16 @@ class TestEncode:
         b = enc.encode(x, train=False)
         np.testing.assert_array_equal(a.mu.data, b.mu.data)
         np.testing.assert_array_equal(a.log_var.data, b.log_var.data)
+
+    @pytest.mark.parametrize("bn", [False, True], ids=["plain", "batchnorm"])
+    def test_input_is_a_constant(self, bn):
+        enc = init_encoder(4, DIMS, bn_enabled=bn)
+        x = np.random.default_rng(4).normal(size=(3, 6))
+        out = enc.encode(x, train=True)
+        loss = ad.mean_all(out.mu + out.log_var)
+        assert not any(node.data is x for node in ad._topo_order(loss))
+        loss.backward()
+        assert enc.params["w1"].grad is not None
 
     def test_input_dim_mismatch(self):
         enc = init_encoder(2, DIMS)

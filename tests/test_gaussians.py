@@ -22,6 +22,9 @@ from probalign.gaussians import (
     GaussianBatch,
     GaussianEmbedding,
     SimilarityKind,
+    _log_affinity,
+    _log_affinity_op,
+    _variances,
     bhattacharyya_distance,
     cosine_mu,
     csd,
@@ -327,6 +330,20 @@ class TestFusedOps:
         _, masked_grads = self.run(pairwise_similarity_graph, arrays, masked, SimilarityKind.HELLINGER)
         for g, m in zip(grads, masked_grads):
             np.testing.assert_array_equal(g, m)
+
+    @pytest.mark.parametrize("rows", [1, 17, 33])
+    def test_log_affinity_op_forward_equals_eval_kernel(self, rows):
+        # Row counts off the 16-row block: the op keeps whole (A, B, D) terms,
+        # the eval kernel reuses one block buffer, and S is the same bit for bit.
+        rng = np.random.default_rng(rows)
+        mu_a, lv_a = rng.normal(size=(rows, 8)), rng.uniform(-3, 3, (rows, 8))
+        mu_b, lv_b = rng.normal(size=(rows + 2, 8)), rng.uniform(-3, 3, (rows + 2, 8))
+        op = _log_affinity_op(GaussianBatch(mu_a, lv_a), GaussianBatch(mu_b, lv_b))
+        va, vb = _variances(lv_a), _variances(lv_b)
+        assert op.data.tobytes() == _log_affinity(mu_a, va, mu_b, vb).tobytes()
+        _, m, dm = _log_affinity(mu_a, va, mu_b, vb, keep_terms=True)
+        np.testing.assert_array_equal(m, 0.5 * va[:, None, :] + 0.5 * vb[None, :, :])
+        np.testing.assert_array_equal(dm, mu_a[:, None, :] - mu_b[None, :, :])
 
     def test_dimension_mismatch_rejected(self):
         a = GaussianBatch(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
