@@ -159,7 +159,8 @@ def cmd_train(args) -> int:
     corpus_path = args.corpus or doc.get("paths", {}).get("corpus")
     if not corpus_path:
         raise ConfigError("no corpus path: pass --corpus or set paths.corpus in the config")
-    corpus = _load_corpus(corpus_path)
+    # Training reads train and valid only; every split's checksum is still verified.
+    corpus = _load_corpus(corpus_path, splits=("train", "valid"))
     cfg = train_config_from_doc(train_doc, seed)
 
     run_dir = resolve_run_dir(args.out, "train")

@@ -99,6 +99,15 @@ class CorpusConfig:
     label_rule: str = "cluster"
 
     def __post_init__(self):
+        if self.n_records < 0:
+            raise ValueError(f"CorpusConfig: n_records must be >= 0, got {self.n_records}")
+        if self.n_classes < 1:
+            raise ValueError(f"CorpusConfig: n_classes must be >= 1, got {self.n_classes}")
+        if self.latent_dim < 1:
+            raise ValueError(f"CorpusConfig: latent_dim must be >= 1, got {self.latent_dim}")
+        too_small = [f"{m.value} {dim}" for m, dim in self.view_dims.items() if dim < 1]
+        if too_small:
+            raise ValueError(f"CorpusConfig: view dims must be >= 1, got {', '.join(too_small)}")
         if abs(sum(self.split_fractions) - 1.0) > 1e-9 or min(self.split_fractions) < 0:
             raise ValueError(f"CorpusConfig: split fractions must be >= 0 and sum to 1, got {self.split_fractions}")
         if any(s <= 0 for s in self.noise_scales.values()):

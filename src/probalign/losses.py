@@ -99,6 +99,11 @@ def sis_loss(
 
     ``eps`` fixes the (2, N, D) noise (used by gradient checks and
     evaluation-mode passes); otherwise fresh noise is drawn from ``rng``.
+
+    One autodiff node over ``(batch.mu, batch.log_var)``. The forward runs
+    the operations of the composed graph in ``tests/composed_graph.py`` in
+    the same order, so the value is the same bit for bit; the backward is
+    analytic (:func:`_sis_backward`).
     """
     n, d = batch.n, batch.dim
     if n < 2:
@@ -113,22 +118,48 @@ def sis_loss(
     if eps.shape != (2, n, d):
         raise ValueError(f"sis_loss: eps must have shape (2, {n}, {d}), got {eps.shape}")
 
-    sigma = ad.exp(0.5 * batch.log_var)
-    z = ad.concat([batch.mu + sigma * Tensor(eps[0]), batch.mu + sigma * Tensor(eps[1])])
-    zn = ad.l2_normalize(z)
-    logits = ad.matmul(zn, ad.transpose(zn)) * (1.0 / tau)
+    mu = batch.mu.data
+    sigma = np.exp(0.5 * batch.log_var.data)
+    z = np.concatenate([mu + sigma * eps[0], mu + sigma * eps[1]])
+    norm = np.sqrt((z * z).sum(axis=-1, keepdims=True))
+    zn = z / norm
+    # A plain product with a transposed copy, as the graph's matmul computes it.
+    logits = (zn @ zn.T.copy()) * (1.0 / tau)
 
-    two_n = 2 * n
-    idx = np.arange(two_n)
-    sibling = (idx + n) % two_n
-    self_mask = np.zeros((two_n, two_n))
-    self_mask[idx, idx] = _MASK
-    positive_mask = np.zeros((two_n, two_n))
-    positive_mask[idx, sibling] = 1.0
+    idx = np.arange(2 * n)
+    sibling = (idx + n) % (2 * n)
+    logits[idx, idx] += _MASK
+    peak = logits.max(axis=-1, keepdims=True)
+    shifted = np.exp(logits - peak)
+    total = shifted.sum(axis=-1, keepdims=True)
+    lse = (peak + np.log(total)).reshape(2 * n)
+    value = (lse - logits[idx, sibling]).mean()
+    softmax = shifted / total
 
-    lse = ad.logsumexp(logits + Tensor(self_mask))
-    pos = ad.sum_last(logits * Tensor(positive_mask))
-    return ad.mean_all(lse - pos)
+    def vjp(g):
+        return _sis_backward(g, tau, eps, sigma, zn, norm, softmax, sibling)
+
+    return ad.custom(value, (batch.mu, batch.log_var), vjp)
+
+
+def _sis_backward(g, tau, eps, sigma, zn, norm, softmax, sibling):
+    """Gradients of :func:`sis_loss` with respect to (mu, log_var).
+
+    g_logits = (softmax - onehot(sibling)) g / 2N,  G = g_logits / tau,
+    g_zn = (G + G^T) zn,  g_z = (g_zn - zn <g_zn, zn>) / |z|,
+    g_mu = g_z[:N] + g_z[N:],  g_lv = sigma/2 (g_z[:N] eps_0 + g_z[N:] eps_1).
+    """
+    two_n = zn.shape[0]
+    n = two_n // 2
+    row = g / two_n
+    g_logits = softmax * row
+    g_logits[np.arange(two_n), sibling] -= row
+    g_logits *= 1.0 / tau
+    g_zn = (g_logits + g_logits.T) @ zn
+    g_z = (g_zn - zn * (g_zn * zn).sum(axis=-1, keepdims=True)) / norm
+    g_mu = g_z[:n] + g_z[n:]
+    g_lv = 0.5 * sigma * (g_z[:n] * eps[0] + g_z[n:] * eps[1])
+    return g_mu, g_lv
 
 
 def vib_loss(batch: GaussianBatch) -> Tensor:

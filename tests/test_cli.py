@@ -86,6 +86,23 @@ class TestGen:
         assert not (tmp_path / "o" / "manifest.json").exists()
 
 
+    @pytest.mark.parametrize(
+        "corpus,message",
+        [
+            ({"n_records": 20, "n_classes": 0}, "n_classes must be >= 1"),
+            ({"n_records": -5}, "n_records must be >= 0"),
+            ({"n_records": 20, "latent_dim": 0}, "latent_dim must be >= 1"),
+            ({"n_records": 20, "view_dims": {"mod_a": 0}}, "view dims must be >= 1"),
+        ],
+        ids=["no-classes", "negative-records", "no-latent", "empty-view"],
+    )
+    def test_unusable_sizes_exit_1_without_a_run_dir(self, tmp_path, capsys, corpus, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"corpus": corpus}))
+        assert main(["gen", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_config_without_a_trainable_pair_exits_1(self, tmp_path):
         # This config once made gen loop forever, so it runs in a child process with a timeout.
         bad = tmp_path / "bad.json"
@@ -252,6 +269,40 @@ class TestTrain:
         argv = ["train", "--config", str(bad), "--corpus", str(corpus_dir), "--out", str(tmp_path / "o")]
         assert main(argv) == 1
         assert message in capsys.readouterr().err
+
+    def test_parses_only_train_and_valid(self, config_path, corpus_dir, tmp_path, monkeypatch):
+        full = data.read_corpus(corpus_dir)
+        ids = {name: {r.record_id for r in records} for name, records in full.splits.items()}
+        decoded = []
+        real_decoder = data._record_from_json
+
+        def spy(*args):
+            record = real_decoder(*args)
+            decoded.append(record.record_id)
+            return record
+
+        base = ["train", "--config", str(config_path), "--corpus", str(corpus_dir)]
+        with monkeypatch.context() as m:
+            m.setattr(data, "_record_from_json", spy)
+            assert main(base + ["--out", str(tmp_path / "partial")]) == 0
+        assert sorted(decoded) == sorted(ids["train"] | ids["valid"])
+
+        # The same run over a corpus read in full writes the same bytes.
+        with monkeypatch.context() as m:
+            m.setattr(cli, "read_corpus", lambda path, splits: data.read_corpus(path))
+            assert main(base + ["--out", str(tmp_path / "full")]) == 0
+        for name in ("checkpoint.json", "metrics.csv", "train_summary.json"):
+            assert (tmp_path / "partial" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+    def test_edited_test_split_still_fails_checksum(self, config_path, corpus_dir, tmp_path, capsys):
+        edited = tmp_path / "edited"
+        shutil.copytree(corpus_dir, edited)
+        lines = (edited / "test.jsonl").read_text().splitlines(keepends=True)
+        (edited / "test.jsonl").write_text("".join(lines[1:]))
+        argv = ["train", "--config", str(config_path), "--corpus", str(edited), "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert "test.jsonl: sha256 does not match" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "checkpoint.json").exists()
 
     def test_missing_corpus_path_exits_1(self, config_path, tmp_path, capsys):
         assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "x")]) == 1

@@ -104,6 +104,24 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             dataclasses.replace(complementary_config(10), **change)
 
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"n_records": -5}, "n_records must be >= 0, got -5"),
+            ({"n_classes": 0}, "n_classes must be >= 1, got 0"),
+            ({"latent_dim": 0}, "latent_dim must be >= 1, got 0"),
+            ({"view_dims": {A: 48, B: 0, C: 56, T: -1}}, "view dims must be >= 1, got mod_b 0, text -1"),
+        ],
+        ids=["negative-records", "no-classes", "no-latent", "empty-views"],
+    )
+    def test_sizes_gen_cannot_use_rejected(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            CorpusConfig(**change)
+
+    def test_zero_records_stay_valid(self):
+        corpus = generate(CorpusConfig(n_records=0), seed=1)
+        assert len(corpus.train) == len(corpus.valid) == len(corpus.test) == 0
+
     def test_from_json_fills_defaults(self):
         assert config_from_json({}) == CorpusConfig()
         assert config_from_json({"n_records": 7, "view_dims": {"mod_a": 5}}).view_dims == {A: 5}

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from composed_graph import composed_sis_loss
+
 import probalign.autodiff as ad
 from probalign.autodiff import Tensor, grad_check
 from probalign.gaussians import GaussianBatch, GaussianEmbedding, SimilarityKind
@@ -139,6 +141,55 @@ class TestSisLoss:
         v2 = sis_loss(b, 0.07, rng=np.random.default_rng(1)).item()
         v3 = sis_loss(b, 0.07, rng=np.random.default_rng(2)).item()
         assert v1 == v2 and v1 != v3
+
+
+class TestFusedSis:
+    """The one-node sis_loss against the composed graph in tests/composed_graph.py."""
+
+    @staticmethod
+    def run(loss_fn, mu, lv, tau, eps):
+        params = [Tensor(mu.copy()), Tensor(lv.copy())]
+        loss = loss_fn(GaussianBatch(*params), tau, eps=eps)
+        (3.0 * loss).backward()
+        return loss.item(), [p.grad for p in params]
+
+    @pytest.mark.parametrize("tau", [0.07, 1.0])
+    @pytest.mark.parametrize("d", [1, 32])
+    @pytest.mark.parametrize("n", [2, 3, 64])
+    def test_value_bitwise_and_gradients_match_composed_graph(self, n, d, tau):
+        rng = np.random.default_rng([n, d, int(100 * tau)])
+        mu, lv = rng.normal(0, 1, (n, d)), rng.uniform(-3, 3, (n, d))
+        eps = rng.standard_normal((2, n, d))
+        value, grads = self.run(sis_loss, mu, lv, tau, eps)
+        ref_value, ref_grads = self.run(composed_sis_loss, mu, lv, tau, eps)
+        assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+        for name, g, ref in zip(("mu", "log_var"), grads, ref_grads):
+            assert g.shape == ref.shape
+            assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+    def test_rng_path_draws_the_same_noise(self):
+        rng = np.random.default_rng(21)
+        b = random_batch(rng, 5, 4)
+        drawn, ref = np.random.default_rng(3), np.random.default_rng(3)
+        value = sis_loss(b, 0.07, rng=drawn).item()
+        expected = composed_sis_loss(b, 0.07, eps=ref.standard_normal((2, 5, 4))).item()
+        assert value == expected
+        assert drawn.standard_normal() == ref.standard_normal()
+
+    def test_one_node_over_mu_and_log_var(self):
+        b = random_batch(np.random.default_rng(22), 4, 3)
+        loss = sis_loss(b, 0.07, eps=np.zeros((2, 4, 3)))
+        assert len(loss._parents) == 2
+        assert loss._parents[0] is b.mu and loss._parents[1] is b.log_var
+
+    def test_eps_shape_checked(self):
+        b = random_batch(np.random.default_rng(23), 4, 3)
+        with pytest.raises(ValueError, match=r"eps must have shape \(2, 4, 3\)"):
+            sis_loss(b, 0.07, eps=np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError, match="pass rng or explicit eps"):
+            sis_loss(b, 0.07)
+        with pytest.raises(ValueError, match="tau must be positive"):
+            sis_loss(b, 0.0, eps=np.zeros((2, 4, 3)))
 
 
 class TestVibLoss:

@@ -157,12 +157,18 @@ def _corrupt_pair_loss_backward(monkeypatch):
     monkeypatch.setattr(losses, "pair_loss", corrupted)
 
 
+def _corrupt_sis_backward(monkeypatch):
+    real = losses._sis_backward
+    monkeypatch.setattr(losses, "_sis_backward", lambda *args: tuple(2.0 * g for g in real(*args)))
+
+
 MUTATIONS = [
     ("vib_loss", _corrupt_vib_loss, 1),
     ("csd", _corrupt_csd, 2),
     ("bhattacharyya_distance", _corrupt_bhattacharyya, 3),
     ("pairwise_similarity_graph_backward", _corrupt_similarity_backward, 4),
     ("pair_loss_backward", _corrupt_pair_loss_backward, 5),
+    ("sis_backward", _corrupt_sis_backward, 5),
 ]
 
 
