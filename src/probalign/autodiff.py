@@ -51,7 +51,12 @@ class Tensor:
     def __init__(self, data, parents: tuple["Tensor", ...] = (), backward=None):
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
-        self.needs_grad = not parents or any(p.needs_grad for p in parents)
+        # A leaf is trainable; an op's output needs a gradient when a parent does.
+        self.needs_grad = not parents
+        for parent in parents:
+            if parent.needs_grad:
+                self.needs_grad = True
+                break
         self._parents = parents
         self._backward = backward
 
