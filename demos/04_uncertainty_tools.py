@@ -58,13 +58,11 @@ train_recs = [r for r in corpus.train if A in r.views]
 tr_items = model.encode(A, np.stack([r.views[A] for r in train_recs]))
 tr_labels = [r.class_label for r in train_recs]
 for shot in (2, 4, 8):
-    mu_only, sampled = [], []
-    for seed in range(5):
-        args = (tr_items, tr_labels, items, labels, shot)
-        mu_only.append(few_shot(*args, mode="mu_only", rng=np.random.default_rng([shot, seed])))
-        sampled.append(
-            few_shot(*args, mode="sampled", n_samples=16, rng=np.random.default_rng([shot, seed]))
-        )
+    args = (tr_items, tr_labels, items, labels, shot)
+    mu_only = few_shot(*args, mode="mu_only", rngs=[np.random.default_rng([shot, s]) for s in range(5)])
+    sampled = few_shot(
+        *args, mode="sampled", n_samples=16, rngs=[np.random.default_rng([shot, s]) for s in range(5)]
+    )
     print(
         f"  {shot}-shot over 5 seeds: mu-only {np.mean(mu_only):.4f}   "
         f"sampled(16) {np.mean(sampled):.4f}"

@@ -331,26 +331,21 @@ def _protocol_fewshot(model, corpus, args, rng) -> EvalReport:
     test_items = _embed_items(model, test_records, modality)
     y_train = [r.class_label for r in train_records]
     y_test = [r.class_label for r in test_records]
-    shots = [int(s) for s in args.shots.split(",")]
     table = {}
-    for shot in shots:
-        per_seed = []
-        for s in range(args.seeds):
-            seed_rng = np.random.default_rng([args.seed, shot, s])
-            per_seed.append(
-                few_shot(
-                    train_items,
-                    y_train,
-                    test_items,
-                    y_test,
-                    shot,
-                    mode=args.fewshot_mode,
-                    n_samples=args.n,
-                    rng=seed_rng,
-                )
-            )
+    for shot in args.shots:
+        rngs = [np.random.default_rng([args.seed, shot, s]) for s in range(args.seeds)]
+        per_seed = few_shot(
+            train_items,
+            y_train,
+            test_items,
+            y_test,
+            shot,
+            mode=args.fewshot_mode,
+            n_samples=args.n,
+            rngs=rngs,
+        )
         table[shot] = {"mean_auroc": float(np.mean(per_seed)), "per_seed": per_seed}
-    metrics = {f"auroc_{shot}shot": table[shot]["mean_auroc"] for shot in shots}
+    metrics = {f"auroc_{shot}shot": table[shot]["mean_auroc"] for shot in args.shots}
     return EvalReport("fewshot", metrics, {"mode": args.fewshot_mode, "table": table})
 
 
@@ -418,6 +413,18 @@ def cmd_verify(args) -> int:
 # -- argument wiring -----------------------------------------------------------------
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def positive_ints(text: str) -> list[int]:
+    """A comma-separated list of integers >= 1."""
+    return [positive_int(part) for part in text.split(",")]
+
+
 def build_parser() -> Parser:
     parser = Parser(prog="probalign", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -461,9 +468,9 @@ def build_parser() -> Parser:
     p_eval.add_argument("--filter-prompts", default=None, help="an integer k, or 'sweep'")
     p_eval.add_argument("--fewshot-mode", default="mu_only", choices=["mu_only", "sampled"])
     p_eval.add_argument("--n", type=int, default=16, help="samples per item in sampled mode")
-    p_eval.add_argument("--shots", default="2,4,8,16")
-    p_eval.add_argument("--seeds", type=int, default=5)
-    p_eval.add_argument("--k-shot", type=int, default=16)
+    p_eval.add_argument("--shots", type=positive_ints, default="2,4,8,16")
+    p_eval.add_argument("--seeds", type=positive_int, default=5)
+    p_eval.add_argument("--k-shot", type=positive_int, default=16)
     p_eval.add_argument("--fusion", default="mean", choices=["mean", "max"])
     p_eval.add_argument("--levels", default="0,0.25,0.5,0.75,1,1.5,2,3,4,5")
     p_eval.add_argument("--n-items", type=int, default=100)

@@ -108,6 +108,10 @@ class CorpusConfig:
         too_small = [f"{m.value} {dim}" for m, dim in self.view_dims.items() if dim < 1]
         if too_small:
             raise ValueError(f"CorpusConfig: view dims must be >= 1, got {', '.join(too_small)}")
+        for name in ("view_dims", "noise_scales", "projection_seeds"):
+            missing = [m.value for m in Modality if m not in getattr(self, name)]
+            if missing:
+                raise ValueError(f"CorpusConfig: {name} must name every modality; missing {', '.join(missing)}")
         if abs(sum(self.split_fractions) - 1.0) > 1e-9 or min(self.split_fractions) < 0:
             raise ValueError(f"CorpusConfig: split fractions must be >= 0 and sum to 1, got {self.split_fractions}")
         if any(s <= 0 for s in self.noise_scales.values()):

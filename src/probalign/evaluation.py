@@ -25,7 +25,6 @@ from .gaussians import (
     GaussianEmbedding,
     SimilarityKind,
     pairwise_similarity_arrays,
-    sample,
     stack_embeddings,
 )
 
@@ -276,32 +275,46 @@ def logistic_probe(
     lr: float = PROBE_LR,
     l2: float = PROBE_L2,
 ) -> np.ndarray:
-    """Softmax regression by full-batch gradient descent; returns (d+1, C)."""
-    n, d = x.shape
-    xb = np.hstack([x, np.ones((n, 1))])
-    one_hot = np.zeros((n, n_classes))
-    one_hot[np.arange(n), y] = 1.0
-    w = np.zeros((d + 1, n_classes))
+    """Softmax regression by full-batch gradient descent; returns (d+1, C).
+
+    Stacked problems fit at once: ``x`` of shape (..., n, d) with labels ``y``
+    of shape (..., n) gives (..., d+1, C). The softmax runs on a transposed
+    copy of the logits, classes along rows, so its max and sum reduce whole
+    rows rather than a short axis per sample. With fewer than 8 classes every
+    slice equals its own 2-D fit bit for bit; from 8 classes on, the class sum
+    adds in row order where numpy's per-sample sum adds pairwise.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    *batch, n, d = x.shape
+    xb = np.concatenate([x, np.ones((*batch, n, 1))], axis=-1)
+    xb_t = xb.swapaxes(-1, -2)
+    one_hot_t = (np.arange(n_classes)[:, None] == np.asarray(y)[..., None, :]).astype(np.float64)
+    w = np.zeros((*batch, d + 1, n_classes))
     for _ in range(iters):
-        logits = xb @ w
-        logits -= logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        p /= p.sum(axis=1, keepdims=True)
-        grad = xb.T @ (p - one_hot) / n
-        grad[:-1] += l2 * w[:-1]  # bias row not decayed
+        p_t = (xb @ w).swapaxes(-1, -2).copy()  # (..., C, n)
+        p_t -= p_t.max(axis=-2, keepdims=True)
+        np.exp(p_t, out=p_t)
+        p_t /= p_t.sum(axis=-2, keepdims=True)
+        p_t -= one_hot_t
+        grad = xb_t @ p_t.swapaxes(-1, -2) / n
+        grad[..., :-1, :] += l2 * w[..., :-1, :]  # bias row not decayed
         w -= lr * grad
     return w
 
 
 def probe_scores(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Class probabilities (m, C) of a probe (d+1, C) on items (m, d); a stack
+    of probes (..., d+1, C) gives (..., m, C)."""
     xb = np.hstack([x, np.ones((x.shape[0], 1))])
     logits = xb @ w
-    logits -= logits.max(axis=1, keepdims=True)
+    logits -= logits.max(axis=-1, keepdims=True)
     p = np.exp(logits)
-    return p / p.sum(axis=1, keepdims=True)
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def _select_support(labels: np.ndarray, classes, k_shot: int, rng: np.random.Generator):
+    if k_shot < 1:
+        raise ValueError(f"few_shot: k_shot must be >= 1, got {k_shot}")
     support_idx = []
     for cls in classes:
         pool = np.flatnonzero(labels == cls)
@@ -309,6 +322,20 @@ def _select_support(labels: np.ndarray, classes, k_shot: int, rng: np.random.Gen
             raise ValueError(f"few_shot: class {cls} has only {len(pool)} examples, need {k_shot}")
         support_idx.extend(pool[rng.permutation(len(pool))[:k_shot]])
     return np.array(support_idx)
+
+
+def _sample_rows(
+    mu: np.ndarray, log_var: np.ndarray, n_samples: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Expand each of k rows (k, d) into ``n_samples`` draws mu + sigma * eps,
+    giving (k * n_samples, d), row after row.
+
+    One (k, n_samples, d) standard-normal draw gives the values and leaves the
+    stream where one ``gaussians.sample`` call per row, in row order, does.
+    """
+    eps = rng.standard_normal((mu.shape[0], n_samples, mu.shape[1]))
+    sigma = np.exp(0.5 * log_var)
+    return (mu[:, None, :] + sigma[:, None, :] * eps).reshape(-1, mu.shape[1])
 
 
 def few_shot(
@@ -319,19 +346,25 @@ def few_shot(
     k_shot: int,
     mode: str = "mu_only",
     n_samples: int = 16,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Linear-probe AUROC with a k-shot support set drawn from the train pool.
+    rngs=(),
+) -> list[float]:
+    """Linear-probe AUROCs, one per generator in ``rngs``, each from its own
+    k-shot support set drawn from the train pool.
 
     ``mu_only`` trains the probe on the support items' mean embeddings;
     ``sampled`` expands every support item into ``n_samples`` reparameterized
-    draws and trains on those. Test items are always scored on their means.
+    draws and trains on those. Each generator draws its support set and then,
+    in ``sampled`` mode, that set's draws, so every AUROC equals a run with
+    that generator alone. The probes of all generators fit as one stack. Test
+    items are always scored on their means.
     """
     if mode not in ("mu_only", "sampled"):
         raise ValueError(f"few_shot: unknown mode {mode!r}")
     if mode == "sampled" and n_samples < 1:
         raise ValueError("few_shot: n_samples must be >= 1")
-    rng = rng if rng is not None else np.random.default_rng(0)
+    rngs = list(rngs)
+    if not rngs:
+        raise ValueError("few_shot: rngs must hold at least one generator")
 
     mu_train, lv_train = _items_to_arrays(train_items)
     mu_test, _ = _items_to_arrays(test_items)
@@ -340,21 +373,19 @@ def few_shot(
     classes = sorted(set(int(c) for c in train_labels))
     class_index = {cls: i for i, cls in enumerate(classes)}
 
-    support = _select_support(train_labels, classes, k_shot, rng)
-    if mode == "mu_only":
+    xs, ys = [], []
+    for rng in rngs:
+        support = _select_support(train_labels, classes, k_shot, rng)
         x = mu_train[support]
         y = np.array([class_index[int(c)] for c in train_labels[support]])
-    else:
-        rows, y = [], []
-        for idx in support:
-            e = GaussianEmbedding(mu_train[idx], lv_train[idx])
-            rows.append(sample(e, n_samples, rng))
-            y.extend([class_index[int(train_labels[idx])]] * n_samples)
-        x = np.vstack(rows)
-        y = np.array(y)
+        if mode == "sampled":
+            x = _sample_rows(x, lv_train[support], n_samples, rng)
+            y = np.repeat(y, n_samples)
+        xs.append(x)
+        ys.append(y)
 
-    w = logistic_probe(x, y, len(classes))
-    return _class_auroc(probe_scores(w, mu_test), test_labels, classes)
+    w = logistic_probe(np.stack(xs), np.stack(ys), len(classes))
+    return [_class_auroc(scores, test_labels, classes) for scores in probe_scores(w, mu_test)]
 
 
 # -- multimodal classification -----------------------------------------------------
@@ -406,17 +437,17 @@ def multimodal_classify(
     # Few-shot: same support rows for singles and the concatenation.
     mu_train = [b.mu.data for b in enc_train]
     mu_test = [b.mu.data for b in enc_test]
-    feature_sets = [
-        (mu_train[0], mu_test[0]),
-        (mu_train[1], mu_test[1]),
-        (np.hstack(mu_train), np.hstack(mu_test)),
-    ]
     classes = sorted(set(int(c) for c in train_labels))
     class_index = {cls: i for i, cls in enumerate(classes)}
     support = _select_support(train_labels, classes, k_shot, rng)
     y = np.array([class_index[int(c)] for c in train_labels[support]])
-    for name, (x_train, x_test) in zip(names, feature_sets):
-        w = logistic_probe(x_train[support], y, len(classes))
+    # The single-modality probes share support rows and width: one stack of two.
+    singles = logistic_probe(
+        np.stack([mu[support] for mu in mu_train]), np.stack([y, y]), len(classes)
+    )
+    probes = [*singles, logistic_probe(np.hstack(mu_train)[support], y, len(classes))]
+    test_sets = [*mu_test, np.hstack(mu_test)]
+    for name, w, x_test in zip(names, probes, test_sets):
         out["fs"][name] = _class_auroc(probe_scores(w, x_test), test_labels, classes)
     return out
 

@@ -93,8 +93,12 @@ class TestGen:
             ({"n_records": -5}, "n_records must be >= 0"),
             ({"n_records": 20, "latent_dim": 0}, "latent_dim must be >= 1"),
             ({"n_records": 20, "view_dims": {"mod_a": 0}}, "view dims must be >= 1"),
+            ({"n_records": 30, "view_dims": {"mod_a": 5}}, "view_dims must name every modality"),
+            ({"n_records": 30, "noise_scales": {"text": 0.2}}, "noise_scales must name every modality"),
+            ({"n_records": 30, "projection_seeds": {"mod_b": 1}}, "projection_seeds must name every modality"),
         ],
-        ids=["no-classes", "negative-records", "no-latent", "empty-view"],
+        ids=["no-classes", "negative-records", "no-latent", "empty-view", "partial-view-dims",
+             "partial-noise-scales", "partial-projection-seeds"],
     )
     def test_unusable_sizes_exit_1_without_a_run_dir(self, tmp_path, capsys, corpus, message):
         bad = tmp_path / "bad.json"
@@ -464,6 +468,29 @@ class TestEval:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert f"--split does not apply to --protocol {protocol}, which reads {reads}" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--protocol", "fewshot", "--seeds", "0"], "argument --seeds: must be >= 1, got 0"),
+            (["--protocol", "fewshot", "--shots", "2,0"], "argument --shots: must be >= 1, got 0"),
+            (["--protocol", "multimodal", "--k-shot", "0"], "argument --k-shot: must be >= 1, got 0"),
+        ],
+        ids=["seeds", "shots", "k-shot"],
+    )
+    def test_few_shot_sizes_below_1_exit_1(self, tmp_path, monkeypatch, capsys, extra, message):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a file was read before the sizes were checked")
+
+        monkeypatch.setattr(cli, "load_checkpoint", must_not_run)
+        monkeypatch.setattr(cli, "read_corpus", must_not_run)
+        argv = ["eval", "--checkpoint", str(tmp_path / "ck.json"), "--corpus", str(tmp_path / "c"),
+                "--out", str(tmp_path / "o")] + extra
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_unset_split_is_test(self, trained_dir, corpus_dir, tmp_path):

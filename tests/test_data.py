@@ -124,7 +124,16 @@ class TestConfig:
 
     def test_from_json_fills_defaults(self):
         assert config_from_json({}) == CorpusConfig()
-        assert config_from_json({"n_records": 7, "view_dims": {"mod_a": 5}}).view_dims == {A: 5}
+        dims = {"mod_a": 5, "mod_b": 6, "mod_c": 7, "text": 8}
+        assert config_from_json({"n_records": 7, "view_dims": dims}).view_dims == {A: 5, B: 6, C: 7, T: 8}
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("view_dims", {"mod_a": 5}), ("noise_scales", {"mod_a": 0.2}), ("projection_seeds", {"mod_a": 1})],
+    )
+    def test_partial_modality_map_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must name every modality; missing mod_b, mod_c, text"):
+            config_from_json({"n_records": 30, key: value})
 
     def test_from_json_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="n_record, noise"):

@@ -26,7 +26,8 @@ from probalign.evaluation import (
     tied_ranks,
     zero_shot,
 )
-from probalign.gaussians import GaussianEmbedding, SimilarityKind
+from probalign.evaluation import _class_auroc, _sample_rows, _select_support
+from probalign.gaussians import GaussianEmbedding, SimilarityKind, sample
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +50,55 @@ def tied_ranks_loop(values) -> np.ndarray:
         ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
         i = j + 1
     return ranks
+
+
+def logistic_probe_loop(x, y, n_classes, iters=500, lr=0.1, l2=1e-4) -> np.ndarray:
+    """Reference for ``logistic_probe``: one 2-D fit, softmax over each sample's row."""
+    n, d = x.shape
+    xb = np.hstack([x, np.ones((n, 1))])
+    one_hot = np.zeros((n, n_classes))
+    one_hot[np.arange(n), y] = 1.0
+    w = np.zeros((d + 1, n_classes))
+    for _ in range(iters):
+        logits = xb @ w
+        logits -= logits.max(axis=1, keepdims=True)
+        p = np.exp(logits)
+        p /= p.sum(axis=1, keepdims=True)
+        grad = xb.T @ (p - one_hot) / n
+        grad[:-1] += l2 * w[:-1]
+        w -= lr * grad
+    return w
+
+
+def probe_scores_loop(w, x) -> np.ndarray:
+    xb = np.hstack([x, np.ones((x.shape[0], 1))])
+    logits = xb @ w
+    logits -= logits.max(axis=1, keepdims=True)
+    p = np.exp(logits)
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def few_shot_one_rng(train_items, train_labels, test_items, test_labels, k_shot, mode, n_samples, rng):
+    """Reference for ``few_shot``: one generator, a ``sample`` call per support
+    row in sampled mode, and its own 2-D fit."""
+    mu_train = np.stack([e.mu for e in train_items])
+    lv_train = np.stack([e.log_var for e in train_items])
+    mu_test = np.stack([e.mu for e in test_items])
+    train_labels, test_labels = np.asarray(train_labels), np.asarray(test_labels)
+    classes = sorted(set(int(c) for c in train_labels))
+    class_index = {cls: i for i, cls in enumerate(classes)}
+    support = _select_support(train_labels, classes, k_shot, rng)
+    if mode == "mu_only":
+        x = mu_train[support]
+        y = np.array([class_index[int(c)] for c in train_labels[support]])
+    else:
+        rows, y = [], []
+        for idx in support:
+            rows.append(sample(GaussianEmbedding(mu_train[idx], lv_train[idx]), n_samples, rng))
+            y.extend([class_index[int(train_labels[idx])]] * n_samples)
+        x, y = np.vstack(rows), np.array(y)
+    w = logistic_probe_loop(x, y, len(classes))
+    return _class_auroc(probe_scores_loop(w, mu_test), test_labels, classes)
 
 
 def emb(mu, log_var):
@@ -297,31 +347,118 @@ class TestFewShot:
         items, labels = self._separable(rng)
         frozen = [GaussianEmbedding(e.mu, np.full_like(e.log_var, -40.0)) for e in items]
         test_items, test_labels = self._separable(np.random.default_rng(13))
-        base = few_shot(frozen, labels, test_items, test_labels, 4, mode="mu_only",
-                        rng=np.random.default_rng(0))
-        sampled = few_shot(frozen, labels, test_items, test_labels, 4, mode="sampled",
-                           n_samples=1, rng=np.random.default_rng(0))
+        [base] = few_shot(frozen, labels, test_items, test_labels, 4, mode="mu_only",
+                          rngs=[np.random.default_rng(0)])
+        [sampled] = few_shot(frozen, labels, test_items, test_labels, 4, mode="sampled",
+                             n_samples=1, rngs=[np.random.default_rng(0)])
         assert abs(base - sampled) < 1e-6
 
     def test_missing_class_rejected(self):
         rng = np.random.default_rng(14)
         items, labels = self._separable(rng, n=10)
         with pytest.raises(ValueError, match="only"):
-            few_shot(items, labels, items, labels, 8, rng=np.random.default_rng(0))
+            few_shot(items, labels, items, labels, 8, rngs=[np.random.default_rng(0)])
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(15)
         items, labels = self._separable(rng)
         test_items, test_labels = self._separable(np.random.default_rng(16))
         a = few_shot(items, labels, test_items, test_labels, 4, mode="sampled",
-                     n_samples=8, rng=np.random.default_rng(42))
+                     n_samples=8, rngs=[np.random.default_rng(42)])
         b = few_shot(items, labels, test_items, test_labels, 4, mode="sampled",
-                     n_samples=8, rng=np.random.default_rng(42))
+                     n_samples=8, rngs=[np.random.default_rng(42)])
         assert a == b
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown mode"):
             few_shot([], [], [], [], 1, mode="typo")
+
+
+class TestStackedProbe:
+    @pytest.mark.parametrize(
+        "n_classes,d,n",
+        [(c, d, n) for c in (2, 5) for d in (32, 64) for n in (10, 160, 1280)] + [(3, 32, 160), (7, 32, 160)],
+    )
+    def test_stack_equals_separate_fits_bitwise(self, n_classes, d, n):
+        rng = np.random.default_rng([n_classes, d, n])
+        x = rng.normal(size=(3, n, d)) + rng.normal(size=(3, 1, d))
+        y = rng.integers(0, n_classes, size=(3, n))
+        w = logistic_probe(x, y, n_classes)
+        assert w.shape == (3, d + 1, n_classes)
+        for s in range(3):
+            assert np.array_equal(w[s], logistic_probe_loop(x[s], y[s], n_classes))
+
+    def test_2d_input_and_nested_stacks_fit_as_before(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(2, 2, 40, 8))
+        y = rng.integers(0, 5, size=(2, 2, 40))
+        w = logistic_probe(x, y, 5)
+        assert w.shape == (2, 2, 9, 5)
+        for i in range(2):
+            for j in range(2):
+                ref = logistic_probe_loop(x[i, j], y[i, j], 5)
+                assert np.array_equal(logistic_probe(x[i, j], y[i, j], 5), ref)
+                assert np.array_equal(w[i, j], ref)
+
+    @pytest.mark.parametrize("n_classes", [8, 12])
+    def test_eight_or_more_classes_sum_in_another_order(self, n_classes):
+        # numpy adds 8 or more values along a row pairwise; the stack adds rows
+        # in order, so the fits agree to rounding only.
+        rng = np.random.default_rng(n_classes)
+        x = rng.normal(size=(2, 200, 16))
+        y = rng.integers(0, n_classes, size=(2, 200))
+        w = logistic_probe(x, y, n_classes)
+        for s in range(2):
+            np.testing.assert_allclose(w[s], logistic_probe_loop(x[s], y[s], n_classes), rtol=0, atol=1e-12)
+
+    def test_stacked_scores_equal_each_probe(self):
+        rng = np.random.default_rng(4)
+        w = rng.normal(size=(3, 9, 5))
+        x = rng.normal(size=(50, 8))
+        scores = probe_scores(w, x)
+        for s in range(3):
+            assert np.array_equal(scores[s], probe_scores_loop(w[s], x))
+
+    def test_sample_rows_equal_a_sample_call_per_row(self):
+        rng = np.random.default_rng(5)
+        mu, lv = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
+        ours, theirs = np.random.default_rng(6), np.random.default_rng(6)
+        expanded = _sample_rows(mu, lv, 16, ours)
+        rows = [sample(GaussianEmbedding(m, v), 16, theirs) for m, v in zip(mu, lv)]
+        assert np.array_equal(expanded, np.vstack(rows))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class TestStackedFewShot:
+    def _pool(self, rng, n, n_classes=5, d=8):
+        labels = np.arange(n) % n_classes
+        mu = rng.normal(size=(n, d)) + 1.5 * np.eye(n_classes, d)[labels]
+        lv = rng.normal(scale=0.5, size=(n, d)) - 1.0
+        return [GaussianEmbedding(m, v) for m, v in zip(mu, lv)], labels
+
+    @pytest.mark.parametrize("mode,n_samples", [("mu_only", 16), ("sampled", 16), ("sampled", 1)])
+    def test_generators_equal_one_run_each(self, mode, n_samples):
+        rng = np.random.default_rng(20)
+        train, y_train = self._pool(rng, 200)
+        test, y_test = self._pool(rng, 100)
+        ours = [np.random.default_rng([7, s]) for s in range(5)]
+        theirs = [np.random.default_rng([7, s]) for s in range(5)]
+        got = few_shot(train, y_train, test, y_test, 4, mode=mode, n_samples=n_samples, rngs=ours)
+        want = [
+            few_shot_one_rng(train, y_train, test, y_test, 4, mode, n_samples, g) for g in theirs
+        ]
+        assert got == want
+        assert [g.bit_generator.state for g in ours] == [g.bit_generator.state for g in theirs]
+
+    def test_empty_rngs_rejected(self):
+        items, labels = self._pool(np.random.default_rng(21), 20)
+        with pytest.raises(ValueError, match="rngs must hold at least one generator"):
+            few_shot(items, labels, items, labels, 2, rngs=[])
+
+    def test_k_shot_below_1_rejected(self):
+        items, labels = self._pool(np.random.default_rng(22), 20)
+        with pytest.raises(ValueError, match="k_shot must be >= 1, got 0"):
+            few_shot(items, labels, items, labels, 0, rngs=[np.random.default_rng(0)])
 
 
 class TestMultimodal:
@@ -347,6 +484,44 @@ class TestMultimodal:
         )
         assert set(out["fs"]) == {"mod_a", "mod_b", "both"}
         assert out["fs"]["both"] >= max(out["fs"]["mod_a"], out["fs"]["mod_b"]) - 0.01
+
+    def test_few_shot_equals_three_separate_fits(self, model):
+        rng = np.random.default_rng(23)
+        n = 80
+        labels = np.arange(n) % 3
+        x_a = rng.normal(size=(n, 6)) + labels[:, None]
+        x_b = rng.normal(size=(n, 5)) - labels[:, None]
+        half = n // 2
+        prompts = PromptSet({c: [np.full(4, float(c))] for c in range(3)})
+        out = multimodal_classify(
+            model, (x_a[:half], x_b[:half]), labels[:half], (x_a[half:], x_b[half:]), labels[half:],
+            4, prompts, SimilarityKind.HELLINGER, np.random.default_rng(24),
+        )
+        views = ((Modality.MOD_A, x_a), (Modality.MOD_B, x_b))
+        mu_train = [model.encode(m, x[:half], train=False).mu.data for m, x in views]
+        mu_test = [model.encode(m, x[half:], train=False).mu.data for m, x in views]
+        support = _select_support(labels[:half], [0, 1, 2], 4, np.random.default_rng(24))
+        want = {}
+        for name, x_train, x_test in zip(
+            ["mod_a", "mod_b", "both"], [*mu_train, np.hstack(mu_train)], [*mu_test, np.hstack(mu_test)]
+        ):
+            w = logistic_probe_loop(x_train[support], labels[:half][support], 3)
+            want[name] = _class_auroc(probe_scores_loop(w, x_test), labels[half:], [0, 1, 2])
+        assert out["fs"] == want
+
+    def test_k_shot_below_1_rejected(self, model):
+        with pytest.raises(ValueError, match="k_shot must be >= 1, got 0"):
+            multimodal_classify(
+                model,
+                (np.zeros((4, 6)), np.zeros((4, 5))),
+                [0, 0, 1, 1],
+                (np.zeros((4, 6)), np.zeros((4, 5))),
+                [0, 0, 1, 1],
+                0,
+                PromptSet({0: [np.zeros(4)], 1: [np.ones(4)]}),
+                SimilarityKind.HELLINGER,
+                np.random.default_rng(0),
+            )
 
     def test_fusion_validation(self, model):
         with pytest.raises(ValueError, match="unknown fusion"):
