@@ -284,7 +284,6 @@ def logistic_probe(
     slice equals its own 2-D fit bit for bit; from 8 classes on, the class sum
     adds in row order where numpy's per-sample sum adds pairwise.
     """
-    x = np.asarray(x, dtype=np.float64)
     *batch, n, d = x.shape
     xb = np.concatenate([x, np.ones((*batch, n, 1))], axis=-1)
     xb_t = xb.swapaxes(-1, -2)
