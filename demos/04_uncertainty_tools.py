@@ -55,10 +55,16 @@ for k in (1, 2, 3, 4, 5):
 # -- 2. sampling-based few-shot ----------------------------------------------
 print("\nFew-shot linear probe, mean-only vs sampling-expanded support:")
 train_recs = [r for r in corpus.train if A in r.views]
-tr_items = model.encode(A, np.stack([r.views[A] for r in train_recs]))
 tr_labels = [r.class_label for r in train_recs]
+
+
+def embed_train(rows):
+    # few_shot asks for the support rows only, so only those are encoded.
+    return model.encode(A, np.stack([train_recs[i].views[A] for i in rows]))
+
+
 for shot in (2, 4, 8):
-    args = (tr_items, tr_labels, items, labels, shot)
+    args = (tr_labels, embed_train, items, labels, shot)
     mu_only = few_shot(*args, mode="mu_only", rngs=[np.random.default_rng([shot, s]) for s in range(5)])
     sampled = few_shot(
         *args, mode="sampled", n_samples=16, rngs=[np.random.default_rng([shot, s]) for s in range(5)]

@@ -24,9 +24,11 @@ import numpy as np
 
 from .data import (
     SPLITS,
+    TRAINABLE_PAIRS,
     Corpus,
     Modality,
     config_from_json,
+    eligible_records,
     generate,
     read_corpus,
     reject_unknown_keys,
@@ -116,11 +118,13 @@ def echo_config(run_dir: Path, doc: dict) -> None:
     )
 
 
-def _load_corpus(path, splits=SPLITS) -> Corpus:
+def _load_corpus(path, **parts) -> Corpus:
+    """``read_corpus`` of an existing directory; ``parts`` names the splits to
+    decode and to index."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"corpus directory not found: {p}")
-    return read_corpus(p, splits=splits)
+    return read_corpus(p, **parts)
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -184,30 +188,38 @@ def cmd_train(args) -> int:
     return 0
 
 
-# Protocols that always read the same splits, so --split does not apply to them.
-FIXED_SPLITS = {"fewshot": ("train", "test"), "multimodal": ("train", "test"), "noiseprobe": ("test",)}
+# Protocols that always read the same splits, so --split does not apply to
+# them: (splits decoded, splits indexed). The few-shot protocols decode only
+# the support rows of the indexed train split.
+FIXED_SPLITS = {
+    "fewshot": ({"test"}, {"train"}),
+    "multimodal": ({"test"}, {"train"}),
+    "noiseprobe": ({"test"}, set()),
+}
 
 
-def _eval_splits(args) -> set[str]:
-    """The corpus splits an eval protocol reads, so only those are parsed.
+def _eval_splits(args) -> tuple[set[str], set[str]]:
+    """The corpus splits an eval protocol decodes and those it indexes, so no
+    other split is parsed.
 
     Rejects a --split the protocol would ignore, and sets an unset one to test.
     """
     fixed = FIXED_SPLITS.get(args.protocol)
     if fixed is not None:
         if args.split is not None:
+            reads = [s for s in SPLITS if s in fixed[0] | fixed[1]]
             raise ConfigError(
                 f"--split does not apply to --protocol {args.protocol}, which reads the "
-                f"{' and '.join(fixed)} split{'s' if len(fixed) > 1 else ''}"
+                f"{' and '.join(reads)} split{'s' if len(reads) > 1 else ''}"
             )
-        return set(fixed)
+        return fixed
     if args.split is None:
         args.split = "test"
     if args.split not in SPLITS:
         raise ConfigError(f"unknown split {args.split!r}")
     if args.protocol == "zeroshot" and args.prototypes != "text":
-        return {args.split, "valid"}  # cross-modality prototypes come from valid
-    return {args.split}
+        return {args.split, "valid"}, set()  # cross-modality prototypes come from valid
+    return {args.split}, set()
 
 
 def _embed_items(model, records, modality: Modality):
@@ -220,9 +232,9 @@ def _records_with_view(records, modality: Modality):
 
 
 def cmd_eval(args) -> int:
-    splits = _eval_splits(args)
+    splits, indexed = _eval_splits(args)
     model = load_checkpoint(args.checkpoint)
-    corpus = _load_corpus(args.corpus, splits=splits)
+    corpus = _load_corpus(args.corpus, splits=splits, indexed=indexed)
     kind = SimilarityKind(args.similarity)
     rng = np.random.default_rng(args.seed)
     run_dir = resolve_run_dir(args.out, f"eval-{args.protocol}")
@@ -256,8 +268,15 @@ def cmd_eval(args) -> int:
 
 def _protocol_retrieval(model, corpus, kind, args) -> EvalReport:
     records = corpus.splits[args.split]
-    ks = [int(k) for k in args.ks.split(",")]
+    ks = args.ks
     out = validation_retrieval(model, records, kind, ks=tuple(ks), max_gallery=args.max_gallery)
+    if not out["tasks"]:
+        pools = [eligible_records(records, p) for p in TRAINABLE_PAIRS if Modality.TEXT in p]
+        gallery = min(max(map(len, pools)), args.max_gallery)
+        raise ConfigError(
+            f"no retrieval task ran: the largest gallery in split {args.split} holds {gallery} records "
+            f"(--max-gallery {args.max_gallery}), and a gallery must hold more than the largest K ({max(ks)})"
+        )
     return EvalReport("retrieval", {"rsum": out["rsum"]}, {"tasks": out["tasks"], "ks": ks})
 
 
@@ -323,20 +342,33 @@ def _protocol_zeroshot(model, corpus, kind, args, rng) -> EvalReport:
     )
 
 
+def _train_embedder(model, index, rows, modalities):
+    """Embeds train rows given as positions in ``rows`` (rows of the indexed
+    train split), decoding only their records: one batch per modality."""
+
+    def embed(chosen):
+        records = index.records(rows[chosen])
+        return [_embed_items(model, records, m) for m in modalities]
+
+    return embed
+
+
 def _protocol_fewshot(model, corpus, args, rng) -> EvalReport:
     modality = Modality(args.modality)
-    train_records = _records_with_view(corpus.train, modality)
+    train_rows = corpus.train.rows_with_views(modality)
+    if not len(train_rows):
+        raise ConfigError(f"no {modality.value} views in split train")
+    y_train = corpus.train.labels[train_rows]
+    embed = _train_embedder(model, corpus.train, train_rows, [modality])
     test_records = _records_with_view(corpus.test, modality)
-    train_items = _embed_items(model, train_records, modality)
     test_items = _embed_items(model, test_records, modality)
-    y_train = [r.class_label for r in train_records]
     y_test = [r.class_label for r in test_records]
     table = {}
     for shot in args.shots:
         rngs = [np.random.default_rng([args.seed, shot, s]) for s in range(args.seeds)]
         per_seed = few_shot(
-            train_items,
             y_train,
+            lambda chosen: embed(chosen)[0],
             test_items,
             y_test,
             shot,
@@ -351,15 +383,15 @@ def _protocol_fewshot(model, corpus, args, rng) -> EvalReport:
 
 def _protocol_multimodal(model, corpus, kind, args, rng) -> EvalReport:
     pair = (Modality.MOD_A, Modality.MOD_B)
-    train_records = [r for r in corpus.train if all(m in r.views for m in pair)]
+    train_rows = corpus.train.rows_with_views(*pair)
     test_records = [r for r in corpus.test if all(m in r.views for m in pair)]
-    if not train_records or not test_records:
+    if not len(train_rows) or not test_records:
         raise ConfigError("multimodal protocol needs records with both mod_a and mod_b views")
     prompts = _prompt_set(corpus, args, rng)
     result = multimodal_classify(
         model,
-        tuple(np.stack([r.views[m] for r in train_records]) for m in pair),
-        [r.class_label for r in train_records],
+        corpus.train.labels[train_rows],
+        _train_embedder(model, corpus.train, train_rows, pair),
         tuple(np.stack([r.views[m] for r in test_records]) for m in pair),
         [r.class_label for r in test_records],
         args.k_shot,
@@ -425,6 +457,13 @@ def positive_ints(text: str) -> list[int]:
     return [positive_int(part) for part in text.split(",")]
 
 
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> Parser:
     parser = Parser(prog="probalign", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -458,22 +497,22 @@ def build_parser() -> Parser:
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--similarity", choices=[k.value for k in SimilarityKind], default="hellinger")
     p_eval.add_argument("--split", default=None, help="retrieval and zeroshot only (default test)")
-    p_eval.add_argument("--ks", default="1,5")
-    p_eval.add_argument("--max-gallery", type=int, default=1000)
+    p_eval.add_argument("--ks", type=positive_ints, default="1,5")
+    p_eval.add_argument("--max-gallery", type=positive_int, default=1000)
     p_eval.add_argument("--modality", default="mod_a")
     p_eval.add_argument("--prototypes", default="text", choices=["text", "mod_a", "mod_b", "mod_c"])
-    p_eval.add_argument("--n-prompts", type=int, default=6)
-    p_eval.add_argument("--noisy-prompts", type=int, default=0)
+    p_eval.add_argument("--n-prompts", type=positive_int, default=6)
+    p_eval.add_argument("--noisy-prompts", type=nonnegative_int, default=0)
     p_eval.add_argument("--noisy-prompt-scale", type=float, default=8.0)
     p_eval.add_argument("--filter-prompts", default=None, help="an integer k, or 'sweep'")
     p_eval.add_argument("--fewshot-mode", default="mu_only", choices=["mu_only", "sampled"])
-    p_eval.add_argument("--n", type=int, default=16, help="samples per item in sampled mode")
+    p_eval.add_argument("--n", type=positive_int, default=16, help="samples per item in sampled mode")
     p_eval.add_argument("--shots", type=positive_ints, default="2,4,8,16")
     p_eval.add_argument("--seeds", type=positive_int, default=5)
     p_eval.add_argument("--k-shot", type=positive_int, default=16)
     p_eval.add_argument("--fusion", default="mean", choices=["mean", "max"])
     p_eval.add_argument("--levels", default="0,0.25,0.5,0.75,1,1.5,2,3,4,5")
-    p_eval.add_argument("--n-items", type=int, default=100)
+    p_eval.add_argument("--n-items", type=positive_int, default=100)
 
     p_verify = sub.add_parser("verify", help="run the oracle suite")
     p_verify.add_argument("--fast", action="store_true")

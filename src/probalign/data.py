@@ -20,7 +20,11 @@ concept, then each view in ``Modality`` order, then the text variants. The
 reader slices that buffer back using the config's dimensions, so the round
 trip is exact bit for bit and no decimal float is formatted or parsed.
 ``read_corpus`` checks every split file against its manifest checksum and
-parses only the splits its caller asks for. Latent generator parameters
+decodes only the splits its caller asks for. It can also return a split as a
+``SplitIndex``: every line's structure is parsed (record id, label, pairs) but
+a record's floats are decoded only when its row is asked for, so a caller
+that needs a few rows of a large split, such as a few-shot support set,
+decodes just those. Latent generator parameters
 (cluster centers, projections, variant offsets) are derived from dedicated
 seed streams so a corpus read back from disk can rebuild them exactly.
 """
@@ -178,8 +182,9 @@ class LatentSpace:
 
 @dataclass
 class Corpus:
-    """A generated or read-back corpus. A split that ``read_corpus`` was not
-    asked to parse holds an ``UnreadSplit``, which raises when used."""
+    """A generated or read-back corpus. A split that ``read_corpus`` was asked
+    to index holds a ``SplitIndex``; one it was not asked to parse holds an
+    ``UnreadSplit``, which raises when used."""
 
     config: CorpusConfig
     seed: int
@@ -363,8 +368,9 @@ def _record_to_json(r: SyntheticRecord, cfg: CorpusConfig) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _record_from_json(doc: dict, cfg: CorpusConfig, layouts: dict) -> SyntheticRecord:
-    """Rebuild a record; ``layouts`` caches the parsed pairs and blob layout by
+def _record_head(doc: dict, cfg: CorpusConfig, layouts: dict) -> tuple:
+    """A record line's structure: (record_id, class_label, layout), its floats
+    blob left encoded. ``layouts`` caches the parsed pairs and blob layout by
     the pairs' JSON form, since a corpus has only a few distinct pair sets."""
     key = tuple(tuple(p) for p in doc["available_pairs"])
     if key not in layouts:
@@ -372,16 +378,22 @@ def _record_from_json(doc: dict, cfg: CorpusConfig, layouts: dict) -> SyntheticR
         views, sizes = _record_layout(cfg, pairs)
         ends = np.cumsum(sizes).tolist()
         layouts[key] = (pairs, views, list(zip([0, *ends[:-1]], ends)), 8 * ends[-1])
-    pairs, views, bounds, n_bytes = layouts[key]
-    raw = base64.b64decode(doc["floats"], validate=True)
+    return doc["record_id"], doc["class_label"], layouts[key]
+
+
+def _record_from_json(head: tuple, blob: str) -> SyntheticRecord:
+    """Decode a record's floats blob into the record ``head`` describes."""
+    record_id, class_label, (pairs, views, bounds, n_bytes) = head
+    raw = base64.b64decode(blob, validate=True)
     if len(raw) != n_bytes:
-        raise ValueError(f"floats holds {len(raw)} bytes, expected {n_bytes} for pairs {list(key)}")
+        names = [tuple(m.value for m in p) for p in pairs]
+        raise ValueError(f"floats holds {len(raw)} bytes, expected {n_bytes} for pairs {names}")
     # A bytearray, not bytes, so the arrays are writable like freshly generated ones.
     floats = np.frombuffer(bytearray(raw), dtype="<f8").astype(np.float64, copy=False)
     segments = [floats[a:b] for a, b in bounds]
     return SyntheticRecord(
-        record_id=doc["record_id"],
-        class_label=doc["class_label"],
+        record_id=record_id,
+        class_label=class_label,
         concept=segments[0],
         views=dict(zip(views, segments[1:])),
         text_variants=segments[1 + len(views) :],
@@ -498,21 +510,77 @@ class UnreadSplit:
         return f"UnreadSplit({self.name!r})"
 
 
-def read_corpus(path, splits=SPLITS) -> Corpus:
+class SplitIndex:
+    """A split whose lines were parsed but whose floats blobs were not decoded.
+
+    ``labels`` and ``available_pairs`` hold every row's structure, in file
+    order; ``records(rows)`` decodes just the chosen rows into the
+    ``SyntheticRecord``s a full read gives. Costly float decoding is thus paid
+    only for the rows a caller uses, such as a few-shot support set.
+    """
+
+    def __init__(self, path: Path, lines: list[tuple]):
+        self.path = path
+        self._lines = lines  # (line number, head, floats blob) per row
+        self.labels = np.array([head[1] for _, head, _ in lines], dtype=int)
+        self.available_pairs = [head[2][0] for _, head, _ in lines]
+
+    def __len__(self) -> int:
+        return len(self._lines)
+
+    def rows_with_views(self, *modalities: Modality) -> np.ndarray:
+        """Indices of the rows whose records have a view of every given modality."""
+        views = (head[2][1] for _, head, _ in self._lines)
+        return np.array([i for i, v in enumerate(views) if all(m in v for m in modalities)], dtype=int)
+
+    def records(self, rows) -> list[SyntheticRecord]:
+        """Decode the given rows, in the given order. A blob that does not
+        decode raises CorpusFormatError naming the file and line."""
+        return [_decode_line(self.path, *self._lines[i]) for i in rows]
+
+
+def _decode_line(path: Path, lineno: int, head: tuple, blob: str) -> SyntheticRecord:
+    try:
+        return _record_from_json(head, blob)
+    except (TypeError, ValueError) as exc:
+        raise CorpusFormatError(f"{path} line {lineno}: {exc}") from exc
+
+
+def _split_lines(path: Path, body: bytes, cfg: CorpusConfig, layouts: dict):
+    """Yield (line number, head, floats blob) for each record line of a split
+    file; a line whose structure does not parse raises CorpusFormatError."""
+    for lineno, line in enumerate(body.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line.decode())
+            head, blob = _record_head(doc, cfg, layouts), doc["floats"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorpusFormatError(f"{path} line {lineno}: {exc}") from exc
+        yield lineno, head, blob
+
+
+def read_corpus(path, splits=SPLITS, indexed=()) -> Corpus:
     """Read a corpus written by ``write_corpus``.
 
-    Every split file is checked against its sha256 in the manifest, but only
-    the records of ``splits`` are parsed; the other splits of the returned
-    corpus are ``UnreadSplit`` placeholders that raise when used.
+    Every split file is checked against its sha256 in the manifest. Only the
+    records of ``splits`` are decoded. A split in ``indexed`` is returned as a
+    ``SplitIndex``: every line is parsed, but a record's floats are decoded
+    only when its row is asked for. The remaining splits are
+    ``UnreadSplit`` placeholders that raise when used.
 
     Raises CorpusFormatError for a missing manifest, a manifest of another
     format, a split file whose sha256 differs from the manifest's, or a line
     that does not parse (naming the file and line), and ValueError for a
-    split name that is not one of ``SPLITS``.
+    split name that is not one of ``SPLITS`` or that is both decoded and
+    indexed.
     """
-    unknown = sorted(set(splits) - set(SPLITS))
+    unknown = sorted((set(splits) | set(indexed)) - set(SPLITS))
     if unknown:
         raise ValueError(f"read_corpus: unknown split(s): {', '.join(map(repr, unknown))}")
+    both = sorted(set(splits) & set(indexed))
+    if both:
+        raise ValueError(f"read_corpus: split(s) both decoded and indexed: {', '.join(map(repr, both))}")
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
@@ -531,7 +599,7 @@ def read_corpus(path, splits=SPLITS) -> Corpus:
     seed = manifest["seed"]
     checksums = manifest.get("checksums", {})
     layouts: dict = {}
-    records_by_split: dict[str, list[SyntheticRecord] | UnreadSplit] = {}
+    records_by_split: dict[str, list[SyntheticRecord] | SplitIndex | UnreadSplit] = {}
     for split in SPLITS:
         split_path = root / f"{split}.jsonl"
         body = split_path.read_bytes()
@@ -540,18 +608,13 @@ def read_corpus(path, splits=SPLITS) -> Corpus:
                 f"{split_path}: sha256 does not match the checksum in manifest.json; "
                 f"the file changed after it was written"
             )
-        if split not in splits:
+        lines = _split_lines(split_path, body, cfg, layouts)
+        if split in indexed:
+            records_by_split[split] = SplitIndex(split_path, list(lines))
+        elif split in splits:
+            records_by_split[split] = [_decode_line(split_path, *line) for line in lines]
+        else:
             records_by_split[split] = UnreadSplit(split)
-            continue
-        records = []
-        for lineno, line in enumerate(body.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(_record_from_json(json.loads(line.decode()), cfg, layouts))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusFormatError(f"{split_path} line {lineno}: {exc}") from exc
-        records_by_split[split] = records
     latent = build_latent_space(cfg, seed)
     return Corpus(cfg, seed, latent, *(records_by_split[s] for s in SPLITS))
 

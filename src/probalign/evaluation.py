@@ -337,9 +337,16 @@ def _sample_rows(
     return (mu[:, None, :] + sigma[:, None, :] * eps).reshape(-1, mu.shape[1])
 
 
+def _union(supports) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct rows of one or more support sets, and where each
+    support entry sits in them."""
+    rows, where = np.unique(np.concatenate(supports), return_inverse=True)
+    return rows, where.reshape(len(supports), -1)
+
+
 def few_shot(
-    train_items,
     train_labels,
+    embed_train,
     test_items,
     test_labels,
     k_shot: int,
@@ -350,12 +357,15 @@ def few_shot(
     """Linear-probe AUROCs, one per generator in ``rngs``, each from its own
     k-shot support set drawn from the train pool.
 
-    ``mu_only`` trains the probe on the support items' mean embeddings;
-    ``sampled`` expands every support item into ``n_samples`` reparameterized
-    draws and trains on those. Each generator draws its support set and then,
-    in ``sampled`` mode, that set's draws, so every AUROC equals a run with
-    that generator alone. The probes of all generators fit as one stack. Test
-    items are always scored on their means.
+    ``embed_train`` maps an ascending array of train row indices to their
+    embeddings (a ``GaussianBatch`` or a list of ``GaussianEmbedding``), in
+    that order. It is called once, with the union of the support sets, so no
+    other train row is embedded. ``mu_only`` trains the probe on the support
+    items' mean embeddings; ``sampled`` expands every support item into
+    ``n_samples`` reparameterized draws and trains on those. Each generator
+    draws its support set and then, in ``sampled`` mode, that set's draws, so
+    every AUROC equals a run with that generator alone. The probes of all
+    generators fit as one stack. Test items are always scored on their means.
     """
     if mode not in ("mu_only", "sampled"):
         raise ValueError(f"few_shot: unknown mode {mode!r}")
@@ -365,20 +375,21 @@ def few_shot(
     if not rngs:
         raise ValueError("few_shot: rngs must hold at least one generator")
 
-    mu_train, lv_train = _items_to_arrays(train_items)
-    mu_test, _ = _items_to_arrays(test_items)
     train_labels = np.asarray(train_labels)
     test_labels = np.asarray(test_labels)
     classes = sorted(set(int(c) for c in train_labels))
     class_index = {cls: i for i, cls in enumerate(classes)}
+    supports = [_select_support(train_labels, classes, k_shot, rng) for rng in rngs]
+    rows, where = _union(supports)
+    mu_train, lv_train = _items_to_arrays(embed_train(rows))
+    mu_test, _ = _items_to_arrays(test_items)
 
     xs, ys = [], []
-    for rng in rngs:
-        support = _select_support(train_labels, classes, k_shot, rng)
-        x = mu_train[support]
+    for rng, support, at in zip(rngs, supports, where):
+        x = mu_train[at]
         y = np.array([class_index[int(c)] for c in train_labels[support]])
         if mode == "sampled":
-            x = _sample_rows(x, lv_train[support], n_samples, rng)
+            x = _sample_rows(x, lv_train[at], n_samples, rng)
             y = np.repeat(y, n_samples)
         xs.append(x)
         ys.append(y)
@@ -392,8 +403,8 @@ def few_shot(
 
 def multimodal_classify(
     model: AlignmentModel,
-    train_views: tuple[np.ndarray, np.ndarray],
     train_labels,
+    embed_train,
     test_views: tuple[np.ndarray, np.ndarray],
     test_labels,
     k_shot: int,
@@ -405,16 +416,25 @@ def multimodal_classify(
 ) -> dict:
     """ZS and FS AUROCs for each single modality and their combination.
 
-    FS combines the modalities by concatenating mean embeddings before the
-    probe; ZS fuses the two per-modality prototype-similarity scores with the
-    configured rule (mean or max).
+    ``embed_train`` maps an ascending array of train row indices to their
+    embeddings under each modality of ``pair``, as ``few_shot``'s does under
+    one; it is called once, with the support rows. FS combines the
+    modalities by concatenating mean embeddings before the probe; ZS fuses
+    the two per-modality prototype-similarity scores of the test items with
+    the configured rule (mean or max).
     """
     if fusion not in ("mean", "max"):
         raise ValueError(f"multimodal_classify: unknown fusion {fusion!r}")
     train_labels = np.asarray(train_labels)
     test_labels = np.asarray(test_labels)
 
-    enc_train = [model.encode(m, x, train=False) for m, x in zip(pair, train_views)]
+    # Few-shot support: the same rows for the singles and the concatenation.
+    classes = sorted(set(int(c) for c in train_labels))
+    class_index = {cls: i for i, cls in enumerate(classes)}
+    support = _select_support(train_labels, classes, k_shot, rng)
+    rows, [at] = _union([support])
+    mu_train = [_items_to_arrays(items)[0][at] for items in embed_train(rows)]
+    y = np.array([class_index[int(c)] for c in train_labels[support]])
     enc_test = [model.encode(m, x, train=False) for m, x in zip(pair, test_views)]
 
     out = {"zs": {}, "fs": {}}
@@ -426,25 +446,16 @@ def multimodal_classify(
     for enc in enc_test:
         result = _zero_shot_from_encoded(enc, encoded_prompts, kind)
         zs_scores.append(result.scores)
-        classes = result.classes
     fused = (
         0.5 * (zs_scores[0] + zs_scores[1]) if fusion == "mean" else np.maximum(*zs_scores)
     )
     for name, scores in zip(names, zs_scores + [fused]):
-        out["zs"][name] = _class_auroc(scores, test_labels, classes)
+        out["zs"][name] = _class_auroc(scores, test_labels, result.classes)
 
-    # Few-shot: same support rows for singles and the concatenation.
-    mu_train = [b.mu.data for b in enc_train]
-    mu_test = [b.mu.data for b in enc_test]
-    classes = sorted(set(int(c) for c in train_labels))
-    class_index = {cls: i for i, cls in enumerate(classes)}
-    support = _select_support(train_labels, classes, k_shot, rng)
-    y = np.array([class_index[int(c)] for c in train_labels[support]])
     # The single-modality probes share support rows and width: one stack of two.
-    singles = logistic_probe(
-        np.stack([mu[support] for mu in mu_train]), np.stack([y, y]), len(classes)
-    )
-    probes = [*singles, logistic_probe(np.hstack(mu_train)[support], y, len(classes))]
+    singles = logistic_probe(np.stack(mu_train), np.stack([y, y]), len(classes))
+    probes = [*singles, logistic_probe(np.hstack(mu_train), y, len(classes))]
+    mu_test = [b.mu.data for b in enc_test]
     test_sets = [*mu_test, np.hstack(mu_test)]
     for name, w, x_test in zip(names, probes, test_sets):
         out["fs"][name] = _class_auroc(probe_scores(w, x_test), test_labels, classes)

@@ -13,6 +13,8 @@ import pytest
 
 from probalign import cli, data
 from probalign.cli import ConfigError, main, train_config_from_doc
+from probalign.encoders import Modality, load_checkpoint
+from probalign.evaluation import EvalReport, few_shot, multimodal_classify
 from probalign.gaussians import SimilarityKind
 from probalign.training import TrainConfig
 from probalign.verification import run_oracle_suite
@@ -380,17 +382,18 @@ class TestEval:
         assert outs[0] == outs[1]
 
     @pytest.mark.parametrize(
-        "extra,parsed",
+        "extra,parsed,support_rows",
         [
-            (["--protocol", "retrieval"], {"test"}),
-            (["--protocol", "retrieval", "--split", "valid"], {"valid"}),
-            (["--protocol", "zeroshot", "--n-prompts", "3"], {"test"}),
-            (["--protocol", "zeroshot", "--split", "train", "--n-prompts", "3"], {"train"}),
-            (["--protocol", "zeroshot", "--prototypes", "mod_b"], {"test", "valid"}),
-            (["--protocol", "zeroshot", "--split", "train", "--prototypes", "mod_b"], {"train", "valid"}),
-            (["--protocol", "fewshot", "--shots", "2", "--seeds", "1"], {"train", "test"}),
-            (["--protocol", "multimodal", "--k-shot", "4", "--n-prompts", "2"], {"train", "test"}),
-            (["--protocol", "noiseprobe", "--levels", "0,1,2", "--n-items", "5"], {"test"}),
+            (["--protocol", "retrieval"], {"test"}, 0),
+            (["--protocol", "retrieval", "--split", "valid"], {"valid"}, 0),
+            (["--protocol", "zeroshot", "--n-prompts", "3"], {"test"}, 0),
+            (["--protocol", "zeroshot", "--split", "train", "--n-prompts", "3"], {"train"}, 0),
+            (["--protocol", "zeroshot", "--prototypes", "mod_b"], {"test", "valid"}, 0),
+            (["--protocol", "zeroshot", "--split", "train", "--prototypes", "mod_b"], {"train", "valid"}, 0),
+            # 3 classes: the train split is indexed and only the support rows are decoded.
+            (["--protocol", "fewshot", "--shots", "2", "--seeds", "1"], {"test"}, 3 * 2),
+            (["--protocol", "multimodal", "--k-shot", "4", "--n-prompts", "2"], {"test"}, 3 * 4),
+            (["--protocol", "noiseprobe", "--levels", "0,1,2", "--n-items", "5"], {"test"}, 0),
         ],
         ids=[
             "retrieval",
@@ -405,7 +408,7 @@ class TestEval:
         ],
     )
     def test_protocol_parses_only_its_splits(
-        self, trained_dir, corpus_dir, tmp_path, monkeypatch, extra, parsed
+        self, trained_dir, corpus_dir, tmp_path, monkeypatch, extra, parsed, support_rows
     ):
         full = data.read_corpus(corpus_dir)
         ids = {name: {r.record_id for r in records} for name, records in full.splits.items()}
@@ -421,11 +424,17 @@ class TestEval:
         with monkeypatch.context() as m:
             m.setattr(data, "_record_from_json", spy)
             assert main(base + extra + ["--out", str(tmp_path / "partial")]) == 0
-        assert sorted(decoded) == sorted(i for name in parsed for i in ids[name])
+        support = [i for i in decoded if i in ids["train"] and "train" not in parsed]
+        assert len(support) == len(set(support)) == support_rows
+        rest = sorted(i for i in decoded if i not in support)
+        assert rest == sorted(i for name in parsed for i in ids[name])
 
-        # The same command over a corpus read in full writes the same bytes.
+        # The same command with every split it does not index decoded writes the same bytes.
+        def read_all(path, splits, indexed):
+            return data.read_corpus(path, splits=set(data.SPLITS) - set(indexed), indexed=indexed)
+
         with monkeypatch.context() as m:
-            m.setattr(cli, "read_corpus", lambda path, splits: data.read_corpus(path))
+            m.setattr(cli, "read_corpus", read_all)
             assert main(base + extra + ["--out", str(tmp_path / "full")]) == 0
         partial = (tmp_path / "partial" / "report.json").read_bytes()
         assert partial == (tmp_path / "full" / "report.json").read_bytes()
@@ -480,6 +489,27 @@ class TestEval:
         ids=["seeds", "shots", "k-shot"],
     )
     def test_few_shot_sizes_below_1_exit_1(self, tmp_path, monkeypatch, capsys, extra, message):
+        self._assert_rejected_at_parse_time(tmp_path, monkeypatch, capsys, extra, message)
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--protocol", "fewshot", "--fewshot-mode", "sampled", "--n", "0"], "argument --n: must be >= 1, got 0"),
+            (["--protocol", "noiseprobe", "--n-items", "0"], "argument --n-items: must be >= 1, got 0"),
+            (["--protocol", "noiseprobe", "--n-items", "-1"], "argument --n-items: must be >= 1, got -1"),
+            (["--protocol", "zeroshot", "--n-prompts", "0"], "argument --n-prompts: must be >= 1, got 0"),
+            (["--protocol", "retrieval", "--max-gallery", "0"], "argument --max-gallery: must be >= 1, got 0"),
+            (["--protocol", "retrieval", "--ks", "1,0"], "argument --ks: must be >= 1, got 0"),
+            (["--protocol", "retrieval", "--ks", "1,x"], "argument --ks: invalid positive_ints value: '1,x'"),
+            (["--protocol", "zeroshot", "--noisy-prompts", "-1"], "argument --noisy-prompts: must be >= 0, got -1"),
+        ],
+        ids=["n", "n-items-0", "n-items-negative", "n-prompts", "max-gallery", "ks", "ks-not-int", "noisy-prompts"],
+    )
+    def test_sizes_checked_before_any_file_is_read(self, tmp_path, monkeypatch, capsys, extra, message):
+        self._assert_rejected_at_parse_time(tmp_path, monkeypatch, capsys, extra, message)
+
+    @staticmethod
+    def _assert_rejected_at_parse_time(tmp_path, monkeypatch, capsys, extra, message):
         def must_not_run(*args, **kwargs):
             raise AssertionError("a file was read before the sizes were checked")
 
@@ -492,6 +522,19 @@ class TestEval:
         assert exc.value.code == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_retrieval_with_every_gallery_too_small_exits_1(self, trained_dir, corpus_dir, tmp_path, capsys):
+        base = ["eval", "--checkpoint", str(trained_dir / "checkpoint.json"), "--corpus", str(corpus_dir),
+                "--protocol", "retrieval", "--ks", "1,5"]
+        assert main(base + ["--max-gallery", "5", "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "no retrieval task ran: the largest gallery in split test holds 5 records" in err
+        assert "more than the largest K (5)" in err
+        assert not (tmp_path / "o" / "report.json").exists()
+        # One more record per gallery and the tasks run.
+        assert main(base + ["--max-gallery", "6", "--out", str(tmp_path / "six")]) == 0
+        report = json.loads((tmp_path / "six" / "report.json").read_text())
+        assert report["details"]["tasks"] and report["details"]["ks"] == [1, 5]
 
     def test_unset_split_is_test(self, trained_dir, corpus_dir, tmp_path):
         base = ["eval", "--checkpoint", str(trained_dir / "checkpoint.json"), "--corpus", str(corpus_dir),
@@ -531,6 +574,121 @@ class TestEval:
                 ]
             )
         assert exc.value.code == 1
+
+
+SMALL_TRAIN = {"total_steps": 20, "batch_size": 16, "hidden_dim": 16, "embed_dim": 8, "eval_every": 10}
+
+# The default corpus, the complementary one and an 8-class one, each at 1,000 records.
+ORACLE_CORPORA = {
+    "default": {"n_records": 1000},
+    "complementary": {**COMPLEMENTARY_DOC["corpus"], "n_records": 1000},
+    "eight-class": {"n_records": 1000, "n_classes": 8},
+}
+
+
+@pytest.fixture(scope="module", params=sorted(ORACLE_CORPORA))
+def oracle_run(request, tmp_path_factory):
+    """(checkpoint, corpus dir) of a 20-step run on one of ORACLE_CORPORA."""
+    root = tmp_path_factory.mktemp(request.param)
+    config = root / "config.json"
+    config.write_text(json.dumps({"seed": 5, "corpus": ORACLE_CORPORA[request.param], "train": SMALL_TRAIN}))
+    assert main(["gen", "--config", str(config), "--out", str(root / "corpus")]) == 0
+    train = ["train", "--config", str(config), "--corpus", str(root / "corpus"), "--out", str(root / "run")]
+    assert main(train) == 0
+    return root / "run" / "checkpoint.json", root / "corpus"
+
+
+def full_decode_report(argv) -> str:
+    """Reference for the fewshot and multimodal protocols: every train record is
+    decoded and embedded, and the support rows are picked from those embeddings."""
+    args = cli.build_parser().parse_args(argv)
+    model = load_checkpoint(args.checkpoint)
+    corpus = data.read_corpus(args.corpus)
+    rng = np.random.default_rng(args.seed)
+
+    def embed(modality, records):
+        return model.encode(modality, np.stack([r.views[modality] for r in records]), train=False)
+
+    if args.protocol == "fewshot":
+        m = Modality(args.modality)
+        train = [r for r in corpus.train if m in r.views]
+        test = [r for r in corpus.test if m in r.views]
+        train_items = embed(m, train).to_embeddings()
+        table = {}
+        for shot in args.shots:
+            per_seed = few_shot(
+                [r.class_label for r in train],
+                lambda rows: [train_items[i] for i in rows],
+                embed(m, test),
+                [r.class_label for r in test],
+                shot,
+                mode=args.fewshot_mode,
+                n_samples=args.n,
+                rngs=[np.random.default_rng([args.seed, shot, s]) for s in range(args.seeds)],
+            )
+            table[shot] = {"mean_auroc": float(np.mean(per_seed)), "per_seed": per_seed}
+        metrics = {f"auroc_{shot}shot": table[shot]["mean_auroc"] for shot in args.shots}
+        return EvalReport("fewshot", metrics, {"mode": args.fewshot_mode, "table": table}).to_json()
+
+    pair = (Modality.MOD_A, Modality.MOD_B)
+    train = [r for r in corpus.train if all(m in r.views for m in pair)]
+    test = [r for r in corpus.test if all(m in r.views for m in pair)]
+    train_items = [embed(m, train).to_embeddings() for m in pair]
+    prompts = cli._prompt_set(corpus, args, rng)
+    result = multimodal_classify(
+        model,
+        [r.class_label for r in train],
+        lambda rows: [[items[i] for i in rows] for items in train_items],
+        tuple(np.stack([r.views[m] for r in test]) for m in pair),
+        [r.class_label for r in test],
+        args.k_shot,
+        prompts,
+        SimilarityKind(args.similarity),
+        rng,
+        pair=pair,
+        fusion=args.fusion,
+    )
+    metrics = {f"fs_{name}": v for name, v in result["fs"].items()}
+    metrics.update({f"zs_{name}": v for name, v in result["zs"].items()})
+    return EvalReport("multimodal", metrics, {"k_shot": args.k_shot, "fusion": args.fusion}).to_json()
+
+
+class TestSupportRowsOnly:
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--protocol", "fewshot", "--shots", "1,4", "--seeds", "3"],
+            ["--protocol", "fewshot", "--shots", "2", "--seeds", "2", "--fewshot-mode", "sampled", "--n", "4"],
+            ["--protocol", "fewshot", "--modality", "mod_b", "--shots", "3", "--seeds", "2"],
+            ["--protocol", "multimodal", "--n-prompts", "2"],
+            ["--protocol", "multimodal", "--k-shot", "1", "--fusion", "max", "--n-prompts", "2"],
+        ],
+        ids=["fewshot", "fewshot-sampled", "fewshot-mod_b", "multimodal", "multimodal-max"],
+    )
+    def test_report_equals_full_decode_oracle(self, oracle_run, tmp_path, extra):
+        checkpoint, corpus_dir = oracle_run
+        argv = ["eval", "--checkpoint", str(checkpoint), "--corpus", str(corpus_dir), *extra]
+        assert main(argv + ["--out", str(tmp_path / "r")]) == 0
+        assert (tmp_path / "r" / "report.json").read_text() == full_decode_report(argv) + "\n"
+
+    @pytest.mark.parametrize("protocol", ["fewshot", "multimodal"])
+    def test_tampered_train_split_exits_1(self, trained_dir, corpus_dir, tmp_path, capsys, protocol):
+        edited = tmp_path / "edited"
+        shutil.copytree(corpus_dir, edited)
+        body = bytearray((edited / "train.jsonl").read_bytes())
+        body[len(body) // 2] ^= 0x01
+        (edited / "train.jsonl").write_bytes(bytes(body))
+        argv = ["eval", "--checkpoint", str(trained_dir / "checkpoint.json"), "--corpus", str(edited),
+                "--protocol", protocol, "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert "train.jsonl: sha256 does not match" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_modality_without_train_views_exits_1(self, trained_dir, corpus_dir, tmp_path, capsys):
+        argv = ["eval", "--checkpoint", str(trained_dir / "checkpoint.json"), "--corpus", str(corpus_dir),
+                "--protocol", "fewshot", "--modality", "text", "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        assert "no text views in split train" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -16,6 +16,7 @@ from probalign.data import (
     Modality,
     SPLITS,
     TRAINABLE_PAIRS,
+    SplitIndex,
     UnreadSplitError,
     complementary_config,
     config_from_json,
@@ -418,6 +419,78 @@ class TestSerialization:
         (tmp_path / "nothing").mkdir()
         with pytest.raises(CorpusFormatError, match="manifest"):
             read_corpus(tmp_path / "nothing")
+
+
+class TestSplitIndex:
+    def test_rows_equal_the_full_read(self, corpus, tmp_path):
+        write_corpus(corpus, tmp_path / "ix")
+        part = read_corpus(tmp_path / "ix", splits=("test",), indexed=("train",))
+        assert isinstance(part.train, SplitIndex) and len(part.train) == len(corpus.train)
+        assert part.test == corpus.test
+        assert part.train.labels.tolist() == [r.class_label for r in corpus.train]
+        assert part.train.available_pairs == [r.available_pairs for r in corpus.train]
+        rows = [5, 0, 17, 5, len(corpus.train) - 1]
+        assert part.train.records(rows) == [corpus.train[i] for i in rows]
+        assert part.train.records(range(len(corpus.train))) == corpus.train
+
+    @pytest.mark.parametrize("modalities", [(A,), (B,), (C,), (A, B), (T,)], ids=["a", "b", "c", "a+b", "text"])
+    def test_rows_with_views(self, corpus, tmp_path, modalities):
+        write_corpus(corpus, tmp_path / "ix")
+        index = read_corpus(tmp_path / "ix", splits=(), indexed=("valid",)).valid
+        want = [i for i, r in enumerate(corpus.valid) if all(m in r.views for m in modalities)]
+        assert index.rows_with_views(*modalities).tolist() == want
+
+    def test_indexed_split_of_empty_corpus(self, tmp_path):
+        write_corpus(generate(CorpusConfig(n_records=0), seed=1), tmp_path / "empty")
+        index = read_corpus(tmp_path / "empty", splits=(), indexed=SPLITS).train
+        assert len(index) == 0 and index.labels.tolist() == [] and index.rows_with_views(A).tolist() == []
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda floats: "!" + floats[1:], lambda floats: base64.b64encode(base64.b64decode(floats)[:-8]).decode()],
+        ids=["invalid_base64", "one_float_short"],
+    )
+    def test_chosen_bad_blob_names_file_and_line(self, corpus, tmp_path, corrupt):
+        write_corpus(corpus, tmp_path / "bad")
+        lines = (tmp_path / "bad" / "train.jsonl").read_text().splitlines()
+        doc = json.loads(lines[6])
+        doc["floats"] = corrupt(doc["floats"])
+        lines[6] = json.dumps(doc)
+        rewrite_split(tmp_path / "bad", "train", lines)
+        # The index itself parses, and rows other than the bad one decode.
+        index = read_corpus(tmp_path / "bad", splits=(), indexed=("train",)).train
+        assert index.records([0, 5, 7]) == [corpus.train[i] for i in (0, 5, 7)]
+        with pytest.raises(CorpusFormatError, match="train.jsonl line 7"):
+            index.records([0, 6])
+
+    def test_malformed_structure_fails_at_index_time(self, corpus, tmp_path):
+        write_corpus(corpus, tmp_path / "bad")
+        lines = (tmp_path / "bad" / "train.jsonl").read_text().splitlines()
+        doc = json.loads(lines[3])
+        del doc["floats"]
+        lines[3] = json.dumps(doc)
+        rewrite_split(tmp_path / "bad", "train", lines)
+        with pytest.raises(CorpusFormatError, match="train.jsonl line 4"):
+            read_corpus(tmp_path / "bad", splits=(), indexed=("train",))
+
+    def test_indexed_split_still_checked_against_manifest(self, corpus, tmp_path):
+        write_corpus(corpus, tmp_path / "flip")
+        path = tmp_path / "flip" / "train.jsonl"
+        body = bytearray(path.read_bytes())
+        body[len(body) // 2] ^= 0x01
+        path.write_bytes(bytes(body))
+        with pytest.raises(CorpusFormatError, match="train.jsonl: sha256 does not match"):
+            read_corpus(tmp_path / "flip", splits=("test",), indexed=("train",))
+
+    @pytest.mark.parametrize(
+        "splits,indexed,message",
+        [(("test",), ("bogus",), "unknown split"), (("train", "test"), ("train",), "both decoded and indexed")],
+        ids=["unknown", "both"],
+    )
+    def test_bad_indexed_names_rejected(self, corpus, tmp_path, splits, indexed, message):
+        write_corpus(corpus, tmp_path / "ix")
+        with pytest.raises(ValueError, match=message):
+            read_corpus(tmp_path / "ix", splits=splits, indexed=indexed)
 
 
 class TestComplementaryCorpus:

@@ -101,6 +101,23 @@ def few_shot_one_rng(train_items, train_labels, test_items, test_labels, k_shot,
     return _class_auroc(probe_scores_loop(w, mu_test), test_labels, classes)
 
 
+def rows_of(items, calls=None):
+    """An ``embed_train`` over precomputed embeddings; appends each requested
+    row array to ``calls`` when given."""
+
+    def embed(rows):
+        if calls is not None:
+            calls.append(rows)
+        return [items[i] for i in rows]
+
+    return embed
+
+
+def views_of(model, views, pair=(Modality.MOD_A, Modality.MOD_B)):
+    """A multimodal ``embed_train`` that encodes the given rows of each view."""
+    return lambda rows: [model.encode(m, x[rows], train=False) for m, x in zip(pair, views)]
+
+
 def emb(mu, log_var):
     return GaussianEmbedding(np.asarray(mu, dtype=float), np.asarray(log_var, dtype=float))
 
@@ -347,9 +364,9 @@ class TestFewShot:
         items, labels = self._separable(rng)
         frozen = [GaussianEmbedding(e.mu, np.full_like(e.log_var, -40.0)) for e in items]
         test_items, test_labels = self._separable(np.random.default_rng(13))
-        [base] = few_shot(frozen, labels, test_items, test_labels, 4, mode="mu_only",
+        [base] = few_shot(labels, rows_of(frozen), test_items, test_labels, 4, mode="mu_only",
                           rngs=[np.random.default_rng(0)])
-        [sampled] = few_shot(frozen, labels, test_items, test_labels, 4, mode="sampled",
+        [sampled] = few_shot(labels, rows_of(frozen), test_items, test_labels, 4, mode="sampled",
                              n_samples=1, rngs=[np.random.default_rng(0)])
         assert abs(base - sampled) < 1e-6
 
@@ -357,21 +374,21 @@ class TestFewShot:
         rng = np.random.default_rng(14)
         items, labels = self._separable(rng, n=10)
         with pytest.raises(ValueError, match="only"):
-            few_shot(items, labels, items, labels, 8, rngs=[np.random.default_rng(0)])
+            few_shot(labels, rows_of(items), items, labels, 8, rngs=[np.random.default_rng(0)])
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(15)
         items, labels = self._separable(rng)
         test_items, test_labels = self._separable(np.random.default_rng(16))
-        a = few_shot(items, labels, test_items, test_labels, 4, mode="sampled",
+        a = few_shot(labels, rows_of(items), test_items, test_labels, 4, mode="sampled",
                      n_samples=8, rngs=[np.random.default_rng(42)])
-        b = few_shot(items, labels, test_items, test_labels, 4, mode="sampled",
+        b = few_shot(labels, rows_of(items), test_items, test_labels, 4, mode="sampled",
                      n_samples=8, rngs=[np.random.default_rng(42)])
         assert a == b
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown mode"):
-            few_shot([], [], [], [], 1, mode="typo")
+            few_shot([], rows_of([]), [], [], 1, mode="typo")
 
 
 class TestStackedProbe:
@@ -443,22 +460,33 @@ class TestStackedFewShot:
         test, y_test = self._pool(rng, 100)
         ours = [np.random.default_rng([7, s]) for s in range(5)]
         theirs = [np.random.default_rng([7, s]) for s in range(5)]
-        got = few_shot(train, y_train, test, y_test, 4, mode=mode, n_samples=n_samples, rngs=ours)
+        got = few_shot(y_train, rows_of(train), test, y_test, 4, mode=mode, n_samples=n_samples, rngs=ours)
         want = [
             few_shot_one_rng(train, y_train, test, y_test, 4, mode, n_samples, g) for g in theirs
         ]
         assert got == want
         assert [g.bit_generator.state for g in ours] == [g.bit_generator.state for g in theirs]
 
+    @pytest.mark.parametrize("mode", ["mu_only", "sampled"])
+    def test_embeds_only_the_sorted_union_of_the_support_sets(self, mode):
+        train, y_train = self._pool(np.random.default_rng(25), 200)
+        test, y_test = self._pool(np.random.default_rng(26), 50)
+        calls = []
+        few_shot(y_train, rows_of(train, calls), test, y_test, 4, mode=mode,
+                 rngs=[np.random.default_rng([8, s]) for s in range(3)])
+        supports = [_select_support(y_train, range(5), 4, np.random.default_rng([8, s])) for s in range(3)]
+        [rows] = calls
+        assert rows.tolist() == sorted(set(np.concatenate(supports).tolist()))
+
     def test_empty_rngs_rejected(self):
         items, labels = self._pool(np.random.default_rng(21), 20)
         with pytest.raises(ValueError, match="rngs must hold at least one generator"):
-            few_shot(items, labels, items, labels, 2, rngs=[])
+            few_shot(labels, rows_of(items), items, labels, 2, rngs=[])
 
     def test_k_shot_below_1_rejected(self):
         items, labels = self._pool(np.random.default_rng(22), 20)
         with pytest.raises(ValueError, match="k_shot must be >= 1, got 0"):
-            few_shot(items, labels, items, labels, 0, rngs=[np.random.default_rng(0)])
+            few_shot(labels, rows_of(items), items, labels, 0, rngs=[np.random.default_rng(0)])
 
 
 class TestMultimodal:
@@ -473,8 +501,8 @@ class TestMultimodal:
         prompts = PromptSet({0: [np.zeros(4)], 1: [np.ones(4)]})
         out = multimodal_classify(
             model,
-            (x_a[: n // 2], x_b[: n // 2]),
             labels[: n // 2],
+            views_of(model, (x_a[: n // 2], x_b[: n // 2])),
             (x_a[n // 2 :], x_b[n // 2 :]),
             labels[n // 2 :],
             8,
@@ -493,14 +521,23 @@ class TestMultimodal:
         x_b = rng.normal(size=(n, 5)) - labels[:, None]
         half = n // 2
         prompts = PromptSet({c: [np.full(4, float(c))] for c in range(3)})
+        calls = []
+
+        def embed(rows):
+            calls.append(rows)
+            return views_of(model, (x_a[:half], x_b[:half]))(rows)
+
         out = multimodal_classify(
-            model, (x_a[:half], x_b[:half]), labels[:half], (x_a[half:], x_b[half:]), labels[half:],
+            model, labels[:half], embed, (x_a[half:], x_b[half:]), labels[half:],
             4, prompts, SimilarityKind.HELLINGER, np.random.default_rng(24),
         )
         views = ((Modality.MOD_A, x_a), (Modality.MOD_B, x_b))
         mu_train = [model.encode(m, x[:half], train=False).mu.data for m, x in views]
         mu_test = [model.encode(m, x[half:], train=False).mu.data for m, x in views]
         support = _select_support(labels[:half], [0, 1, 2], 4, np.random.default_rng(24))
+        # Only the support rows were encoded, in ascending order.
+        [rows] = calls
+        assert rows.tolist() == sorted(support.tolist())
         want = {}
         for name, x_train, x_test in zip(
             ["mod_a", "mod_b", "both"], [*mu_train, np.hstack(mu_train)], [*mu_test, np.hstack(mu_test)]
@@ -513,8 +550,8 @@ class TestMultimodal:
         with pytest.raises(ValueError, match="k_shot must be >= 1, got 0"):
             multimodal_classify(
                 model,
-                (np.zeros((4, 6)), np.zeros((4, 5))),
                 [0, 0, 1, 1],
+                views_of(model, (np.zeros((4, 6)), np.zeros((4, 5)))),
                 (np.zeros((4, 6)), np.zeros((4, 5))),
                 [0, 0, 1, 1],
                 0,
@@ -527,8 +564,8 @@ class TestMultimodal:
         with pytest.raises(ValueError, match="unknown fusion"):
             multimodal_classify(
                 model,
-                (np.zeros((4, 6)), np.zeros((4, 5))),
                 [0, 0, 1, 1],
+                views_of(model, (np.zeros((4, 6)), np.zeros((4, 5)))),
                 (np.zeros((4, 6)), np.zeros((4, 5))),
                 [0, 0, 1, 1],
                 2,
