@@ -20,7 +20,6 @@ from .gaussians import (
     csd,
     hellinger_similarity,
     hellinger_sq,
-    pairwise_similarity,
     sample,
 )
 from .losses import LossBreakdown, LossWeights, info_nce_prob, pair_loss, sis_loss, vib_loss
@@ -51,7 +50,6 @@ __all__ = [
     "info_nce_prob",
     "init_encoder",
     "pair_loss",
-    "pairwise_similarity",
     "sample",
     "sis_loss",
     "train",

@@ -118,13 +118,12 @@ def echo_config(run_dir: Path, doc: dict) -> None:
     )
 
 
-def _load_corpus(path, **parts) -> Corpus:
-    """``read_corpus`` of an existing directory; ``parts`` names the splits to
-    decode and to index."""
+def _load_corpus(path) -> Corpus:
+    """``read_corpus`` of an existing directory."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"corpus directory not found: {p}")
-    return read_corpus(p, **parts)
+    return read_corpus(p)
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -163,8 +162,8 @@ def cmd_train(args) -> int:
     corpus_path = args.corpus or doc.get("paths", {}).get("corpus")
     if not corpus_path:
         raise ConfigError("no corpus path: pass --corpus or set paths.corpus in the config")
-    # Training reads train and valid only; every split's checksum is still verified.
-    corpus = _load_corpus(corpus_path, splits=("train", "valid"))
+    # Every split's checksum is verified here; training parses only train and valid.
+    corpus = _load_corpus(corpus_path)
     cfg = train_config_from_doc(train_doc, seed)
 
     run_dir = resolve_run_dir(args.out, "train")
@@ -189,37 +188,26 @@ def cmd_train(args) -> int:
 
 
 # Protocols that always read the same splits, so --split does not apply to
-# them: (splits decoded, splits indexed). The few-shot protocols decode only
-# the support rows of the indexed train split.
+# them, with the splits they read. The few-shot protocols decode only the
+# support rows of train.
 FIXED_SPLITS = {
-    "fewshot": ({"test"}, {"train"}),
-    "multimodal": ({"test"}, {"train"}),
-    "noiseprobe": ({"test"}, set()),
+    "fewshot": "the train and test splits",
+    "multimodal": "the train and test splits",
+    "noiseprobe": "the test split",
 }
 
 
-def _eval_splits(args) -> tuple[set[str], set[str]]:
-    """The corpus splits an eval protocol decodes and those it indexes, so no
-    other split is parsed.
-
-    Rejects a --split the protocol would ignore, and sets an unset one to test.
-    """
-    fixed = FIXED_SPLITS.get(args.protocol)
-    if fixed is not None:
+def _check_split(args) -> None:
+    """Rejects a --split the protocol would ignore, and sets an unset one to test."""
+    reads = FIXED_SPLITS.get(args.protocol)
+    if reads is not None:
         if args.split is not None:
-            reads = [s for s in SPLITS if s in fixed[0] | fixed[1]]
-            raise ConfigError(
-                f"--split does not apply to --protocol {args.protocol}, which reads the "
-                f"{' and '.join(reads)} split{'s' if len(reads) > 1 else ''}"
-            )
-        return fixed
+            raise ConfigError(f"--split does not apply to --protocol {args.protocol}, which reads {reads}")
+        return
     if args.split is None:
         args.split = "test"
     if args.split not in SPLITS:
         raise ConfigError(f"unknown split {args.split!r}")
-    if args.protocol == "zeroshot" and args.prototypes != "text":
-        return {args.split, "valid"}, set()  # cross-modality prototypes come from valid
-    return {args.split}, set()
 
 
 def _embed_items(model, records, modality: Modality):
@@ -232,9 +220,9 @@ def _records_with_view(records, modality: Modality):
 
 
 def cmd_eval(args) -> int:
-    splits, indexed = _eval_splits(args)
+    _check_split(args)
     model = load_checkpoint(args.checkpoint)
-    corpus = _load_corpus(args.corpus, splits=splits, indexed=indexed)
+    corpus = _load_corpus(args.corpus)
     kind = SimilarityKind(args.similarity)
     rng = np.random.default_rng(args.seed)
     run_dir = resolve_run_dir(args.out, f"eval-{args.protocol}")
@@ -303,15 +291,13 @@ def _protocol_zeroshot(model, corpus, kind, args, rng) -> EvalReport:
         per_k = {}
         if args.filter_prompts == "sweep":
             ks = range(1, prompts.prompts_per_class() + 1)
-        elif args.filter_prompts:
-            ks = [int(args.filter_prompts)]
         else:
-            ks = []
+            ks = [args.filter_prompts] if args.filter_prompts else []
         base = zero_shot(model, items, prompts, kind)
         base_auroc = macro_ovr_auroc(base.scores, labels, base.classes)
         for k in ks:
             result = filtered_zero_shot(model, items, prompts, k, kind)
-            per_k[int(k)] = macro_ovr_auroc(result.scores, labels, result.classes)
+            per_k[k] = macro_ovr_auroc(result.scores, labels, result.classes)
         metrics = {"auroc_all_prompts": base_auroc}
         if per_k:
             best_k = max(per_k, key=per_k.get)
@@ -343,8 +329,8 @@ def _protocol_zeroshot(model, corpus, kind, args, rng) -> EvalReport:
 
 
 def _train_embedder(model, index, rows, modalities):
-    """Embeds train rows given as positions in ``rows`` (rows of the indexed
-    train split), decoding only their records: one batch per modality."""
+    """Embeds train rows given as positions in ``rows`` (rows of the train
+    split), decoding only their records: one batch per modality."""
 
     def embed(chosen):
         records = index.records(rows[chosen])
@@ -411,9 +397,8 @@ def _protocol_noiseprobe(model, corpus, args, rng) -> EvalReport:
     records = _records_with_view(corpus.test, modality)[: args.n_items]
     if not records:
         raise ConfigError(f"no {modality.value} views in test split")
-    levels = [float(v) for v in args.levels.split(",")]
     items = np.stack([r.views[modality] for r in records])
-    probe = mean_uncertainty_by_noise(model, modality, items, levels, rng)
+    probe = mean_uncertainty_by_noise(model, modality, items, args.levels, rng)
     return EvalReport(
         "noiseprobe",
         {"spearman": probe.spearman},
@@ -464,6 +449,19 @@ def nonnegative_int(text: str) -> int:
     return value
 
 
+def sweep_or_positive_int(text: str) -> str | int:
+    """'sweep', or an integer >= 1."""
+    return text if text == "sweep" else positive_int(text)
+
+
+def noise_levels(text: str) -> list[float]:
+    """A comma-separated list of floats that ascends from 0."""
+    levels = [float(part) for part in text.split(",")]
+    if levels != sorted(levels) or levels[0] != 0.0:
+        raise argparse.ArgumentTypeError(f"must ascend from 0, got {text}")
+    return levels
+
+
 def build_parser() -> Parser:
     parser = Parser(prog="probalign", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -499,19 +497,21 @@ def build_parser() -> Parser:
     p_eval.add_argument("--split", default=None, help="retrieval and zeroshot only (default test)")
     p_eval.add_argument("--ks", type=positive_ints, default="1,5")
     p_eval.add_argument("--max-gallery", type=positive_int, default=1000)
-    p_eval.add_argument("--modality", default="mod_a")
+    p_eval.add_argument("--modality", default="mod_a", choices=["mod_a", "mod_b", "mod_c"])
     p_eval.add_argument("--prototypes", default="text", choices=["text", "mod_a", "mod_b", "mod_c"])
     p_eval.add_argument("--n-prompts", type=positive_int, default=6)
     p_eval.add_argument("--noisy-prompts", type=nonnegative_int, default=0)
     p_eval.add_argument("--noisy-prompt-scale", type=float, default=8.0)
-    p_eval.add_argument("--filter-prompts", default=None, help="an integer k, or 'sweep'")
+    p_eval.add_argument(
+        "--filter-prompts", type=sweep_or_positive_int, default=None, help="an integer k >= 1, or 'sweep'"
+    )
     p_eval.add_argument("--fewshot-mode", default="mu_only", choices=["mu_only", "sampled"])
     p_eval.add_argument("--n", type=positive_int, default=16, help="samples per item in sampled mode")
     p_eval.add_argument("--shots", type=positive_ints, default="2,4,8,16")
     p_eval.add_argument("--seeds", type=positive_int, default=5)
     p_eval.add_argument("--k-shot", type=positive_int, default=16)
     p_eval.add_argument("--fusion", default="mean", choices=["mean", "max"])
-    p_eval.add_argument("--levels", default="0,0.25,0.5,0.75,1,1.5,2,3,4,5")
+    p_eval.add_argument("--levels", type=noise_levels, default="0,0.25,0.5,0.75,1,1.5,2,3,4,5")
     p_eval.add_argument("--n-items", type=positive_int, default=100)
 
     p_verify = sub.add_parser("verify", help="run the oracle suite")

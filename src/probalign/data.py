@@ -20,11 +20,10 @@ concept, then each view in ``Modality`` order, then the text variants. The
 reader slices that buffer back using the config's dimensions, so the round
 trip is exact bit for bit and no decimal float is formatted or parsed.
 ``read_corpus`` checks every split file against its manifest checksum and
-decodes only the splits its caller asks for. It can also return a split as a
-``SplitIndex``: every line's structure is parsed (record id, label, pairs) but
-a record's floats are decoded only when its row is asked for, so a caller
-that needs a few rows of a large split, such as a few-shot support set,
-decodes just those. Latent generator parameters
+returns each split as a ``SplitIndex``, parsed on first use: as a sequence it
+decodes every record, and its row accessors parse only each line's structure
+(record id, label, pairs), so a caller that needs a few rows of a large split,
+such as a few-shot support set, decodes just those. Latent generator parameters
 (cluster centers, projections, variant offsets) are derived from dedicated
 seed streams so a corpus read back from disk can rebuild them exactly.
 """
@@ -182,9 +181,9 @@ class LatentSpace:
 
 @dataclass
 class Corpus:
-    """A generated or read-back corpus. A split that ``read_corpus`` was asked
-    to index holds a ``SplitIndex``; one it was not asked to parse holds an
-    ``UnreadSplit``, which raises when used."""
+    """A generated or read-back corpus. The splits of a generated corpus are
+    lists; ``read_corpus`` gives each split as a ``SplitIndex``, parsed when
+    first used."""
 
     config: CorpusConfig
     seed: int
@@ -484,59 +483,94 @@ def write_corpus(corpus: Corpus, path) -> dict:
     return manifest
 
 
-class UnreadSplitError(RuntimeError):
-    """Raised when a split that ``read_corpus`` was not asked to parse is used."""
-
-
-class UnreadSplit:
-    """Stands in for a split whose file was verified but not parsed.
-
-    Iterating, indexing, taking the length, testing truth or comparing it
-    raises ``UnreadSplitError``, so a caller that forgot to ask for a split
-    fails loudly instead of seeing a split without records.
-    """
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def _unread(self, *args):
-        raise UnreadSplitError(
-            f"split {self.name!r} was not read; pass it in read_corpus(..., splits=...)"
-        )
-
-    __iter__ = __len__ = __getitem__ = __contains__ = __bool__ = __eq__ = _unread
-
-    def __repr__(self) -> str:
-        return f"UnreadSplit({self.name!r})"
-
-
 class SplitIndex:
-    """A split whose lines were parsed but whose floats blobs were not decoded.
+    """A split of a read-back corpus, parsed when first used.
 
-    ``labels`` and ``available_pairs`` hold every row's structure, in file
-    order; ``records(rows)`` decodes just the chosen rows into the
-    ``SyntheticRecord``s a full read gives. Costly float decoding is thus paid
-    only for the rows a caller uses, such as a few-shot support set.
+    Made, it checks its file's sha256, read in 1 MiB chunks. First used, it
+    reads the file, checks those bytes against the same digest and parses
+    them. As a sequence (``len``, iteration, indexing, ``==``) it decodes
+    every record once and keeps no floats blob. ``labels``,
+    ``available_pairs``, ``rows_with_views`` and ``records(rows)`` parse only
+    each line's structure, in file order, and decode just the rows asked
+    for, such as a few-shot support set.
     """
 
-    def __init__(self, path: Path, lines: list[tuple]):
+    def __init__(self, path: Path, sha256: str | None, cfg: CorpusConfig, layouts: dict):
         self.path = path
-        self._lines = lines  # (line number, head, floats blob) per row
-        self.labels = np.array([head[1] for _, head, _ in lines], dtype=int)
-        self.available_pairs = [head[2][0] for _, head, _ in lines]
+        self._sha256 = sha256
+        self._cfg = cfg
+        self._layouts = layouts
+        self._lines: list[tuple] | None = None  # (line number, head, floats blob) per row, until decoded
+        self._records: list[SyntheticRecord] | None = None
+        digest = hashlib.sha256()
+        with path.open("rb") as f:
+            for chunk in iter(lambda: f.read(1 << 20), b""):
+                digest.update(chunk)
+        self._check(digest)
+
+    def _check(self, digest) -> None:
+        if digest.hexdigest() != self._sha256:
+            raise CorpusFormatError(
+                f"{self.path}: sha256 does not match the checksum in manifest.json; "
+                f"the file changed after it was written"
+            )
+
+    def _parse(self):
+        body = self.path.read_bytes()
+        self._check(hashlib.sha256(body))
+        return _split_lines(self.path, body, self._cfg, self._layouts)
+
+    def _index(self) -> list[tuple]:
+        if self._lines is None:
+            self._lines = list(self._parse())
+        return self._lines
+
+    def _all(self) -> list[SyntheticRecord]:
+        if self._records is None:
+            # Decoding as the file is parsed builds no list of undecoded blobs.
+            lines = self._parse() if self._lines is None else self._lines
+            self._records = [_decode_line(self.path, *line) for line in lines]
+            self._lines = None
+        return self._records
+
+    def _heads(self) -> list[tuple]:
+        """(record id, class label, (pairs, view modalities, ...)) per row."""
+        if self._records is not None:
+            return [(r.record_id, r.class_label, (r.available_pairs, r.views)) for r in self._records]
+        return [head for _, head, _ in self._index()]
 
     def __len__(self) -> int:
-        return len(self._lines)
+        return len(self._all())
+
+    def __iter__(self):
+        return iter(self._all())
+
+    def __getitem__(self, item):
+        return self._all()[item]
+
+    def __eq__(self, other) -> bool:
+        return self._all() == other
+
+    @property
+    def labels(self) -> np.ndarray:
+        return np.array([head[1] for head in self._heads()], dtype=int)
+
+    @property
+    def available_pairs(self) -> list[tuple[PairType, ...]]:
+        return [head[2][0] for head in self._heads()]
 
     def rows_with_views(self, *modalities: Modality) -> np.ndarray:
         """Indices of the rows whose records have a view of every given modality."""
-        views = (head[2][1] for _, head, _ in self._lines)
+        views = (head[2][1] for head in self._heads())
         return np.array([i for i, v in enumerate(views) if all(m in v for m in modalities)], dtype=int)
 
     def records(self, rows) -> list[SyntheticRecord]:
         """Decode the given rows, in the given order. A blob that does not
         decode raises CorpusFormatError naming the file and line."""
-        return [_decode_line(self.path, *self._lines[i]) for i in rows]
+        if self._records is not None:
+            return [self._records[i] for i in rows]
+        lines = self._index()
+        return [_decode_line(self.path, *lines[i]) for i in rows]
 
 
 def _decode_line(path: Path, lineno: int, head: tuple, blob: str) -> SyntheticRecord:
@@ -560,27 +594,16 @@ def _split_lines(path: Path, body: bytes, cfg: CorpusConfig, layouts: dict):
         yield lineno, head, blob
 
 
-def read_corpus(path, splits=SPLITS, indexed=()) -> Corpus:
-    """Read a corpus written by ``write_corpus``.
-
-    Every split file is checked against its sha256 in the manifest. Only the
-    records of ``splits`` are decoded. A split in ``indexed`` is returned as a
-    ``SplitIndex``: every line is parsed, but a record's floats are decoded
-    only when its row is asked for. The remaining splits are
-    ``UnreadSplit`` placeholders that raise when used.
+def read_corpus(path) -> Corpus:
+    """Read a corpus written by ``write_corpus``: every split file is checked
+    against its sha256 in the manifest and comes back as a ``SplitIndex``,
+    parsed when first used.
 
     Raises CorpusFormatError for a missing manifest, a manifest of another
-    format, a split file whose sha256 differs from the manifest's, or a line
-    that does not parse (naming the file and line), and ValueError for a
-    split name that is not one of ``SPLITS`` or that is both decoded and
-    indexed.
+    format or a split file whose sha256 differs from the manifest's. A line
+    that does not parse raises it, naming the file and line, when its split
+    is first used.
     """
-    unknown = sorted((set(splits) | set(indexed)) - set(SPLITS))
-    if unknown:
-        raise ValueError(f"read_corpus: unknown split(s): {', '.join(map(repr, unknown))}")
-    both = sorted(set(splits) & set(indexed))
-    if both:
-        raise ValueError(f"read_corpus: split(s) both decoded and indexed: {', '.join(map(repr, both))}")
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
@@ -599,24 +622,9 @@ def read_corpus(path, splits=SPLITS, indexed=()) -> Corpus:
     seed = manifest["seed"]
     checksums = manifest.get("checksums", {})
     layouts: dict = {}
-    records_by_split: dict[str, list[SyntheticRecord] | SplitIndex | UnreadSplit] = {}
-    for split in SPLITS:
-        split_path = root / f"{split}.jsonl"
-        body = split_path.read_bytes()
-        if hashlib.sha256(body).hexdigest() != checksums.get(split):
-            raise CorpusFormatError(
-                f"{split_path}: sha256 does not match the checksum in manifest.json; "
-                f"the file changed after it was written"
-            )
-        lines = _split_lines(split_path, body, cfg, layouts)
-        if split in indexed:
-            records_by_split[split] = SplitIndex(split_path, list(lines))
-        elif split in splits:
-            records_by_split[split] = [_decode_line(split_path, *line) for line in lines]
-        else:
-            records_by_split[split] = UnreadSplit(split)
+    splits = [SplitIndex(root / f"{split}.jsonl", checksums.get(split), cfg, layouts) for split in SPLITS]
     latent = build_latent_space(cfg, seed)
-    return Corpus(cfg, seed, latent, *(records_by_split[s] for s in SPLITS))
+    return Corpus(cfg, seed, latent, *splits)
 
 
 # -- constructed corpora and prompt synthesis ---------------------------------------

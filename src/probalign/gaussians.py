@@ -268,14 +268,14 @@ def pairwise_similarity_arrays(
     """
     if mu_a.shape[1] != mu_b.shape[1]:
         raise ValueError(
-            f"pairwise_similarity: embedding dimensions differ ({mu_a.shape[1]} vs {mu_b.shape[1]})"
+            f"pairwise_similarity_arrays: embedding dimensions differ ({mu_a.shape[1]} vs {mu_b.shape[1]})"
         )
     kind = SimilarityKind(kind)
     if kind is SimilarityKind.COSINE:
         norms_a = np.linalg.norm(mu_a, axis=1, keepdims=True)
         norms_b = np.linalg.norm(mu_b, axis=1, keepdims=True)
         if np.any(norms_a == 0.0) or np.any(norms_b == 0.0):
-            raise ValueError("pairwise_similarity: zero-norm mean vector under cosine")
+            raise ValueError("pairwise_similarity_arrays: zero-norm mean vector under cosine")
         return (mu_a / norms_a) @ (mu_b / norms_b).T
 
     va, vb = _variances(lv_a), _variances(lv_b)
@@ -292,13 +292,6 @@ def pairwise_similarity_arrays(
         np.sqrt(out, out=out)
         np.subtract(1.0, out, out=out)
     return out
-
-
-def pairwise_similarity(a_embeddings, b_embeddings, kind: SimilarityKind) -> np.ndarray:
-    """Similarity matrix between two embedding sequences (larger = closer)."""
-    mu_a, lv_a = stack_embeddings(a_embeddings)
-    mu_b, lv_b = stack_embeddings(b_embeddings)
-    return pairwise_similarity_arrays(mu_a, lv_a, mu_b, lv_b, kind)
 
 
 # -- batched similarities (autodiff route) -------------------------------------
@@ -392,7 +385,7 @@ def pairwise_similarity_graph(a: GaussianBatch, b: GaussianBatch, kind: Similari
     exp(log_var) <= VAR_FLOOR.
     """
     if a.dim != b.dim:
-        raise ValueError(f"pairwise_similarity: embedding dimensions differ ({a.dim} vs {b.dim})")
+        raise ValueError(f"pairwise_similarity_graph: embedding dimensions differ ({a.dim} vs {b.dim})")
     kind = SimilarityKind(kind)
     if kind is SimilarityKind.COSINE:
         return ad.matmul(ad.l2_normalize(a.mu), ad.transpose(ad.l2_normalize(b.mu)))

@@ -1,6 +1,7 @@
 """End-to-end command tests: exit codes, artifacts, determinism, oracles."""
 
 import base64
+import hashlib
 import json
 import os
 import shutil
@@ -18,6 +19,14 @@ from probalign.evaluation import EvalReport, few_shot, multimodal_classify
 from probalign.gaussians import SimilarityKind
 from probalign.training import TrainConfig
 from probalign.verification import run_oracle_suite
+
+
+def read_every_split(path):
+    """``read_corpus`` with every split decoded before the caller sees it."""
+    corpus = data.read_corpus(path)
+    for records in corpus.splits.values():
+        len(records)
+    return corpus
 
 
 @pytest.fixture(scope="module")
@@ -293,9 +302,9 @@ class TestTrain:
             assert main(base + ["--out", str(tmp_path / "partial")]) == 0
         assert sorted(decoded) == sorted(ids["train"] | ids["valid"])
 
-        # The same run over a corpus read in full writes the same bytes.
+        # The same run over a corpus whose every split was decoded first writes the same bytes.
         with monkeypatch.context() as m:
-            m.setattr(cli, "read_corpus", lambda path, splits: data.read_corpus(path))
+            m.setattr(cli, "read_corpus", read_every_split)
             assert main(base + ["--out", str(tmp_path / "full")]) == 0
         for name in ("checkpoint.json", "metrics.csv", "train_summary.json"):
             assert (tmp_path / "partial" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
@@ -390,7 +399,7 @@ class TestEval:
             (["--protocol", "zeroshot", "--split", "train", "--n-prompts", "3"], {"train"}, 0),
             (["--protocol", "zeroshot", "--prototypes", "mod_b"], {"test", "valid"}, 0),
             (["--protocol", "zeroshot", "--split", "train", "--prototypes", "mod_b"], {"train", "valid"}, 0),
-            # 3 classes: the train split is indexed and only the support rows are decoded.
+            # 3 classes: of the train split only the support rows are decoded.
             (["--protocol", "fewshot", "--shots", "2", "--seeds", "1"], {"test"}, 3 * 2),
             (["--protocol", "multimodal", "--k-shot", "4", "--n-prompts", "2"], {"test"}, 3 * 4),
             (["--protocol", "noiseprobe", "--levels", "0,1,2", "--n-items", "5"], {"test"}, 0),
@@ -429,12 +438,9 @@ class TestEval:
         rest = sorted(i for i in decoded if i not in support)
         assert rest == sorted(i for name in parsed for i in ids[name])
 
-        # The same command with every split it does not index decoded writes the same bytes.
-        def read_all(path, splits, indexed):
-            return data.read_corpus(path, splits=set(data.SPLITS) - set(indexed), indexed=indexed)
-
+        # The same command over a corpus whose every split was decoded first writes the same bytes.
         with monkeypatch.context() as m:
-            m.setattr(cli, "read_corpus", read_all)
+            m.setattr(cli, "read_corpus", read_every_split)
             assert main(base + extra + ["--out", str(tmp_path / "full")]) == 0
         partial = (tmp_path / "partial" / "report.json").read_bytes()
         assert partial == (tmp_path / "full" / "report.json").read_bytes()
@@ -502,8 +508,23 @@ class TestEval:
             (["--protocol", "retrieval", "--ks", "1,0"], "argument --ks: must be >= 1, got 0"),
             (["--protocol", "retrieval", "--ks", "1,x"], "argument --ks: invalid positive_ints value: '1,x'"),
             (["--protocol", "zeroshot", "--noisy-prompts", "-1"], "argument --noisy-prompts: must be >= 0, got -1"),
+            (["--protocol", "zeroshot", "--modality", "bogus"], "argument --modality: invalid choice: 'bogus'"),
+            (["--protocol", "zeroshot", "--filter-prompts", "0"], "argument --filter-prompts: must be >= 1, got 0"),
+            (["--protocol", "noiseprobe", "--levels", "1,2"], "argument --levels: must ascend from 0, got 1,2"),
         ],
-        ids=["n", "n-items-0", "n-items-negative", "n-prompts", "max-gallery", "ks", "ks-not-int", "noisy-prompts"],
+        ids=[
+            "n",
+            "n-items-0",
+            "n-items-negative",
+            "n-prompts",
+            "max-gallery",
+            "ks",
+            "ks-not-int",
+            "noisy-prompts",
+            "modality",
+            "filter-prompts",
+            "levels",
+        ],
     )
     def test_sizes_checked_before_any_file_is_read(self, tmp_path, monkeypatch, capsys, extra, message):
         self._assert_rejected_at_parse_time(tmp_path, monkeypatch, capsys, extra, message)
@@ -685,10 +706,19 @@ class TestSupportRowsOnly:
         assert not (tmp_path / "o").exists()
 
     def test_modality_without_train_views_exits_1(self, trained_dir, corpus_dir, tmp_path, capsys):
-        argv = ["eval", "--checkpoint", str(trained_dir / "checkpoint.json"), "--corpus", str(corpus_dir),
-                "--protocol", "fewshot", "--modality", "text", "--out", str(tmp_path / "o")]
+        # A train split without mod_c views: the records that have one are dropped.
+        edited = tmp_path / "edited"
+        shutil.copytree(corpus_dir, edited)
+        lines = (edited / "train.jsonl").read_text().splitlines(keepends=True)
+        body = "".join(line for line in lines if '"mod_c"' not in line).encode()
+        (edited / "train.jsonl").write_bytes(body)
+        manifest = json.loads((edited / "manifest.json").read_text())
+        manifest["checksums"]["train"] = hashlib.sha256(body).hexdigest()
+        (edited / "manifest.json").write_text(json.dumps(manifest))
+        argv = ["eval", "--checkpoint", str(trained_dir / "checkpoint.json"), "--corpus", str(edited),
+                "--protocol", "fewshot", "--modality", "mod_c", "--out", str(tmp_path / "o")]
         assert main(argv) == 1
-        assert "no text views in split train" in capsys.readouterr().err
+        assert "no mod_c views in split train" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from probalign import data
 from probalign.data import (
     Corpus,
     CorpusConfig,
@@ -17,7 +18,6 @@ from probalign.data import (
     SPLITS,
     TRAINABLE_PAIRS,
     SplitIndex,
-    UnreadSplitError,
     complementary_config,
     config_from_json,
     eligible_records,
@@ -290,8 +290,9 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         lines[1] = '{"record_id": 3, "oops": true}'
         rewrite_split(tmp_path / "bad", "valid", lines)
+        again = read_corpus(tmp_path / "bad")
         with pytest.raises(CorpusFormatError, match="valid.jsonl line 2"):
-            read_corpus(tmp_path / "bad")
+            len(again.valid)
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -310,41 +311,58 @@ class TestSerialization:
         doc["floats"] = corrupt(doc["floats"])
         lines[2] = json.dumps(doc)
         rewrite_split(tmp_path / "bad", "test", lines)
+        again = read_corpus(tmp_path / "bad")
         with pytest.raises(CorpusFormatError, match="test.jsonl line 3"):
-            read_corpus(tmp_path / "bad")
+            list(again.test)
 
-    def test_partial_read_parses_only_the_asked_splits(self, corpus, tmp_path):
+    def test_partial_read_parses_only_the_asked_splits(self, corpus, tmp_path, monkeypatch):
+        # read_corpus parses no split; each split is parsed when first used.
         write_corpus(corpus, tmp_path / "part")
-        part = read_corpus(tmp_path / "part", splits=("valid", "test"))
+        parsed = []
+        real_split_lines = data._split_lines
+
+        def spy(path, *rest):
+            parsed.append(path.name)
+            return real_split_lines(path, *rest)
+
+        monkeypatch.setattr(data, "_split_lines", spy)
+        part = read_corpus(tmp_path / "part")
+        assert parsed == []
         assert part.valid == corpus.valid and part.test == corpus.test
         assert part.config == corpus.config and part.seed == corpus.seed
+        assert parsed == ["valid.jsonl", "test.jsonl"]
 
     @pytest.mark.parametrize(
         "use",
         [list, len, bool, lambda s: s[0], lambda s: s == [], lambda s: [r for r in s]],
         ids=["list", "len", "bool", "index", "equals", "iterate"],
     )
-    def test_unread_split_raises_instead_of_looking_empty(self, corpus, tmp_path, use):
+    def test_sequence_use_decodes_the_split_once(self, corpus, tmp_path, monkeypatch, use):
         write_corpus(corpus, tmp_path / "part")
-        part = read_corpus(tmp_path / "part", splits=("test",))
-        with pytest.raises(UnreadSplitError, match="split 'train' was not read"):
-            use(part.train)
-        with pytest.raises(UnreadSplitError, match="split 'valid' was not read"):
-            use(part.splits["valid"])
+        part = read_corpus(tmp_path / "part")
+        decoded = []
+        real_decoder = data._record_from_json
 
-    def test_unknown_split_name_rejected(self, corpus, tmp_path):
-        write_corpus(corpus, tmp_path / "part")
-        with pytest.raises(ValueError, match="unknown split"):
-            read_corpus(tmp_path / "part", splits=("test", "bogus"))
+        def spy(head, blob):
+            decoded.append(head[0])
+            return real_decoder(head, blob)
+
+        monkeypatch.setattr(data, "_record_from_json", spy)
+        assert use(part.train) == use(corpus.train)
+        assert sorted(decoded) == sorted(r.record_id for r in corpus.train)
+        assert part.train == corpus.train and part.train.records([0, 1]) == corpus.train[:2]
+        assert len(decoded) == len(corpus.train)
 
     def test_unread_split_still_checked_against_manifest(self, corpus, tmp_path):
-        write_corpus(corpus, tmp_path / "flip")
-        path = tmp_path / "flip" / "train.jsonl"
-        body = bytearray(path.read_bytes())
-        body[len(body) // 2] ^= 0x01
-        path.write_bytes(bytes(body))
+        # A split file rewritten after read_corpus returned fails when first used,
+        # although every line of it still parses.
+        write_corpus(corpus, tmp_path / "late")
+        again = read_corpus(tmp_path / "late")
+        path = tmp_path / "late" / "train.jsonl"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
+        assert again.test == corpus.test
         with pytest.raises(CorpusFormatError, match="train.jsonl: sha256 does not match"):
-            read_corpus(tmp_path / "flip", splits=("test",))
+            len(again.train)
 
     def test_flipped_byte_fails_checksum(self, corpus, tmp_path):
         write_corpus(corpus, tmp_path / "flip")
@@ -424,25 +442,31 @@ class TestSerialization:
 class TestSplitIndex:
     def test_rows_equal_the_full_read(self, corpus, tmp_path):
         write_corpus(corpus, tmp_path / "ix")
-        part = read_corpus(tmp_path / "ix", splits=("test",), indexed=("train",))
-        assert isinstance(part.train, SplitIndex) and len(part.train) == len(corpus.train)
-        assert part.test == corpus.test
+        part = read_corpus(tmp_path / "ix")
+        assert isinstance(part.train, SplitIndex)
         assert part.train.labels.tolist() == [r.class_label for r in corpus.train]
         assert part.train.available_pairs == [r.available_pairs for r in corpus.train]
         rows = [5, 0, 17, 5, len(corpus.train) - 1]
         assert part.train.records(rows) == [corpus.train[i] for i in rows]
         assert part.train.records(range(len(corpus.train))) == corpus.train
+        # Used as a sequence after the index, the split is decoded and its parsed lines dropped.
+        assert len(part.train) == len(corpus.train)
+        assert part.train._lines is None
+        assert part.train.records(rows) == [corpus.train[i] for i in rows]
+        assert part.train.labels.tolist() == [r.class_label for r in corpus.train]
+        want = [i for i, r in enumerate(corpus.train) if A in r.views and B in r.views]
+        assert part.train.rows_with_views(A, B).tolist() == want
 
     @pytest.mark.parametrize("modalities", [(A,), (B,), (C,), (A, B), (T,)], ids=["a", "b", "c", "a+b", "text"])
     def test_rows_with_views(self, corpus, tmp_path, modalities):
         write_corpus(corpus, tmp_path / "ix")
-        index = read_corpus(tmp_path / "ix", splits=(), indexed=("valid",)).valid
+        index = read_corpus(tmp_path / "ix").valid
         want = [i for i, r in enumerate(corpus.valid) if all(m in r.views for m in modalities)]
         assert index.rows_with_views(*modalities).tolist() == want
 
     def test_indexed_split_of_empty_corpus(self, tmp_path):
         write_corpus(generate(CorpusConfig(n_records=0), seed=1), tmp_path / "empty")
-        index = read_corpus(tmp_path / "empty", splits=(), indexed=SPLITS).train
+        index = read_corpus(tmp_path / "empty").train
         assert len(index) == 0 and index.labels.tolist() == [] and index.rows_with_views(A).tolist() == []
 
     @pytest.mark.parametrize(
@@ -458,7 +482,7 @@ class TestSplitIndex:
         lines[6] = json.dumps(doc)
         rewrite_split(tmp_path / "bad", "train", lines)
         # The index itself parses, and rows other than the bad one decode.
-        index = read_corpus(tmp_path / "bad", splits=(), indexed=("train",)).train
+        index = read_corpus(tmp_path / "bad").train
         assert index.records([0, 5, 7]) == [corpus.train[i] for i in (0, 5, 7)]
         with pytest.raises(CorpusFormatError, match="train.jsonl line 7"):
             index.records([0, 6])
@@ -470,27 +494,19 @@ class TestSplitIndex:
         del doc["floats"]
         lines[3] = json.dumps(doc)
         rewrite_split(tmp_path / "bad", "train", lines)
+        index = read_corpus(tmp_path / "bad").train
         with pytest.raises(CorpusFormatError, match="train.jsonl line 4"):
-            read_corpus(tmp_path / "bad", splits=(), indexed=("train",))
+            index.labels
 
     def test_indexed_split_still_checked_against_manifest(self, corpus, tmp_path):
         write_corpus(corpus, tmp_path / "flip")
+        index = read_corpus(tmp_path / "flip").train
         path = tmp_path / "flip" / "train.jsonl"
         body = bytearray(path.read_bytes())
         body[len(body) // 2] ^= 0x01
         path.write_bytes(bytes(body))
         with pytest.raises(CorpusFormatError, match="train.jsonl: sha256 does not match"):
-            read_corpus(tmp_path / "flip", splits=("test",), indexed=("train",))
-
-    @pytest.mark.parametrize(
-        "splits,indexed,message",
-        [(("test",), ("bogus",), "unknown split"), (("train", "test"), ("train",), "both decoded and indexed")],
-        ids=["unknown", "both"],
-    )
-    def test_bad_indexed_names_rejected(self, corpus, tmp_path, splits, indexed, message):
-        write_corpus(corpus, tmp_path / "ix")
-        with pytest.raises(ValueError, match=message):
-            read_corpus(tmp_path / "ix", splits=splits, indexed=indexed)
+            index.rows_with_views(A)
 
 
 class TestComplementaryCorpus:

@@ -30,7 +30,6 @@ from probalign.gaussians import (
     csd,
     hellinger_similarity,
     hellinger_sq,
-    pairwise_similarity,
     pairwise_similarity_arrays,
     pairwise_similarity_graph,
     sample,
@@ -206,18 +205,23 @@ class TestSampling:
             sample(emb(0, 1), 0, np.random.default_rng(0))
 
 
+def pairwise(a, b, kind):
+    """pairwise_similarity_arrays of two lists of embeddings."""
+    return pairwise_similarity_arrays(*stack_embeddings(a), *stack_embeddings(b), kind)
+
+
 class TestPairwise:
     def test_hellinger_self_diagonal(self):
         rng = np.random.default_rng(7)
         batch = [GaussianEmbedding(rng.normal(size=4), rng.normal(size=4)) for _ in range(5)]
-        sim = pairwise_similarity(batch, batch, SimilarityKind.HELLINGER)
+        sim = pairwise(batch, batch, SimilarityKind.HELLINGER)
         np.testing.assert_allclose(np.diag(sim), 1.0)
 
     def test_csd_diagonal_argmax_with_identical_variances(self):
         rng = np.random.default_rng(8)
         lv = rng.normal(size=4)
         batch = [GaussianEmbedding(rng.normal(size=4), lv) for _ in range(6)]
-        sim = pairwise_similarity(batch, batch, SimilarityKind.CSD)
+        sim = pairwise(batch, batch, SimilarityKind.CSD)
         assert np.array_equal(np.argmax(sim, axis=1), np.arange(6))
 
     def test_matches_scalar_ops_entrywise(self):
@@ -231,13 +235,13 @@ class TestPairwise:
             SimilarityKind.COSINE: cosine_mu,
         }
         for kind, fn in scalar.items():
-            sim = pairwise_similarity(a, b, kind)
+            sim = pairwise(a, b, kind)
             expect = [[fn(x, y) for y in b] for x in a]
             np.testing.assert_allclose(sim, expect, atol=1e-12)
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(ValueError):
-            pairwise_similarity([emb(0, 1)], [emb([0, 0], [1, 1])], SimilarityKind.HELLINGER)
+            pairwise([emb(0, 1)], [emb([0, 0], [1, 1])], SimilarityKind.HELLINGER)
 
     def test_graph_route_matches_numpy_route(self):
         rng = np.random.default_rng(10)
