@@ -39,18 +39,19 @@ from .encoders import NonFiniteEmbedding, load_checkpoint
 from .evaluation import (
     EvalReport,
     PromptSet,
-    class_prototype,
     few_shot,
     filtered_zero_shot,
     macro_ovr_auroc,
     mean_uncertainty_by_noise,
     multimodal_classify,
+    score_prototypes,
     zero_shot,
     auroc,
 )
-from .gaussians import SimilarityKind, pairwise_similarity_arrays, stack_embeddings
+# ``pairwise_similarity_arrays`` and ``auroc`` are unused here; perfbench/spans.py wraps them here.
+from .gaussians import SimilarityKind, pairwise_similarity_arrays
 from .losses import LossWeights
-from .training import TrainConfig, TrainingAbort, train, validation_retrieval
+from .training import TrainConfig, TrainingAbort, sampling_plan, train, validation_retrieval
 from .verification import run_oracle_suite
 
 ENV_REPORT_DIR = "PROBALIGN_REPORT_DIR"
@@ -97,7 +98,7 @@ def train_config_from_doc(doc: dict, seed: int) -> TrainConfig:
         reject_unknown_keys("train.loss_weights", doc.get("loss_weights", {}), LossWeights)
         kwargs = {k: _TRAIN_CASTS.get(k, lambda v: v)(v) for k, v in doc.items()}
         return TrainConfig(**{"seed": seed, **kwargs})
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -158,13 +159,14 @@ def cmd_train(args) -> int:
     if args.no_bn:
         train_doc["bn_enabled"] = False
     train_doc["seed"] = seed
+    cfg = train_config_from_doc(train_doc, seed)
 
     corpus_path = args.corpus or doc.get("paths", {}).get("corpus")
     if not corpus_path:
         raise ConfigError("no corpus path: pass --corpus or set paths.corpus in the config")
     # Every split's checksum is verified here; training parses only train and valid.
     corpus = _load_corpus(corpus_path)
-    cfg = train_config_from_doc(train_doc, seed)
+    sampling_plan(cfg, corpus)  # a batch size the train split cannot fill exits here
 
     run_dir = resolve_run_dir(args.out, "train")
     echo_config(run_dir, {"seed": seed, "train": train_doc, "paths": {"corpus": str(corpus_path)}})
@@ -312,15 +314,15 @@ def _protocol_zeroshot(model, corpus, kind, args, rng) -> EvalReport:
     if not proto_records:
         raise ConfigError(f"no {proto_modality.value} views in valid split for prototypes")
     proto_batch = _embed_items(model, proto_records, proto_modality)
-    embeddings = proto_batch.to_embeddings()
-    by_class = {}
-    for r, e in zip(proto_records, embeddings):
-        by_class.setdefault(r.class_label, []).append(e)
-    classes = sorted(by_class)
-    prototypes = [class_prototype(by_class[c]) for c in classes]
-    mu_p, lv_p = stack_embeddings(prototypes)
-    scores = pairwise_similarity_arrays(items.mu.data, items.log_var.data, mu_p, lv_p, kind)
-    value = macro_ovr_auroc(scores, labels, classes)
+    # Rows gathered once in stable class order; each class is a slice of them.
+    proto_labels = np.array([r.class_label for r in proto_records])
+    order = np.argsort(proto_labels, kind="stable")
+    mu, log_var = proto_batch.mu.data[order], proto_batch.log_var.data[order]
+    classes, starts = np.unique(proto_labels[order], return_index=True)
+    stops = [*starts[1:], len(order)]
+    by_class = {int(c): (mu[a:b], log_var[a:b]) for c, a, b in zip(classes, starts, stops)}
+    result = score_prototypes(items, by_class, kind)
+    value = macro_ovr_auroc(result.scores, labels, result.classes)
     return EvalReport(
         "zeroshot",
         {"auroc": value},
@@ -477,8 +479,8 @@ def build_parser() -> Parser:
     p_train.add_argument("--out", default=None)
     p_train.add_argument("--seed", type=int, default=None)
     p_train.add_argument("--similarity", choices=[k.value for k in SimilarityKind], default=None)
-    p_train.add_argument("--steps", type=int, default=None)
-    p_train.add_argument("--batch-size", type=int, default=None)
+    p_train.add_argument("--steps", type=nonnegative_int, default=None)
+    p_train.add_argument("--batch-size", type=positive_int, default=None)
     p_train.add_argument("--lr", type=float, default=None)
     p_train.add_argument("--no-sis", action="store_true")
     p_train.add_argument("--no-bn", action="store_true")

@@ -68,9 +68,6 @@ class Encoder:
         self.bn_running_mean = np.zeros(dims.hidden_dim)
         self.bn_running_var = np.ones(dims.hidden_dim)
 
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
-
     def encode(self, x: np.ndarray, train: bool = False) -> GaussianBatch:
         """Map raw feature rows to a batch of Gaussian embeddings."""
         x = np.asarray(x, dtype=np.float64)

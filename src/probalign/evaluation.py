@@ -20,13 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoders import AlignmentModel, Modality
-from .gaussians import (
-    GaussianBatch,
-    GaussianEmbedding,
-    SimilarityKind,
-    pairwise_similarity_arrays,
-    stack_embeddings,
-)
+from .gaussians import GaussianBatch, SimilarityKind, pairwise_similarity_arrays
 
 PROBE_ITERS = 500
 PROBE_LR = 0.1
@@ -178,9 +172,9 @@ class PromptSet:
         return min(len(p) for p in self.class_prompts.values())
 
 
-def prompt_uncertainty(e: GaussianEmbedding) -> float:
-    """Mean predicted standard deviation across embedding dimensions."""
-    return float(np.mean(np.exp(0.5 * e.log_var)))
+def prompt_uncertainty(log_var: np.ndarray) -> np.ndarray:
+    """Mean predicted standard deviation of each row of an (n, D) log-variance."""
+    return np.exp(0.5 * log_var).mean(axis=1)
 
 
 def _mean_exact(rows: np.ndarray) -> np.ndarray:
@@ -190,61 +184,47 @@ def _mean_exact(rows: np.ndarray) -> np.ndarray:
     return rows[0] + (rows - rows[0]).mean(axis=0)
 
 
-def class_prototype(embeddings: list[GaussianEmbedding]) -> GaussianEmbedding:
-    """Average the means and the variances of a class's prompt embeddings."""
-    mus, lvs = stack_embeddings(embeddings)
-    mu = _mean_exact(mus)
-    if np.all(lvs == lvs[0]):
-        log_var = lvs[0].copy()
-    else:
-        log_var = np.log(_mean_exact(np.exp(lvs)))
-    return GaussianEmbedding(mu, log_var)
-
-
-def _items_to_arrays(items) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(items, GaussianBatch):
-        return items.mu.data, items.log_var.data
-    return stack_embeddings(items)
+def class_prototype(mu: np.ndarray, log_var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Average the means and the variances of a class's (n, D) embedding rows."""
+    if np.all(log_var == log_var[0]):
+        return _mean_exact(mu), log_var[0].copy()
+    return _mean_exact(mu), np.log(_mean_exact(np.exp(log_var)))
 
 
 @dataclass
 class ZeroShotResult:
     scores: np.ndarray  # (n_items, n_classes)
     classes: list[int]
-    prototypes: list[GaussianEmbedding]
+    prototypes: tuple[np.ndarray, np.ndarray]  # (mu, log_var), each (n_classes, D)
     prompt_uncertainties: dict[int, list[float]] = field(default_factory=dict)
 
 
-def _encode_prompts(model: AlignmentModel, prompts: PromptSet):
+def _encode_prompts(model: AlignmentModel, prompts: PromptSet) -> dict:
     encoded = {}
     for cls in prompts.classes:
         batch = model.encode(Modality.TEXT, np.stack(prompts.class_prompts[cls]), train=False)
-        encoded[cls] = batch.to_embeddings()
+        encoded[cls] = (batch.mu.data, batch.log_var.data)
     return encoded
 
 
+def score_prototypes(items: GaussianBatch, by_class: dict, kind: SimilarityKind) -> ZeroShotResult:
+    """Score items against the prototype of each class's ``(mu, log_var)`` rows."""
+    classes = sorted(by_class)
+    mu_p, lv_p = map(np.stack, zip(*(class_prototype(*by_class[cls]) for cls in classes)))
+    uncertainties = {cls: prompt_uncertainty(by_class[cls][1]).tolist() for cls in classes}
+    scores = pairwise_similarity_arrays(items.mu.data, items.log_var.data, mu_p, lv_p, kind)
+    return ZeroShotResult(scores, classes, (mu_p, lv_p), uncertainties)
+
+
 def zero_shot(
-    model: AlignmentModel, items, prompts: PromptSet, kind: SimilarityKind
+    model: AlignmentModel, items: GaussianBatch, prompts: PromptSet, kind: SimilarityKind
 ) -> ZeroShotResult:
     """Score items against class prototypes averaged from the text prompts."""
-    encoded = _encode_prompts(model, prompts)
-    return _zero_shot_from_encoded(items, encoded, kind)
-
-
-def _zero_shot_from_encoded(items, encoded_prompts: dict, kind: SimilarityKind) -> ZeroShotResult:
-    classes = sorted(encoded_prompts)
-    prototypes = [class_prototype(encoded_prompts[cls]) for cls in classes]
-    uncertainties = {
-        cls: [prompt_uncertainty(e) for e in encoded_prompts[cls]] for cls in classes
-    }
-    mu_i, lv_i = _items_to_arrays(items)
-    mu_p, lv_p = stack_embeddings(prototypes)
-    scores = pairwise_similarity_arrays(mu_i, lv_i, mu_p, lv_p, kind)
-    return ZeroShotResult(scores, classes, prototypes, uncertainties)
+    return score_prototypes(items, _encode_prompts(model, prompts), kind)
 
 
 def filtered_zero_shot(
-    model: AlignmentModel, items, prompts: PromptSet, k: int, kind: SimilarityKind
+    model: AlignmentModel, items: GaussianBatch, prompts: PromptSet, k: int, kind: SimilarityKind
 ) -> ZeroShotResult:
     """Zero-shot over only the k lowest-uncertainty prompts of each class.
 
@@ -255,13 +235,11 @@ def filtered_zero_shot(
         raise ValueError(
             f"filtered_zero_shot: k must lie in [1, {prompts.prompts_per_class()}], got {k}"
         )
-    encoded = _encode_prompts(model, prompts)
     filtered = {}
-    for cls, embeddings in encoded.items():
-        uncertainties = np.array([prompt_uncertainty(e) for e in embeddings])
-        keep = np.sort(np.argsort(uncertainties, kind="mergesort")[:k])
-        filtered[cls] = [embeddings[i] for i in keep]
-    return _zero_shot_from_encoded(items, filtered, kind)
+    for cls, (mu, log_var) in _encode_prompts(model, prompts).items():
+        keep = np.sort(np.argsort(prompt_uncertainty(log_var), kind="mergesort")[:k])
+        filtered[cls] = (mu[keep], log_var[keep])
+    return score_prototypes(items, filtered, kind)
 
 
 # -- few-shot probing -----------------------------------------------------------------
@@ -347,7 +325,7 @@ def _union(supports) -> tuple[np.ndarray, np.ndarray]:
 def few_shot(
     train_labels,
     embed_train,
-    test_items,
+    test_items: GaussianBatch,
     test_labels,
     k_shot: int,
     mode: str = "mu_only",
@@ -357,12 +335,12 @@ def few_shot(
     """Linear-probe AUROCs, one per generator in ``rngs``, each from its own
     k-shot support set drawn from the train pool.
 
-    ``embed_train`` maps an ascending array of train row indices to their
-    embeddings (a ``GaussianBatch`` or a list of ``GaussianEmbedding``), in
-    that order. It is called once, with the union of the support sets, so no
-    other train row is embedded. ``mu_only`` trains the probe on the support
-    items' mean embeddings; ``sampled`` expands every support item into
-    ``n_samples`` reparameterized draws and trains on those. Each generator
+    ``embed_train`` maps an ascending array of train row indices to a
+    ``GaussianBatch`` of their embeddings, in that order. It is called once,
+    with the union of the support sets, so no other train row is embedded.
+    ``mu_only`` trains the probe on the support items' mean embeddings;
+    ``sampled`` expands every support item into ``n_samples``
+    reparameterized draws and trains on those. Each generator
     draws its support set and then, in ``sampled`` mode, that set's draws, so
     every AUROC equals a run with that generator alone. The probes of all
     generators fit as one stack. Test items are always scored on their means.
@@ -381,8 +359,8 @@ def few_shot(
     class_index = {cls: i for i, cls in enumerate(classes)}
     supports = [_select_support(train_labels, classes, k_shot, rng) for rng in rngs]
     rows, where = _union(supports)
-    mu_train, lv_train = _items_to_arrays(embed_train(rows))
-    mu_test, _ = _items_to_arrays(test_items)
+    train = embed_train(rows)
+    mu_train, lv_train = train.mu.data, train.log_var.data
 
     xs, ys = [], []
     for rng, support, at in zip(rngs, supports, where):
@@ -395,7 +373,7 @@ def few_shot(
         ys.append(y)
 
     w = logistic_probe(np.stack(xs), np.stack(ys), len(classes))
-    return [_class_auroc(scores, test_labels, classes) for scores in probe_scores(w, mu_test)]
+    return [_class_auroc(scores, test_labels, classes) for scores in probe_scores(w, test_items.mu.data)]
 
 
 # -- multimodal classification -----------------------------------------------------
@@ -416,8 +394,8 @@ def multimodal_classify(
 ) -> dict:
     """ZS and FS AUROCs for each single modality and their combination.
 
-    ``embed_train`` maps an ascending array of train row indices to their
-    embeddings under each modality of ``pair``, as ``few_shot``'s does under
+    ``embed_train`` maps an ascending array of train row indices to one
+    ``GaussianBatch`` per modality of ``pair``, as ``few_shot``'s does for
     one; it is called once, with the support rows. FS combines the
     modalities by concatenating mean embeddings before the probe; ZS fuses
     the two per-modality prototype-similarity scores of the test items with
@@ -433,7 +411,7 @@ def multimodal_classify(
     class_index = {cls: i for i, cls in enumerate(classes)}
     support = _select_support(train_labels, classes, k_shot, rng)
     rows, [at] = _union([support])
-    mu_train = [_items_to_arrays(items)[0][at] for items in embed_train(rows)]
+    mu_train = [batch.mu.data[at] for batch in embed_train(rows)]
     y = np.array([class_index[int(c)] for c in train_labels[support]])
     enc_test = [model.encode(m, x, train=False) for m, x in zip(pair, test_views)]
 
@@ -442,15 +420,12 @@ def multimodal_classify(
 
     # Zero-shot: per-modality prototype similarities, then fused.
     encoded_prompts = _encode_prompts(model, prompts)
-    zs_scores = []
-    for enc in enc_test:
-        result = _zero_shot_from_encoded(enc, encoded_prompts, kind)
-        zs_scores.append(result.scores)
+    zs_scores = [score_prototypes(enc, encoded_prompts, kind).scores for enc in enc_test]
     fused = (
         0.5 * (zs_scores[0] + zs_scores[1]) if fusion == "mean" else np.maximum(*zs_scores)
     )
     for name, scores in zip(names, zs_scores + [fused]):
-        out["zs"][name] = _class_auroc(scores, test_labels, result.classes)
+        out["zs"][name] = _class_auroc(scores, test_labels, prompts.classes)
 
     # The single-modality probes share support rows and width: one stack of two.
     singles = logistic_probe(np.stack(mu_train), np.stack([y, y]), len(classes))

@@ -45,6 +45,9 @@ VAR_FLOOR = 1e-12
 # Floor under H^2 before the sqrt in the training path; sqrt'(0) is unbounded.
 _H2_FLOOR = 1e-12
 
+# Rows of A per block of the log-affinity kernel; no result depends on it.
+AFFINITY_ROWS = 16
+
 
 class SimilarityKind(str, Enum):
     """Which similarity ranks/aligns embedding pairs."""
@@ -168,19 +171,6 @@ def sample(e: GaussianEmbedding, n: int, rng: np.random.Generator) -> np.ndarray
 # -- batched similarities (shared kernels, numpy route) -------------------------
 
 
-def stack_embeddings(embeddings) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a sequence of embeddings into (mu, log_var) matrices."""
-    embeddings = list(embeddings)
-    if not embeddings:
-        raise ValueError("stack_embeddings: empty sequence")
-    dims = {e.dim for e in embeddings}
-    if len(dims) != 1:
-        raise ValueError(f"stack_embeddings: mixed dimensions {sorted(dims)}")
-    mu = np.stack([e.mu for e in embeddings])
-    lv = np.stack([e.log_var for e in embeddings])
-    return mu, lv
-
-
 def _variances(log_var: np.ndarray) -> np.ndarray:
     return np.maximum(np.exp(log_var), VAR_FLOOR)
 
@@ -190,7 +180,6 @@ def _log_affinity(
     va: np.ndarray,
     mu_b: np.ndarray,
     vb: np.ndarray,
-    chunk: int = 16,
     keep_terms: bool = False,
 ):
     """|A| x |B| matrix S of summed log Bhattacharyya coefficients (<= 0).
@@ -202,7 +191,7 @@ def _log_affinity(
 
     The first two sums are separable and formed once per row, so each pair
     costs one log and one divide per dimension. Rows of A go through
-    (chunk, |B|, D) blocks, which keeps the temporaries near cache size. When
+    (AFFINITY_ROWS, |B|, D) blocks, which keeps the temporaries near cache size. When
     a row of A equals a row of B, m equals their variance bit for bit and
     every term is a power-of-two multiple of one sum, so S is exactly 0.
 
@@ -215,7 +204,7 @@ def _log_affinity(
     half_a, half_b = 0.5 * va, 0.5 * vb
     log_sum = np.empty((n, mu_b.shape[0]))
     quad_sum = np.empty_like(log_sum)
-    rows = max(1, min(chunk, n))
+    rows = max(1, min(AFFINITY_ROWS, n))
     block = (rows, mu_b.shape[0], d)
     mean_var = np.empty((n, *block[1:]) if keep_terms else block)
     diff = np.empty_like(mean_var)
@@ -258,13 +247,11 @@ def pairwise_similarity_arrays(
     mu_b: np.ndarray,
     lv_b: np.ndarray,
     kind: SimilarityKind,
-    chunk: int = 16,
 ) -> np.ndarray:
     """|A| x |B| similarity matrix from stacked parameters.
 
     For the distance-valued kinds (csd, bhattacharyya) the negated distance is
-    returned so that larger always means more similar. ``chunk`` is the row
-    block of the log-affinity kernel; the result does not depend on it.
+    returned so that larger always means more similar.
     """
     if mu_a.shape[1] != mu_b.shape[1]:
         raise ValueError(
@@ -283,7 +270,7 @@ def pairwise_similarity_arrays(
         out = _csd_distance(mu_a, va, mu_b, vb)
         np.negative(out, out=out)
         return out
-    out = _log_affinity(mu_a, va, mu_b, vb, chunk)
+    out = _log_affinity(mu_a, va, mu_b, vb)
     if kind is SimilarityKind.HELLINGER:
         # 1 - sqrt(H^2) with H^2 = max(1 - e^S, 0), in place.
         np.exp(out, out=out)
@@ -321,12 +308,6 @@ class GaussianBatch:
     @property
     def dim(self) -> int:
         return self.mu.shape[1]
-
-    def to_embeddings(self) -> list[GaussianEmbedding]:
-        return [
-            GaussianEmbedding(self.mu.data[i].copy(), self.log_var.data[i].copy())
-            for i in range(self.n)
-        ]
 
 
 def _variance_grad(var: np.ndarray) -> np.ndarray:

@@ -60,6 +60,13 @@ class TrainConfig:
             raise ValueError("TrainConfig: grad_clip must be positive")
         if self.batch_size < 2:
             raise ValueError("TrainConfig: batch_size must be at least 2")
+        for name, least in (("total_steps", 0), ("eval_every", 1), ("hidden_dim", 1), ("embed_dim", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"TrainConfig: {name} must be >= {least}, got {getattr(self, name)}")
+        if self.weight_decay < 0:
+            raise ValueError("TrainConfig: weight_decay must be nonnegative")
+        if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
+            raise ValueError(f"TrainConfig: betas must be two values in [0, 1), got {self.betas}")
         if self.pair_sampling_weights is not None:
             if any(w < 0 for w in self.pair_sampling_weights.values()):
                 raise ValueError("TrainConfig: pair sampling weights must be nonnegative")
@@ -282,6 +289,24 @@ def _restore(model: AlignmentModel, snap: dict) -> None:
         enc.bn_running_var = rv.copy()
 
 
+def sampling_plan(cfg: TrainConfig, corpus: Corpus) -> tuple[list[PairType], list[float]]:
+    """The pairs a run samples and their weights; raises ValueError when the
+    train split cannot fill a batch of them."""
+    if cfg.pair_sampling_weights is None:
+        pairs = [p for p in TRAINABLE_PAIRS if len(eligible_records(corpus.train, p)) >= cfg.batch_size]
+        if not pairs:
+            raise ValueError("train: no trainable pair has enough records for a batch")
+        return pairs, [1.0 / len(pairs)] * len(pairs)
+    pairs = [p for p, w in cfg.pair_sampling_weights.items() if w > 0]
+    for pair in pairs:
+        if len(eligible_records(corpus.train, pair)) < cfg.batch_size:
+            raise ValueError(
+                f"train: pair {tuple(m.value for m in pair)} has nonzero sampling weight "
+                "but too few records for one batch"
+            )
+    return pairs, [cfg.pair_sampling_weights[p] for p in pairs]
+
+
 def train(
     cfg: TrainConfig,
     corpus: Corpus,
@@ -294,22 +319,7 @@ def train(
         cfg.seed, input_dims, cfg.hidden_dim, cfg.embed_dim, bn_enabled=cfg.bn_enabled
     )
     state = TrainerState(cfg, model)
-
-    if cfg.pair_sampling_weights is None:
-        pairs = [p for p in TRAINABLE_PAIRS if len(eligible_records(corpus.train, p)) >= cfg.batch_size]
-        weights = [1.0 / len(pairs)] * len(pairs)
-    else:
-        pairs = [p for p, w in cfg.pair_sampling_weights.items() if w > 0]
-        weights = [cfg.pair_sampling_weights[p] for p in pairs]
-        for pair in pairs:
-            if len(eligible_records(corpus.train, pair)) < cfg.batch_size:
-                raise ValueError(
-                    f"train: pair {tuple(m.value for m in pair)} has nonzero sampling weight "
-                    "but too few records for one batch"
-                )
-    if not pairs:
-        raise ValueError("train: no trainable pair has enough records for a batch")
-
+    pairs, weights = sampling_plan(cfg, corpus)
     streams = {
         pair: make_pair_batches(
             corpus.train, pair, cfg.batch_size, np.random.default_rng([cfg.seed, 4, i])

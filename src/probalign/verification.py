@@ -16,6 +16,7 @@ so the blocked estimates use exactly the samples of one whole draw.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 from dataclasses import dataclass
@@ -136,15 +137,17 @@ def csd_monte_carlo(a: GaussianEmbedding, b: GaussianEmbedding, n: int, rng) -> 
     """MC estimate of E||za - zb||^2 from n samples of each embedding.
 
     All n draws of ``a`` come before those of ``b`` in ``rng``'s stream, as
-    with one ``sample(a, n)`` followed by one ``sample(b, n)``: ``za`` is held
-    whole, ``b``'s samples are drawn and reduced one block at a time.
+    with one ``sample(a, n)`` followed by one ``sample(b, n)``. ``rng`` skips
+    ``a``'s draws, and a copy taken before them replays them block by block
+    beside ``b``'s blocks, so neither draw is held whole.
     """
-    za = np.empty((n, a.dim))
+    replay = copy.deepcopy(rng)
     for start, stop in _blocks(n):
-        za[start:stop] = gaussians.sample(a, stop - start, rng)
+        rng.standard_normal((stop - start, a.dim))
     total = 0.0
     for start, stop in _blocks(n):
-        total += float(np.sum((za[start:stop] - gaussians.sample(b, stop - start, rng)) ** 2))
+        za = gaussians.sample(a, stop - start, replay)
+        total += float(np.sum((za - gaussians.sample(b, stop - start, rng)) ** 2))
     return total / n
 
 

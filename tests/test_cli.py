@@ -12,13 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from probalign import cli, data
+from probalign import cli, data, evaluation
 from probalign.cli import ConfigError, main, train_config_from_doc
 from probalign.encoders import Modality, load_checkpoint
-from probalign.evaluation import EvalReport, few_shot, multimodal_classify
-from probalign.gaussians import SimilarityKind
+from probalign.evaluation import EvalReport, few_shot, macro_ovr_auroc, multimodal_classify
+from probalign.gaussians import GaussianBatch, SimilarityKind
 from probalign.training import TrainConfig
 from probalign.verification import run_oracle_suite
+
+import zero_shot_lists
 
 
 def read_every_split(path):
@@ -275,8 +277,31 @@ class TestTrain:
             ({"pair_sampling_weights": [[["mod_a", "text"], 1.5], [["mod_b", "text"], -0.5]]}, "nonnegative"),
             ({"batchsize": 8, "similarty": "csd"}, "unknown train key(s): batchsize, similarty"),
             ({"loss_weights": {"tua": 0.1}}, "unknown train.loss_weights key(s): tua"),
+            ({"batch_size": 1000}, "no trainable pair has enough records for a batch"),
+            ({"total_steps": -4}, "total_steps must be >= 0, got -4"),
+            ({"eval_every": 0}, "eval_every must be >= 1, got 0"),
+            ({"hidden_dim": 0}, "hidden_dim must be >= 1, got 0"),
+            ({"embed_dim": 0}, "embed_dim must be >= 1, got 0"),
+            ({"weight_decay": -1e-5}, "weight_decay must be nonnegative"),
+            ({"betas": [0.9]}, "betas must be two values in [0, 1), got (0.9,)"),
+            ({"betas": [0.9, 1.0]}, "betas must be two values in [0, 1), got (0.9, 1.0)"),
+            ({"lr": "0.001"}, "'<=' not supported between instances of 'str' and 'int'"),
         ],
-        ids=["removed_negate_similarity_key", "negative_pair_weight", "misspelt_keys", "misspelt_loss_weight"],
+        ids=[
+            "removed_negate_similarity_key",
+            "negative_pair_weight",
+            "misspelt_keys",
+            "misspelt_loss_weight",
+            "batch_larger_than_every_pair",
+            "negative_steps",
+            "eval_every_0",
+            "hidden_dim_0",
+            "embed_dim_0",
+            "negative_weight_decay",
+            "one_beta",
+            "beta_of_1",
+            "lr_string",
+        ],
     )
     def test_rejected_train_config_exits_1(self, corpus_dir, tmp_path, capsys, train_doc, message):
         bad = tmp_path / "bad.json"
@@ -284,6 +309,23 @@ class TestTrain:
         argv = ["train", "--config", str(bad), "--corpus", str(corpus_dir), "--out", str(tmp_path / "o")]
         assert main(argv) == 1
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--steps", "-4"], "argument --steps: must be >= 0, got -4"),
+            (["--batch-size", "0"], "argument --batch-size: must be >= 1, got 0"),
+        ],
+        ids=["steps", "batch-size"],
+    )
+    def test_rejected_train_flag_exits_1(self, config_path, corpus_dir, tmp_path, capsys, extra, message):
+        argv = ["train", "--config", str(config_path), "--corpus", str(corpus_dir), "--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + extra)
+        assert exc.value.code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_parses_only_train_and_valid(self, config_path, corpus_dir, tmp_path, monkeypatch):
         full = data.read_corpus(corpus_dir)
@@ -634,12 +676,12 @@ def full_decode_report(argv) -> str:
         m = Modality(args.modality)
         train = [r for r in corpus.train if m in r.views]
         test = [r for r in corpus.test if m in r.views]
-        train_items = embed(m, train).to_embeddings()
+        train_items = embed(m, train)
         table = {}
         for shot in args.shots:
             per_seed = few_shot(
                 [r.class_label for r in train],
-                lambda rows: [train_items[i] for i in rows],
+                lambda rows: GaussianBatch(train_items.mu.data[rows], train_items.log_var.data[rows]),
                 embed(m, test),
                 [r.class_label for r in test],
                 shot,
@@ -654,12 +696,12 @@ def full_decode_report(argv) -> str:
     pair = (Modality.MOD_A, Modality.MOD_B)
     train = [r for r in corpus.train if all(m in r.views for m in pair)]
     test = [r for r in corpus.test if all(m in r.views for m in pair)]
-    train_items = [embed(m, train).to_embeddings() for m in pair]
+    train_items = [embed(m, train) for m in pair]
     prompts = cli._prompt_set(corpus, args, rng)
     result = multimodal_classify(
         model,
         [r.class_label for r in train],
-        lambda rows: [[items[i] for i in rows] for items in train_items],
+        lambda rows: [GaussianBatch(b.mu.data[rows], b.log_var.data[rows]) for b in train_items],
         tuple(np.stack([r.views[m] for r in test]) for m in pair),
         [r.class_label for r in test],
         args.k_shot,
@@ -672,6 +714,81 @@ def full_decode_report(argv) -> str:
     metrics = {f"fs_{name}": v for name, v in result["fs"].items()}
     metrics.update({f"zs_{name}": v for name, v in result["zs"].items()})
     return EvalReport("multimodal", metrics, {"k_shot": args.k_shot, "fusion": args.fusion}).to_json()
+
+
+def zeroshot_list_report(argv) -> tuple[str, list]:
+    """Reference for the zeroshot protocol: the list form of zero-shot scoring
+    (``zero_shot_lists``), the cross-modality prototypes grouped into lists.
+    Returns the report and the result of each scoring, in order."""
+    args = cli.build_parser().parse_args(argv)
+    model = load_checkpoint(args.checkpoint)
+    corpus = data.read_corpus(args.corpus)
+    kind = SimilarityKind(args.similarity)
+    m = Modality(args.modality)
+    records = [r for r in corpus.splits[args.split or "test"] if m in r.views]
+    labels = np.array([r.class_label for r in records])
+    items = model.encode(m, np.stack([r.views[m] for r in records]), train=False)
+    if args.prototypes == "text":
+        prompts = cli._prompt_set(corpus, args, np.random.default_rng(args.seed))
+        base = zero_shot_lists.zero_shot(model, items, prompts, kind)
+        metrics = {"auroc_all_prompts": macro_ovr_auroc(base.scores, labels, base.classes)}
+        ks = range(1, prompts.prompts_per_class() + 1) if args.filter_prompts == "sweep" else []
+        per_k, results = {}, [base]
+        for k in ks:
+            results.append(zero_shot_lists.filtered_zero_shot(model, items, prompts, k, kind))
+            per_k[k] = macro_ovr_auroc(results[-1].scores, labels, results[-1].classes)
+        if per_k:
+            best_k = max(per_k, key=per_k.get)
+            metrics.update(auroc_best_k=per_k[best_k], best_k=best_k)
+        return EvalReport("zeroshot", metrics, {"auroc_by_k": per_k}).to_json(), results
+
+    proto_modality = Modality(args.prototypes)
+    proto = [r for r in corpus.valid if proto_modality in r.views]
+    if not proto:
+        raise ConfigError(f"no {proto_modality.value} views in valid split for prototypes")
+    batch = model.encode(proto_modality, np.stack([r.views[proto_modality] for r in proto]), train=False)
+    by_class = {}
+    for r, e in zip(proto, zero_shot_lists.embeddings_of(batch)):
+        by_class.setdefault(r.class_label, []).append(e)
+    result = zero_shot_lists.zero_shot_from_encoded(items, by_class, kind)
+    details = {"prototypes": proto_modality.value, "item_modality": m.value}
+    report = EvalReport("zeroshot", {"auroc": macro_ovr_auroc(result.scores, labels, result.classes)}, details)
+    return report.to_json(), [result]
+
+
+class TestZeroShotListForm:
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--noisy-prompts", "6", "--filter-prompts", "sweep"],
+            ["--prototypes", "mod_c"],
+            ["--prototypes", "mod_b", "--similarity", "csd"],
+        ],
+        ids=["sweep", "mod_c", "mod_b-csd"],
+    )
+    def test_report_equals_list_form_oracle(self, oracle_run, tmp_path, capsys, monkeypatch, extra):
+        checkpoint, corpus_dir = oracle_run
+        argv = ["eval", "--checkpoint", str(checkpoint), "--corpus", str(corpus_dir), "--protocol", "zeroshot", *extra]
+        try:
+            want, want_results = zeroshot_list_report(argv)
+        except ConfigError as exc:  # the complementary corpus has no mod_c views
+            assert main(argv + ["--out", str(tmp_path / "r")]) == 1
+            assert str(exc) in capsys.readouterr().err
+            return
+        # Every scoring is compared too: a report's AUROCs can hide a last-bit change.
+        results, real = [], evaluation.score_prototypes
+
+        def spy(*args):
+            results.append(real(*args))
+            return results[-1]
+
+        monkeypatch.setattr(evaluation, "score_prototypes", spy)
+        monkeypatch.setattr(cli, "score_prototypes", spy)
+        assert main(argv + ["--out", str(tmp_path / "r")]) == 0
+        assert (tmp_path / "r" / "report.json").read_text() == want + "\n"
+        assert len(results) == len(want_results)
+        for got, expected in zip(results, want_results):
+            zero_shot_lists.assert_same(got, expected)
 
 
 class TestSupportRowsOnly:

@@ -27,7 +27,9 @@ from probalign.evaluation import (
     zero_shot,
 )
 from probalign.evaluation import _class_auroc, _sample_rows, _select_support
-from probalign.gaussians import GaussianEmbedding, SimilarityKind, sample
+from probalign.gaussians import GaussianBatch, GaussianEmbedding, SimilarityKind, sample
+
+import zero_shot_lists
 
 
 @pytest.fixture(scope="module")
@@ -81,9 +83,8 @@ def probe_scores_loop(w, x) -> np.ndarray:
 def few_shot_one_rng(train_items, train_labels, test_items, test_labels, k_shot, mode, n_samples, rng):
     """Reference for ``few_shot``: one generator, a ``sample`` call per support
     row in sampled mode, and its own 2-D fit."""
-    mu_train = np.stack([e.mu for e in train_items])
-    lv_train = np.stack([e.log_var for e in train_items])
-    mu_test = np.stack([e.mu for e in test_items])
+    mu_train, lv_train = train_items.mu.data, train_items.log_var.data
+    mu_test = test_items.mu.data
     train_labels, test_labels = np.asarray(train_labels), np.asarray(test_labels)
     classes = sorted(set(int(c) for c in train_labels))
     class_index = {cls: i for i, cls in enumerate(classes)}
@@ -102,13 +103,13 @@ def few_shot_one_rng(train_items, train_labels, test_items, test_labels, k_shot,
 
 
 def rows_of(items, calls=None):
-    """An ``embed_train`` over precomputed embeddings; appends each requested
-    row array to ``calls`` when given."""
+    """An ``embed_train`` over a precomputed ``GaussianBatch``; appends each
+    requested row array to ``calls`` when given."""
 
     def embed(rows):
         if calls is not None:
             calls.append(rows)
-        return [items[i] for i in rows]
+        return GaussianBatch(items.mu.data[rows], items.log_var.data[rows])
 
     return embed
 
@@ -116,10 +117,6 @@ def rows_of(items, calls=None):
 def views_of(model, views, pair=(Modality.MOD_A, Modality.MOD_B)):
     """A multimodal ``embed_train`` that encodes the given rows of each view."""
     return lambda rows: [model.encode(m, x[rows], train=False) for m, x in zip(pair, views)]
-
-
-def emb(mu, log_var):
-    return GaussianEmbedding(np.asarray(mu, dtype=float), np.asarray(log_var, dtype=float))
 
 
 class TestRecallAtK:
@@ -255,29 +252,27 @@ class TestPermutation:
 
 class TestPromptsAndPrototypes:
     def test_uncertainty_values(self):
-        assert prompt_uncertainty(emb([0.0], [0.0])) == 1.0
-        assert prompt_uncertainty(emb([0.0], [2 * np.log(2.0)])) == pytest.approx(2.0)
-        mixed = emb([0.0, 0.0], [0.0, 2 * np.log(2.0)])
-        assert prompt_uncertainty(mixed) == pytest.approx(1.5)
+        assert prompt_uncertainty(np.array([[0.0]])).tolist() == [1.0]
+        log_4 = 2 * np.log(2.0)
+        rows = np.array([[0.0, 0.0], [log_4, log_4], [0.0, log_4]])
+        np.testing.assert_allclose(prompt_uncertainty(rows), [1.0, 2.0, 1.5])
 
     def test_prototype_of_identical_prompts_is_exact(self):
-        e = emb([0.1, 0.2, 0.3], [-0.5, 0.1, 0.4])
-        proto = class_prototype([e, e, e])
-        np.testing.assert_array_equal(proto.mu, e.mu)
-        np.testing.assert_array_equal(proto.log_var, e.log_var)
+        mu, log_var = np.array([0.1, 0.2, 0.3]), np.array([-0.5, 0.1, 0.4])
+        proto_mu, proto_lv = class_prototype(np.stack([mu] * 3), np.stack([log_var] * 3))
+        np.testing.assert_array_equal(proto_mu, mu)
+        np.testing.assert_array_equal(proto_lv, log_var)
 
     def test_single_prompt_prototype_is_that_prompt(self):
-        e = emb([0.7, -0.1], [0.3, -0.2])
-        proto = class_prototype([e])
-        np.testing.assert_array_equal(proto.mu, e.mu)
-        np.testing.assert_array_equal(proto.log_var, e.log_var)
+        mu, log_var = np.array([[0.7, -0.1]]), np.array([[0.3, -0.2]])
+        proto_mu, proto_lv = class_prototype(mu, log_var)
+        np.testing.assert_array_equal(proto_mu, mu[0])
+        np.testing.assert_array_equal(proto_lv, log_var[0])
 
     def test_prototype_averages_mu_and_var(self):
-        a = emb([0.0], [np.log(1.0)])
-        b = emb([2.0], [np.log(3.0)])
-        proto = class_prototype([a, b])
-        assert proto.mu[0] == pytest.approx(1.0)
-        assert np.exp(proto.log_var[0]) == pytest.approx(2.0)
+        proto_mu, proto_lv = class_prototype(np.array([[0.0], [2.0]]), np.log([[1.0], [3.0]]))
+        assert proto_mu[0] == pytest.approx(1.0)
+        assert np.exp(proto_lv[0]) == pytest.approx(2.0)
 
     def test_prompt_set_validation(self):
         with pytest.raises(ValueError, match="no prompts"):
@@ -330,12 +325,10 @@ class TestZeroShot:
         result = filtered_zero_shot(model, items, prompts, 1, SimilarityKind.HELLINGER)
         base = zero_shot(model, items, prompts, SimilarityKind.HELLINGER)
         for cls in (0, 1):
-            chosen = result.prototypes[cls]
+            chosen = result.prototypes[0][cls]
             idx = int(np.argmin(base.prompt_uncertainties[cls]))
-            encoded = model.encode(
-                Modality.TEXT, np.stack(prompts.class_prompts[cls])
-            ).to_embeddings()[idx]
-            np.testing.assert_array_equal(chosen.mu, encoded.mu)
+            encoded = model.encode(Modality.TEXT, np.stack(prompts.class_prompts[cls])).mu.data[idx]
+            np.testing.assert_array_equal(chosen, encoded)
 
     def test_k_out_of_range(self, model):
         rng = np.random.default_rng(10)
@@ -345,24 +338,70 @@ class TestZeroShot:
             filtered_zero_shot(model, items, prompts, 5, SimilarityKind.HELLINGER)
 
 
+class TestZeroShotEqualsListForm:
+    """The array form against the list form of ``zero_shot_lists``, bit for bit."""
+
+    @staticmethod
+    def _prompts():
+        rng = np.random.default_rng(30)
+        prompts = {c: [rng.normal(loc=c, size=4) * s for s in (0.5, 1.0, 2.0, 4.0, 8.0)] for c in (0, 1)}
+        prompts[2] = [np.full(4, -1.0)] * 5  # identical prompts: the exact-average branch
+        return PromptSet(prompts)
+
+    @pytest.mark.parametrize("kind", list(SimilarityKind))
+    def test_zero_shot_and_every_filter(self, model, kind):
+        prompts = self._prompts()
+        items = model.encode(Modality.MOD_A, np.random.default_rng(31).normal(size=(20, 6)), train=False)
+        zero_shot_lists.assert_same(
+            zero_shot(model, items, prompts, kind), zero_shot_lists.zero_shot(model, items, prompts, kind)
+        )
+        for k in range(1, prompts.prompts_per_class() + 1):
+            zero_shot_lists.assert_same(
+                filtered_zero_shot(model, items, prompts, k, kind),
+                zero_shot_lists.filtered_zero_shot(model, items, prompts, k, kind),
+            )
+
+    @pytest.mark.parametrize("kind", list(SimilarityKind))
+    @pytest.mark.parametrize("fusion", ["mean", "max"])
+    def test_multimodal_zero_shot(self, model, fusion, kind):
+        rng = np.random.default_rng(32)
+        labels = np.arange(60) % 3
+        train = (rng.normal(size=(30, 6)), rng.normal(size=(30, 5)))
+        test = (rng.normal(size=(30, 6)) + labels[30:, None], rng.normal(size=(30, 5)) - labels[30:, None])
+        prompts = self._prompts()
+        out = multimodal_classify(
+            model, labels[:30], views_of(model, train), test, labels[30:], 4, prompts, kind,
+            np.random.default_rng(33), fusion=fusion,
+        )
+        encoded = zero_shot_lists.encode_prompts(model, prompts)
+        pair = (Modality.MOD_A, Modality.MOD_B)
+        scores = [
+            zero_shot_lists.zero_shot_from_encoded(model.encode(m, x, train=False), encoded, kind).scores
+            for m, x in zip(pair, test)
+        ]
+        fused = 0.5 * (scores[0] + scores[1]) if fusion == "mean" else np.maximum(*scores)
+        names = ["mod_a", "mod_b", "both"]
+        assert out["zs"] == {n: _class_auroc(s, labels[30:], [0, 1, 2]) for n, s in zip(names, [*scores, fused])}
+
+
 class TestFewShot:
     def _separable(self, rng, n=40, d=6, gap=4.0):
         labels = np.array([0] * (n // 2) + [1] * (n // 2))
         mu = rng.normal(size=(n, d)) + gap * labels[:, None]
         lv = np.full((n, d), -2.0)
-        return [GaussianEmbedding(m, l) for m, l in zip(mu, lv)], labels
+        return GaussianBatch(mu, lv), labels
 
     def test_separable_support_perfect_train_accuracy(self):
         rng = np.random.default_rng(11)
         items, labels = self._separable(rng)
-        w = logistic_probe(np.stack([e.mu for e in items]), labels, 2)
-        predictions = probe_scores(w, np.stack([e.mu for e in items])).argmax(axis=1)
+        w = logistic_probe(items.mu.data, labels, 2)
+        predictions = probe_scores(w, items.mu.data).argmax(axis=1)
         assert np.array_equal(predictions, labels)
 
     def test_modes_agree_under_degenerate_sampling(self):
         rng = np.random.default_rng(12)
         items, labels = self._separable(rng)
-        frozen = [GaussianEmbedding(e.mu, np.full_like(e.log_var, -40.0)) for e in items]
+        frozen = GaussianBatch(items.mu.data, np.full_like(items.log_var.data, -40.0))
         test_items, test_labels = self._separable(np.random.default_rng(13))
         [base] = few_shot(labels, rows_of(frozen), test_items, test_labels, 4, mode="mu_only",
                           rngs=[np.random.default_rng(0)])
@@ -451,7 +490,7 @@ class TestStackedFewShot:
         labels = np.arange(n) % n_classes
         mu = rng.normal(size=(n, d)) + 1.5 * np.eye(n_classes, d)[labels]
         lv = rng.normal(scale=0.5, size=(n, d)) - 1.0
-        return [GaussianEmbedding(m, v) for m, v in zip(mu, lv)], labels
+        return GaussianBatch(mu, lv), labels
 
     @pytest.mark.parametrize("mode,n_samples", [("mu_only", 16), ("sampled", 16), ("sampled", 1)])
     def test_generators_equal_one_run_each(self, mode, n_samples):
@@ -583,8 +622,8 @@ class TestNoiseProbe:
         probe = mean_uncertainty_by_noise(
             model, Modality.MOD_A, items, [0.0, 0.5, 1.0], np.random.default_rng(20)
         )
-        clean = model.encode(Modality.MOD_A, items).to_embeddings()
-        assert probe.series[0][1] == pytest.approx(np.mean([prompt_uncertainty(e) for e in clean]))
+        clean = model.encode(Modality.MOD_A, items)
+        assert probe.series[0][1] == pytest.approx(np.mean(prompt_uncertainty(clean.log_var.data)))
 
     def test_deterministic_given_seed(self, model):
         rng = np.random.default_rng(21)

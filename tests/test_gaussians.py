@@ -16,6 +16,7 @@ from scipy import integrate
 from composed_graph import composed_similarity_graph
 
 import probalign.autodiff as ad
+from probalign import gaussians
 from probalign.autodiff import Tensor, grad_check
 from probalign.gaussians import (
     VAR_FLOOR,
@@ -33,7 +34,6 @@ from probalign.gaussians import (
     pairwise_similarity_arrays,
     pairwise_similarity_graph,
     sample,
-    stack_embeddings,
 )
 
 
@@ -207,7 +207,11 @@ class TestSampling:
 
 def pairwise(a, b, kind):
     """pairwise_similarity_arrays of two lists of embeddings."""
-    return pairwise_similarity_arrays(*stack_embeddings(a), *stack_embeddings(b), kind)
+
+    def stack(embeddings):
+        return np.stack([e.mu for e in embeddings]), np.stack([e.log_var for e in embeddings])
+
+    return pairwise_similarity_arrays(*stack(a), *stack(b), kind)
 
 
 class TestPairwise:
@@ -259,14 +263,16 @@ class TestPairwise:
             else:  # the fused ops take their forward from the numpy kernels
                 np.testing.assert_array_equal(g.data, n)
 
-    def test_chunking_invariance(self):
+    def test_chunking_invariance(self, monkeypatch):
         rng = np.random.default_rng(12)
         mu_a, lv_a = rng.normal(size=(7, 4)), rng.uniform(-1, 1, (7, 4))
         mu_b, lv_b = rng.normal(size=(9, 4)), rng.uniform(-1, 1, (9, 4))
         for kind in SimilarityKind:
-            full = pairwise_similarity_arrays(mu_a, lv_a, mu_b, lv_b, kind, chunk=7)
+            monkeypatch.setattr(gaussians, "AFFINITY_ROWS", 7)
+            full = pairwise_similarity_arrays(mu_a, lv_a, mu_b, lv_b, kind)
             for chunk in (1, 2, 3, 5, 16):
-                chunked = pairwise_similarity_arrays(mu_a, lv_a, mu_b, lv_b, kind, chunk=chunk)
+                monkeypatch.setattr(gaussians, "AFFINITY_ROWS", chunk)
+                chunked = pairwise_similarity_arrays(mu_a, lv_a, mu_b, lv_b, kind)
                 np.testing.assert_array_equal(full, chunked, err_msg=f"{kind.value}, chunk {chunk}")
 
     def test_identical_rows_score_exactly(self):
@@ -427,7 +433,3 @@ class TestEmbeddingValidation:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             GaussianEmbedding(np.array([np.nan]), np.array([0.0]))
-
-    def test_stack_requires_common_dim(self):
-        with pytest.raises(ValueError, match="mixed dimensions"):
-            stack_embeddings([emb(0, 1), emb([0, 0], [1, 1])])

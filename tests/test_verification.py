@@ -2,6 +2,7 @@
 one mutation per oracle showing that it sees the code it checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,15 @@ def csd_monte_carlo_one_shot(a, b, n, rng):
     za = gaussians.sample(a, n, rng)
     zb = gaussians.sample(b, n, rng)
     return float(np.mean(np.sum((za - zb) ** 2, axis=1)))
+
+
+def csd_monte_carlo_held(a, b, n, rng):
+    """The blocked estimator with ``a``'s whole draw held: the same sums in the same order."""
+    za = np.concatenate([gaussians.sample(a, stop - start, rng) for start, stop in verification._blocks(n)])
+    total = 0.0
+    for start, stop in verification._blocks(n):
+        total += float(np.sum((za[start:stop] - gaussians.sample(b, stop - start, rng)) ** 2))
+    return total / n
 
 
 SIZES = [1000, MC_BLOCK_ROWS, 2 * MC_BLOCK_ROWS + 123]
@@ -57,6 +67,27 @@ class TestBlockedEstimators:
         blocked = csd_monte_carlo(a, b, n, np.random.default_rng(12))
         reference = csd_monte_carlo_one_shot(a, b, n, np.random.default_rng(12))
         assert blocked == pytest.approx(reference, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_csd_equals_the_held_draw_bitwise(self, n):
+        a = GaussianEmbedding([0.3, -0.2], [-0.5, -1.0])
+        b = GaussianEmbedding([0.1, 0.4], [-1.2, -0.3])
+        ours, theirs = np.random.default_rng(15), np.random.default_rng(15)
+        assert csd_monte_carlo(a, b, n, ours) == csd_monte_carlo_held(a, b, n, theirs)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_csd_peak_memory_below_half_a_draw(self):
+        a = GaussianEmbedding([0.3, -0.2], [-0.5, -1.0])
+        b = GaussianEmbedding([0.1, 0.4], [-1.2, -0.3])
+        n = 16 * MC_BLOCK_ROWS
+        whole_draw = n * a.dim * 8  # bytes of one (n, d) float64 draw
+        tracemalloc.start()
+        try:
+            csd_monte_carlo(a, b, n, np.random.default_rng(14))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < whole_draw / 2, f"peak {peak} bytes, one draw {whole_draw}"
 
     def test_estimators_leave_the_stream_where_a_whole_draw_does(self):
         a = GaussianEmbedding([0.3, -0.2], [-0.5, -1.0])
