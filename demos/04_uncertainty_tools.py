@@ -16,6 +16,7 @@ import numpy as np
 from probalign.data import CorpusConfig, Modality, generate, synth_text_prompts
 from probalign.evaluation import (
     PromptSet,
+    encode_prompts,
     few_shot,
     filtered_zero_shot,
     macro_ovr_auroc,
@@ -43,13 +44,14 @@ clean = synth_text_prompts(corpus, 3, rng=rng)
 noisy = synth_text_prompts(corpus, 3, noise_scale=corpus.config.noise_scales[T] * 8, rng=rng)
 prompts = PromptSet({c: clean[c] + noisy[c] for c in clean})
 
-base = zero_shot(model, items, prompts, KIND)
+encoded = encode_prompts(model, prompts)
+base = zero_shot(items, encoded, KIND)
 print("Zero-shot with 3 clean + 3 noisy prompts per class.")
 unc = base.prompt_uncertainties[0]
 print(f"  predicted prompt uncertainty, class 0: clean {np.round(unc[:3], 3)} noisy {np.round(unc[3:], 3)}")
 print(f"  all prompts:   macro AUROC {macro_ovr_auroc(base.scores, labels, base.classes):.4f}")
 for k in (1, 2, 3, 4, 5):
-    r = filtered_zero_shot(model, items, prompts, k, KIND)
+    r = filtered_zero_shot(items, encoded, k, KIND)
     print(f"  keep best {k}:   macro AUROC {macro_ovr_auroc(r.scores, labels, r.classes):.4f}")
 
 # -- 2. sampling-based few-shot ----------------------------------------------

@@ -30,6 +30,7 @@ from .data import (
     config_from_json,
     eligible_records,
     generate,
+    json_object,
     read_corpus,
     reject_unknown_keys,
     synth_text_prompts,
@@ -39,6 +40,7 @@ from .encoders import NonFiniteEmbedding, load_checkpoint
 from .evaluation import (
     EvalReport,
     PromptSet,
+    encode_prompts,
     few_shot,
     filtered_zero_shot,
     macro_ovr_auroc,
@@ -75,9 +77,20 @@ def load_config(path) -> dict:
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
+        doc = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
+    return json_object(f"config file {p}", doc)
+
+
+def resolve_seed(args, doc: dict) -> int:
+    """``--seed``, else the config's ``seed``, else 0; a config seed must be an integer >= 0."""
+    if args.seed is not None:
+        return args.seed
+    seed = doc.get("seed", 0)
+    if type(seed) is not int or seed < 0:
+        raise ConfigError(f"config seed must be an integer >= 0, got {seed!r}")
+    return seed
 
 
 _TRAIN_CASTS = {
@@ -132,7 +145,7 @@ def _load_corpus(path) -> Corpus:
 
 def cmd_gen(args) -> int:
     doc = load_config(args.config)
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
+    seed = resolve_seed(args, doc)
     cfg = config_from_json(doc.get("corpus", {}))
     run_dir = resolve_run_dir(args.out, "gen")
     corpus = generate(cfg, seed)
@@ -144,8 +157,8 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     doc = load_config(args.config)
-    seed = args.seed if args.seed is not None else doc.get("seed", 0)
-    train_doc = dict(doc.get("train", {}))
+    seed = resolve_seed(args, doc)
+    train_doc = dict(json_object("train", doc.get("train", {})))
     if args.similarity:
         train_doc["similarity"] = args.similarity
     if args.steps is not None:
@@ -155,13 +168,14 @@ def cmd_train(args) -> int:
     if args.lr is not None:
         train_doc["lr"] = args.lr
     if args.no_sis:
-        train_doc["sis_enabled"] = False
+        weights = json_object("train.loss_weights", train_doc.get("loss_weights", {}))
+        train_doc["loss_weights"] = {**weights, "beta": 0.0}
     if args.no_bn:
         train_doc["bn_enabled"] = False
     train_doc["seed"] = seed
     cfg = train_config_from_doc(train_doc, seed)
 
-    corpus_path = args.corpus or doc.get("paths", {}).get("corpus")
+    corpus_path = args.corpus or json_object("paths", doc.get("paths", {})).get("corpus")
     if not corpus_path:
         raise ConfigError("no corpus path: pass --corpus or set paths.corpus in the config")
     # Every split's checksum is verified here; training parses only train and valid.
@@ -182,7 +196,7 @@ def cmd_train(args) -> int:
         "validation": result.validation_history,
     }
     (run_dir / "train_summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n", encoding="utf-8"
     )
     print(f"trained {cfg.total_steps} steps; best validation RSUM {result.best_rsum:.2f}")
     print(f"checkpoint: {run_dir / 'checkpoint.json'}")
@@ -295,10 +309,11 @@ def _protocol_zeroshot(model, corpus, kind, args, rng) -> EvalReport:
             ks = range(1, prompts.prompts_per_class() + 1)
         else:
             ks = [args.filter_prompts] if args.filter_prompts else []
-        base = zero_shot(model, items, prompts, kind)
+        encoded = encode_prompts(model, prompts)
+        base = zero_shot(items, encoded, kind)
         base_auroc = macro_ovr_auroc(base.scores, labels, base.classes)
         for k in ks:
-            result = filtered_zero_shot(model, items, prompts, k, kind)
+            result = filtered_zero_shot(items, encoded, k, kind)
             per_k[k] = macro_ovr_auroc(result.scores, labels, result.classes)
         metrics = {"auroc_all_prompts": base_auroc}
         if per_k:
@@ -471,13 +486,13 @@ def build_parser() -> Parser:
     p_gen = sub.add_parser("gen", help="generate a synthetic corpus")
     p_gen.add_argument("--config", required=True)
     p_gen.add_argument("--out", default=None, help="corpus output directory")
-    p_gen.add_argument("--seed", type=int, default=None)
+    p_gen.add_argument("--seed", type=nonnegative_int, default=None)
 
     p_train = sub.add_parser("train", help="train the four encoders")
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--corpus", default=None)
     p_train.add_argument("--out", default=None)
-    p_train.add_argument("--seed", type=int, default=None)
+    p_train.add_argument("--seed", type=nonnegative_int, default=None)
     p_train.add_argument("--similarity", choices=[k.value for k in SimilarityKind], default=None)
     p_train.add_argument("--steps", type=nonnegative_int, default=None)
     p_train.add_argument("--batch-size", type=positive_int, default=None)
@@ -494,7 +509,7 @@ def build_parser() -> Parser:
         choices=["retrieval", "zeroshot", "fewshot", "multimodal", "noiseprobe"],
     )
     p_eval.add_argument("--out", default=None)
-    p_eval.add_argument("--seed", type=int, default=0)
+    p_eval.add_argument("--seed", type=nonnegative_int, default=0)
     p_eval.add_argument("--similarity", choices=[k.value for k in SimilarityKind], default="hellinger")
     p_eval.add_argument("--split", default=None, help="retrieval and zeroshot only (default test)")
     p_eval.add_argument("--ks", type=positive_ints, default="1,5")

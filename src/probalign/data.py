@@ -418,14 +418,14 @@ def _config_to_json(cfg: CorpusConfig) -> dict:
     }
 
 
-def _modality_map(doc: dict, cast) -> dict[Modality, object]:
-    return {Modality(k): cast(v) for k, v in doc.items()}
+def _modality_map(name: str, doc: dict, cast) -> dict[Modality, object]:
+    return {Modality(k): cast(v) for k, v in json_object(f"corpus.{name}", doc).items()}
 
 
 _CONFIG_CASTS = {
-    "view_dims": lambda v: _modality_map(v, int),
-    "noise_scales": lambda v: _modality_map(v, float),
-    "projection_seeds": lambda v: _modality_map(v, int),
+    "view_dims": lambda v: _modality_map("view_dims", v, int),
+    "noise_scales": lambda v: _modality_map("noise_scales", v, float),
+    "projection_seeds": lambda v: _modality_map("projection_seeds", v, int),
     "pair_probs": lambda v: {_pair_from_json(p): float(w) for p, w in v},
     "holdout_pair": _pair_from_json,
     "split_fractions": tuple,
@@ -433,9 +433,17 @@ _CONFIG_CASTS = {
 }
 
 
+def json_object(section: str, value) -> dict:
+    """``value``, which must be a JSON object; raises ValueError naming ``section`` otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{section} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def reject_unknown_keys(section: str, doc: dict, cls) -> None:
-    """Raise ValueError naming every key of ``doc`` that is not a field of dataclass ``cls``."""
-    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    """Raise ValueError naming every key of ``doc`` that is not a field of dataclass
+    ``cls``, or when ``doc`` is not a JSON object."""
+    unknown = sorted(set(json_object(section, doc)) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {section} key(s): {', '.join(unknown)}")
 

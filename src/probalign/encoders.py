@@ -225,12 +225,10 @@ def save_checkpoint(model: AlignmentModel, path) -> None:
         fh.write("\n")
 
 
-def load_checkpoint(path) -> AlignmentModel:
-    """The model of a checkpoint; an ``optimizer`` block older files carry is ignored."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+def model_from_document(doc: dict) -> AlignmentModel:
+    """The model of a checkpoint document; an ``optimizer`` block older files carry is ignored."""
     if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"load_checkpoint: unrecognized format {doc.get('format')!r}")
+        raise ValueError(f"checkpoint: unrecognized format {doc.get('format')!r}")
     encoders = {}
     for key, entry in doc["encoders"].items():
         modality = Modality(key)
@@ -241,3 +239,8 @@ def load_checkpoint(path) -> AlignmentModel:
         enc.bn_running_var = decode_array(entry["bn_running_var"])
         encoders[modality] = enc
     return AlignmentModel(encoders, doc["embed_dim"])
+
+
+def load_checkpoint(path) -> AlignmentModel:
+    with open(path, encoding="utf-8") as fh:
+        return model_from_document(json.load(fh))

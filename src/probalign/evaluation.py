@@ -199,7 +199,8 @@ class ZeroShotResult:
     prompt_uncertainties: dict[int, list[float]] = field(default_factory=dict)
 
 
-def _encode_prompts(model: AlignmentModel, prompts: PromptSet) -> dict:
+def encode_prompts(model: AlignmentModel, prompts: PromptSet) -> dict:
+    """Each class's prompts as text embeddings, ``{class: (mu, log_var)}``."""
     encoded = {}
     for cls in prompts.classes:
         batch = model.encode(Modality.TEXT, np.stack(prompts.class_prompts[cls]), train=False)
@@ -216,27 +217,24 @@ def score_prototypes(items: GaussianBatch, by_class: dict, kind: SimilarityKind)
     return ZeroShotResult(scores, classes, (mu_p, lv_p), uncertainties)
 
 
-def zero_shot(
-    model: AlignmentModel, items: GaussianBatch, prompts: PromptSet, kind: SimilarityKind
-) -> ZeroShotResult:
-    """Score items against class prototypes averaged from the text prompts."""
-    return score_prototypes(items, _encode_prompts(model, prompts), kind)
+def zero_shot(items: GaussianBatch, encoded_prompts: dict, kind: SimilarityKind) -> ZeroShotResult:
+    """Score items against the class prototypes of prompt rows from ``encode_prompts``."""
+    return score_prototypes(items, encoded_prompts, kind)
 
 
 def filtered_zero_shot(
-    model: AlignmentModel, items: GaussianBatch, prompts: PromptSet, k: int, kind: SimilarityKind
+    items: GaussianBatch, encoded_prompts: dict, k: int, kind: SimilarityKind
 ) -> ZeroShotResult:
-    """Zero-shot over only the k lowest-uncertainty prompts of each class.
+    """Zero-shot over only the k lowest-uncertainty prompt rows of each class.
 
-    Selected prompts keep their original order, so k equal to the full prompt
+    Selected rows keep their original order, so k equal to the full prompt
     count reproduces ``zero_shot`` bit for bit.
     """
-    if not 1 <= k <= prompts.prompts_per_class():
-        raise ValueError(
-            f"filtered_zero_shot: k must lie in [1, {prompts.prompts_per_class()}], got {k}"
-        )
+    per_class = min(len(mu) for mu, _ in encoded_prompts.values())
+    if not 1 <= k <= per_class:
+        raise ValueError(f"filtered_zero_shot: k must lie in [1, {per_class}], got {k}")
     filtered = {}
-    for cls, (mu, log_var) in _encode_prompts(model, prompts).items():
+    for cls, (mu, log_var) in encoded_prompts.items():
         keep = np.sort(np.argsort(prompt_uncertainty(log_var), kind="mergesort")[:k])
         filtered[cls] = (mu[keep], log_var[keep])
     return score_prototypes(items, filtered, kind)
@@ -419,7 +417,7 @@ def multimodal_classify(
     names = [pair[0].value, pair[1].value, "both"]
 
     # Zero-shot: per-modality prototype similarities, then fused.
-    encoded_prompts = _encode_prompts(model, prompts)
+    encoded_prompts = encode_prompts(model, prompts)
     zs_scores = [score_prototypes(enc, encoded_prompts, kind).scores for enc in enc_test]
     fused = (
         0.5 * (zs_scores[0] + zs_scores[1]) if fusion == "mean" else np.maximum(*zs_scores)

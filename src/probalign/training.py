@@ -6,21 +6,26 @@ updates only the two involved encoders with AdamW (decoupled weight decay on
 weight matrices only) under a cosine-annealed learning rate and global
 gradient-norm clipping. Validation passes run the encoders in eval mode and
 track a symmetric contrastive loss plus text->modality retrieval RSUM; the
-best-RSUM parameters are restored into the returned model.
+best-RSUM model is kept as its checkpoint document and rebuilt from it at
+the end.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Corpus, PairBatch, PairType, TRAINABLE_PAIRS, eligible_records, make_pair_batches
 from .encoders import (
+    PARAM_ORDER,
     AlignmentModel,
     Modality,
+    checkpoint_document,
     decayable,
+    model_from_document,
     save_checkpoint,
 )
 from .gaussians import SimilarityKind, pairwise_similarity_arrays
@@ -46,7 +51,6 @@ class TrainConfig:
     betas: tuple[float, float] = (0.9, 0.95)
     grad_clip: float = 1.0
     bn_enabled: bool = True
-    sis_enabled: bool = True
     seed: int = 0
     pair_sampling_weights: dict[PairType, float] | None = None
     hidden_dim: int = 64
@@ -73,11 +77,6 @@ class TrainConfig:
             total = sum(self.pair_sampling_weights.values())
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"TrainConfig: pair sampling weights sum to {total}, expected 1")
-
-    def effective_weights(self) -> LossWeights:
-        w = self.loss_weights
-        beta = w.beta if self.sis_enabled else 0.0
-        return LossWeights(alpha=w.alpha, beta=beta, gamma=w.gamma, tau=w.tau)
 
 
 def cosine_lr(step: int, total_steps: int, lr_max: float) -> float:
@@ -122,14 +121,13 @@ def _clip_gradients(grads: list[np.ndarray], grad_clip: float) -> float:
     return min(total, grad_clip)
 
 
-def _adamw_update(
-    encoder, state: AdamWState, grads: dict[str, np.ndarray], lr: float, cfg: TrainConfig
-) -> None:
+def _adamw_update(encoder, state: AdamWState, grads: Iterator[np.ndarray], lr: float, cfg: TrainConfig) -> None:
+    """Update ``encoder``'s parameters, taking their gradients from ``grads`` in PARAM_ORDER."""
     beta1, beta2 = cfg.betas
     state.step += 1
     t = state.step
-    for name, tensor in encoder.params.items():
-        g = grads[name]
+    for name, g in zip(PARAM_ORDER, grads):
+        tensor = encoder.params[name]
         if name not in state.m:
             state.m[name] = np.zeros_like(tensor.data)
             state.v[name] = np.zeros_like(tensor.data)
@@ -146,44 +144,30 @@ def _adamw_update(
 def train_step(state: TrainerState, pair: PairType, batch: PairBatch) -> LossBreakdown:
     """One gradient update on the two encoders of ``pair``."""
     cfg = state.cfg
-    enc1 = state.model.encoders[pair[0]]
-    enc2 = state.model.encoders[pair[1]]
+    enc1, enc2 = (state.model.encoders[m] for m in pair)
     b1 = enc1.encode(batch.x_first, train=True)
     b2 = enc2.encode(batch.x_second, train=True)
-    total, breakdown = pair_loss(
-        b1,
-        b2,
-        state.cfg.effective_weights(),
-        cfg.similarity,
-        rng=state.rng,
-    )
+    total, breakdown = pair_loss(b1, b2, cfg.loss_weights, cfg.similarity, rng=state.rng)
     if not math.isfinite(breakdown.total):
         raise TrainingAbort(
             f"non-finite loss {breakdown.total} at step {state.step} on pair "
             f"{tuple(m.value for m in pair)}, record ids {batch.record_ids[:8]}..."
         )
 
-    involved = [(pair[0], enc1), (pair[1], enc2)]
-    for _, enc in involved:
-        for p in enc.params.values():
-            p.zero_grad()
+    # One list, enc1's parameters then enc2's, from backward through clipping into AdamW.
+    params = [enc.params[name] for enc in (enc1, enc2) for name in PARAM_ORDER]
+    for p in params:
+        p.zero_grad()
     total.backward()
-
-    flat = [
-        np.zeros_like(p.data) if p.grad is None else p.grad
-        for _, enc in involved
-        for p in enc.params.values()
-    ]
-    _clip_gradients(flat, cfg.grad_clip)
+    grads = [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
+    _clip_gradients(grads, cfg.grad_clip)
 
     lr = cosine_lr(state.step, cfg.total_steps, cfg.lr)
-    clipped = iter(flat)
-    for modality, enc in involved:
-        grads = {name: next(clipped) for name in enc.params}
-        _adamw_update(enc, state.optimizer[modality], grads, lr, cfg)
-    for _, enc in involved:
-        for p in enc.params.values():
-            p.zero_grad()
+    clipped = iter(grads)
+    _adamw_update(enc1, state.optimizer[pair[0]], clipped, lr, cfg)
+    _adamw_update(enc2, state.optimizer[pair[1]], clipped, lr, cfg)
+    for p in params:
+        p.zero_grad()
     state.step += 1
     return breakdown
 
@@ -238,8 +222,9 @@ def validation_info_nce(
     records,
     cfg: TrainConfig,
     n_batches: int = 2,
-) -> float:
-    """Symmetric contrastive loss on seeded eval-mode batches, all pairs."""
+) -> float | None:
+    """Symmetric contrastive loss on seeded eval-mode batches, all pairs; None
+    when no pair has records for a batch."""
     from .gaussians import GaussianBatch
     from .losses import info_nce_prob
 
@@ -257,7 +242,7 @@ def validation_info_nce(
             forward = info_nce_prob(b1, b2, cfg.similarity, cfg.loss_weights.tau).item()
             backward = info_nce_prob(b2, b1, cfg.similarity, cfg.loss_weights.tau).item()
             values.append(0.5 * (forward + backward))
-    return float(np.mean(values)) if values else float("nan")
+    return float(np.mean(values)) if values else None
 
 
 @dataclass
@@ -267,26 +252,6 @@ class TrainResult:
     validation_history: list[dict]
     best_step: int
     best_rsum: float
-
-
-def _snapshot(model: AlignmentModel) -> dict:
-    snap = {}
-    for modality, enc in model.encoders.items():
-        snap[modality] = (
-            {name: p.data.copy() for name, p in enc.params.items()},
-            enc.bn_running_mean.copy(),
-            enc.bn_running_var.copy(),
-        )
-    return snap
-
-
-def _restore(model: AlignmentModel, snap: dict) -> None:
-    for modality, (params, rm, rv) in snap.items():
-        enc = model.encoders[modality]
-        for name, arr in params.items():
-            enc.params[name].data = arr.copy()
-        enc.bn_running_mean = rm.copy()
-        enc.bn_running_var = rv.copy()
 
 
 def sampling_plan(cfg: TrainConfig, corpus: Corpus) -> tuple[list[PairType], list[float]]:
@@ -342,7 +307,7 @@ def train(
         return entry
 
     best = run_validation()
-    best_snapshot = _snapshot(model)
+    best_doc = checkpoint_document(model)
     try:
         for step in range(cfg.total_steps):
             pair = choose_pairs(pairs, weights, pair_rng, 1)[0]
@@ -366,12 +331,12 @@ def train(
                 entry = run_validation()
                 if entry["rsum"] >= best["rsum"]:
                     best = entry
-                    best_snapshot = _snapshot(model)
+                    best_doc = checkpoint_document(model)
     finally:
         if metrics_file:
             metrics_file.close()
 
-    _restore(model, best_snapshot)
+    model = model_from_document(best_doc)
     if checkpoint_path:
         save_checkpoint(model, checkpoint_path)
     return TrainResult(

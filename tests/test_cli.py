@@ -14,7 +14,7 @@ import pytest
 
 from probalign import cli, data, evaluation
 from probalign.cli import ConfigError, main, train_config_from_doc
-from probalign.encoders import Modality, load_checkpoint
+from probalign.encoders import AlignmentModel, Modality, load_checkpoint
 from probalign.evaluation import EvalReport, few_shot, macro_ovr_auroc, multimodal_classify
 from probalign.gaussians import GaussianBatch, SimilarityKind
 from probalign.training import TrainConfig
@@ -286,6 +286,7 @@ class TestTrain:
             ({"betas": [0.9]}, "betas must be two values in [0, 1), got (0.9,)"),
             ({"betas": [0.9, 1.0]}, "betas must be two values in [0, 1), got (0.9, 1.0)"),
             ({"lr": "0.001"}, "'<=' not supported between instances of 'str' and 'int'"),
+            ({"sis_enabled": False}, "unknown train key(s): sis_enabled"),
         ],
         ids=[
             "removed_negate_similarity_key",
@@ -301,6 +302,7 @@ class TestTrain:
             "one_beta",
             "beta_of_1",
             "lr_string",
+            "removed_sis_enabled_key",
         ],
     )
     def test_rejected_train_config_exits_1(self, corpus_dir, tmp_path, capsys, train_doc, message):
@@ -364,6 +366,42 @@ class TestTrain:
     def test_missing_corpus_path_exits_1(self, config_path, tmp_path, capsys):
         assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "x")]) == 1
         assert "corpus" in capsys.readouterr().err
+
+    def test_no_sis_equals_a_zero_beta(self, config_path, corpus_dir, tmp_path):
+        base = ["train", "--corpus", str(corpus_dir)]
+        assert main(base + ["--config", str(config_path), "--out", str(tmp_path / "flag"), "--no-sis"]) == 0
+        doc = json.loads(config_path.read_text())
+        doc["train"]["loss_weights"] = {"beta": 0}
+        (tmp_path / "beta0.json").write_text(json.dumps(doc))
+        assert main(base + ["--config", str(tmp_path / "beta0.json"), "--out", str(tmp_path / "beta0")]) == 0
+        for name in ("metrics.csv", "checkpoint.json"):
+            assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "beta0" / name).read_bytes()
+        rows = (tmp_path / "flag" / "metrics.csv").read_text().splitlines()
+        sis = [rows[0].split(",").index(c) for c in ("sis1", "sis2")]
+        assert len(rows) == 21 and all(float(r.split(",")[i]) == 0.0 for r in rows[1:] for i in sis)
+        echoed = json.loads((tmp_path / "flag" / "effective_config.json").read_text())["train"]
+        assert echoed["loss_weights"] == {"beta": 0.0} and "sis_enabled" not in echoed
+
+    @pytest.mark.parametrize("extra", [[], ["--no-sis"]], ids=["default", "no-sis"])
+    def test_rerun_from_effective_config_bit_identical(self, config_path, corpus_dir, tmp_path, extra):
+        first = ["train", "--config", str(config_path), "--corpus", str(corpus_dir), "--out", str(tmp_path / "a")]
+        assert main(first + extra) == 0
+        echoed = tmp_path / "a" / "effective_config.json"
+        assert main(["train", "--config", str(echoed), "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "checkpoint.json").read_bytes() == (tmp_path / "b" / "checkpoint.json").read_bytes()
+
+    def test_summary_is_strict_json_when_no_pair_fills_a_validation_batch(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 1, "corpus": {"n_records": 400}}))
+        assert main(["gen", "--config", str(config), "--out", str(tmp_path / "c")]) == 0
+        argv = ["train", "--config", str(config), "--corpus", str(tmp_path / "c"), "--out", str(tmp_path / "t")]
+        assert main(argv + ["--steps", "5", "--batch-size", "40"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        summary = json.loads((tmp_path / "t" / "train_summary.json").read_text(), parse_constant=reject)
+        assert [v["info_nce"] for v in summary["validation"]] == [None, None]
 
 
 class TestEval:
@@ -791,6 +829,30 @@ class TestZeroShotListForm:
             zero_shot_lists.assert_same(got, expected)
 
 
+class TestPromptsEncodedOnce:
+    @pytest.mark.parametrize(
+        "extra,per_class",
+        [
+            (["--protocol", "zeroshot", "--noisy-prompts", "6", "--filter-prompts", "sweep"], 12),
+            (["--protocol", "multimodal", "--k-shot", "4", "--n-prompts", "2"], 2),
+        ],
+        ids=["zeroshot-sweep", "multimodal"],
+    )
+    def test_each_prompt_is_encoded_once(self, trained_dir, corpus_dir, tmp_path, monkeypatch, extra, per_class):
+        text_rows, real = [], AlignmentModel.encode
+
+        def spy(self, modality, x, train=False):
+            if modality == Modality.TEXT:
+                text_rows.append(len(x))
+            return real(self, modality, x, train=train)
+
+        monkeypatch.setattr(AlignmentModel, "encode", spy)
+        argv = ["eval", "--checkpoint", str(trained_dir / "checkpoint.json"), "--corpus", str(corpus_dir)]
+        assert main(argv + ["--out", str(tmp_path / "r"), *extra]) == 0
+        n_classes = data.read_corpus(corpus_dir).config.n_classes
+        assert sum(text_rows) == n_classes * per_class
+
+
 class TestSupportRowsOnly:
     @pytest.mark.parametrize(
         "extra",
@@ -881,6 +943,56 @@ class TestVerify:
         assert main(["verify", "--fast"]) == 2
         out = capsys.readouterr().out
         assert "[FAIL]" in out and "FAILED" in out
+
+
+class TestSeedAndSections:
+    """A bad seed or a config section of the wrong JSON type exits 1 with a
+    message, before any run directory exists."""
+
+    TRAIN = ["train", "--config", "CONFIG", "--corpus", "CORPUS", "--out", "OUT"]
+    GEN = ["gen", "--config", "CONFIG", "--out", "OUT"]
+
+    @pytest.mark.parametrize(
+        "argv,doc,message",
+        [
+            (TRAIN + ["--seed", "-3"], {}, "argument --seed: must be >= 0, got -3"),
+            (GEN + ["--seed", "-1"], {}, "argument --seed: must be >= 0, got -1"),
+            (["eval", "--checkpoint", "CONFIG", "--corpus", "CORPUS", "--protocol", "retrieval", "--out", "OUT",
+              "--seed", "-1"], {}, "argument --seed: must be >= 0, got -1"),
+            (GEN, {"seed": "x"}, "config seed must be an integer >= 0, got 'x'"),
+            (TRAIN, {"seed": "x"}, "config seed must be an integer >= 0, got 'x'"),
+            (GEN, {"seed": 1.5}, "config seed must be an integer >= 0, got 1.5"),
+            (TRAIN, {"seed": 1.5}, "config seed must be an integer >= 0, got 1.5"),
+            (TRAIN, {"seed": -2}, "config seed must be an integer >= 0, got -2"),
+            (GEN, [1], "config.json must be a JSON object, got list"),
+            (TRAIN, [1], "config.json must be a JSON object, got list"),
+            (GEN, {"corpus": [1]}, "corpus must be a JSON object, got list"),
+            (GEN, {"corpus": {"view_dims": [1]}}, "corpus.view_dims must be a JSON object, got list"),
+            (GEN, {"corpus": {"noise_scales": 0.1}}, "corpus.noise_scales must be a JSON object, got float"),
+            (TRAIN, {"train": [1]}, "train must be a JSON object, got list"),
+            (TRAIN, {"train": {"loss_weights": [1]}}, "train.loss_weights must be a JSON object, got list"),
+            (TRAIN + ["--no-sis"], {"train": {"loss_weights": [1]}}, "train.loss_weights must be a JSON object"),
+            (TRAIN[:3] + TRAIN[5:], {"paths": [1]}, "paths must be a JSON object, got list"),
+        ],
+        ids=[
+            "train-flag-seed", "gen-flag-seed", "eval-flag-seed", "gen-string-seed", "train-string-seed",
+            "gen-float-seed", "train-float-seed", "train-negative-config-seed", "gen-list-root", "train-list-root",
+            "list-corpus", "list-view-dims", "number-noise-scales", "list-train", "list-loss-weights",
+            "list-loss-weights-no-sis", "list-paths",
+        ],
+    )
+    def test_exits_1_before_the_run_dir(self, corpus_dir, tmp_path, capsys, argv, doc, message):
+        config, out = tmp_path / "config.json", tmp_path / "o"
+        config.write_text(json.dumps(doc))
+        values = {"CONFIG": str(config), "CORPUS": str(corpus_dir), "OUT": str(out)}
+        try:
+            code = main([values.get(a, a) for a in argv])
+        except SystemExit as exc:  # argparse's errors
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 1
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestUsage:

@@ -12,6 +12,7 @@ from probalign.evaluation import (
     UncertaintyProbe,
     auroc,
     class_prototype,
+    encode_prompts,
     few_shot,
     filtered_zero_shot,
     logistic_probe,
@@ -292,7 +293,7 @@ class TestZeroShot:
         rng = np.random.default_rng(6)
         prompts = self._prompts(rng)
         items = model.encode(Modality.MOD_A, rng.normal(size=(5, 6)))
-        result = zero_shot(model, items, prompts, SimilarityKind.HELLINGER)
+        result = zero_shot(items, encode_prompts(model, prompts), SimilarityKind.HELLINGER)
         assert result.scores.shape == (5, 2)
         assert result.classes == [0, 1]
         assert set(result.prompt_uncertainties) == {0, 1}
@@ -301,9 +302,8 @@ class TestZeroShot:
         rng = np.random.default_rng(7)
         prompts = PromptSet({0: [np.zeros(4)], 1: [np.full(4, 3.0)]})
         result = zero_shot(
-            model,
             model.encode(Modality.TEXT, np.zeros((1, 4))),
-            prompts,
+            encode_prompts(model, prompts),
             SimilarityKind.HELLINGER,
         )
         # The item IS the class-0 prompt (same encoder): exact similarity 1.
@@ -314,16 +314,18 @@ class TestZeroShot:
         rng = np.random.default_rng(8)
         prompts = self._prompts(rng)
         items = model.encode(Modality.MOD_A, rng.normal(size=(6, 6)))
-        base = zero_shot(model, items, prompts, SimilarityKind.HELLINGER)
-        filtered = filtered_zero_shot(model, items, prompts, 4, SimilarityKind.HELLINGER)
+        encoded = encode_prompts(model, prompts)
+        base = zero_shot(items, encoded, SimilarityKind.HELLINGER)
+        filtered = filtered_zero_shot(items, encoded, 4, SimilarityKind.HELLINGER)
         np.testing.assert_array_equal(base.scores, filtered.scores)
 
     def test_k_one_selects_lowest_uncertainty_prompt(self, model):
         rng = np.random.default_rng(9)
         prompts = self._prompts(rng)
         items = model.encode(Modality.MOD_A, rng.normal(size=(3, 6)))
-        result = filtered_zero_shot(model, items, prompts, 1, SimilarityKind.HELLINGER)
-        base = zero_shot(model, items, prompts, SimilarityKind.HELLINGER)
+        encoded = encode_prompts(model, prompts)
+        result = filtered_zero_shot(items, encoded, 1, SimilarityKind.HELLINGER)
+        base = zero_shot(items, encoded, SimilarityKind.HELLINGER)
         for cls in (0, 1):
             chosen = result.prototypes[0][cls]
             idx = int(np.argmin(base.prompt_uncertainties[cls]))
@@ -335,7 +337,7 @@ class TestZeroShot:
         prompts = self._prompts(rng)
         items = model.encode(Modality.MOD_A, rng.normal(size=(2, 6)))
         with pytest.raises(ValueError, match="k must lie"):
-            filtered_zero_shot(model, items, prompts, 5, SimilarityKind.HELLINGER)
+            filtered_zero_shot(items, encode_prompts(model, prompts), 5, SimilarityKind.HELLINGER)
 
 
 class TestZeroShotEqualsListForm:
@@ -352,12 +354,13 @@ class TestZeroShotEqualsListForm:
     def test_zero_shot_and_every_filter(self, model, kind):
         prompts = self._prompts()
         items = model.encode(Modality.MOD_A, np.random.default_rng(31).normal(size=(20, 6)), train=False)
+        encoded = encode_prompts(model, prompts)
         zero_shot_lists.assert_same(
-            zero_shot(model, items, prompts, kind), zero_shot_lists.zero_shot(model, items, prompts, kind)
+            zero_shot(items, encoded, kind), zero_shot_lists.zero_shot(model, items, prompts, kind)
         )
         for k in range(1, prompts.prompts_per_class() + 1):
             zero_shot_lists.assert_same(
-                filtered_zero_shot(model, items, prompts, k, kind),
+                filtered_zero_shot(items, encoded, k, kind),
                 zero_shot_lists.filtered_zero_shot(model, items, prompts, k, kind),
             )
 

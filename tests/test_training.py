@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from probalign.data import CorpusConfig, Modality, TRAINABLE_PAIRS, generate, make_pair_batches
-from probalign.encoders import AlignmentModel
+from probalign.encoders import AlignmentModel, checkpoint_document, save_checkpoint
+from probalign.losses import LossWeights
 from probalign.training import (
     METRICS_COLUMNS,
     TrainConfig,
@@ -216,8 +217,21 @@ class TestTrain:
         best = max(result.validation_history, key=lambda v: v["rsum"])
         assert result.best_rsum == best["rsum"]
 
+    def test_best_validation_at_step_0_returns_the_initial_model(self, corpus, tmp_path, monkeypatch):
+        import probalign.training as tr
+
+        rsums = iter(range(0, -100, -1))  # every validation is worse than the one before
+        monkeypatch.setattr(tr, "validation_retrieval", lambda *a, **k: {"rsum": float(next(rsums)), "tasks": {}})
+        cfg = small_cfg(total_steps=20, eval_every=5)
+        result = train(cfg, corpus, checkpoint_path=tmp_path / "best.json")
+        assert result.best_step == 0 and len(result.validation_history) == 5
+        initial = build_state(corpus, cfg).model
+        assert checkpoint_document(result.model) == checkpoint_document(initial)
+        save_checkpoint(initial, tmp_path / "initial.json")
+        assert (tmp_path / "best.json").read_bytes() == (tmp_path / "initial.json").read_bytes()
+
     def test_sis_disabled_zeroes_sis_components(self, corpus):
-        cfg = small_cfg(total_steps=5, sis_enabled=False)
+        cfg = small_cfg(total_steps=5, loss_weights=LossWeights(beta=0.0))
         result = train(cfg, corpus)
         assert all(row["sis1"] == 0.0 and row["sis2"] == 0.0 for row in result.history)
 
