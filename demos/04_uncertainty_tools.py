@@ -13,7 +13,7 @@ Run:  python demos/04_uncertainty_tools.py
 
 import numpy as np
 
-from probalign.data import CorpusConfig, Modality, generate, synth_text_prompts
+from probalign.data import NOISY_PROMPT_SCALE, CorpusConfig, Modality, generate, synth_text_prompts
 from probalign.evaluation import (
     PromptSet,
     encode_prompts,
@@ -41,7 +41,8 @@ labels = np.array([r.class_label for r in test])
 # -- 1. uncertainty-based prompt filtering ----------------------------------
 rng = np.random.default_rng(3)
 clean = synth_text_prompts(corpus, 3, rng=rng)
-noisy = synth_text_prompts(corpus, 3, noise_scale=corpus.config.noise_scales[T] * 8, rng=rng)
+noisy_scale = corpus.config.noise_scales[T] * NOISY_PROMPT_SCALE
+noisy = synth_text_prompts(corpus, 3, noise_scale=noisy_scale, rng=rng)
 prompts = PromptSet({c: clean[c] + noisy[c] for c in clean})
 
 encoded = encode_prompts(model, prompts)

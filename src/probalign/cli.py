@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    NOISY_PROMPT_SCALE,
     SPLITS,
     TRAINABLE_PAIRS,
     Corpus,
@@ -97,9 +98,6 @@ _TRAIN_CASTS = {
     "loss_weights": lambda v: LossWeights(**v),
     "similarity": SimilarityKind,
     "betas": tuple,
-    "pair_sampling_weights": lambda v: (
-        {(Modality(p[0]), Modality(p[1])): float(w) for p, w in v} if v else None
-    ),
 }
 
 
@@ -178,6 +176,8 @@ def cmd_train(args) -> int:
     corpus_path = args.corpus or json_object("paths", doc.get("paths", {})).get("corpus")
     if not corpus_path:
         raise ConfigError("no corpus path: pass --corpus or set paths.corpus in the config")
+    if not isinstance(corpus_path, str):
+        raise ConfigError(f"paths.corpus must be a string, got {type(corpus_path).__name__}")
     # Every split's checksum is verified here; training parses only train and valid.
     corpus = _load_corpus(corpus_path)
     sampling_plan(cfg, corpus)  # a batch size the train split cannot fill exits here
@@ -287,7 +287,7 @@ def _protocol_retrieval(model, corpus, kind, args) -> EvalReport:
 def _prompt_set(corpus, args, rng) -> PromptSet:
     clean = synth_text_prompts(corpus, args.n_prompts, rng=rng)
     if args.noisy_prompts > 0:
-        noisy_scale = corpus.config.noise_scales[Modality.TEXT] * args.noisy_prompt_scale
+        noisy_scale = corpus.config.noise_scales[Modality.TEXT] * NOISY_PROMPT_SCALE
         noisy = synth_text_prompts(corpus, args.noisy_prompts, noise_scale=noisy_scale, rng=rng)
         for cls in clean:
             clean[cls] = clean[cls] + noisy[cls]
@@ -518,7 +518,6 @@ def build_parser() -> Parser:
     p_eval.add_argument("--prototypes", default="text", choices=["text", "mod_a", "mod_b", "mod_c"])
     p_eval.add_argument("--n-prompts", type=positive_int, default=6)
     p_eval.add_argument("--noisy-prompts", type=nonnegative_int, default=0)
-    p_eval.add_argument("--noisy-prompt-scale", type=float, default=8.0)
     p_eval.add_argument(
         "--filter-prompts", type=sweep_or_positive_int, default=None, help="an integer k >= 1, or 'sweep'"
     )

@@ -8,8 +8,9 @@ cluster (``cluster``), or from one Gaussian and labelled by the sign of its sum
 ``complementary_config``). Text gets several variants per record (distinct
 noise draws plus a small variant-specific offset), so one concept maps to many
 texts and many texts map to nearby concepts. Records carry an
-availability subset of the four trainable modality pairs; the held-out pair
-never appears, which is what the emergent-alignment evaluations rely on.
+availability subset of the four trainable modality pairs; the two held-out
+pairs, mod_a+mod_c and mod_b+mod_c, never appear, which is what the
+emergent-alignment evaluations rely on.
 
 The corpus serializes to one JSONL file per split plus a manifest with the
 config, seed, per-split counts and the sha256 of each split file (format
@@ -25,7 +26,8 @@ decodes every record, and its row accessors parse only each line's structure
 (record id, label, pairs), so a caller that needs a few rows of a large split,
 such as a few-shot support set, decodes just those. Latent generator parameters
 (cluster centers, projections, variant offsets) are derived from dedicated
-seed streams so a corpus read back from disk can rebuild them exactly.
+seed streams, the projections from the fixed ``PROJECTION_SEEDS``, so a
+corpus read back from disk can rebuild them exactly.
 """
 
 from __future__ import annotations
@@ -49,11 +51,8 @@ TRAINABLE_PAIRS: tuple[PairType, ...] = (
     (Modality.MOD_A, Modality.MOD_B),
 )
 
-HOLDOUT_PAIRS: tuple[PairType, ...] = (
-    (Modality.MOD_A, Modality.MOD_C),
-    (Modality.MOD_B, Modality.MOD_C),
-)
-
+# The seed of each modality's projection stream.
+PROJECTION_SEEDS = {Modality.MOD_A: 101, Modality.MOD_B: 102, Modality.MOD_C: 103, Modality.TEXT: 104}
 
 CORPUS_FORMAT = "probalign-corpus-v2"
 
@@ -81,10 +80,6 @@ def _default_pair_probs() -> dict[PairType, float]:
     }
 
 
-def _default_projection_seeds() -> dict[Modality, int]:
-    return {Modality.MOD_A: 101, Modality.MOD_B: 102, Modality.MOD_C: 103, Modality.TEXT: 104}
-
-
 @dataclass
 class CorpusConfig:
     n_records: int = 10_000
@@ -93,12 +88,9 @@ class CorpusConfig:
     cluster_std: float = 0.4
     view_dims: dict[Modality, int] = field(default_factory=_default_view_dims)
     noise_scales: dict[Modality, float] = field(default_factory=_default_noise)
-    projection_seeds: dict[Modality, int] = field(default_factory=_default_projection_seeds)
     n_text_variants: int = 3
     pair_probs: dict[PairType, float] = field(default_factory=_default_pair_probs)
-    holdout_pair: PairType = (Modality.MOD_A, Modality.MOD_C)
     split_fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
-    class_weights: tuple[float, ...] | None = None
     label_rule: str = "cluster"
 
     def __post_init__(self):
@@ -111,7 +103,7 @@ class CorpusConfig:
         too_small = [f"{m.value} {dim}" for m, dim in self.view_dims.items() if dim < 1]
         if too_small:
             raise ValueError(f"CorpusConfig: view dims must be >= 1, got {', '.join(too_small)}")
-        for name in ("view_dims", "noise_scales", "projection_seeds"):
+        for name in ("view_dims", "noise_scales"):
             missing = [m.value for m in Modality if m not in getattr(self, name)]
             if missing:
                 raise ValueError(f"CorpusConfig: {name} must name every modality; missing {', '.join(missing)}")
@@ -121,10 +113,6 @@ class CorpusConfig:
             raise ValueError("CorpusConfig: noise scales must be positive")
         if self.n_text_variants < 2:
             raise ValueError("CorpusConfig: need at least 2 text variants")
-        if self.holdout_pair not in HOLDOUT_PAIRS:
-            raise ValueError(f"CorpusConfig: holdout pair must be one of {HOLDOUT_PAIRS}")
-        if self.class_weights is not None and len(self.class_weights) != self.n_classes:
-            raise ValueError("CorpusConfig: class_weights length must equal n_classes")
         untrainable = [p for p in self.pair_probs if p not in TRAINABLE_PAIRS]
         if untrainable:
             names = ", ".join("+".join(m.value for m in p) for p in untrainable)
@@ -137,14 +125,6 @@ class CorpusConfig:
             raise ValueError(f"CorpusConfig: label_rule must be 'cluster' or 'sum_sign', not {self.label_rule!r}")
         if self.label_rule == "sum_sign" and not (self.n_classes == 2 and self.latent_dim >= 2):
             raise ValueError("CorpusConfig: label_rule 'sum_sign' needs n_classes 2 and latent_dim >= 2")
-        if self.label_rule == "sum_sign" and self.class_weights is not None:
-            raise ValueError("CorpusConfig: label_rule 'sum_sign' sets its own class balance; drop class_weights")
-
-    def weights(self) -> np.ndarray:
-        if self.class_weights is None:
-            return np.full(self.n_classes, 1.0 / self.n_classes)
-        w = np.asarray(self.class_weights, dtype=np.float64)
-        return w / w.sum()
 
 
 @dataclass
@@ -208,7 +188,7 @@ class Corpus:
 def build_latent_space(cfg: CorpusConfig, seed: int) -> LatentSpace:
     """Derive the fixed generator parameters from their dedicated streams."""
     projections = {}
-    for modality, proj_seed in cfg.projection_seeds.items():
+    for modality, proj_seed in PROJECTION_SEEDS.items():
         rng = np.random.default_rng(proj_seed)
         projections[modality] = rng.normal(
             0.0, 1.0 / np.sqrt(cfg.latent_dim), size=(cfg.view_dims[modality], cfg.latent_dim)
@@ -238,7 +218,8 @@ def generate(cfg: CorpusConfig, seed: int) -> Corpus:
     """Generate a record-disjoint train/valid/test corpus, deterministically."""
     latent = build_latent_space(cfg, seed)
     rng = np.random.default_rng([seed, 2])
-    weights = cfg.weights()
+    # Labels are drawn with an explicit uniform p: numpy's stream differs without it.
+    uniform = np.full(cfg.n_classes, 1.0 / cfg.n_classes)
     pair_list = [p for p in TRAINABLE_PAIRS if cfg.pair_probs.get(p, 0.0) > 0.0]
     probs = np.array([cfg.pair_probs[p] for p in pair_list])
 
@@ -248,7 +229,7 @@ def generate(cfg: CorpusConfig, seed: int) -> Corpus:
             concept = rng.normal(0.0, cfg.cluster_std, size=cfg.latent_dim)
             label = int(concept.sum() > 0.0)
         else:
-            label = int(rng.choice(cfg.n_classes, p=weights))
+            label = int(rng.choice(cfg.n_classes, p=uniform))
             concept = latent.centers[label] + rng.normal(0.0, cfg.cluster_std, size=cfg.latent_dim)
         while True:
             mask = rng.random(len(pair_list)) < probs
@@ -408,12 +389,9 @@ def _config_to_json(cfg: CorpusConfig) -> dict:
         "cluster_std": cfg.cluster_std,
         "view_dims": {m.value: d for m, d in cfg.view_dims.items()},
         "noise_scales": {m.value: s for m, s in cfg.noise_scales.items()},
-        "projection_seeds": {m.value: s for m, s in cfg.projection_seeds.items()},
         "n_text_variants": cfg.n_text_variants,
         "pair_probs": [[_pair_to_json(p), w] for p, w in cfg.pair_probs.items()],
-        "holdout_pair": _pair_to_json(cfg.holdout_pair),
         "split_fractions": list(cfg.split_fractions),
-        "class_weights": list(cfg.class_weights) if cfg.class_weights is not None else None,
         "label_rule": cfg.label_rule,
     }
 
@@ -425,11 +403,8 @@ def _modality_map(name: str, doc: dict, cast) -> dict[Modality, object]:
 _CONFIG_CASTS = {
     "view_dims": lambda v: _modality_map("view_dims", v, int),
     "noise_scales": lambda v: _modality_map("noise_scales", v, float),
-    "projection_seeds": lambda v: _modality_map("projection_seeds", v, int),
     "pair_probs": lambda v: {_pair_from_json(p): float(w) for p, w in v},
-    "holdout_pair": _pair_from_json,
     "split_fractions": tuple,
-    "class_weights": lambda v: tuple(v) if v else None,
 }
 
 
@@ -498,9 +473,9 @@ class SplitIndex:
     reads the file, checks those bytes against the same digest and parses
     them. As a sequence (``len``, iteration, indexing, ``==``) it decodes
     every record once and keeps no floats blob. ``labels``,
-    ``available_pairs``, ``rows_with_views`` and ``records(rows)`` parse only
-    each line's structure, in file order, and decode just the rows asked
-    for, such as a few-shot support set.
+    ``rows_with_views`` and ``records(rows)`` parse only each line's
+    structure, in file order, and decode just the rows asked for, such as a
+    few-shot support set.
     """
 
     def __init__(self, path: Path, sha256: str | None, cfg: CorpusConfig, layouts: dict):
@@ -563,10 +538,6 @@ class SplitIndex:
     def labels(self) -> np.ndarray:
         return np.array([head[1] for head in self._heads()], dtype=int)
 
-    @property
-    def available_pairs(self) -> list[tuple[PairType, ...]]:
-        return [head[2][0] for head in self._heads()]
-
     def rows_with_views(self, *modalities: Modality) -> np.ndarray:
         """Indices of the rows whose records have a view of every given modality."""
         views = (head[2][1] for head in self._heads())
@@ -608,9 +579,10 @@ def read_corpus(path) -> Corpus:
     parsed when first used.
 
     Raises CorpusFormatError for a missing manifest, a manifest of another
-    format or a split file whose sha256 differs from the manifest's. A line
-    that does not parse raises it, naming the file and line, when its split
-    is first used.
+    format, a manifest whose projection seeds are not ``PROJECTION_SEEDS`` or
+    a split file whose sha256 differs from the manifest's. A line that does
+    not parse raises it, naming the file and line, when its split is first
+    used.
     """
     root = Path(path)
     manifest_path = root / "manifest.json"
@@ -624,7 +596,16 @@ def read_corpus(path) -> Corpus:
         )
     try:
         # A manifest written before the label rule was a config field has it at the top level.
-        cfg = config_from_json({"label_rule": manifest.get("label_rule", "cluster"), **manifest["config"]})
+        # One written before holdout_pair, class_weights and projection_seeds left the config
+        # carries them, at the values the generator now fixes.
+        doc = {"label_rule": manifest.get("label_rule", "cluster"), **manifest["config"]}
+        for key in ("holdout_pair", "class_weights"):
+            doc.pop(key, None)
+        seeds = doc.pop("projection_seeds", None)
+        fixed = {m.value: s for m, s in PROJECTION_SEEDS.items()}
+        if seeds not in (None, fixed):
+            raise CorpusFormatError(f"projection_seeds {seeds} are not {fixed}; the projections cannot be rebuilt")
+        cfg = config_from_json(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise CorpusFormatError(f"{manifest_path}: bad corpus config: {exc}") from exc
     seed = manifest["seed"]
@@ -660,6 +641,10 @@ def complementary_config(n_records: int) -> CorpusConfig:
         },
         label_rule="sum_sign",
     )
+
+
+# A noisy prompt's text noise, as a multiple of the corpus's text noise scale.
+NOISY_PROMPT_SCALE = 8.0
 
 
 def synth_text_prompts(

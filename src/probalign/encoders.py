@@ -243,4 +243,7 @@ def model_from_document(doc: dict) -> AlignmentModel:
 
 def load_checkpoint(path) -> AlignmentModel:
     with open(path, encoding="utf-8") as fh:
-        return model_from_document(json.load(fh))
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"checkpoint {path} must be a JSON object, got {type(doc).__name__}")
+    return model_from_document(doc)

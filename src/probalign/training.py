@@ -1,10 +1,10 @@
 """Meta-sampled pair training: one modality pair per gradient step.
 
-Each step draws a pair type from the configured sampling weights, pulls a
-batch of records having that pair, computes the weighted pair objective and
-updates only the two involved encoders with AdamW (decoupled weight decay on
-weight matrices only) under a cosine-annealed learning rate and global
-gradient-norm clipping. Validation passes run the encoders in eval mode and
+Each step draws a pair type uniformly from the trainable pairs whose train
+records can fill a batch, pulls a batch of records having that pair,
+computes the weighted pair objective and updates only the two involved
+encoders with AdamW (decoupled weight decay on weight matrices only) under a
+cosine-annealed learning rate and global gradient-norm clipping. Validation passes run the encoders in eval mode and
 track a symmetric contrastive loss plus text->modality retrieval RSUM; the
 best-RSUM model is kept as its checkpoint document and rebuilt from it at
 the end.
@@ -52,7 +52,6 @@ class TrainConfig:
     grad_clip: float = 1.0
     bn_enabled: bool = True
     seed: int = 0
-    pair_sampling_weights: dict[PairType, float] | None = None
     hidden_dim: int = 64
     embed_dim: int = 32
     eval_every: int = 500
@@ -71,12 +70,6 @@ class TrainConfig:
             raise ValueError("TrainConfig: weight_decay must be nonnegative")
         if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
             raise ValueError(f"TrainConfig: betas must be two values in [0, 1), got {self.betas}")
-        if self.pair_sampling_weights is not None:
-            if any(w < 0 for w in self.pair_sampling_weights.values()):
-                raise ValueError("TrainConfig: pair sampling weights must be nonnegative")
-            total = sum(self.pair_sampling_weights.values())
-            if abs(total - 1.0) > 1e-9:
-                raise ValueError(f"TrainConfig: pair sampling weights sum to {total}, expected 1")
 
 
 def cosine_lr(step: int, total_steps: int, lr_max: float) -> float:
@@ -172,11 +165,10 @@ def train_step(state: TrainerState, pair: PairType, batch: PairBatch) -> LossBre
     return breakdown
 
 
-def choose_pairs(
-    pairs: list[PairType], weights: list[float], rng: np.random.Generator, n: int
-) -> list[PairType]:
-    """Draw n pair types by weighted sampling (one per training step)."""
-    idx = rng.choice(len(pairs), size=n, p=np.asarray(weights) / np.sum(weights))
+def choose_pairs(pairs: list[PairType], rng: np.random.Generator, n: int) -> list[PairType]:
+    """Draw n pair types uniformly (one per training step)."""
+    # An explicit uniform p: numpy's stream differs without it.
+    idx = rng.choice(len(pairs), size=n, p=np.full(len(pairs), 1.0 / len(pairs)))
     return [pairs[i] for i in idx]
 
 
@@ -254,22 +246,13 @@ class TrainResult:
     best_rsum: float
 
 
-def sampling_plan(cfg: TrainConfig, corpus: Corpus) -> tuple[list[PairType], list[float]]:
-    """The pairs a run samples and their weights; raises ValueError when the
-    train split cannot fill a batch of them."""
-    if cfg.pair_sampling_weights is None:
-        pairs = [p for p in TRAINABLE_PAIRS if len(eligible_records(corpus.train, p)) >= cfg.batch_size]
-        if not pairs:
-            raise ValueError("train: no trainable pair has enough records for a batch")
-        return pairs, [1.0 / len(pairs)] * len(pairs)
-    pairs = [p for p, w in cfg.pair_sampling_weights.items() if w > 0]
-    for pair in pairs:
-        if len(eligible_records(corpus.train, pair)) < cfg.batch_size:
-            raise ValueError(
-                f"train: pair {tuple(m.value for m in pair)} has nonzero sampling weight "
-                "but too few records for one batch"
-            )
-    return pairs, [cfg.pair_sampling_weights[p] for p in pairs]
+def sampling_plan(cfg: TrainConfig, corpus: Corpus) -> list[PairType]:
+    """The trainable pairs whose train records can fill a batch, which a run
+    samples uniformly; raises ValueError when there is none."""
+    pairs = [p for p in TRAINABLE_PAIRS if len(eligible_records(corpus.train, p)) >= cfg.batch_size]
+    if not pairs:
+        raise ValueError("train: no trainable pair has enough records for a batch")
+    return pairs
 
 
 def train(
@@ -284,7 +267,7 @@ def train(
         cfg.seed, input_dims, cfg.hidden_dim, cfg.embed_dim, bn_enabled=cfg.bn_enabled
     )
     state = TrainerState(cfg, model)
-    pairs, weights = sampling_plan(cfg, corpus)
+    pairs = sampling_plan(cfg, corpus)
     streams = {
         pair: make_pair_batches(
             corpus.train, pair, cfg.batch_size, np.random.default_rng([cfg.seed, 4, i])
@@ -310,7 +293,7 @@ def train(
     best_doc = checkpoint_document(model)
     try:
         for step in range(cfg.total_steps):
-            pair = choose_pairs(pairs, weights, pair_rng, 1)[0]
+            pair = choose_pairs(pairs, pair_rng, 1)[0]
             batch = next(streams[pair])
             lr = cosine_lr(state.step, cfg.total_steps, cfg.lr)
             breakdown = train_step(state, pair, batch)

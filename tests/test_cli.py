@@ -108,10 +108,12 @@ class TestGen:
             ({"n_records": 20, "view_dims": {"mod_a": 0}}, "view dims must be >= 1"),
             ({"n_records": 30, "view_dims": {"mod_a": 5}}, "view_dims must name every modality"),
             ({"n_records": 30, "noise_scales": {"text": 0.2}}, "noise_scales must name every modality"),
-            ({"n_records": 30, "projection_seeds": {"mod_b": 1}}, "projection_seeds must name every modality"),
+            ({"n_records": 30, "projection_seeds": {"mod_b": 1}}, "unknown corpus key(s): projection_seeds"),
+            ({"n_records": 30, "holdout_pair": ["mod_b", "mod_c"]}, "unknown corpus key(s): holdout_pair"),
+            ({"n_records": 30, "class_weights": [0.5, 0.5, 0, 0, 0]}, "unknown corpus key(s): class_weights"),
         ],
         ids=["no-classes", "negative-records", "no-latent", "empty-view", "partial-view-dims",
-             "partial-noise-scales", "partial-projection-seeds"],
+             "partial-noise-scales", "partial-projection-seeds", "retired-holdout-pair", "retired-class-weights"],
     )
     def test_unusable_sizes_exit_1_without_a_run_dir(self, tmp_path, capsys, corpus, message):
         bad = tmp_path / "bad.json"
@@ -274,7 +276,10 @@ class TestTrain:
         "train_doc,message",
         [
             ({"negate_similarity": False}, "negate_similarity"),
-            ({"pair_sampling_weights": [[["mod_a", "text"], 1.5], [["mod_b", "text"], -0.5]]}, "nonnegative"),
+            (
+                {"pair_sampling_weights": [[["mod_a", "text"], 1.5], [["mod_b", "text"], -0.5]]},
+                "unknown train key(s): pair_sampling_weights",
+            ),
             ({"batchsize": 8, "similarty": "csd"}, "unknown train key(s): batchsize, similarty"),
             ({"loss_weights": {"tua": 0.1}}, "unknown train.loss_weights key(s): tua"),
             ({"batch_size": 1000}, "no trainable pair has enough records for a batch"),
@@ -951,6 +956,7 @@ class TestSeedAndSections:
 
     TRAIN = ["train", "--config", "CONFIG", "--corpus", "CORPUS", "--out", "OUT"]
     GEN = ["gen", "--config", "CONFIG", "--out", "OUT"]
+    EVAL = ["eval", "--checkpoint", "CONFIG", "--corpus", "CORPUS", "--protocol", "retrieval", "--out", "OUT"]
 
     @pytest.mark.parametrize(
         "argv,doc,message",
@@ -973,12 +979,17 @@ class TestSeedAndSections:
             (TRAIN, {"train": {"loss_weights": [1]}}, "train.loss_weights must be a JSON object, got list"),
             (TRAIN + ["--no-sis"], {"train": {"loss_weights": [1]}}, "train.loss_weights must be a JSON object"),
             (TRAIN[:3] + TRAIN[5:], {"paths": [1]}, "paths must be a JSON object, got list"),
+            (TRAIN[:3] + TRAIN[5:], {"paths": {"corpus": 5}}, "paths.corpus must be a string, got int"),
+            (EVAL, [1], "config.json must be a JSON object, got list"),
+            (EVAL, "x", "config.json must be a JSON object, got str"),
+            (EVAL, None, "config.json must be a JSON object, got NoneType"),
         ],
         ids=[
             "train-flag-seed", "gen-flag-seed", "eval-flag-seed", "gen-string-seed", "train-string-seed",
             "gen-float-seed", "train-float-seed", "train-negative-config-seed", "gen-list-root", "train-list-root",
             "list-corpus", "list-view-dims", "number-noise-scales", "list-train", "list-loss-weights",
-            "list-loss-weights-no-sis", "list-paths",
+            "list-loss-weights-no-sis", "list-paths", "number-corpus-path", "list-checkpoint",
+            "string-checkpoint", "null-checkpoint",
         ],
     )
     def test_exits_1_before_the_run_dir(self, corpus_dir, tmp_path, capsys, argv, doc, message):

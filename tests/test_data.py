@@ -13,7 +13,6 @@ from probalign.data import (
     Corpus,
     CorpusConfig,
     CorpusFormatError,
-    HOLDOUT_PAIRS,
     Modality,
     SPLITS,
     TRAINABLE_PAIRS,
@@ -32,6 +31,23 @@ from probalign.evaluation import auroc, logistic_probe, probe_scores
 A, B, C, T = Modality.MOD_A, Modality.MOD_B, Modality.MOD_C, Modality.TEXT
 
 SMALL = CorpusConfig(n_records=400, n_classes=3, latent_dim=8)
+
+# A valid value for every CorpusConfig field, other than that of CorpusConfig(n_records=60, n_classes=2).
+CHANGED_FIELDS = {
+    "n_records": 61,
+    "n_classes": 3,
+    "latent_dim": 6,
+    "cluster_std": 1.0,
+    "view_dims": {A: 10, B: 40, C: 56, T: 24},
+    "noise_scales": {A: 0.3, B: 0.3, C: 0.3, T: 0.5},
+    "n_text_variants": 4,
+    "pair_probs": {(A, T): 1.0},
+    "split_fractions": (0.6, 0.2, 0.2),
+    "label_rule": "sum_sign",
+}
+
+# The projection seeds every manifest carried before they became data.PROJECTION_SEEDS.
+DEFAULT_PROJECTION_SEEDS = {"mod_a": 101, "mod_b": 102, "mod_c": 103, "text": 104}
 
 
 @pytest.fixture(scope="module")
@@ -60,10 +76,6 @@ class TestConfig:
     def test_needs_two_text_variants(self):
         with pytest.raises(ValueError, match="2 text variants"):
             CorpusConfig(n_text_variants=1)
-
-    def test_holdout_must_involve_mod_c(self):
-        with pytest.raises(ValueError, match="holdout"):
-            CorpusConfig(holdout_pair=(A, T))
 
     def test_fractions_must_not_be_negative(self):
         with pytest.raises(ValueError, match=r">= 0 and sum to 1"):
@@ -97,9 +109,8 @@ class TestConfig:
         [
             ({"n_classes": 3}, "n_classes 2"),
             ({"latent_dim": 1}, "latent_dim >= 2"),
-            ({"class_weights": (0.3, 0.7)}, "class_weights"),
         ],
-        ids=["three-classes", "one-factor", "class-weights"],
+        ids=["three-classes", "one-factor"],
     )
     def test_invalid_sum_sign_config_rejected(self, change, message):
         with pytest.raises(ValueError, match=message):
@@ -130,7 +141,7 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "key,value",
-        [("view_dims", {"mod_a": 5}), ("noise_scales", {"mod_a": 0.2}), ("projection_seeds", {"mod_a": 1})],
+        [("view_dims", {"mod_a": 5}), ("noise_scales", {"mod_a": 0.2})],
     )
     def test_partial_modality_map_rejected(self, key, value):
         with pytest.raises(ValueError, match=f"{key} must name every modality; missing mod_b, mod_c, text"):
@@ -139,6 +150,21 @@ class TestConfig:
     def test_from_json_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="n_record, noise"):
             config_from_json({"n_record": 100, "noise": 0.1, "n_classes": 3})
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CorpusConfig)])
+    def test_every_field_changes_the_corpus(self, name):
+        # A setting that generation never reads is inert: this fails on it, and on a
+        # field missing from CHANGED_FIELDS.
+        base = CorpusConfig(n_records=60, n_classes=2)
+        a = generate(base, seed=3)
+        b = generate(dataclasses.replace(base, **{name: CHANGED_FIELDS[name]}), seed=3)
+        x, y = a.latent, b.latent
+        same_latent = (
+            np.array_equal(x.centers, y.centers)
+            and np.array_equal(x.variant_offsets, y.variant_offsets)
+            and all(np.array_equal(x.projections[m], y.projections[m]) for m in Modality)
+        )
+        assert not (a.splits == b.splits and same_latent)
 
 
 class TestGenerate:
@@ -168,8 +194,7 @@ class TestGenerate:
     def test_holdout_pair_never_available(self, corpus):
         for split in corpus.splits.values():
             for r in split:
-                for held in HOLDOUT_PAIRS:
-                    assert held not in r.available_pairs
+                assert r.available_pairs and set(r.available_pairs) <= set(TRAINABLE_PAIRS)
 
     def test_view_dimensions(self, corpus):
         r = corpus.train[0]
@@ -379,8 +404,12 @@ class TestSerialization:
             (lambda m: m.update(format="probalign-corpus-v1"), "regenerate the corpus with `probalign gen`"),
             (lambda m: m.pop("format"), "format None"),
             (lambda m: m["config"].update(n_record=5), "bad corpus config: unknown corpus key"),
+            (
+                lambda m: m["config"].update(projection_seeds={**DEFAULT_PROJECTION_SEEDS, "mod_b": 7}),
+                "bad corpus config: projection_seeds",
+            ),
         ],
-        ids=["v1_format", "no_format", "unknown_config_key"],
+        ids=["v1_format", "no_format", "unknown_config_key", "other_projection_seeds"],
     )
     def test_stale_or_bad_manifest_rejected(self, corpus, tmp_path, edit, message):
         write_corpus(corpus, tmp_path / "stale")
@@ -390,6 +419,21 @@ class TestSerialization:
         path.write_text(json.dumps(manifest))
         with pytest.raises(CorpusFormatError, match=message):
             read_corpus(tmp_path / "stale")
+
+    def test_manifest_with_retired_keys_reads_back(self, corpus, tmp_path):
+        # The shape written before holdout_pair, class_weights and projection_seeds
+        # left the corpus config, each at its default.
+        write_corpus(corpus, tmp_path / "old")
+        path = tmp_path / "old" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"].update(
+            holdout_pair=["mod_a", "mod_c"], class_weights=None, projection_seeds=DEFAULT_PROJECTION_SEEDS
+        )
+        path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        again = read_corpus(tmp_path / "old")
+        assert again == corpus
+        for m in Modality:
+            np.testing.assert_array_equal(again.latent.projections[m], corpus.latent.projections[m])
 
     def test_floats_blob_layout(self, corpus, tmp_path):
         write_corpus(corpus, tmp_path / "layout")
@@ -445,7 +489,6 @@ class TestSplitIndex:
         part = read_corpus(tmp_path / "ix")
         assert isinstance(part.train, SplitIndex)
         assert part.train.labels.tolist() == [r.class_label for r in corpus.train]
-        assert part.train.available_pairs == [r.available_pairs for r in corpus.train]
         rows = [5, 0, 17, 5, len(corpus.train) - 1]
         assert part.train.records(rows) == [corpus.train[i] for i in rows]
         assert part.train.records(range(len(corpus.train))) == corpus.train

@@ -220,6 +220,13 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="unrecognized format"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("text,kind", [("[1]", "list"), ('"x"', "str"), ("null", "NoneType")])
+    def test_document_that_is_not_an_object_rejected(self, tmp_path, text, kind):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"checkpoint {path} must be a JSON object, got {kind}"):
+            load_checkpoint(path)
+
     def test_no_optimizer_block_is_written(self, tmp_path):
         save_checkpoint(self._model(bn=False), tmp_path / "m.json")
         assert "optimizer" not in json.loads((tmp_path / "m.json").read_text())

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from probalign.data import CorpusConfig, Modality, TRAINABLE_PAIRS, generate, make_pair_batches
+from probalign.data import CorpusConfig, Modality, TRAINABLE_PAIRS, eligible_records, generate, make_pair_batches
 from probalign.encoders import AlignmentModel, checkpoint_document, save_checkpoint
 from probalign.losses import LossWeights
 from probalign.training import (
@@ -14,6 +14,7 @@ from probalign.training import (
     TrainerState,
     choose_pairs,
     cosine_lr,
+    sampling_plan,
     train,
     train_step,
 )
@@ -159,29 +160,20 @@ class TestTrainStep:
 class TestPairSampling:
     def test_histogram_matches_weights(self):
         pairs = list(TRAINABLE_PAIRS)
-        weights = [0.4, 0.3, 0.1, 0.2]
+        w = 1 / len(pairs)
         rng = np.random.default_rng(6)
         n = 10_000
-        drawn = choose_pairs(pairs, weights, rng, n)
-        counts = np.array([sum(1 for d in drawn if d == p) for p in pairs])
-        for count, w in zip(counts, weights):
-            sigma = math.sqrt(n * w * (1 - w))
-            assert abs(count - n * w) < 3 * sigma
+        drawn = choose_pairs(pairs, rng, n)
+        sigma = math.sqrt(n * w * (1 - w))
+        for p in pairs:
+            assert abs(drawn.count(p) - n * w) < 3 * sigma
 
-    def test_nonzero_weight_requires_enough_records(self, corpus):
-        weights = {p: 0.25 for p in TRAINABLE_PAIRS}
-        cfg = small_cfg(batch_size=500, pair_sampling_weights=weights)
-        with pytest.raises(ValueError, match="too few records"):
-            train(cfg, corpus)
-
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum"):
-            small_cfg(pair_sampling_weights={(A, T): 0.5})
-
-    def test_negative_weight_rejected_at_construction(self):
-        weights = {(A, T): 1.5, (B, T): -0.5}
-        with pytest.raises(ValueError, match="nonnegative"):
-            small_cfg(pair_sampling_weights=weights)
+    def test_plan_keeps_the_pairs_that_fill_a_batch(self, corpus):
+        pools = {p: len(eligible_records(corpus.train, p)) for p in TRAINABLE_PAIRS}
+        batch_size = min(pools.values()) + 1
+        plan = sampling_plan(small_cfg(batch_size=batch_size), corpus)
+        assert plan == [p for p in TRAINABLE_PAIRS if pools[p] >= batch_size]
+        assert len(plan) == len(TRAINABLE_PAIRS) - 1
 
 
 class TestTrain:
