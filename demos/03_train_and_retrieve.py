@@ -43,10 +43,9 @@ print("\nPer-query example: the five nearest gallery items for one text query.")
 pool = eligible_records(corpus.test, (Modality.MOD_A, Modality.TEXT))[:200]
 texts = np.stack([r.text_variants[0] for r in pool])
 views = np.stack([r.views[Modality.MOD_A] for r in pool])
-qt = model.encode(Modality.TEXT, texts)
-ga = model.encode(Modality.MOD_A, views)
+# encode returns (mu, log_var) arrays, the kernel's arguments.
 sim = pairwise_similarity_arrays(
-    qt.mu.data, qt.log_var.data, ga.mu.data, ga.log_var.data, SimilarityKind.HELLINGER
+    *model.encode(Modality.TEXT, texts), *model.encode(Modality.MOD_A, views), SimilarityKind.HELLINGER
 )
 top = np.argsort(-sim[0])[:5]
 print(f"  query record {pool[0].record_id} (class {pool[0].class_label}) ->")

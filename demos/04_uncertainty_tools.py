@@ -67,7 +67,7 @@ def embed_train(rows):
 
 
 for shot in (2, 4, 8):
-    args = (tr_labels, embed_train, items, labels, shot)
+    args = (tr_labels, embed_train, items[0], labels, shot)  # test items scored on their means
     mu_only = few_shot(*args, mode="mu_only", rngs=[np.random.default_rng([shot, s]) for s in range(5)])
     sampled = few_shot(
         *args, mode="sampled", n_samples=16, rngs=[np.random.default_rng([shot, s]) for s in range(5)]

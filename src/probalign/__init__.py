@@ -22,7 +22,7 @@ from .gaussians import (
     hellinger_sq,
     sample,
 )
-from .losses import LossBreakdown, LossWeights, info_nce_prob, pair_loss, sis_loss, vib_loss
+from .losses import LossBreakdown, LossWeights, pair_loss, sis_loss, vib_loss
 from .training import TrainConfig, TrainResult, cosine_lr, train
 
 __version__ = "0.1.0"
@@ -47,7 +47,6 @@ __all__ = [
     "grad_check",
     "hellinger_similarity",
     "hellinger_sq",
-    "info_nce_prob",
     "init_encoder",
     "pair_loss",
     "sample",

@@ -30,10 +30,10 @@ from .data import (
     Modality,
     config_from_json,
     eligible_records,
+    from_json,
     generate,
     json_object,
     read_corpus,
-    reject_unknown_keys,
     synth_text_prompts,
     write_corpus,
 )
@@ -95,7 +95,7 @@ def resolve_seed(args, doc: dict) -> int:
 
 
 _TRAIN_CASTS = {
-    "loss_weights": lambda v: LossWeights(**v),
+    "loss_weights": lambda v: from_json("train.loss_weights", LossWeights, v, {}),
     "similarity": SimilarityKind,
     "betas": tuple,
 }
@@ -103,13 +103,10 @@ _TRAIN_CASTS = {
 
 def train_config_from_doc(doc: dict, seed: int) -> TrainConfig:
     """TrainConfig from a config file's ``train`` section; absent keys take the
-    TrainConfig defaults, unknown keys raise ConfigError."""
+    TrainConfig defaults, unknown keys and mistyped values raise ConfigError."""
     try:
-        reject_unknown_keys("train", doc, TrainConfig)
-        reject_unknown_keys("train.loss_weights", doc.get("loss_weights", {}), LossWeights)
-        kwargs = {k: _TRAIN_CASTS.get(k, lambda v: v)(v) for k, v in doc.items()}
-        return TrainConfig(**{"seed": seed, **kwargs})
-    except (TypeError, ValueError) as exc:
+        return from_json("train", TrainConfig, doc, _TRAIN_CASTS, seed=seed)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -227,8 +224,7 @@ def _check_split(args) -> None:
 
 
 def _embed_items(model, records, modality: Modality):
-    x = np.stack([r.views[modality] for r in records])
-    return model.encode(modality, x, train=False)
+    return model.encode(modality, np.stack([r.views[modality] for r in records]))
 
 
 def _records_with_view(records, modality: Modality):
@@ -328,14 +324,9 @@ def _protocol_zeroshot(model, corpus, kind, args, rng) -> EvalReport:
     proto_records = _records_with_view(corpus.valid, proto_modality)
     if not proto_records:
         raise ConfigError(f"no {proto_modality.value} views in valid split for prototypes")
-    proto_batch = _embed_items(model, proto_records, proto_modality)
-    # Rows gathered once in stable class order; each class is a slice of them.
+    mu, log_var = _embed_items(model, proto_records, proto_modality)
     proto_labels = np.array([r.class_label for r in proto_records])
-    order = np.argsort(proto_labels, kind="stable")
-    mu, log_var = proto_batch.mu.data[order], proto_batch.log_var.data[order]
-    classes, starts = np.unique(proto_labels[order], return_index=True)
-    stops = [*starts[1:], len(order)]
-    by_class = {int(c): (mu[a:b], log_var[a:b]) for c, a, b in zip(classes, starts, stops)}
+    by_class = {int(c): (mu[proto_labels == c], log_var[proto_labels == c]) for c in np.unique(proto_labels)}
     result = score_prototypes(items, by_class, kind)
     value = macro_ovr_auroc(result.scores, labels, result.classes)
     return EvalReport(
@@ -347,7 +338,7 @@ def _protocol_zeroshot(model, corpus, kind, args, rng) -> EvalReport:
 
 def _train_embedder(model, index, rows, modalities):
     """Embeds train rows given as positions in ``rows`` (rows of the train
-    split), decoding only their records: one batch per modality."""
+    split), decoding only their records: one ``(mu, log_var)`` pair per modality."""
 
     def embed(chosen):
         records = index.records(rows[chosen])
@@ -364,7 +355,7 @@ def _protocol_fewshot(model, corpus, args, rng) -> EvalReport:
     y_train = corpus.train.labels[train_rows]
     embed = _train_embedder(model, corpus.train, train_rows, [modality])
     test_records = _records_with_view(corpus.test, modality)
-    test_items = _embed_items(model, test_records, modality)
+    test_mu, _ = _embed_items(model, test_records, modality)
     y_test = [r.class_label for r in test_records]
     table = {}
     for shot in args.shots:
@@ -372,7 +363,7 @@ def _protocol_fewshot(model, corpus, args, rng) -> EvalReport:
         per_seed = few_shot(
             y_train,
             lambda chosen: embed(chosen)[0],
-            test_items,
+            test_mu,
             y_test,
             shot,
             mode=args.fewshot_mode,

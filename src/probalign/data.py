@@ -94,12 +94,12 @@ class CorpusConfig:
     label_rule: str = "cluster"
 
     def __post_init__(self):
-        if self.n_records < 0:
-            raise ValueError(f"CorpusConfig: n_records must be >= 0, got {self.n_records}")
-        if self.n_classes < 1:
-            raise ValueError(f"CorpusConfig: n_classes must be >= 1, got {self.n_classes}")
-        if self.latent_dim < 1:
-            raise ValueError(f"CorpusConfig: latent_dim must be >= 1, got {self.latent_dim}")
+        check_int_fields(self, {"n_records": 0, "n_classes": 1, "latent_dim": 1, "n_text_variants": 2})
+        if type(self.cluster_std) not in (int, float) or self.cluster_std < 0:
+            raise ValueError(f"CorpusConfig: cluster_std must be a number >= 0, got {self.cluster_std!r}")
+        not_int = [f"{m.value} {dim!r}" for m, dim in self.view_dims.items() if type(dim) is not int]
+        if not_int:
+            raise ValueError(f"CorpusConfig: view dims must be integers, got {', '.join(not_int)}")
         too_small = [f"{m.value} {dim}" for m, dim in self.view_dims.items() if dim < 1]
         if too_small:
             raise ValueError(f"CorpusConfig: view dims must be >= 1, got {', '.join(too_small)}")
@@ -111,8 +111,6 @@ class CorpusConfig:
             raise ValueError(f"CorpusConfig: split fractions must be >= 0 and sum to 1, got {self.split_fractions}")
         if any(s <= 0 for s in self.noise_scales.values()):
             raise ValueError("CorpusConfig: noise scales must be positive")
-        if self.n_text_variants < 2:
-            raise ValueError("CorpusConfig: need at least 2 text variants")
         untrainable = [p for p in self.pair_probs if p not in TRAINABLE_PAIRS]
         if untrainable:
             names = ", ".join("+".join(m.value for m in p) for p in untrainable)
@@ -401,7 +399,7 @@ def _modality_map(name: str, doc: dict, cast) -> dict[Modality, object]:
 
 
 _CONFIG_CASTS = {
-    "view_dims": lambda v: _modality_map("view_dims", v, int),
+    "view_dims": lambda v: _modality_map("view_dims", v, lambda dim: dim),
     "noise_scales": lambda v: _modality_map("noise_scales", v, float),
     "pair_probs": lambda v: {_pair_from_json(p): float(w) for p, w in v},
     "split_fractions": tuple,
@@ -415,20 +413,33 @@ def json_object(section: str, value) -> dict:
     return value
 
 
-def reject_unknown_keys(section: str, doc: dict, cls) -> None:
-    """Raise ValueError naming every key of ``doc`` that is not a field of dataclass
-    ``cls``, or when ``doc`` is not a JSON object."""
+def check_int_fields(obj, least: dict[str, int]) -> None:
+    """Raise ValueError unless each named field of ``obj`` is an int (not a bool) >= its bound."""
+    for name, bound in least.items():
+        value = getattr(obj, name)
+        if type(value) is not int:
+            raise ValueError(f"{type(obj).__name__}: {name} must be an integer, got {value!r}")
+        if value < bound:
+            raise ValueError(f"{type(obj).__name__}: {name} must be >= {bound}, got {value}")
+
+
+def from_json(section: str, cls, doc: dict, casts: dict, **defaults):
+    """Dataclass ``cls`` from the JSON object ``doc`` over ``defaults``, each value
+    passed through its entry in ``casts``, if any. Unknown keys and values of the
+    wrong type raise ValueError naming ``section``."""
     unknown = sorted(set(json_object(section, doc)) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {section} key(s): {', '.join(unknown)}")
+    try:
+        return cls(**{**defaults, **{k: casts.get(k, lambda v: v)(v) for k, v in doc.items()}})
+    except TypeError as exc:
+        raise ValueError(f"{section}: {exc}") from exc
 
 
 def config_from_json(doc: dict) -> CorpusConfig:
     """CorpusConfig from its JSON form (a config file's ``corpus`` section or a
-    manifest's ``config``); absent keys take the defaults, unknown keys raise
-    ValueError."""
-    reject_unknown_keys("corpus", doc, CorpusConfig)
-    return CorpusConfig(**{k: _CONFIG_CASTS.get(k, lambda v: v)(v) for k, v in doc.items()})
+    manifest's ``config``); absent keys take the defaults."""
+    return from_json("corpus", CorpusConfig, doc, _CONFIG_CASTS)
 
 
 def corpus_manifest(corpus: Corpus, checksums: dict[str, str]) -> dict:

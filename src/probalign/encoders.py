@@ -167,16 +167,17 @@ class AlignmentModel:
             encoders[modality] = init_encoder(seed + offset, dims, bn_enabled)
         return cls(encoders, embed_dim)
 
-    def encode(self, modality: Modality, x: np.ndarray, train: bool = False) -> GaussianBatch:
-        """Encode with one modality's encoder. In eval mode a non-finite mean or
-        log-variance raises NonFiniteEmbedding (training checks its loss instead)."""
-        batch = self.encoders[modality].encode(x, train=train)
-        if not train and not all(np.isfinite(t.data).all() for t in (batch.mu, batch.log_var)):
+    def encode(self, modality: Modality, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Eval-mode ``(mu, log_var)`` arrays of one modality's feature rows; a
+        non-finite entry raises NonFiniteEmbedding (training checks its loss instead)."""
+        batch = self.encoders[modality].encode(x)
+        mu, log_var = batch.mu.data, batch.log_var.data
+        if not (np.isfinite(mu).all() and np.isfinite(log_var).all()):
             raise NonFiniteEmbedding(
                 f"the {modality.value} encoder produced a non-finite embedding; "
                 f"check the checkpoint and the inputs for NaN or inf"
             )
-        return batch
+        return mu, log_var
 
     def named_parameters(self):
         for modality in Modality:
@@ -226,17 +227,31 @@ def save_checkpoint(model: AlignmentModel, path) -> None:
 
 
 def model_from_document(doc: dict) -> AlignmentModel:
-    """The model of a checkpoint document; an ``optimizer`` block older files carry is ignored."""
+    """The model of a checkpoint document; an ``optimizer`` block older files carry is ignored.
+    A missing key or modality raises ValueError naming it."""
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"checkpoint: unrecognized format {doc.get('format')!r}")
+    for key in ("encoders", "embed_dim"):
+        if key not in doc:
+            raise ValueError(f"checkpoint: no {key!r} entry")
+    if not isinstance(doc["encoders"], dict):
+        raise ValueError(f"checkpoint: 'encoders' must be an object, got {type(doc['encoders']).__name__}")
+    missing = [m.value for m in Modality if m.value not in doc["encoders"]]
+    if missing:
+        raise ValueError(f"checkpoint: no encoder for {', '.join(missing)}")
     encoders = {}
     for key, entry in doc["encoders"].items():
         modality = Modality(key)
-        dims = EncoderDims(entry["input_dim"], entry["hidden_dim"], entry["embed_dim"])
-        params = {name: Tensor(decode_array(entry["params"][name])) for name in PARAM_ORDER}
-        enc = Encoder(dims, params, entry["bn_enabled"])
-        enc.bn_running_mean = decode_array(entry["bn_running_mean"])
-        enc.bn_running_var = decode_array(entry["bn_running_var"])
+        try:
+            dims = EncoderDims(entry["input_dim"], entry["hidden_dim"], entry["embed_dim"])
+            params = {name: Tensor(decode_array(entry["params"][name])) for name in PARAM_ORDER}
+            enc = Encoder(dims, params, entry["bn_enabled"])
+            enc.bn_running_mean = decode_array(entry["bn_running_mean"])
+            enc.bn_running_var = decode_array(entry["bn_running_var"])
+        except KeyError as exc:
+            raise ValueError(f"checkpoint: the {key} encoder has no {exc.args[0]!r} entry") from exc
+        except TypeError as exc:
+            raise ValueError(f"checkpoint: the {key} encoder entry is malformed: {exc}") from exc
         encoders[modality] = enc
     return AlignmentModel(encoders, doc["embed_dim"])
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoders import AlignmentModel, Modality
-from .gaussians import GaussianBatch, SimilarityKind, pairwise_similarity_arrays
+from .gaussians import SimilarityKind, pairwise_similarity_arrays
 
 PROBE_ITERS = 500
 PROBE_LR = 0.1
@@ -201,29 +201,25 @@ class ZeroShotResult:
 
 def encode_prompts(model: AlignmentModel, prompts: PromptSet) -> dict:
     """Each class's prompts as text embeddings, ``{class: (mu, log_var)}``."""
-    encoded = {}
-    for cls in prompts.classes:
-        batch = model.encode(Modality.TEXT, np.stack(prompts.class_prompts[cls]), train=False)
-        encoded[cls] = (batch.mu.data, batch.log_var.data)
-    return encoded
+    return {cls: model.encode(Modality.TEXT, np.stack(prompts.class_prompts[cls])) for cls in prompts.classes}
 
 
-def score_prototypes(items: GaussianBatch, by_class: dict, kind: SimilarityKind) -> ZeroShotResult:
-    """Score items against the prototype of each class's ``(mu, log_var)`` rows."""
+def score_prototypes(items: tuple, by_class: dict, kind: SimilarityKind) -> ZeroShotResult:
+    """Score ``(mu, log_var)`` items against the prototype of each class's ``(mu, log_var)`` rows."""
     classes = sorted(by_class)
     mu_p, lv_p = map(np.stack, zip(*(class_prototype(*by_class[cls]) for cls in classes)))
     uncertainties = {cls: prompt_uncertainty(by_class[cls][1]).tolist() for cls in classes}
-    scores = pairwise_similarity_arrays(items.mu.data, items.log_var.data, mu_p, lv_p, kind)
+    scores = pairwise_similarity_arrays(*items, mu_p, lv_p, kind)
     return ZeroShotResult(scores, classes, (mu_p, lv_p), uncertainties)
 
 
-def zero_shot(items: GaussianBatch, encoded_prompts: dict, kind: SimilarityKind) -> ZeroShotResult:
+def zero_shot(items: tuple, encoded_prompts: dict, kind: SimilarityKind) -> ZeroShotResult:
     """Score items against the class prototypes of prompt rows from ``encode_prompts``."""
     return score_prototypes(items, encoded_prompts, kind)
 
 
 def filtered_zero_shot(
-    items: GaussianBatch, encoded_prompts: dict, k: int, kind: SimilarityKind
+    items: tuple, encoded_prompts: dict, k: int, kind: SimilarityKind
 ) -> ZeroShotResult:
     """Zero-shot over only the k lowest-uncertainty prompt rows of each class.
 
@@ -323,7 +319,7 @@ def _union(supports) -> tuple[np.ndarray, np.ndarray]:
 def few_shot(
     train_labels,
     embed_train,
-    test_items: GaussianBatch,
+    test_mu: np.ndarray,
     test_labels,
     k_shot: int,
     mode: str = "mu_only",
@@ -333,15 +329,15 @@ def few_shot(
     """Linear-probe AUROCs, one per generator in ``rngs``, each from its own
     k-shot support set drawn from the train pool.
 
-    ``embed_train`` maps an ascending array of train row indices to a
-    ``GaussianBatch`` of their embeddings, in that order. It is called once,
+    ``embed_train`` maps an ascending array of train row indices to the
+    ``(mu, log_var)`` arrays of their embeddings, in that order. It is called once,
     with the union of the support sets, so no other train row is embedded.
     ``mu_only`` trains the probe on the support items' mean embeddings;
     ``sampled`` expands every support item into ``n_samples``
     reparameterized draws and trains on those. Each generator
     draws its support set and then, in ``sampled`` mode, that set's draws, so
     every AUROC equals a run with that generator alone. The probes of all
-    generators fit as one stack. Test items are always scored on their means.
+    generators fit as one stack. Test items are scored on their means ``test_mu``.
     """
     if mode not in ("mu_only", "sampled"):
         raise ValueError(f"few_shot: unknown mode {mode!r}")
@@ -357,8 +353,7 @@ def few_shot(
     class_index = {cls: i for i, cls in enumerate(classes)}
     supports = [_select_support(train_labels, classes, k_shot, rng) for rng in rngs]
     rows, where = _union(supports)
-    train = embed_train(rows)
-    mu_train, lv_train = train.mu.data, train.log_var.data
+    mu_train, lv_train = embed_train(rows)
 
     xs, ys = [], []
     for rng, support, at in zip(rngs, supports, where):
@@ -371,7 +366,7 @@ def few_shot(
         ys.append(y)
 
     w = logistic_probe(np.stack(xs), np.stack(ys), len(classes))
-    return [_class_auroc(scores, test_labels, classes) for scores in probe_scores(w, test_items.mu.data)]
+    return [_class_auroc(scores, test_labels, classes) for scores in probe_scores(w, test_mu)]
 
 
 # -- multimodal classification -----------------------------------------------------
@@ -393,7 +388,7 @@ def multimodal_classify(
     """ZS and FS AUROCs for each single modality and their combination.
 
     ``embed_train`` maps an ascending array of train row indices to one
-    ``GaussianBatch`` per modality of ``pair``, as ``few_shot``'s does for
+    ``(mu, log_var)`` pair per modality of ``pair``, as ``few_shot``'s does for
     one; it is called once, with the support rows. FS combines the
     modalities by concatenating mean embeddings before the probe; ZS fuses
     the two per-modality prototype-similarity scores of the test items with
@@ -409,9 +404,9 @@ def multimodal_classify(
     class_index = {cls: i for i, cls in enumerate(classes)}
     support = _select_support(train_labels, classes, k_shot, rng)
     rows, [at] = _union([support])
-    mu_train = [batch.mu.data[at] for batch in embed_train(rows)]
+    mu_train = [mu[at] for mu, _ in embed_train(rows)]
     y = np.array([class_index[int(c)] for c in train_labels[support]])
-    enc_test = [model.encode(m, x, train=False) for m, x in zip(pair, test_views)]
+    enc_test = [model.encode(m, x) for m, x in zip(pair, test_views)]
 
     out = {"zs": {}, "fs": {}}
     names = [pair[0].value, pair[1].value, "both"]
@@ -428,7 +423,7 @@ def multimodal_classify(
     # The single-modality probes share support rows and width: one stack of two.
     singles = logistic_probe(np.stack(mu_train), np.stack([y, y]), len(classes))
     probes = [*singles, logistic_probe(np.hstack(mu_train), y, len(classes))]
-    mu_test = [b.mu.data for b in enc_test]
+    mu_test = [mu for mu, _ in enc_test]
     test_sets = [*mu_test, np.hstack(mu_test)]
     for name, w, x_test in zip(names, probes, test_sets):
         out["fs"][name] = _class_auroc(probe_scores(w, x_test), test_labels, classes)
@@ -459,8 +454,8 @@ def mean_uncertainty_by_noise(
     means = []
     for level in levels:
         noisy = items + rng.standard_normal(items.shape) * level
-        batch = model.encode(modality, noisy, train=False)
-        means.append(float(np.mean(np.exp(0.5 * batch.log_var.data))))
+        _, log_var = model.encode(modality, noisy)
+        means.append(float(prompt_uncertainty(log_var).mean()))
     rho = spearman(levels, means)
     return UncertaintyProbe(list(zip(levels, means)), rho)
 
@@ -483,12 +478,6 @@ class EvalReport:
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path) -> "EvalReport":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return cls(doc["protocol"], doc["metrics"], doc.get("details", {}))
 
 
 def _jsonable(obj):

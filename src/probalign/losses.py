@@ -72,23 +72,6 @@ def _nce_from_logits(logits: Tensor) -> Tensor:
     return ad.mean_all(ad.logsumexp(logits) - ad.diagonal(logits))
 
 
-def info_nce_prob(
-    queries: GaussianBatch,
-    keys: GaussianBatch,
-    kind: SimilarityKind,
-    tau: float,
-) -> Tensor:
-    """Contrastive loss over matched query/key batches (position i positive)."""
-    if queries.n == 0 or keys.n == 0:
-        raise ValueError("info_nce_prob: empty batch")
-    if queries.n != keys.n:
-        raise ValueError(f"info_nce_prob: batch sizes differ ({queries.n} vs {keys.n})")
-    if tau <= 0:
-        raise ValueError("info_nce_prob: tau must be positive")
-    sim = pairwise_similarity_graph(queries, keys, kind)
-    return _nce_from_logits(sim * (1.0 / tau))
-
-
 def sis_loss(
     batch: GaussianBatch,
     tau: float,

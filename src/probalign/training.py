@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Corpus, PairBatch, PairType, TRAINABLE_PAIRS, eligible_records, make_pair_batches
+from .data import (
+    TRAINABLE_PAIRS, Corpus, PairBatch, PairType, check_int_fields, eligible_records, make_pair_batches
+)
 from .encoders import (
     PARAM_ORDER,
     AlignmentModel,
@@ -28,8 +30,8 @@ from .encoders import (
     model_from_document,
     save_checkpoint,
 )
-from .gaussians import SimilarityKind, pairwise_similarity_arrays
-from .losses import LossBreakdown, LossWeights, pair_loss
+from .gaussians import GaussianBatch, SimilarityKind, pairwise_similarity_arrays
+from .losses import LossWeights, pair_loss
 
 ADAM_EPS = 1e-8
 
@@ -61,11 +63,8 @@ class TrainConfig:
             raise ValueError("TrainConfig: lr must be positive")
         if self.grad_clip <= 0:
             raise ValueError("TrainConfig: grad_clip must be positive")
-        if self.batch_size < 2:
-            raise ValueError("TrainConfig: batch_size must be at least 2")
-        for name, least in (("total_steps", 0), ("eval_every", 1), ("hidden_dim", 1), ("embed_dim", 1)):
-            if getattr(self, name) < least:
-                raise ValueError(f"TrainConfig: {name} must be >= {least}, got {getattr(self, name)}")
+        least = {"batch_size": 2, "total_steps": 0, "eval_every": 1, "hidden_dim": 1, "embed_dim": 1, "seed": 0}
+        check_int_fields(self, least)
         if self.weight_decay < 0:
             raise ValueError("TrainConfig: weight_decay must be nonnegative")
         if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
@@ -134,8 +133,9 @@ def _adamw_update(encoder, state: AdamWState, grads: Iterator[np.ndarray], lr: f
         tensor.data = tensor.data - lr * update
 
 
-def train_step(state: TrainerState, pair: PairType, batch: PairBatch) -> LossBreakdown:
-    """One gradient update on the two encoders of ``pair``."""
+def train_step(state: TrainerState, pair: PairType, batch: PairBatch) -> dict:
+    """One gradient update on the two encoders of ``pair``; returns the step's
+    ``metrics.csv`` row, keyed by METRICS_COLUMNS."""
     cfg = state.cfg
     enc1, enc2 = (state.model.encoders[m] for m in pair)
     b1 = enc1.encode(batch.x_first, train=True)
@@ -161,8 +161,10 @@ def train_step(state: TrainerState, pair: PairType, batch: PairBatch) -> LossBre
     _adamw_update(enc2, state.optimizer[pair[1]], clipped, lr, cfg)
     for p in params:
         p.zero_grad()
+    row = {"step": state.step, "pair": "+".join(m.value for m in pair)}
+    row.update(zip(METRICS_COLUMNS[2:-1], breakdown.as_row()), lr=lr)
     state.step += 1
-    return breakdown
+    return row
 
 
 def choose_pairs(pairs: list[PairType], rng: np.random.Generator, n: int) -> list[PairType]:
@@ -173,11 +175,6 @@ def choose_pairs(pairs: list[PairType], rng: np.random.Generator, n: int) -> lis
 
 
 # -- validation ---------------------------------------------------------------
-
-
-def _encode_eval(model: AlignmentModel, modality: Modality, x: np.ndarray):
-    batch = model.encode(modality, x, train=False)
-    return batch.mu.data, batch.log_var.data
 
 
 def validation_retrieval(
@@ -200,8 +197,8 @@ def validation_retrieval(
             continue
         texts = np.stack([r.text_variants[0] for r in pool])
         views = np.stack([r.views[modality] for r in pool])
-        mu_q, lv_q = _encode_eval(model, Modality.TEXT, texts)
-        mu_g, lv_g = _encode_eval(model, modality, views)
+        mu_q, lv_q = model.encode(Modality.TEXT, texts)
+        mu_g, lv_g = model.encode(modality, views)
         sim = pairwise_similarity_arrays(mu_q, lv_q, mu_g, lv_g, kind)
         result = recall_at_k(sim, list(range(len(pool))), list(ks))
         out["tasks"][f"text->{modality.value}"] = {f"r@{k}": result.recall_at[k] for k in ks}
@@ -216,10 +213,9 @@ def validation_info_nce(
     n_batches: int = 2,
 ) -> float | None:
     """Symmetric contrastive loss on seeded eval-mode batches, all pairs; None
-    when no pair has records for a batch."""
-    from .gaussians import GaussianBatch
-    from .losses import info_nce_prob
-
+    when no pair has records for a batch. Each batch is the mean of the two
+    directions of an InfoNCE-only ``pair_loss``."""
+    weights = LossWeights(alpha=1.0, beta=0.0, gamma=0.0, tau=cfg.loss_weights.tau)
     values = []
     for i, pair in enumerate(TRAINABLE_PAIRS):
         pool = eligible_records(records, pair)
@@ -229,18 +225,16 @@ def validation_info_nce(
         stream = make_pair_batches(records, pair, cfg.batch_size, rng)
         for _ in range(n_batches):
             batch = next(stream)
-            b1 = model.encode(pair[0], batch.x_first, train=False)
-            b2 = model.encode(pair[1], batch.x_second, train=False)
-            forward = info_nce_prob(b1, b2, cfg.similarity, cfg.loss_weights.tau).item()
-            backward = info_nce_prob(b2, b1, cfg.similarity, cfg.loss_weights.tau).item()
-            values.append(0.5 * (forward + backward))
+            b1 = GaussianBatch(*model.encode(pair[0], batch.x_first))
+            b2 = GaussianBatch(*model.encode(pair[1], batch.x_second))
+            _, parts = pair_loss(b1, b2, weights, cfg.similarity)
+            values.append(0.5 * (parts.mod_forward + parts.mod_backward))
     return float(np.mean(values)) if values else None
 
 
 @dataclass
 class TrainResult:
     model: AlignmentModel
-    history: list[dict]
     validation_history: list[dict]
     best_step: int
     best_rsum: float
@@ -276,7 +270,6 @@ def train(
     }
     pair_rng = np.random.default_rng([cfg.seed, 5])
 
-    history: list[dict] = []
     validation_history: list[dict] = []
     metrics_file = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
     if metrics_file:
@@ -292,25 +285,15 @@ def train(
     best = run_validation()
     best_doc = checkpoint_document(model)
     try:
-        for step in range(cfg.total_steps):
+        while state.step < cfg.total_steps:
             pair = choose_pairs(pairs, pair_rng, 1)[0]
-            batch = next(streams[pair])
-            lr = cosine_lr(state.step, cfg.total_steps, cfg.lr)
-            breakdown = train_step(state, pair, batch)
-            row = {
-                "step": step,
-                "pair": "+".join(m.value for m in pair),
-                **dict(zip(METRICS_COLUMNS[2:-1], breakdown.as_row())),
-                "lr": lr,
-            }
-            history.append(row)
+            row = train_step(state, pair, next(streams[pair]))
             if metrics_file:
                 metrics_file.write(
                     ",".join(str(row[c]) if c in ("step", "pair") else repr(row[c]) for c in METRICS_COLUMNS)
                     + "\n"
                 )
-            due = (step + 1) % cfg.eval_every == 0 or (step + 1) == cfg.total_steps
-            if due:
+            if state.step % cfg.eval_every == 0 or state.step == cfg.total_steps:
                 entry = run_validation()
                 if entry["rsum"] >= best["rsum"]:
                     best = entry
@@ -324,7 +307,6 @@ def train(
         save_checkpoint(model, checkpoint_path)
     return TrainResult(
         model=model,
-        history=history,
         validation_history=validation_history,
         best_step=best["step"],
         best_rsum=best["rsum"],

@@ -1,8 +1,13 @@
 """The benchmark's tracer (perfbench/spans.py) wraps probalign functions by
 module attribute, some of them imported only so the tracer can wrap them
 there (``cli.auroc``). Installing it must keep working, so that removing such
-a name breaks this test rather than ``perfbench/run.py --trace 1``."""
+a name breaks this test rather than ``perfbench/run.py --trace 1``. The
+tracer also reads call shapes: the similarity kind as the fifth positional
+argument of ``pairwise_similarity_arrays``, and eval mode from an
+``Encoder.encode`` call without ``train``; the evaluation paths must still
+record those spans."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,14 +15,55 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# Runs in a child process: install() replaces module attributes for good.
+TRACED_CALLS = """
+import json
+import numpy as np
+import spans
+from probalign import data, evaluation, training
+from probalign.encoders import AlignmentModel, Modality
 
-def test_perfbench_tracer_installs():
+tracer = spans.Tracer()
+spans.install(tracer)
+corpus = data.generate(data.CorpusConfig(n_records=200, latent_dim=4), 0)
+model = AlignmentModel.build(0, corpus.config.view_dims, hidden_dim=8, embed_dim=4)
+items = model.encode(Modality.MOD_A, np.stack([r.views[Modality.MOD_A] for r in corpus.test]))
+prompts = {0: items, 1: model.encode(Modality.TEXT, np.stack([r.text_variants[0] for r in corpus.test]))}
+names = {}
+for kind in spans.KINDS:
+    tracer.spans.clear()
+    evaluation.score_prototypes(items, prompts, kind)
+    names["score_prototypes." + kind] = [span[0] for span in tracer.spans]
+tracer.spans.clear()
+training.validation_retrieval(model, corpus.train, "csd")
+names["validation_retrieval"] = [span[0] for span in tracer.spans]
+print(json.dumps(names))
+"""
+
+
+def run_traced(code: str) -> subprocess.CompletedProcess:
     paths = [str(ROOT / "src"), str(ROOT / "perfbench"), os.environ.get("PYTHONPATH")]
-    proc = subprocess.run(
-        [sys.executable, "-c", "import spans; spans.install(spans.Tracer())"],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
         timeout=120,
     )
+
+
+def test_perfbench_tracer_installs():
+    proc = run_traced("import spans; spans.install(spans.Tracer())")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_evaluation_calls_record_kind_and_eval_spans():
+    proc = run_traced(TRACED_CALLS)
+    assert proc.returncode == 0, proc.stderr
+    names = json.loads(proc.stdout)
+    for kind in ("hellinger", "bhattacharyya", "csd", "cosine"):
+        assert f"gaussians.pairwise_similarity_arrays.{kind}" in names[f"score_prototypes.{kind}"]
+    recorded = names["validation_retrieval"]
+    assert "training.validation_retrieval" in recorded
+    assert "gaussians.pairwise_similarity_arrays.csd" in recorded
+    assert "encoders.encode.eval" in recorded and "encoders.encode.train" not in recorded

@@ -16,7 +16,7 @@ from probalign import cli, data, evaluation
 from probalign.cli import ConfigError, main, train_config_from_doc
 from probalign.encoders import AlignmentModel, Modality, load_checkpoint
 from probalign.evaluation import EvalReport, few_shot, macro_ovr_auroc, multimodal_classify
-from probalign.gaussians import GaussianBatch, SimilarityKind
+from probalign.gaussians import SimilarityKind
 from probalign.training import TrainConfig
 from probalign.verification import run_oracle_suite
 
@@ -713,19 +713,19 @@ def full_decode_report(argv) -> str:
     rng = np.random.default_rng(args.seed)
 
     def embed(modality, records):
-        return model.encode(modality, np.stack([r.views[modality] for r in records]), train=False)
+        return model.encode(modality, np.stack([r.views[modality] for r in records]))
 
     if args.protocol == "fewshot":
         m = Modality(args.modality)
         train = [r for r in corpus.train if m in r.views]
         test = [r for r in corpus.test if m in r.views]
-        train_items = embed(m, train)
+        mu_train, lv_train = embed(m, train)
         table = {}
         for shot in args.shots:
             per_seed = few_shot(
                 [r.class_label for r in train],
-                lambda rows: GaussianBatch(train_items.mu.data[rows], train_items.log_var.data[rows]),
-                embed(m, test),
+                lambda rows: (mu_train[rows], lv_train[rows]),
+                embed(m, test)[0],
                 [r.class_label for r in test],
                 shot,
                 mode=args.fewshot_mode,
@@ -744,7 +744,7 @@ def full_decode_report(argv) -> str:
     result = multimodal_classify(
         model,
         [r.class_label for r in train],
-        lambda rows: [GaussianBatch(b.mu.data[rows], b.log_var.data[rows]) for b in train_items],
+        lambda rows: [(mu[rows], lv[rows]) for mu, lv in train_items],
         tuple(np.stack([r.views[m] for r in test]) for m in pair),
         [r.class_label for r in test],
         args.k_shot,
@@ -770,7 +770,7 @@ def zeroshot_list_report(argv) -> tuple[str, list]:
     m = Modality(args.modality)
     records = [r for r in corpus.splits[args.split or "test"] if m in r.views]
     labels = np.array([r.class_label for r in records])
-    items = model.encode(m, np.stack([r.views[m] for r in records]), train=False)
+    items = model.encode(m, np.stack([r.views[m] for r in records]))
     if args.prototypes == "text":
         prompts = cli._prompt_set(corpus, args, np.random.default_rng(args.seed))
         base = zero_shot_lists.zero_shot(model, items, prompts, kind)
@@ -789,9 +789,9 @@ def zeroshot_list_report(argv) -> tuple[str, list]:
     proto = [r for r in corpus.valid if proto_modality in r.views]
     if not proto:
         raise ConfigError(f"no {proto_modality.value} views in valid split for prototypes")
-    batch = model.encode(proto_modality, np.stack([r.views[proto_modality] for r in proto]), train=False)
+    rows = model.encode(proto_modality, np.stack([r.views[proto_modality] for r in proto]))
     by_class = {}
-    for r, e in zip(proto, zero_shot_lists.embeddings_of(batch)):
+    for r, e in zip(proto, zero_shot_lists.embeddings_of(rows)):
         by_class.setdefault(r.class_label, []).append(e)
     result = zero_shot_lists.zero_shot_from_encoded(items, by_class, kind)
     details = {"prototypes": proto_modality.value, "item_modality": m.value}
@@ -846,10 +846,10 @@ class TestPromptsEncodedOnce:
     def test_each_prompt_is_encoded_once(self, trained_dir, corpus_dir, tmp_path, monkeypatch, extra, per_class):
         text_rows, real = [], AlignmentModel.encode
 
-        def spy(self, modality, x, train=False):
+        def spy(self, modality, x):
             if modality == Modality.TEXT:
                 text_rows.append(len(x))
-            return real(self, modality, x, train=train)
+            return real(self, modality, x)
 
         monkeypatch.setattr(AlignmentModel, "encode", spy)
         argv = ["eval", "--checkpoint", str(trained_dir / "checkpoint.json"), "--corpus", str(corpus_dir)]
@@ -951,8 +951,9 @@ class TestVerify:
 
 
 class TestSeedAndSections:
-    """A bad seed or a config section of the wrong JSON type exits 1 with a
-    message, before any run directory exists."""
+    """A bad seed, a config section or value of the wrong JSON type, or a
+    checkpoint document missing a key or an encoder exits 1 with a message,
+    before any run directory exists."""
 
     TRAIN = ["train", "--config", "CONFIG", "--corpus", "CORPUS", "--out", "OUT"]
     GEN = ["gen", "--config", "CONFIG", "--out", "OUT"]
@@ -983,13 +984,33 @@ class TestSeedAndSections:
             (EVAL, [1], "config.json must be a JSON object, got list"),
             (EVAL, "x", "config.json must be a JSON object, got str"),
             (EVAL, None, "config.json must be a JSON object, got NoneType"),
+            (GEN, {"corpus": {"n_records": "10"}}, "CorpusConfig: n_records must be an integer, got '10'"),
+            (GEN, {"corpus": {"n_records": 10.5}}, "CorpusConfig: n_records must be an integer, got 10.5"),
+            (GEN, {"corpus": {"n_text_variants": 2.5}}, "n_text_variants must be an integer, got 2.5"),
+            (GEN, {"corpus": {"pair_probs": 5}}, "corpus: 'int' object is not iterable"),
+            (GEN, {"corpus": {"split_fractions": 3}}, "corpus: 'int' object is not iterable"),
+            (GEN, {"corpus": {"view_dims": {"mod_a": None}}}, "view dims must be integers, got mod_a None"),
+            (GEN, {"corpus": {"view_dims": {"mod_a": 2.5, "mod_b": "40"}}},
+             "view dims must be integers, got mod_a 2.5, mod_b '40'"),
+            (GEN, {"corpus": {"cluster_std": -1}}, "CorpusConfig: cluster_std must be a number >= 0, got -1"),
+            (TRAIN, {"train": {"batch_size": 8.5}}, "TrainConfig: batch_size must be an integer, got 8.5"),
+            (TRAIN, {"train": {"hidden_dim": 8.5}}, "TrainConfig: hidden_dim must be an integer, got 8.5"),
+            (EVAL, {"format": "probalign-checkpoint-v1"}, "checkpoint: no 'encoders' entry"),
+            (EVAL, {"format": "probalign-checkpoint-v1", "embed_dim": 2,
+                    "encoders": {m.value: {"input_dim": 3, "embed_dim": 2} for m in Modality}},
+             "checkpoint: the mod_a encoder has no 'hidden_dim' entry"),
+            (EVAL, {"format": "probalign-checkpoint-v1", "embed_dim": 2, "encoders": {}},
+             "checkpoint: no encoder for mod_a, mod_b, mod_c, text"),
         ],
         ids=[
             "train-flag-seed", "gen-flag-seed", "eval-flag-seed", "gen-string-seed", "train-string-seed",
             "gen-float-seed", "train-float-seed", "train-negative-config-seed", "gen-list-root", "train-list-root",
             "list-corpus", "list-view-dims", "number-noise-scales", "list-train", "list-loss-weights",
             "list-loss-weights-no-sis", "list-paths", "number-corpus-path", "list-checkpoint",
-            "string-checkpoint", "null-checkpoint",
+            "string-checkpoint", "null-checkpoint", "string-n-records", "float-n-records",
+            "float-text-variants", "number-pair-probs", "number-split-fractions", "null-view-dim",
+            "mistyped-view-dims", "negative-cluster-std", "float-batch-size", "float-hidden-dim",
+            "checkpoint-without-encoders", "encoder-without-hidden-dim", "checkpoint-with-no-encoder",
         ],
     )
     def test_exits_1_before_the_run_dir(self, corpus_dir, tmp_path, capsys, argv, doc, message):

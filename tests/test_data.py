@@ -74,7 +74,7 @@ class TestConfig:
             CorpusConfig(noise_scales={m: 0.0 for m in Modality})
 
     def test_needs_two_text_variants(self):
-        with pytest.raises(ValueError, match="2 text variants"):
+        with pytest.raises(ValueError, match="n_text_variants must be >= 2, got 1"):
             CorpusConfig(n_text_variants=1)
 
     def test_fractions_must_not_be_negative(self):

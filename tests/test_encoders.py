@@ -1,6 +1,7 @@
 """Encoder tests: heads, batch norm semantics, init, checkpoint round-trip."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from probalign.encoders import (
     Encoder,
     EncoderDims,
     Modality,
+    checkpoint_document,
     init_encoder,
     load_checkpoint,
+    model_from_document,
     save_checkpoint,
 )
 from probalign.gaussians import GaussianBatch, SimilarityKind
@@ -197,7 +200,7 @@ class TestCheckpoint:
     def test_round_trip_is_bit_identical(self, tmp_path):
         model = self._model()
         rng = np.random.default_rng(10)
-        model.encode(Modality.MOD_A, rng.normal(size=(8, 6)), train=True)
+        model.encoders[Modality.MOD_A].encode(rng.normal(size=(8, 6)), train=True)
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
         save_checkpoint(model, p1)
@@ -211,7 +214,7 @@ class TestCheckpoint:
         save_checkpoint(model, tmp_path / "m.json")
         loaded = load_checkpoint(tmp_path / "m.json")
         np.testing.assert_array_equal(
-            model.encode(Modality.MOD_A, x).mu.data, loaded.encode(Modality.MOD_A, x).mu.data
+            model.encode(Modality.MOD_A, x)[0], loaded.encode(Modality.MOD_A, x)[0]
         )
 
     def test_format_check(self, tmp_path):
@@ -226,6 +229,23 @@ class TestCheckpoint:
         path.write_text(text)
         with pytest.raises(ValueError, match=f"checkpoint {path} must be a JSON object, got {kind}"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            (lambda doc: doc["encoders"]["mod_b"].pop("hidden_dim"), "the mod_b encoder has no 'hidden_dim' entry"),
+            (lambda doc: doc["encoders"]["text"]["params"].pop("w_lv"), "the text encoder has no 'w_lv' entry"),
+            (lambda doc: doc["encoders"].pop("mod_c"), "checkpoint: no encoder for mod_c"),
+            (lambda doc: doc.update(encoders=5), "checkpoint: 'encoders' must be an object, got int"),
+            (lambda doc: doc["encoders"].update(mod_b=5), "checkpoint: the mod_b encoder entry is malformed"),
+        ],
+        ids=["no-hidden-dim", "no-param", "one-encoder-missing", "number-encoders", "number-encoder-entry"],
+    )
+    def test_missing_key_or_modality_rejected(self, change, message):
+        doc = checkpoint_document(self._model())
+        change(doc)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            model_from_document(doc)
 
     def test_no_optimizer_block_is_written(self, tmp_path):
         save_checkpoint(self._model(bn=False), tmp_path / "m.json")

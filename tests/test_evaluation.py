@@ -1,5 +1,7 @@
 """Metric and protocol mechanics: retrieval ranks, AUROC, prototypes, probes."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +30,7 @@ from probalign.evaluation import (
     zero_shot,
 )
 from probalign.evaluation import _class_auroc, _sample_rows, _select_support
-from probalign.gaussians import GaussianBatch, GaussianEmbedding, SimilarityKind, sample
+from probalign.gaussians import GaussianEmbedding, SimilarityKind, sample
 
 import zero_shot_lists
 
@@ -84,8 +86,8 @@ def probe_scores_loop(w, x) -> np.ndarray:
 def few_shot_one_rng(train_items, train_labels, test_items, test_labels, k_shot, mode, n_samples, rng):
     """Reference for ``few_shot``: one generator, a ``sample`` call per support
     row in sampled mode, and its own 2-D fit."""
-    mu_train, lv_train = train_items.mu.data, train_items.log_var.data
-    mu_test = test_items.mu.data
+    mu_train, lv_train = train_items
+    mu_test, _ = test_items
     train_labels, test_labels = np.asarray(train_labels), np.asarray(test_labels)
     classes = sorted(set(int(c) for c in train_labels))
     class_index = {cls: i for i, cls in enumerate(classes)}
@@ -104,20 +106,21 @@ def few_shot_one_rng(train_items, train_labels, test_items, test_labels, k_shot,
 
 
 def rows_of(items, calls=None):
-    """An ``embed_train`` over a precomputed ``GaussianBatch``; appends each
+    """An ``embed_train`` over precomputed ``(mu, log_var)`` arrays; appends each
     requested row array to ``calls`` when given."""
 
     def embed(rows):
         if calls is not None:
             calls.append(rows)
-        return GaussianBatch(items.mu.data[rows], items.log_var.data[rows])
+        mu, log_var = items
+        return mu[rows], log_var[rows]
 
     return embed
 
 
 def views_of(model, views, pair=(Modality.MOD_A, Modality.MOD_B)):
     """A multimodal ``embed_train`` that encodes the given rows of each view."""
-    return lambda rows: [model.encode(m, x[rows], train=False) for m, x in zip(pair, views)]
+    return lambda rows: [model.encode(m, x[rows]) for m, x in zip(pair, views)]
 
 
 class TestRecallAtK:
@@ -329,7 +332,7 @@ class TestZeroShot:
         for cls in (0, 1):
             chosen = result.prototypes[0][cls]
             idx = int(np.argmin(base.prompt_uncertainties[cls]))
-            encoded = model.encode(Modality.TEXT, np.stack(prompts.class_prompts[cls])).mu.data[idx]
+            encoded = model.encode(Modality.TEXT, np.stack(prompts.class_prompts[cls]))[0][idx]
             np.testing.assert_array_equal(chosen, encoded)
 
     def test_k_out_of_range(self, model):
@@ -353,7 +356,7 @@ class TestZeroShotEqualsListForm:
     @pytest.mark.parametrize("kind", list(SimilarityKind))
     def test_zero_shot_and_every_filter(self, model, kind):
         prompts = self._prompts()
-        items = model.encode(Modality.MOD_A, np.random.default_rng(31).normal(size=(20, 6)), train=False)
+        items = model.encode(Modality.MOD_A, np.random.default_rng(31).normal(size=(20, 6)))
         encoded = encode_prompts(model, prompts)
         zero_shot_lists.assert_same(
             zero_shot(items, encoded, kind), zero_shot_lists.zero_shot(model, items, prompts, kind)
@@ -379,7 +382,7 @@ class TestZeroShotEqualsListForm:
         encoded = zero_shot_lists.encode_prompts(model, prompts)
         pair = (Modality.MOD_A, Modality.MOD_B)
         scores = [
-            zero_shot_lists.zero_shot_from_encoded(model.encode(m, x, train=False), encoded, kind).scores
+            zero_shot_lists.zero_shot_from_encoded(model.encode(m, x), encoded, kind).scores
             for m, x in zip(pair, test)
         ]
         fused = 0.5 * (scores[0] + scores[1]) if fusion == "mean" else np.maximum(*scores)
@@ -392,23 +395,23 @@ class TestFewShot:
         labels = np.array([0] * (n // 2) + [1] * (n // 2))
         mu = rng.normal(size=(n, d)) + gap * labels[:, None]
         lv = np.full((n, d), -2.0)
-        return GaussianBatch(mu, lv), labels
+        return (mu, lv), labels
 
     def test_separable_support_perfect_train_accuracy(self):
         rng = np.random.default_rng(11)
         items, labels = self._separable(rng)
-        w = logistic_probe(items.mu.data, labels, 2)
-        predictions = probe_scores(w, items.mu.data).argmax(axis=1)
+        w = logistic_probe(items[0], labels, 2)
+        predictions = probe_scores(w, items[0]).argmax(axis=1)
         assert np.array_equal(predictions, labels)
 
     def test_modes_agree_under_degenerate_sampling(self):
         rng = np.random.default_rng(12)
         items, labels = self._separable(rng)
-        frozen = GaussianBatch(items.mu.data, np.full_like(items.log_var.data, -40.0))
-        test_items, test_labels = self._separable(np.random.default_rng(13))
-        [base] = few_shot(labels, rows_of(frozen), test_items, test_labels, 4, mode="mu_only",
+        frozen = (items[0], np.full_like(items[1], -40.0))
+        (test_mu, _), test_labels = self._separable(np.random.default_rng(13))
+        [base] = few_shot(labels, rows_of(frozen), test_mu, test_labels, 4, mode="mu_only",
                           rngs=[np.random.default_rng(0)])
-        [sampled] = few_shot(labels, rows_of(frozen), test_items, test_labels, 4, mode="sampled",
+        [sampled] = few_shot(labels, rows_of(frozen), test_mu, test_labels, 4, mode="sampled",
                              n_samples=1, rngs=[np.random.default_rng(0)])
         assert abs(base - sampled) < 1e-6
 
@@ -416,15 +419,15 @@ class TestFewShot:
         rng = np.random.default_rng(14)
         items, labels = self._separable(rng, n=10)
         with pytest.raises(ValueError, match="only"):
-            few_shot(labels, rows_of(items), items, labels, 8, rngs=[np.random.default_rng(0)])
+            few_shot(labels, rows_of(items), items[0], labels, 8, rngs=[np.random.default_rng(0)])
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(15)
         items, labels = self._separable(rng)
-        test_items, test_labels = self._separable(np.random.default_rng(16))
-        a = few_shot(labels, rows_of(items), test_items, test_labels, 4, mode="sampled",
+        (test_mu, _), test_labels = self._separable(np.random.default_rng(16))
+        a = few_shot(labels, rows_of(items), test_mu, test_labels, 4, mode="sampled",
                      n_samples=8, rngs=[np.random.default_rng(42)])
-        b = few_shot(labels, rows_of(items), test_items, test_labels, 4, mode="sampled",
+        b = few_shot(labels, rows_of(items), test_mu, test_labels, 4, mode="sampled",
                      n_samples=8, rngs=[np.random.default_rng(42)])
         assert a == b
 
@@ -493,7 +496,7 @@ class TestStackedFewShot:
         labels = np.arange(n) % n_classes
         mu = rng.normal(size=(n, d)) + 1.5 * np.eye(n_classes, d)[labels]
         lv = rng.normal(scale=0.5, size=(n, d)) - 1.0
-        return GaussianBatch(mu, lv), labels
+        return (mu, lv), labels
 
     @pytest.mark.parametrize("mode,n_samples", [("mu_only", 16), ("sampled", 16), ("sampled", 1)])
     def test_generators_equal_one_run_each(self, mode, n_samples):
@@ -502,7 +505,7 @@ class TestStackedFewShot:
         test, y_test = self._pool(rng, 100)
         ours = [np.random.default_rng([7, s]) for s in range(5)]
         theirs = [np.random.default_rng([7, s]) for s in range(5)]
-        got = few_shot(y_train, rows_of(train), test, y_test, 4, mode=mode, n_samples=n_samples, rngs=ours)
+        got = few_shot(y_train, rows_of(train), test[0], y_test, 4, mode=mode, n_samples=n_samples, rngs=ours)
         want = [
             few_shot_one_rng(train, y_train, test, y_test, 4, mode, n_samples, g) for g in theirs
         ]
@@ -514,7 +517,7 @@ class TestStackedFewShot:
         train, y_train = self._pool(np.random.default_rng(25), 200)
         test, y_test = self._pool(np.random.default_rng(26), 50)
         calls = []
-        few_shot(y_train, rows_of(train, calls), test, y_test, 4, mode=mode,
+        few_shot(y_train, rows_of(train, calls), test[0], y_test, 4, mode=mode,
                  rngs=[np.random.default_rng([8, s]) for s in range(3)])
         supports = [_select_support(y_train, range(5), 4, np.random.default_rng([8, s])) for s in range(3)]
         [rows] = calls
@@ -523,12 +526,12 @@ class TestStackedFewShot:
     def test_empty_rngs_rejected(self):
         items, labels = self._pool(np.random.default_rng(21), 20)
         with pytest.raises(ValueError, match="rngs must hold at least one generator"):
-            few_shot(labels, rows_of(items), items, labels, 2, rngs=[])
+            few_shot(labels, rows_of(items), items[0], labels, 2, rngs=[])
 
     def test_k_shot_below_1_rejected(self):
         items, labels = self._pool(np.random.default_rng(22), 20)
         with pytest.raises(ValueError, match="k_shot must be >= 1, got 0"):
-            few_shot(labels, rows_of(items), items, labels, 0, rngs=[np.random.default_rng(0)])
+            few_shot(labels, rows_of(items), items[0], labels, 0, rngs=[np.random.default_rng(0)])
 
 
 class TestMultimodal:
@@ -574,8 +577,8 @@ class TestMultimodal:
             4, prompts, SimilarityKind.HELLINGER, np.random.default_rng(24),
         )
         views = ((Modality.MOD_A, x_a), (Modality.MOD_B, x_b))
-        mu_train = [model.encode(m, x[:half], train=False).mu.data for m, x in views]
-        mu_test = [model.encode(m, x[half:], train=False).mu.data for m, x in views]
+        mu_train = [model.encode(m, x[:half])[0] for m, x in views]
+        mu_test = [model.encode(m, x[half:])[0] for m, x in views]
         support = _select_support(labels[:half], [0, 1, 2], 4, np.random.default_rng(24))
         # Only the support rows were encoded, in ascending order.
         [rows] = calls
@@ -625,8 +628,8 @@ class TestNoiseProbe:
         probe = mean_uncertainty_by_noise(
             model, Modality.MOD_A, items, [0.0, 0.5, 1.0], np.random.default_rng(20)
         )
-        clean = model.encode(Modality.MOD_A, items)
-        assert probe.series[0][1] == pytest.approx(np.mean(prompt_uncertainty(clean.log_var.data)))
+        _, clean_log_var = model.encode(Modality.MOD_A, items)
+        assert probe.series[0][1] == pytest.approx(np.mean(prompt_uncertainty(clean_log_var)))
 
     def test_deterministic_given_seed(self, model):
         rng = np.random.default_rng(21)
@@ -659,17 +662,15 @@ class TestEvalReport:
     def test_round_trip(self, tmp_path):
         report = EvalReport("retrieval", {"rsum": 123.4}, {"tasks": {"a": 1}})
         report.save(tmp_path / "r.json")
-        again = EvalReport.load(tmp_path / "r.json")
-        assert again.protocol == "retrieval"
-        assert again.metrics == {"rsum": 123.4}
-        assert again.details == {"tasks": {"a": 1}}
+        again = json.loads((tmp_path / "r.json").read_text())
+        assert again == {"protocol": "retrieval", "metrics": {"rsum": 123.4}, "details": {"tasks": {"a": 1}}}
 
     def test_numpy_values_serialize(self, tmp_path):
         report = EvalReport("x", {"v": np.float64(1.5)}, {"arr": np.arange(3)})
         report.save(tmp_path / "n.json")
-        again = EvalReport.load(tmp_path / "n.json")
-        assert again.metrics["v"] == 1.5
-        assert again.details["arr"] == [0, 1, 2]
+        again = json.loads((tmp_path / "n.json").read_text())
+        assert again["metrics"]["v"] == 1.5
+        assert again["details"]["arr"] == [0, 1, 2]
 
 
 def test_macro_ovr_matches_binary_auroc():

@@ -9,11 +9,10 @@ from composed_graph import composed_sis_loss
 
 import probalign.autodiff as ad
 from probalign.autodiff import Tensor, grad_check
-from probalign.gaussians import GaussianBatch, GaussianEmbedding, SimilarityKind
+from probalign.gaussians import GaussianBatch, GaussianEmbedding, SimilarityKind, pairwise_similarity_arrays
 from probalign.losses import (
     LossBreakdown,
     LossWeights,
-    info_nce_prob,
     pair_loss,
     sis_loss,
     vib_loss,
@@ -26,6 +25,19 @@ def batch(mu, log_var):
 
 def random_batch(rng, n, d, mu_scale=1.0):
     return batch(rng.normal(0, mu_scale, (n, d)), rng.uniform(-1, 1, (n, d)))
+
+
+def info_nce(b1, b2, kind, tau):
+    """The InfoNCE-only pair objective (beta = gamma = 0): (total node, breakdown)."""
+    return pair_loss(b1, b2, LossWeights(alpha=1.0, beta=0.0, gamma=0.0, tau=tau), kind)
+
+
+def nce_reference(sim, tau):
+    """Mean over rows of logsumexp(row / tau) - diagonal / tau, in float64 numpy."""
+    logits = np.asarray(sim) / tau
+    peak = logits.max(axis=1, keepdims=True)
+    lse = (peak + np.log(np.exp(logits - peak).sum(axis=1, keepdims=True))).ravel()
+    return float((lse - np.diag(logits)).mean())
 
 
 class TestLossWeights:
@@ -43,22 +55,32 @@ class TestLossWeights:
 
 
 class TestInfoNce:
-    def test_single_pair_is_zero(self):
-        b = batch([[1.0, 0.0]], [[0.0, 0.0]])
-        assert info_nce_prob(b, b, SimilarityKind.HELLINGER, 0.07).item() == pytest.approx(0.0)
+    """InfoNCE through ``pair_loss`` with beta = gamma = 0, per direction."""
+
+    def test_self_pair_is_near_zero(self):
+        # Each embedding paired with itself, the others far away: similarity 1 on
+        # the diagonal (1 - 1e-6 under the graph's H^2 floor) and 0 off it, so
+        # each row loses log(1 + exp(-1/tau)).
+        b = batch([[100.0, 0.0], [-100.0, 0.0]], np.zeros((2, 2)))
+        total, parts = info_nce(b, b, SimilarityKind.HELLINGER, 0.07)
+        expected = math.log1p(math.exp(-1.0 / 0.07))
+        assert parts.mod_forward == parts.mod_backward == pytest.approx(expected, rel=1e-4)
+        assert total.item() == pytest.approx(0.0, abs=1e-5)
 
     def test_uniform_similarities_give_ln_n(self):
         # Identical embeddings everywhere: all pairwise similarities equal.
         mu = np.tile([0.5, -0.5], (2, 1))
         b = batch(mu, np.zeros((2, 2)))
-        value = info_nce_prob(b, b, SimilarityKind.HELLINGER, 0.07).item()
-        assert value == pytest.approx(math.log(2.0), abs=1e-12)
+        _, parts = info_nce(b, b, SimilarityKind.HELLINGER, 0.07)
+        assert parts.mod_forward == pytest.approx(math.log(2.0), abs=1e-12)
+        assert parts.mod_backward == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_ln_n_at_larger_batch(self):
         mu = np.tile([0.3, 0.7, -0.2], (5, 1))
         b = batch(mu, np.zeros((5, 3)))
-        value = info_nce_prob(b, b, SimilarityKind.COSINE, 0.2).item()
-        assert value == pytest.approx(math.log(5.0), abs=1e-12)
+        _, parts = info_nce(b, b, SimilarityKind.COSINE, 0.2)
+        assert parts.mod_forward == pytest.approx(math.log(5.0), abs=1e-12)
+        assert parts.mod_backward == pytest.approx(math.log(5.0), abs=1e-12)
 
     def test_strong_diagonal_hand_value(self):
         # Scalar recomputation oracle: s_ii = 1, s_ij = 0, tau = 0.07 gives
@@ -85,14 +107,15 @@ class TestInfoNce:
         for _ in range(20):
             q = random_batch(rng, 5, 3)
             k = random_batch(rng, 5, 3)
-            assert info_nce_prob(q, k, SimilarityKind.HELLINGER, 0.07).item() >= 0.0
+            _, parts = info_nce(q, k, SimilarityKind.HELLINGER, 0.07)
+            assert parts.mod_forward >= 0.0 and parts.mod_backward >= 0.0
 
     def test_validation_errors(self):
         b = random_batch(np.random.default_rng(0), 2, 3)
         with pytest.raises(ValueError, match="tau"):
-            info_nce_prob(b, b, SimilarityKind.HELLINGER, 0.0)
+            info_nce(b, b, SimilarityKind.HELLINGER, 0.0)
         with pytest.raises(ValueError, match="batch sizes"):
-            info_nce_prob(b, random_batch(np.random.default_rng(0), 3, 3), SimilarityKind.HELLINGER, 0.07)
+            info_nce(b, random_batch(np.random.default_rng(0), 3, 3), SimilarityKind.HELLINGER, 0.07)
 
 
 class TestSisLoss:
@@ -234,11 +257,10 @@ class TestPairLoss:
         b2 = random_batch(rng, 4, 3, mu_scale=0.3)
         w = LossWeights(alpha=1.0, beta=0.0, gamma=0.0)
         total, breakdown = pair_loss(b1, b2, w, SimilarityKind.HELLINGER)
-        expect = (
-            info_nce_prob(b1, b2, SimilarityKind.HELLINGER, w.tau).item()
-            + info_nce_prob(b2, b1, SimilarityKind.HELLINGER, w.tau).item()
-        )
-        assert total.item() == pytest.approx(expect, rel=1e-12)
+        sim = pairwise_similarity_arrays(b1.mu.data, b1.log_var.data, b2.mu.data, b2.log_var.data, "hellinger")
+        assert breakdown.mod_forward == pytest.approx(nce_reference(sim, w.tau), rel=1e-12)
+        assert breakdown.mod_backward == pytest.approx(nce_reference(sim.T, w.tau), rel=1e-12)
+        assert total.item() == breakdown.mod_forward + breakdown.mod_backward
         assert breakdown.sis_m1 == breakdown.sis_m2 == 0.0
         assert breakdown.vib_m1 == breakdown.vib_m2 == 0.0
 
@@ -256,8 +278,8 @@ class TestPairLoss:
         w = LossWeights()  # alpha 1.0, beta 0.5, gamma 1e-4, tau 0.07
         total, bd = pair_loss(b1, b2, w, SimilarityKind.HELLINGER, sis_eps=eps)
 
-        mod_f = info_nce_prob(b1, b2, SimilarityKind.HELLINGER, w.tau).item()
-        mod_b = info_nce_prob(b2, b1, SimilarityKind.HELLINGER, w.tau).item()
+        _, nce = info_nce(b1, b2, SimilarityKind.HELLINGER, w.tau)
+        mod_f, mod_b = nce.mod_forward, nce.mod_backward
         sis1 = sis_loss(b1, w.tau, eps=eps[0]).item()
         sis2 = sis_loss(b2, w.tau, eps=eps[1]).item()
         vib1 = vib_loss(b1).item()
@@ -305,7 +327,7 @@ class TestLossGradients:
             ]
 
             def f(p):
-                return info_nce_prob(GaussianBatch(p[0], p[1]), GaussianBatch(p[2], p[3]), kind, 0.07)
+                return info_nce(GaussianBatch(p[0], p[1]), GaussianBatch(p[2], p[3]), kind, 0.07)[0]
 
             worst = max(worst, grad_check(f, params))
         assert worst < 1e-4

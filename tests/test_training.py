@@ -1,5 +1,6 @@
 """Trainer tests: AdamW, clipping, isolation, schedules, determinism."""
 
+import csv
 import math
 
 import numpy as np
@@ -72,8 +73,8 @@ class TestTrainStep:
             name: p.data.copy() for name, p in state.model.named_parameters()
         }
         batch = next(make_pair_batches(corpus.train, (A, T), 16, np.random.default_rng(0)))
-        breakdown = train_step(state, (A, T), batch)
-        assert math.isfinite(breakdown.total) and breakdown.total > 0
+        row = train_step(state, (A, T), batch)
+        assert math.isfinite(row["total"]) and row["total"] > 0
         for name, p in state.model.named_parameters():
             np.testing.assert_allclose(p.data, before[name], atol=1e-25)
 
@@ -152,7 +153,7 @@ class TestTrainStep:
             cfg = small_cfg(total_steps=10)
             state = build_state(corpus, cfg)
             stream = make_pair_batches(corpus.train, (A, T), 16, np.random.default_rng(4))
-            run = [train_step(state, (A, T), next(stream)).as_row() for _ in range(10)]
+            run = [train_step(state, (A, T), next(stream)) for _ in range(10)]
             rows.append(run)
         assert rows[0] == rows[1]
 
@@ -222,10 +223,12 @@ class TestTrain:
         save_checkpoint(initial, tmp_path / "initial.json")
         assert (tmp_path / "best.json").read_bytes() == (tmp_path / "initial.json").read_bytes()
 
-    def test_sis_disabled_zeroes_sis_components(self, corpus):
+    def test_sis_disabled_zeroes_sis_components(self, corpus, tmp_path):
         cfg = small_cfg(total_steps=5, loss_weights=LossWeights(beta=0.0))
-        result = train(cfg, corpus)
-        assert all(row["sis1"] == 0.0 and row["sis2"] == 0.0 for row in result.history)
+        train(cfg, corpus, metrics_path=tmp_path / "m.csv")
+        rows = list(csv.DictReader((tmp_path / "m.csv").read_text().splitlines()))
+        assert len(rows) == 5
+        assert all(float(row["sis1"]) == 0.0 and float(row["sis2"]) == 0.0 for row in rows)
 
     def test_post_clip_gradient_norm_bounded_throughout(self, corpus):
         # Instrument the clip helper to observe every step's post-clip norm.

@@ -14,9 +14,9 @@ from probalign.evaluation import ZeroShotResult
 from probalign.gaussians import GaussianEmbedding, pairwise_similarity_arrays
 
 
-def embeddings_of(batch) -> list[GaussianEmbedding]:
-    """One ``GaussianEmbedding`` per row of a ``GaussianBatch``."""
-    return [GaussianEmbedding(m.copy(), v.copy()) for m, v in zip(batch.mu.data, batch.log_var.data)]
+def embeddings_of(rows) -> list[GaussianEmbedding]:
+    """One ``GaussianEmbedding`` per row of ``(mu, log_var)`` arrays."""
+    return [GaussianEmbedding(m.copy(), v.copy()) for m, v in zip(*rows)]
 
 
 def stack(embeddings) -> tuple[np.ndarray, np.ndarray]:
@@ -47,13 +47,13 @@ def class_prototype(embeddings: list[GaussianEmbedding]) -> GaussianEmbedding:
 
 def encode_prompts(model, prompts) -> dict:
     return {
-        cls: embeddings_of(model.encode(Modality.TEXT, np.stack(prompts.class_prompts[cls]), train=False))
+        cls: embeddings_of(model.encode(Modality.TEXT, np.stack(prompts.class_prompts[cls])))
         for cls in prompts.classes
     }
 
 
 def zero_shot_from_encoded(items, encoded_prompts: dict, kind) -> ZeroShotResult:
-    """Score a ``GaussianBatch`` against the prototype of each class's list."""
+    """Score ``(mu, log_var)`` items against the prototype of each class's list."""
     classes = sorted(encoded_prompts)
     prototypes = [class_prototype(encoded_prompts[cls]) for cls in classes]
     uncertainties = {cls: [prompt_uncertainty(e) for e in encoded_prompts[cls]] for cls in classes}
