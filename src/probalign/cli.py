@@ -77,6 +77,8 @@ def load_config(path) -> dict:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
+    if not p.is_file():
+        raise ConfigError(f"config path {p} is not a file")
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:

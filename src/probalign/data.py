@@ -398,10 +398,17 @@ def _modality_map(name: str, doc: dict, cast) -> dict[Modality, object]:
     return {Modality(k): cast(v) for k, v in json_object(f"corpus.{name}", doc).items()}
 
 
+def _real(section: str, value) -> float:
+    """``value`` as a float; only a JSON number (an int or a float, not a bool) is accepted."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{section} values must be numbers, got {value!r}")
+    return float(value)
+
+
 _CONFIG_CASTS = {
     "view_dims": lambda v: _modality_map("view_dims", v, lambda dim: dim),
-    "noise_scales": lambda v: _modality_map("noise_scales", v, float),
-    "pair_probs": lambda v: {_pair_from_json(p): float(w) for p, w in v},
+    "noise_scales": lambda v: _modality_map("noise_scales", v, lambda s: _real("corpus.noise_scales", s)),
+    "pair_probs": lambda v: {_pair_from_json(p): _real("corpus.pair_probs", w) for p, w in v},
     "split_fractions": tuple,
 }
 

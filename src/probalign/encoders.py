@@ -18,6 +18,7 @@ import base64
 import json
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -257,6 +258,9 @@ def model_from_document(doc: dict) -> AlignmentModel:
 
 
 def load_checkpoint(path) -> AlignmentModel:
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        raise ValueError(f"checkpoint path {path} is not a file")
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):

@@ -136,13 +136,15 @@ def recall_at_k(sim: np.ndarray, ground_truth, ks) -> RetrievalResult:
     gt = np.asarray(ground_truth, dtype=int)
     if gt.shape != (n_q,):
         raise ValueError("recall_at_k: need one ground-truth index per query")
+    if n_q and (gt.min() < 0 or gt.max() >= n_g):
+        raise ValueError(f"recall_at_k: ground-truth indices must lie in [0, {n_g})")
     ks = sorted(int(k) for k in ks)
     if ks[0] < 1 or ks[-1] > n_g:
         raise ValueError(f"recall_at_k: K must lie in [1, {n_g}], got {ks}")
 
     target = sim[np.arange(n_q), gt]
     better = (sim > target[:, None]).sum(axis=1)
-    tie_before = np.array([(sim[i, : gt[i]] == target[i]).sum() for i in range(n_q)])
+    tie_before = ((sim == target[:, None]) & (np.arange(n_g) < gt[:, None])).sum(axis=1)
     rank = 1 + better + tie_before
     recall = {k: float(100.0 * (rank <= k).mean()) for k in ks}
     return RetrievalResult(recall, float(sum(recall.values())))

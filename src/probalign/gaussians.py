@@ -19,12 +19,14 @@ check. Batches go through one kernel per formula, shared by evaluation and
 training. Hellinger and Bhattacharyya are both functions of the summed log
 Bhattacharyya coefficient S (the exponent above): the Bhattacharyya
 similarity is -D_B = S and the Hellinger similarity is 1 - sqrt(1 - e^S).
-``_log_affinity`` computes S in row blocks; ``_csd_distance`` computes csd in
-the closed form of PCME++ through one matmul. ``pairwise_similarity_arrays``
-finishes those arrays with numpy for evaluation, and
-``pairwise_similarity_graph`` wraps each in one :mod:`probalign.autodiff` node
-with an analytic backward for training, so the two routes share their forward
-values.
+``_log_affinity`` computes S in blocks of rows of at most ``AFFINITY_TERMS``
+(row, column, dimension) terms and, for evaluation, finishes each block into
+S as soon as it is reduced, so S is the only |A| x |B| array it allocates.
+``_csd_distance`` computes csd in the closed form of PCME++ through one
+matmul. ``pairwise_similarity_arrays`` finishes those arrays with numpy for
+evaluation, and ``pairwise_similarity_graph`` wraps each in one
+:mod:`probalign.autodiff` node with an analytic backward for training, so the
+two routes share their forward values.
 """
 
 from __future__ import annotations
@@ -45,8 +47,10 @@ VAR_FLOOR = 1e-12
 # Floor under H^2 before the sqrt in the training path; sqrt'(0) is unbounded.
 _H2_FLOOR = 1e-12
 
-# Rows of A per block of the log-affinity kernel; no result depends on it.
-AFFINITY_ROWS = 16
+# Terms (rows x |B| x D) per block of the log-affinity kernel: 256 KiB per
+# float64 block buffer, so the kernel's two buffers fit one core's L2 cache.
+# No result depends on it.
+AFFINITY_TERMS = 32768
 
 
 class SimilarityKind(str, Enum):
@@ -175,6 +179,15 @@ def _variances(log_var: np.ndarray) -> np.ndarray:
     return np.maximum(np.exp(log_var), VAR_FLOOR)
 
 
+def _finish_log_affinity(log_sum, quad_sum, row_a, row_b) -> None:
+    """S = -1/2 log_sum + row_a + row_b - 1/8 quad_sum, in place in ``log_sum``."""
+    log_sum *= -0.5
+    log_sum += row_a[:, None]
+    log_sum += row_b[None, :]
+    quad_sum *= 0.125
+    log_sum -= quad_sum
+
+
 def _log_affinity(
     mu_a: np.ndarray,
     va: np.ndarray,
@@ -189,24 +202,31 @@ def _log_affinity(
         S_ij = 1/4 sum ln va_i + 1/4 sum ln vb_j
                - 1/2 sum ln m_ij - 1/8 sum (mua_i - mub_j)^2 / m_ij
 
-    The first two sums are separable and formed once per row, so each pair
+    The first two sums are separable and formed once per call, so each pair
     costs one log and one divide per dimension. Rows of A go through
-    (AFFINITY_ROWS, |B|, D) blocks, which keeps the temporaries near cache size. When
-    a row of A equals a row of B, m equals their variance bit for bit and
-    every term is a power-of-two multiple of one sum, so S is exactly 0.
+    (rows, |B|, D) blocks of at most AFFINITY_TERMS terms, or of one row when
+    a row alone holds more, which keeps both block buffers in cache. When a row of A equals a row of B, m equals their
+    variance bit for bit and every term is a power-of-two multiple of one
+    sum, so S is exactly 0.
 
-    By default the blocks reuse two preallocated buffers and S alone is
-    returned. With ``keep_terms`` the blocks fill whole (|A|, |B|, D) arrays
-    m and mua - mub, which are returned after S for a backward pass to
-    reuse; S is the same bit for bit.
+    By default each block is finished into S as soon as its two sums are
+    reduced, so the quadratic sum lives only in a (rows, |B|) scratch and S
+    is the only |A| x |B| array allocated. With ``keep_terms`` the blocks
+    fill whole (|A|, |B|, D) arrays m and mua - mub, which are returned after
+    S for a backward pass to reuse, and S is finished once over the whole
+    matrix. Both routes apply the same operations to each entry in the same
+    order, so S is the same bit for bit, whatever the block size.
     """
     n, d = mu_a.shape
+    cols = mu_b.shape[0]
     half_a, half_b = 0.5 * va, 0.5 * vb
-    log_sum = np.empty((n, mu_b.shape[0]))
-    quad_sum = np.empty_like(log_sum)
-    rows = max(1, min(AFFINITY_ROWS, n))
-    block = (rows, mu_b.shape[0], d)
-    mean_var = np.empty((n, *block[1:]) if keep_terms else block)
+    row_a = 0.25 * np.einsum("io->i", np.log(va))
+    row_b = 0.25 * np.einsum("io->i", np.log(vb))
+    rows = max(1, min(n, AFFINITY_TERMS // max(1, cols * d)))
+    block = (rows, cols, d)
+    log_sum = np.empty((n, cols))
+    quad_sum = np.empty((n if keep_terms else rows, cols))
+    mean_var = np.empty((n, cols, d) if keep_terms else block)
     diff = np.empty_like(mean_var)
     log_m, quad = (np.empty(block), np.empty(block)) if keep_terms else (mean_var, diff)
     for start in range(0, n, rows):
@@ -220,13 +240,13 @@ def _log_affinity(
         np.divide(q, m, out=q)
         np.log(m, out=lm)
         np.einsum("ijo->ij", lm, out=log_sum[start:stop])
-        np.einsum("ijo->ij", q, out=quad_sum[start:stop])
-    log_sum *= -0.5
-    log_sum += 0.25 * np.einsum("io->i", np.log(va))[:, None]
-    log_sum += 0.25 * np.einsum("io->i", np.log(vb))[None, :]
-    quad_sum *= 0.125
-    log_sum -= quad_sum
-    return (log_sum, mean_var, diff) if keep_terms else log_sum
+        np.einsum("ijo->ij", q, out=quad_sum[at])
+        if not keep_terms:
+            _finish_log_affinity(log_sum[start:stop], quad_sum[at], row_a[start:stop], row_b)
+    if keep_terms:
+        _finish_log_affinity(log_sum, quad_sum, row_a, row_b)
+        return log_sum, mean_var, diff
+    return log_sum
 
 
 def _csd_distance(mu_a: np.ndarray, va: np.ndarray, mu_b: np.ndarray, vb: np.ndarray) -> np.ndarray:

@@ -1001,6 +1001,13 @@ class TestSeedAndSections:
              "checkpoint: the mod_a encoder has no 'hidden_dim' entry"),
             (EVAL, {"format": "probalign-checkpoint-v1", "embed_dim": 2, "encoders": {}},
              "checkpoint: no encoder for mod_a, mod_b, mod_c, text"),
+            (GEN, {"corpus": {"noise_scales": {"mod_a": True, "mod_b": 0.3, "mod_c": 0.3, "text": 0.3}}},
+             "corpus.noise_scales values must be numbers, got True"),
+            (GEN, {"corpus": {"pair_probs": [[["mod_a", "text"], "0.3"]]}},
+             "corpus.pair_probs values must be numbers, got '0.3'"),
+            (["gen", "--config", "DIR", "--out", "OUT"], {}, "is not a file"),
+            (["eval", "--checkpoint", "DIR", "--corpus", "CORPUS", "--protocol", "retrieval", "--out", "OUT"], {},
+             "is not a file"),
         ],
         ids=[
             "train-flag-seed", "gen-flag-seed", "eval-flag-seed", "gen-string-seed", "train-string-seed",
@@ -1011,12 +1018,14 @@ class TestSeedAndSections:
             "float-text-variants", "number-pair-probs", "number-split-fractions", "null-view-dim",
             "mistyped-view-dims", "negative-cluster-std", "float-batch-size", "float-hidden-dim",
             "checkpoint-without-encoders", "encoder-without-hidden-dim", "checkpoint-with-no-encoder",
+            "bool-noise-scale", "string-pair-prob", "directory-config", "directory-checkpoint",
         ],
     )
     def test_exits_1_before_the_run_dir(self, corpus_dir, tmp_path, capsys, argv, doc, message):
         config, out = tmp_path / "config.json", tmp_path / "o"
         config.write_text(json.dumps(doc))
-        values = {"CONFIG": str(config), "CORPUS": str(corpus_dir), "OUT": str(out)}
+        (tmp_path / "dir").mkdir()
+        values = {"CONFIG": str(config), "CORPUS": str(corpus_dir), "OUT": str(out), "DIR": str(tmp_path / "dir")}
         try:
             code = main([values.get(a, a) for a in argv])
         except SystemExit as exc:  # argparse's errors

@@ -152,6 +152,27 @@ class TestRecallAtK:
         assert recall_at_k(sim, [0], [1]).recall_at[1] == 100.0
         assert recall_at_k(sim, [1], [1]).recall_at[1] == 0.0
 
+    def test_ties_before_and_after_ground_truth_match_the_loop(self):
+        # Scores on a grid of 4 values, so most rows tie their ground truth
+        # both before and after its column; only ties before it lower the rank.
+        rng = np.random.default_rng(3)
+        sim = rng.integers(0, 4, size=(40, 12)).astype(float)
+        gt = rng.integers(0, 12, size=40)
+        target = sim[np.arange(40), gt]
+        assert any((sim[i, : gt[i]] == target[i]).any() and (sim[i, gt[i] + 1 :] == target[i]).any() for i in range(40))
+        ranks = [1 + (sim[i] > target[i]).sum() + (sim[i, : gt[i]] == target[i]).sum() for i in range(40)]
+        ks = range(1, 13)
+        for i in range(40):
+            row = recall_at_k(sim[i : i + 1], [gt[i]], ks).recall_at
+            assert 1 + sum(v == 0.0 for v in row.values()) == ranks[i]
+        expect = {k: 100.0 * np.mean(np.array(ranks) <= k) for k in ks}
+        assert recall_at_k(sim, list(gt), ks).recall_at == expect
+
+    @pytest.mark.parametrize("gt", [[0, -1, 2], [0, 1, 3]], ids=["negative", "past-the-gallery"])
+    def test_ground_truth_outside_gallery_rejected(self, gt):
+        with pytest.raises(ValueError, match=r"ground-truth indices must lie in \[0, 3\)"):
+            recall_at_k(np.eye(3), gt, [1])
+
     def test_k_exceeding_gallery_rejected(self):
         with pytest.raises(ValueError, match="K must lie"):
             recall_at_k(np.eye(3), [0, 1, 2], [4])

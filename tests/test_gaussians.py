@@ -7,6 +7,7 @@ also runs inline.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,17 +264,42 @@ class TestPairwise:
             else:  # the fused ops take their forward from the numpy kernels
                 np.testing.assert_array_equal(g.data, n)
 
-    def test_chunking_invariance(self, monkeypatch):
+    @pytest.mark.parametrize("budget", [1, 2 * 9 * 4, 3 * 9 * 4], ids=["1-row", "2-rows-partial", "3-rows-partial"])
+    def test_block_budget_invariance(self, monkeypatch, budget):
+        # 7 rows of A against 9 of B in D = 4: the default budget makes one
+        # block of the whole matrix, a budget of 1 term gives 1-row blocks,
+        # and 72 or 108 terms 2- or 3-row blocks with a partial last one.
+        # S and the kept terms stay bit for bit.
         rng = np.random.default_rng(12)
         mu_a, lv_a = rng.normal(size=(7, 4)), rng.uniform(-1, 1, (7, 4))
         mu_b, lv_b = rng.normal(size=(9, 4)), rng.uniform(-1, 1, (9, 4))
-        for kind in SimilarityKind:
-            monkeypatch.setattr(gaussians, "AFFINITY_ROWS", 7)
-            full = pairwise_similarity_arrays(mu_a, lv_a, mu_b, lv_b, kind)
-            for chunk in (1, 2, 3, 5, 16):
-                monkeypatch.setattr(gaussians, "AFFINITY_ROWS", chunk)
-                chunked = pairwise_similarity_arrays(mu_a, lv_a, mu_b, lv_b, kind)
-                np.testing.assert_array_equal(full, chunked, err_msg=f"{kind.value}, chunk {chunk}")
+        va, vb = _variances(lv_a), _variances(lv_b)
+        kinds = (SimilarityKind.HELLINGER, SimilarityKind.BHATTACHARYYA)
+        full = [pairwise_similarity_arrays(mu_a, lv_a, mu_b, lv_b, kind) for kind in kinds]
+        terms = _log_affinity(mu_a, va, mu_b, vb, keep_terms=True)
+        monkeypatch.setattr(gaussians, "AFFINITY_TERMS", budget)
+        for kind, expect in zip(kinds, full):
+            blocked = pairwise_similarity_arrays(mu_a, lv_a, mu_b, lv_b, kind)
+            assert blocked.tobytes() == expect.tobytes(), kind.value
+        for name, got, expect in zip(("S", "m", "dm"), _log_affinity(mu_a, va, mu_b, vb, keep_terms=True), terms):
+            assert got.tobytes() == expect.tobytes(), name
+        assert terms[0].tobytes() == full[1].tobytes()
+
+    @pytest.mark.parametrize("kind", [SimilarityKind.HELLINGER, SimilarityKind.BHATTACHARYYA], ids=lambda k: k.value)
+    def test_peak_memory_near_the_result(self, kind):
+        # The blocked kernel finishes S block by block, so S is the only
+        # |A| x |B| array it allocates; the block buffers and per-row terms
+        # add about a third of S at this size.
+        rng = np.random.default_rng(14)
+        mu_a, lv_a = rng.normal(size=(600, 32)), rng.uniform(-3, 3, (600, 32))
+        mu_b, lv_b = rng.normal(size=(600, 32)), rng.uniform(-3, 3, (600, 32))
+        tracemalloc.start()
+        try:
+            out = pairwise_similarity_arrays(mu_a, lv_a, mu_b, lv_b, kind)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the result"
 
     def test_identical_rows_score_exactly(self):
         # The separable kernel keeps the exact zero distance of identical pairs.
@@ -343,8 +369,10 @@ class TestFusedOps:
 
     @pytest.mark.parametrize("rows", [1, 17, 33])
     def test_log_affinity_op_forward_equals_eval_kernel(self, rows):
-        # Row counts off the 16-row block: the op keeps whole (A, B, D) terms,
-        # the eval kernel reuses one block buffer, and S is the same bit for bit.
+        # Row counts off the 16-row blocks of this size's term budget: the op
+        # keeps whole (A, B, D) terms and finishes S once, the eval kernel
+        # reuses one block buffer and finishes S per block, and S is the same
+        # bit for bit.
         rng = np.random.default_rng(rows)
         mu_a, lv_a = rng.normal(size=(rows, 8)), rng.uniform(-3, 3, (rows, 8))
         mu_b, lv_b = rng.normal(size=(rows + 2, 8)), rng.uniform(-3, 3, (rows + 2, 8))
