@@ -9,7 +9,7 @@ Run:  python demos/03_train_and_retrieve.py
 
 import numpy as np
 
-from probalign.data import CorpusConfig, Modality, TRAINABLE_PAIRS, eligible_records, generate
+from probalign.data import CorpusConfig, Modality, TRAINABLE_PAIRS, generate
 from probalign.evaluation import recall_at_k
 from probalign.gaussians import SimilarityKind, pairwise_similarity_arrays
 from probalign.training import TrainConfig, train, validation_retrieval
@@ -18,7 +18,7 @@ corpus = generate(CorpusConfig(n_records=3000), seed=7)
 print("Corpus: 3000 records, 5 latent classes, pair availability per split:")
 for pair in TRAINABLE_PAIRS:
     name = " + ".join(m.value for m in pair)
-    counts = [len(eligible_records(s, pair)) for s in corpus.splits.values()]
+    counts = [len(s.pair_rows(pair)) for s in corpus.splits.values()]
     print(f"  {name:16s} train/valid/test = {counts}")
 
 cfg = TrainConfig(total_steps=800, batch_size=48, seed=1, eval_every=200)
@@ -40,17 +40,20 @@ out_cos = validation_retrieval(model, corpus.test, SimilarityKind.COSINE)
 print(f"  RSUM = {out_cos['rsum']:.2f}")
 
 print("\nPer-query example: the five nearest gallery items for one text query.")
-pool = eligible_records(corpus.test, (Modality.MOD_A, Modality.TEXT))[:200]
-texts = np.stack([r.text_variants[0] for r in pool])
-views = np.stack([r.views[Modality.MOD_A] for r in pool])
+# A split is columns; rows are picked with index arrays.
+test = corpus.test
+pool = test.pair_rows((Modality.MOD_A, Modality.TEXT))[:200]
+texts = test.text[pool, 0]  # each record's first text variant
+views = test.views[Modality.MOD_A][pool]
+ids, labels = test.record_ids[pool], test.labels[pool]
 # encode returns (mu, log_var) arrays, the kernel's arguments.
 sim = pairwise_similarity_arrays(
     *model.encode(Modality.TEXT, texts), *model.encode(Modality.MOD_A, views), SimilarityKind.HELLINGER
 )
 top = np.argsort(-sim[0])[:5]
-print(f"  query record {pool[0].record_id} (class {pool[0].class_label}) ->")
+print(f"  query record {ids[0]} (class {labels[0]}) ->")
 for rank, g in enumerate(top, 1):
     marker = "  <-- ground truth" if g == 0 else ""
-    print(f"    rank {rank}: record {pool[g].record_id} (class {pool[g].class_label}), PS={sim[0, g]:.4f}{marker}")
+    print(f"    rank {rank}: record {ids[g]} (class {labels[g]}), PS={sim[0, g]:.4f}{marker}")
 result5 = recall_at_k(sim, list(range(len(pool))), [1, 5])
 print(f"  over these {len(pool)} queries: R@1={result5.recall_at[1]:.1f}  R@5={result5.recall_at[5]:.1f}")

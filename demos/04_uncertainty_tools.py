@@ -34,9 +34,10 @@ result = train(corpus=corpus, cfg=TrainConfig(total_steps=1000, batch_size=48, s
 model = result.model
 print(f"trained: best validation RSUM {result.best_rsum:.1f}\n")
 
-test = [r for r in corpus.test if A in r.views]
-items = model.encode(A, np.stack([r.views[A] for r in test]))
-labels = np.array([r.class_label for r in test])
+# A split is columns; rows are picked with index arrays.
+test_rows = corpus.test.rows_with_views(A)
+items = model.encode(A, corpus.test.views[A][test_rows])
+labels = corpus.test.labels[test_rows]
 
 # -- 1. uncertainty-based prompt filtering ----------------------------------
 rng = np.random.default_rng(3)
@@ -57,13 +58,13 @@ for k in (1, 2, 3, 4, 5):
 
 # -- 2. sampling-based few-shot ----------------------------------------------
 print("\nFew-shot linear probe, mean-only vs sampling-expanded support:")
-train_recs = [r for r in corpus.train if A in r.views]
-tr_labels = [r.class_label for r in train_recs]
+train_rows = corpus.train.rows_with_views(A)
+tr_labels = corpus.train.labels[train_rows]
 
 
 def embed_train(rows):
     # few_shot asks for the support rows only, so only those are encoded.
-    return model.encode(A, np.stack([train_recs[i].views[A] for i in rows]))
+    return model.encode(A, corpus.train.views[A][train_rows[rows]])
 
 
 for shot in (2, 4, 8):
@@ -80,7 +81,7 @@ for shot in (2, 4, 8):
 # -- 3. uncertainty under input noise ----------------------------------------
 print("\nMean predicted uncertainty under growing input noise (100 items):")
 probe = mean_uncertainty_by_noise(
-    model, A, np.stack([r.views[A] for r in test[:100]]), [0, 0.5, 1, 2, 3, 5], np.random.default_rng(4)
+    model, A, corpus.test.views[A][test_rows[:100]], [0, 0.5, 1, 2, 3, 5], np.random.default_rng(4)
 )
 for level, value in probe.series:
     print(f"  noise sd {level:4.1f} -> mean sigma {value:.4f}")

@@ -29,7 +29,6 @@ from .data import (
     Corpus,
     Modality,
     config_from_json,
-    eligible_records,
     from_json,
     generate,
     json_object,
@@ -110,6 +109,14 @@ def train_config_from_doc(doc: dict, seed: int) -> TrainConfig:
         return from_json("train", TrainConfig, doc, _TRAIN_CASTS, seed=seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def check_out(out_flag) -> None:
+    """Raise ConfigError when ``--out``, or a directory it would sit in, is an existing file."""
+    out = Path(out_flag)
+    for path in (out, *out.parents):
+        if path.exists() and not path.is_dir():
+            raise ConfigError(f"--out {out}: {path} exists and is not a directory")
 
 
 def resolve_run_dir(out_flag, command: str) -> Path:
@@ -203,8 +210,8 @@ def cmd_train(args) -> int:
 
 
 # Protocols that always read the same splits, so --split does not apply to
-# them, with the splits they read. The few-shot protocols decode only the
-# support rows of train.
+# them, with the splits they read. The few-shot protocols decode all of train
+# and embed only its support rows.
 FIXED_SPLITS = {
     "fewshot": "the train and test splits",
     "multimodal": "the train and test splits",
@@ -223,14 +230,6 @@ def _check_split(args) -> None:
         args.split = "test"
     if args.split not in SPLITS:
         raise ConfigError(f"unknown split {args.split!r}")
-
-
-def _embed_items(model, records, modality: Modality):
-    return model.encode(modality, np.stack([r.views[modality] for r in records]))
-
-
-def _records_with_view(records, modality: Modality):
-    return [r for r in records if modality in r.views]
 
 
 def cmd_eval(args) -> int:
@@ -269,12 +268,12 @@ def cmd_eval(args) -> int:
 
 
 def _protocol_retrieval(model, corpus, kind, args) -> EvalReport:
-    records = corpus.splits[args.split]
+    split = corpus.split(args.split)
     ks = args.ks
-    out = validation_retrieval(model, records, kind, ks=tuple(ks), max_gallery=args.max_gallery)
+    out = validation_retrieval(model, split, kind, ks=tuple(ks), max_gallery=args.max_gallery)
     if not out["tasks"]:
-        pools = [eligible_records(records, p) for p in TRAINABLE_PAIRS if Modality.TEXT in p]
-        gallery = min(max(map(len, pools)), args.max_gallery)
+        pools = [len(split.pair_rows(p)) for p in TRAINABLE_PAIRS if Modality.TEXT in p]
+        gallery = min(max(pools), args.max_gallery)
         raise ConfigError(
             f"no retrieval task ran: the largest gallery in split {args.split} holds {gallery} records "
             f"(--max-gallery {args.max_gallery}), and a gallery must hold more than the largest K ({max(ks)})"
@@ -294,11 +293,12 @@ def _prompt_set(corpus, args, rng) -> PromptSet:
 
 def _protocol_zeroshot(model, corpus, kind, args, rng) -> EvalReport:
     modality = Modality(args.modality)
-    records = _records_with_view(corpus.splits[args.split], modality)
-    if not records:
+    split = corpus.split(args.split)
+    rows = split.rows_with_views(modality)
+    if not len(rows):
         raise ConfigError(f"no {modality.value} views in split {args.split}")
-    labels = np.array([r.class_label for r in records])
-    items = _embed_items(model, records, modality)
+    labels = split.labels[rows]
+    items = model.encode(modality, split.views[modality][rows])
 
     if args.prototypes == "text":
         prompts = _prompt_set(corpus, args, rng)
@@ -323,11 +323,11 @@ def _protocol_zeroshot(model, corpus, kind, args, rng) -> EvalReport:
     # Cross-modality prototypes: class means of another modality's embeddings,
     # the emergent-alignment read-out.
     proto_modality = Modality(args.prototypes)
-    proto_records = _records_with_view(corpus.valid, proto_modality)
-    if not proto_records:
+    proto_rows = corpus.valid.rows_with_views(proto_modality)
+    if not len(proto_rows):
         raise ConfigError(f"no {proto_modality.value} views in valid split for prototypes")
-    mu, log_var = _embed_items(model, proto_records, proto_modality)
-    proto_labels = np.array([r.class_label for r in proto_records])
+    mu, log_var = model.encode(proto_modality, corpus.valid.views[proto_modality][proto_rows])
+    proto_labels = corpus.valid.labels[proto_rows]
     by_class = {int(c): (mu[proto_labels == c], log_var[proto_labels == c]) for c in np.unique(proto_labels)}
     result = score_prototypes(items, by_class, kind)
     value = macro_ovr_auroc(result.scores, labels, result.classes)
@@ -338,15 +338,10 @@ def _protocol_zeroshot(model, corpus, kind, args, rng) -> EvalReport:
     )
 
 
-def _train_embedder(model, index, rows, modalities):
+def _train_embedder(model, train, rows, modalities):
     """Embeds train rows given as positions in ``rows`` (rows of the train
-    split), decoding only their records: one ``(mu, log_var)`` pair per modality."""
-
-    def embed(chosen):
-        records = index.records(rows[chosen])
-        return [_embed_items(model, records, m) for m in modalities]
-
-    return embed
+    split), encoding only those: one ``(mu, log_var)`` pair per modality."""
+    return lambda chosen: [model.encode(m, train.views[m][rows[chosen]]) for m in modalities]
 
 
 def _protocol_fewshot(model, corpus, args, rng) -> EvalReport:
@@ -356,9 +351,9 @@ def _protocol_fewshot(model, corpus, args, rng) -> EvalReport:
         raise ConfigError(f"no {modality.value} views in split train")
     y_train = corpus.train.labels[train_rows]
     embed = _train_embedder(model, corpus.train, train_rows, [modality])
-    test_records = _records_with_view(corpus.test, modality)
-    test_mu, _ = _embed_items(model, test_records, modality)
-    y_test = [r.class_label for r in test_records]
+    test_rows = corpus.test.rows_with_views(modality)
+    test_mu, _ = model.encode(modality, corpus.test.views[modality][test_rows])
+    y_test = corpus.test.labels[test_rows]
     table = {}
     for shot in args.shots:
         rngs = [np.random.default_rng([args.seed, shot, s]) for s in range(args.seeds)]
@@ -380,16 +375,16 @@ def _protocol_fewshot(model, corpus, args, rng) -> EvalReport:
 def _protocol_multimodal(model, corpus, kind, args, rng) -> EvalReport:
     pair = (Modality.MOD_A, Modality.MOD_B)
     train_rows = corpus.train.rows_with_views(*pair)
-    test_records = [r for r in corpus.test if all(m in r.views for m in pair)]
-    if not len(train_rows) or not test_records:
+    test_rows = corpus.test.rows_with_views(*pair)
+    if not len(train_rows) or not len(test_rows):
         raise ConfigError("multimodal protocol needs records with both mod_a and mod_b views")
     prompts = _prompt_set(corpus, args, rng)
     result = multimodal_classify(
         model,
         corpus.train.labels[train_rows],
         _train_embedder(model, corpus.train, train_rows, pair),
-        tuple(np.stack([r.views[m] for r in test_records]) for m in pair),
-        [r.class_label for r in test_records],
+        tuple(corpus.test.views[m][test_rows] for m in pair),
+        corpus.test.labels[test_rows],
         args.k_shot,
         prompts,
         kind,
@@ -404,15 +399,14 @@ def _protocol_multimodal(model, corpus, kind, args, rng) -> EvalReport:
 
 def _protocol_noiseprobe(model, corpus, args, rng) -> EvalReport:
     modality = Modality(args.modality)
-    records = _records_with_view(corpus.test, modality)[: args.n_items]
-    if not records:
+    rows = corpus.test.rows_with_views(modality)[: args.n_items]
+    if not len(rows):
         raise ConfigError(f"no {modality.value} views in test split")
-    items = np.stack([r.views[modality] for r in records])
-    probe = mean_uncertainty_by_noise(model, modality, items, args.levels, rng)
+    probe = mean_uncertainty_by_noise(model, modality, corpus.test.views[modality][rows], args.levels, rng)
     return EvalReport(
         "noiseprobe",
         {"spearman": probe.spearman},
-        {"series": probe.series, "n_items": len(records)},
+        {"series": probe.series, "n_items": len(rows)},
     )
 
 
@@ -540,6 +534,8 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
+        if args.out:
+            check_out(args.out)
         return handlers[args.command](args)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"probalign {args.command}: error: {exc}", file=sys.stderr)

@@ -12,6 +12,12 @@ availability subset of the four trainable modality pairs; the two held-out
 pairs, mod_a+mod_c and mod_b+mod_c, never appear, which is what the
 emergent-alignment evaluations rely on.
 
+A split, generated or read back, is one ``Split`` of columns: record ids,
+labels, concepts, one ``(n, dim)`` array per feature modality, the text
+variants as ``(n, V, dim)`` and an ``(n, 4)`` mask of the available pairs. A
+view or text a record lacks is NaN. Callers select rows with index arrays;
+``split[i]`` builds one ``SyntheticRecord`` on demand.
+
 The corpus serializes to one JSONL file per split plus a manifest with the
 config, seed, per-split counts and the sha256 of each split file (format
 ``probalign-corpus-v2``). A record line holds its structure as plain JSON
@@ -20,11 +26,9 @@ config, seed, per-split counts and the sha256 of each split file (format
 concept, then each view in ``Modality`` order, then the text variants. The
 reader slices that buffer back using the config's dimensions, so the round
 trip is exact bit for bit and no decimal float is formatted or parsed.
-``read_corpus`` checks every split file against its manifest checksum and
-returns each split as a ``SplitIndex``, parsed on first use: as a sequence it
-decodes every record, and its row accessors parse only each line's structure
-(record id, label, pairs), so a caller that needs a few rows of a large split,
-such as a few-shot support set, decodes just those. Latent generator parameters
+``read_corpus`` checks every split file against its manifest checksum; a
+split's first use streams the file, hashing the bytes it decodes into columns
+preallocated from the manifest's count. Latent generator parameters
 (cluster centers, projections, variant offsets) are derived from dedicated
 seed streams, the projections from the fixed ``PROJECTION_SEEDS``, so a
 corpus read back from disk can rebuild them exactly.
@@ -33,6 +37,7 @@ corpus read back from disk can rebuild them exactly.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
@@ -127,6 +132,9 @@ class CorpusConfig:
 
 @dataclass
 class SyntheticRecord:
+    """One record, as ``Split.__getitem__`` builds it: its arrays are views
+    into the split's columns."""
+
     record_id: int
     class_label: int
     concept: np.ndarray
@@ -148,6 +156,77 @@ class SyntheticRecord:
         )
 
 
+FEATURE_MODALITIES = tuple(m for m in Modality if m is not Modality.TEXT)
+
+
+@dataclass(eq=False)
+class Split:
+    """One split as columns; row i holds one record. A view or the text a
+    record lacks is NaN in its row, so reading it by accident fails the
+    finite checks downstream. Indexing with an int builds a
+    ``SyntheticRecord``; with a slice or an index array, a ``Split`` of
+    those rows."""
+
+    record_ids: np.ndarray  # (n,) int64
+    labels: np.ndarray  # (n,) int64
+    concept: np.ndarray  # (n, K)
+    views: dict[Modality, np.ndarray]  # feature modality -> (n, dim)
+    text: np.ndarray  # (n, V, text dim)
+    pairs: np.ndarray  # (n, len(TRAINABLE_PAIRS)) bool; column j is TRAINABLE_PAIRS[j]
+
+    @classmethod
+    def empty(cls, cfg: CorpusConfig, n: int) -> Split:
+        """A split of n rows: floats all NaN, no pairs available, ids and labels unset."""
+        return cls(
+            record_ids=np.empty(n, dtype=np.int64),
+            labels=np.empty(n, dtype=np.int64),
+            concept=np.full((n, cfg.latent_dim), np.nan),
+            views={m: np.full((n, cfg.view_dims[m]), np.nan) for m in FEATURE_MODALITIES},
+            text=np.full((n, cfg.n_text_variants, cfg.view_dims[Modality.TEXT]), np.nan),
+            pairs=np.zeros((n, len(TRAINABLE_PAIRS)), dtype=bool),
+        )
+
+    def _columns(self) -> list[np.ndarray]:
+        return [self.record_ids, self.labels, self.concept, *self.views.values(), self.text, self.pairs]
+
+    def __len__(self) -> int:
+        return len(self.record_ids)
+
+    def pair_rows(self, pair: PairType) -> np.ndarray:
+        """Indices of the rows whose records have ``pair`` available."""
+        return np.flatnonzero(self.pairs[:, TRAINABLE_PAIRS.index(pair)])
+
+    def rows_with_views(self, *modalities: Modality) -> np.ndarray:
+        """Indices of the rows whose records have a view of every given
+        modality. Text is no view: its rows are those of the text pairs."""
+        keep = np.ones(len(self), dtype=bool)
+        for m in modalities:
+            keep &= self.pairs[:, [m in p and m is not Modality.TEXT for p in TRAINABLE_PAIRS]].any(axis=1)
+        return np.flatnonzero(keep)
+
+    def __getitem__(self, item):
+        if isinstance(item, (int, np.integer)):
+            pairs = tuple(p for p, keep in zip(TRAINABLE_PAIRS, self.pairs[item]) if keep)
+            modalities = _record_modalities(pairs)
+            views = {m: self.views[m][item] for m in modalities if m is not Modality.TEXT}
+            text = list(self.text[item]) if Modality.TEXT in modalities else []
+            return SyntheticRecord(
+                int(self.record_ids[item]), int(self.labels[item]), self.concept[item], views, text, pairs
+            )
+        return Split(
+            self.record_ids[item], self.labels[item], self.concept[item],
+            {m: v[item] for m, v in self.views.items()}, self.text[item], self.pairs[item],
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Split):
+            return all(np.array_equal(a, b, equal_nan=True) for a, b in zip(self._columns(), other._columns()))
+        return isinstance(other, list) and list(self) == other
+
+
 @dataclass
 class LatentSpace:
     """Generator parameters, reconstructible from (config, seed)."""
@@ -157,29 +236,34 @@ class LatentSpace:
     variant_offsets: np.ndarray  # (V, text_dim)
 
 
-@dataclass
+@dataclass(eq=False)
 class Corpus:
-    """A generated or read-back corpus. The splits of a generated corpus are
-    lists; ``read_corpus`` gives each split as a ``SplitIndex``, parsed when
-    first used."""
+    """A generated or read-back corpus. ``sources`` holds each split by name:
+    its ``Split``, or, as ``read_corpus`` gives it, a function that decodes
+    it, called when the split is first used."""
 
     config: CorpusConfig
     seed: int
     latent: LatentSpace
-    train: list[SyntheticRecord]
-    valid: list[SyntheticRecord]
-    test: list[SyntheticRecord]
+    sources: dict
 
-    @property
-    def splits(self) -> dict[str, list[SyntheticRecord]]:
-        return {"train": self.train, "valid": self.valid, "test": self.test}
+    def split(self, name: str) -> Split:
+        if callable(self.sources[name]):
+            self.sources[name] = self.sources[name]()
+        return self.sources[name]
+
+    train = property(lambda self: self.split("train"))
+    valid = property(lambda self: self.split("valid"))
+    test = property(lambda self: self.split("test"))
+
+    splits = property(lambda self: {name: self.split(name) for name in SPLITS})
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Corpus)
             and self.seed == other.seed
             and self.config == other.config
-            and all(self.splits[k] == other.splits[k] for k in SPLITS)
+            and self.splits == other.splits
         )
 
 
@@ -204,12 +288,8 @@ def build_latent_space(cfg: CorpusConfig, seed: int) -> LatentSpace:
 
 
 def _record_modalities(pairs) -> list[Modality]:
-    seen: list[Modality] = []
-    for pair in pairs:
-        for m in pair:
-            if m not in seen:
-                seen.append(m)
-    return [m for m in Modality if m in seen]
+    """The modalities of a record with these pairs, in ``Modality`` order (text last)."""
+    return [m for m in Modality if any(m in pair for pair in pairs)]
 
 
 def generate(cfg: CorpusConfig, seed: int) -> Corpus:
@@ -221,7 +301,9 @@ def generate(cfg: CorpusConfig, seed: int) -> Corpus:
     pair_list = [p for p in TRAINABLE_PAIRS if cfg.pair_probs.get(p, 0.0) > 0.0]
     probs = np.array([cfg.pair_probs[p] for p in pair_list])
 
-    records: list[SyntheticRecord] = []
+    rows = Split.empty(cfg, cfg.n_records)
+    rows.record_ids[:] = np.arange(cfg.n_records)
+    pair_columns = [TRAINABLE_PAIRS.index(p) for p in pair_list]
     for record_id in range(cfg.n_records):
         if cfg.label_rule == "sum_sign":
             concept = rng.normal(0.0, cfg.cluster_std, size=cfg.latent_dim)
@@ -234,27 +316,23 @@ def generate(cfg: CorpusConfig, seed: int) -> Corpus:
             if mask.any():
                 break
         pairs = tuple(p for p, keep in zip(pair_list, mask) if keep)
+        rows.labels[record_id], rows.concept[record_id], rows.pairs[record_id, pair_columns] = label, concept, mask
 
-        views: dict[Modality, np.ndarray] = {}
-        text_variants: list[np.ndarray] = []
         for modality in _record_modalities(pairs):
             clean = latent.projections[modality] @ concept
             if modality is Modality.TEXT:
                 for v in range(cfg.n_text_variants):
                     noise = rng.normal(0.0, cfg.noise_scales[modality], size=clean.shape)
-                    text_variants.append(clean + latent.variant_offsets[v] + noise)
+                    rows.text[record_id, v] = clean + latent.variant_offsets[v] + noise
             else:
                 noise = rng.normal(0.0, cfg.noise_scales[modality], size=clean.shape)
-                views[modality] = clean + noise
-        records.append(SyntheticRecord(record_id, label, concept, views, text_variants, pairs))
+                rows.views[modality][record_id] = clean + noise
 
     order = rng.permutation(cfg.n_records)
     n_train = int(round(cfg.split_fractions[0] * cfg.n_records))
     n_valid = int(round(cfg.split_fractions[1] * cfg.n_records))
-    train = [records[i] for i in order[:n_train]]
-    valid = [records[i] for i in order[n_train : n_train + n_valid]]
-    test = [records[i] for i in order[n_train + n_valid :]]
-    return Corpus(cfg, seed, latent, train, valid, test)
+    parts = np.split(order, [n_train, n_train + n_valid])
+    return Corpus(cfg, seed, latent, {name: rows[index] for name, index in zip(SPLITS, parts)})
 
 
 # -- batching ---------------------------------------------------------------------
@@ -268,38 +346,32 @@ class PairBatch:
     x_second: np.ndarray  # (B, dim of pair[1])
 
 
-def eligible_records(records, pair: PairType) -> list[SyntheticRecord]:
-    return [r for r in records if pair in r.available_pairs]
+def make_pair_batches(split: Split, pair: PairType, batch_size: int, rng: np.random.Generator):
+    """Endless stream of batches of the split's records having the requested pair.
 
-
-def make_pair_batches(records, pair: PairType, batch_size: int, rng: np.random.Generator):
-    """Endless stream of batches of records having the requested pair.
-
-    Text sides pick a variant uniformly at random per record per batch, which
-    is what realizes the many-to-many text mapping during training. Record ids
-    within one batch are distinct.
+    Text sides pick a variant uniformly at random per record per batch, in
+    row order, which is what realizes the many-to-many text mapping during
+    training. Record ids within one batch are distinct.
     """
     if pair not in TRAINABLE_PAIRS:
         raise ValueError(f"make_pair_batches: pair {tuple(m.value for m in pair)} is not trainable")
-    pool = eligible_records(records, pair)
+    pool = split.pair_rows(pair)
     if len(pool) < batch_size:
         raise ValueError(
             f"make_pair_batches: only {len(pool)} records have pair "
             f"{tuple(m.value for m in pair)}, need {batch_size}"
         )
 
-    def side(record: SyntheticRecord, modality: Modality) -> np.ndarray:
+    def side(rows: np.ndarray, modality: Modality) -> np.ndarray:
         if modality is Modality.TEXT:
-            return record.text_variants[rng.integers(len(record.text_variants))]
-        return record.views[modality]
+            # One draw per record, in row order: the stream of one rng.integers call per record.
+            return split.text[rows, rng.integers(split.text.shape[1], size=len(rows))]
+        return split.views[modality][rows]
 
     def stream():
         while True:
-            idx = rng.choice(len(pool), size=batch_size, replace=False)
-            chosen = [pool[i] for i in idx]
-            x1 = np.stack([side(r, pair[0]) for r in chosen])
-            x2 = np.stack([side(r, pair[1]) for r in chosen])
-            yield PairBatch(pair, tuple(r.record_id for r in chosen), x1, x2)
+            rows = pool[rng.choice(len(pool), size=batch_size, replace=False)]
+            yield PairBatch(pair, tuple(split.record_ids[rows].tolist()), side(rows, pair[0]), side(rows, pair[1]))
 
     return stream()
 
@@ -315,68 +387,72 @@ def _pair_from_json(obj) -> PairType:
     return (Modality(obj[0]), Modality(obj[1]))
 
 
-def _record_layout(cfg: CorpusConfig, pairs) -> tuple[list[Modality], list[int]]:
-    """View modalities and float segment sizes of a record with these pairs.
-
-    The segments are the concept, then each view in ``Modality`` order, then
-    the text variants: the order of a record's ``floats`` blob.
-    """
-    modalities = _record_modalities(pairs)
-    views = [m for m in modalities if m is not Modality.TEXT]
-    n_text = cfg.n_text_variants if Modality.TEXT in modalities else 0
-    sizes = [cfg.latent_dim, *(cfg.view_dims[m] for m in views)]
-    return views, sizes + [cfg.view_dims[Modality.TEXT]] * n_text
+def _blob_columns(split: Split, pairs) -> list[np.ndarray]:
+    """The 2-D columns of ``split`` whose rows, concatenated, are the floats
+    blob of a record with these pairs: the concept, then each view in
+    ``Modality`` order, then the text variants."""
+    columns = [split.concept]
+    for m in _record_modalities(pairs):
+        columns.append(split.text.reshape(len(split), -1) if m is Modality.TEXT else split.views[m])
+    return columns
 
 
-def _record_to_json(r: SyntheticRecord, cfg: CorpusConfig) -> str:
-    views, sizes = _record_layout(cfg, r.available_pairs)
-    parts = [r.concept, *(r.views[m] for m in views if m in r.views), *r.text_variants]
-    if set(r.views) != set(views) or [p.size for p in parts] != sizes:
-        raise ValueError(
-            f"write_corpus: record {r.record_id} does not have the views and dimensions "
-            f"its available pairs and the corpus config call for"
-        )
-    floats = np.concatenate(parts).astype("<f8", copy=False)
-    doc = {
-        "record_id": r.record_id,
-        "class_label": r.class_label,
-        "floats": base64.b64encode(floats.tobytes()).decode("ascii"),
-        "available_pairs": [_pair_to_json(p) for p in r.available_pairs],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+def _split_body(split: Split) -> bytes:
+    """A split's JSONL file: one record line per row, in row order."""
+    layouts: dict = {}
+    lines = []
+    ids, labels = split.record_ids.tolist(), split.labels.tolist()
+    for row, mask in enumerate(map(tuple, split.pairs.tolist())):
+        if mask not in layouts:
+            pairs = tuple(p for p, keep in zip(TRAINABLE_PAIRS, mask) if keep)
+            layouts[mask] = (_blob_columns(split, pairs), [_pair_to_json(p) for p in pairs])
+        columns, pairs_json = layouts[mask]
+        floats = np.concatenate([column[row] for column in columns]).astype("<f8", copy=False)
+        if not np.isfinite(floats).all():
+            raise ValueError(
+                f"write_corpus: record {ids[row]} has NaN or inf in a view or text its available pairs call for"
+            )
+        doc = {
+            "record_id": ids[row],
+            "class_label": labels[row],
+            "floats": base64.b64encode(floats.tobytes()).decode("ascii"),
+            "available_pairs": pairs_json,
+        }
+        lines.append(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    return "".join(lines).encode("ascii")
 
 
-def _record_head(doc: dict, cfg: CorpusConfig, layouts: dict) -> tuple:
-    """A record line's structure: (record_id, class_label, layout), its floats
-    blob left encoded. ``layouts`` caches the parsed pairs and blob layout by
-    the pairs' JSON form, since a corpus has only a few distinct pair sets."""
+def _line_layout(split: Split, key: tuple) -> tuple:
+    """How a record line with the JSON pairs ``key`` fills a row of ``split``:
+    (its pairs mask row, (column, start, end) per blob segment, blob bytes)."""
+    pairs = tuple(_pair_from_json(p) for p in key)
+    if not set(pairs) <= set(TRAINABLE_PAIRS):
+        raise ValueError(f"pairs {list(key)} are not all trainable")
+    columns = _blob_columns(split, pairs)
+    ends = np.cumsum([column.shape[1] for column in columns]).tolist()
+    mask = [p in pairs for p in TRAINABLE_PAIRS]
+    return mask, list(zip(columns, [0, *ends[:-1]], ends)), 8 * ends[-1]
+
+
+def _decode_line(split: Split, row: int, line: bytes, layouts: dict) -> None:
+    """Parse one record line into ``split``'s row ``row``. ``layouts`` caches
+    ``_line_layout`` by the pairs' JSON form, since a corpus has only a few
+    distinct pair sets."""
+    doc = json.loads(line.decode())
     key = tuple(tuple(p) for p in doc["available_pairs"])
     if key not in layouts:
-        pairs = tuple(_pair_from_json(p) for p in key)
-        views, sizes = _record_layout(cfg, pairs)
-        ends = np.cumsum(sizes).tolist()
-        layouts[key] = (pairs, views, list(zip([0, *ends[:-1]], ends)), 8 * ends[-1])
-    return doc["record_id"], doc["class_label"], layouts[key]
-
-
-def _record_from_json(head: tuple, blob: str) -> SyntheticRecord:
-    """Decode a record's floats blob into the record ``head`` describes."""
-    record_id, class_label, (pairs, views, bounds, n_bytes) = head
-    raw = base64.b64decode(blob, validate=True)
+        layouts[key] = _line_layout(split, key)
+    mask, segments, n_bytes = layouts[key]
+    raw = base64.b64decode(doc["floats"], validate=True)
     if len(raw) != n_bytes:
-        names = [tuple(m.value for m in p) for p in pairs]
-        raise ValueError(f"floats holds {len(raw)} bytes, expected {n_bytes} for pairs {names}")
-    # A bytearray, not bytes, so the arrays are writable like freshly generated ones.
-    floats = np.frombuffer(bytearray(raw), dtype="<f8").astype(np.float64, copy=False)
-    segments = [floats[a:b] for a, b in bounds]
-    return SyntheticRecord(
-        record_id=record_id,
-        class_label=class_label,
-        concept=segments[0],
-        views=dict(zip(views, segments[1:])),
-        text_variants=segments[1 + len(views) :],
-        available_pairs=pairs,
-    )
+        raise ValueError(f"floats holds {len(raw)} bytes, expected {n_bytes} for pairs {list(key)}")
+    record_id, label = doc["record_id"], doc["class_label"]
+    if type(record_id) is not int or type(label) is not int:
+        raise ValueError(f"record_id and class_label must be integers, got {record_id!r} and {label!r}")
+    floats = np.frombuffer(raw, dtype="<f8")
+    split.record_ids[row], split.labels[row], split.pairs[row] = record_id, label, mask
+    for column, start, end in segments:
+        column[row] = floats[start:end]
 
 
 def _config_to_json(cfg: CorpusConfig) -> dict:
@@ -450,20 +526,16 @@ def config_from_json(doc: dict) -> CorpusConfig:
 
 
 def corpus_manifest(corpus: Corpus, checksums: dict[str, str]) -> dict:
-    pair_counts = {}
-    for split, records in corpus.splits.items():
-        counts = {}
-        for pair in TRAINABLE_PAIRS:
-            counts["+".join(m.value for m in pair)] = sum(
-                1 for r in records if pair in r.available_pairs
-            )
-        pair_counts[split] = counts
+    names = ["+".join(m.value for m in pair) for pair in TRAINABLE_PAIRS]
+    splits = corpus.splits
     return {
         "format": CORPUS_FORMAT,
         "config": _config_to_json(corpus.config),
         "seed": corpus.seed,
-        "counts": {split: len(records) for split, records in corpus.splits.items()},
-        "pair_counts": pair_counts,
+        "counts": {name: len(split) for name, split in splits.items()},
+        "pair_counts": {
+            name: dict(zip(names, split.pairs.sum(axis=0).tolist())) for name, split in splits.items()
+        },
         "checksums": checksums,
     }
 
@@ -473,10 +545,10 @@ def write_corpus(corpus: Corpus, path) -> dict:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     checksums = {}
-    for split, records in corpus.splits.items():
-        body = "".join(_record_to_json(r, corpus.config) + "\n" for r in records).encode("ascii")
-        (out / f"{split}.jsonl").write_bytes(body)
-        checksums[split] = hashlib.sha256(body).hexdigest()
+    for name, split in corpus.splits.items():
+        body = _split_body(split)
+        (out / f"{name}.jsonl").write_bytes(body)
+        checksums[name] = hashlib.sha256(body).hexdigest()
     manifest = corpus_manifest(corpus, checksums)
     (out / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -484,123 +556,51 @@ def write_corpus(corpus: Corpus, path) -> dict:
     return manifest
 
 
-class SplitIndex:
-    """A split of a read-back corpus, parsed when first used.
-
-    Made, it checks its file's sha256, read in 1 MiB chunks. First used, it
-    reads the file, checks those bytes against the same digest and parses
-    them. As a sequence (``len``, iteration, indexing, ``==``) it decodes
-    every record once and keeps no floats blob. ``labels``,
-    ``rows_with_views`` and ``records(rows)`` parse only each line's
-    structure, in file order, and decode just the rows asked for, such as a
-    few-shot support set.
-    """
-
-    def __init__(self, path: Path, sha256: str | None, cfg: CorpusConfig, layouts: dict):
-        self.path = path
-        self._sha256 = sha256
-        self._cfg = cfg
-        self._layouts = layouts
-        self._lines: list[tuple] | None = None  # (line number, head, floats blob) per row, until decoded
-        self._records: list[SyntheticRecord] | None = None
-        digest = hashlib.sha256()
-        with path.open("rb") as f:
-            for chunk in iter(lambda: f.read(1 << 20), b""):
-                digest.update(chunk)
-        self._check(digest)
-
-    def _check(self, digest) -> None:
-        if digest.hexdigest() != self._sha256:
-            raise CorpusFormatError(
-                f"{self.path}: sha256 does not match the checksum in manifest.json; "
-                f"the file changed after it was written"
-            )
-
-    def _parse(self):
-        body = self.path.read_bytes()
-        self._check(hashlib.sha256(body))
-        return _split_lines(self.path, body, self._cfg, self._layouts)
-
-    def _index(self) -> list[tuple]:
-        if self._lines is None:
-            self._lines = list(self._parse())
-        return self._lines
-
-    def _all(self) -> list[SyntheticRecord]:
-        if self._records is None:
-            # Decoding as the file is parsed builds no list of undecoded blobs.
-            lines = self._parse() if self._lines is None else self._lines
-            self._records = [_decode_line(self.path, *line) for line in lines]
-            self._lines = None
-        return self._records
-
-    def _heads(self) -> list[tuple]:
-        """(record id, class label, (pairs, view modalities, ...)) per row."""
-        if self._records is not None:
-            return [(r.record_id, r.class_label, (r.available_pairs, r.views)) for r in self._records]
-        return [head for _, head, _ in self._index()]
-
-    def __len__(self) -> int:
-        return len(self._all())
-
-    def __iter__(self):
-        return iter(self._all())
-
-    def __getitem__(self, item):
-        return self._all()[item]
-
-    def __eq__(self, other) -> bool:
-        return self._all() == other
-
-    @property
-    def labels(self) -> np.ndarray:
-        return np.array([head[1] for head in self._heads()], dtype=int)
-
-    def rows_with_views(self, *modalities: Modality) -> np.ndarray:
-        """Indices of the rows whose records have a view of every given modality."""
-        views = (head[2][1] for head in self._heads())
-        return np.array([i for i, v in enumerate(views) if all(m in v for m in modalities)], dtype=int)
-
-    def records(self, rows) -> list[SyntheticRecord]:
-        """Decode the given rows, in the given order. A blob that does not
-        decode raises CorpusFormatError naming the file and line."""
-        if self._records is not None:
-            return [self._records[i] for i in rows]
-        lines = self._index()
-        return [_decode_line(self.path, *lines[i]) for i in rows]
+def _check_sha256(path: Path, digest, expected: str | None) -> None:
+    if digest.hexdigest() != expected:
+        raise CorpusFormatError(
+            f"{path}: sha256 does not match the checksum in manifest.json; the file changed after it was written"
+        )
 
 
-def _decode_line(path: Path, lineno: int, head: tuple, blob: str) -> SyntheticRecord:
-    try:
-        return _record_from_json(head, blob)
-    except (TypeError, ValueError) as exc:
-        raise CorpusFormatError(f"{path} line {lineno}: {exc}") from exc
-
-
-def _split_lines(path: Path, body: bytes, cfg: CorpusConfig, layouts: dict):
-    """Yield (line number, head, floats blob) for each record line of a split
-    file; a line whose structure does not parse raises CorpusFormatError."""
-    for lineno, line in enumerate(body.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line.decode())
-            head, blob = _record_head(doc, cfg, layouts), doc["floats"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusFormatError(f"{path} line {lineno}: {exc}") from exc
-        yield lineno, head, blob
+def _decode_split(path: Path, sha256: str | None, count: int, cfg: CorpusConfig) -> Split:
+    """Decode a split file into a ``Split`` of ``count`` rows, streaming it
+    line by line and hashing the bytes it decodes. A digest other than
+    ``sha256``, then a line that does not parse (named by file and line), then
+    a record count other than ``count`` raises CorpusFormatError."""
+    # The file's size bounds the rows preallocated: a record line holds at least its concept's 8K bytes.
+    split = Split.empty(cfg, min(count, path.stat().st_size // (8 * cfg.latent_dim)))
+    layouts: dict = {}
+    digest, found, failure = hashlib.sha256(), 0, None
+    with path.open("rb") as f:
+        for lineno, line in enumerate(f, start=1):
+            digest.update(line)
+            if failure is not None or line.isspace():
+                continue
+            if found < len(split):
+                try:
+                    _decode_line(split, found, line, layouts)
+                except (KeyError, TypeError, ValueError) as exc:
+                    failure = (lineno, exc)
+            found += 1
+    _check_sha256(path, digest, sha256)
+    if failure is not None:
+        raise CorpusFormatError(f"{path} line {failure[0]}: {failure[1]}") from failure[1]
+    if found != count:
+        raise CorpusFormatError(f"{path}: manifest.json counts {count} records, the file holds {found}")
+    return split
 
 
 def read_corpus(path) -> Corpus:
-    """Read a corpus written by ``write_corpus``: every split file is checked
-    against its sha256 in the manifest and comes back as a ``SplitIndex``,
-    parsed when first used.
+    """Read a corpus written by ``write_corpus``. Every split file is checked
+    against its sha256 in the manifest here; a split is decoded when first used.
 
     Raises CorpusFormatError for a missing manifest, a manifest of another
     format, a manifest whose projection seeds are not ``PROJECTION_SEEDS`` or
-    a split file whose sha256 differs from the manifest's. A line that does
-    not parse raises it, naming the file and line, when its split is first
-    used.
+    whose counts are not integers, or a split file whose sha256 differs from
+    the manifest's. A line that does not parse, or a split file holding another
+    number of records than the manifest's ``counts``, raises it when the split
+    is first used, naming the file (and line).
     """
     root = Path(path)
     manifest_path = root / "manifest.json"
@@ -627,11 +627,19 @@ def read_corpus(path) -> Corpus:
     except (KeyError, TypeError, ValueError) as exc:
         raise CorpusFormatError(f"{manifest_path}: bad corpus config: {exc}") from exc
     seed = manifest["seed"]
-    checksums = manifest.get("checksums", {})
-    layouts: dict = {}
-    splits = [SplitIndex(root / f"{split}.jsonl", checksums.get(split), cfg, layouts) for split in SPLITS]
-    latent = build_latent_space(cfg, seed)
-    return Corpus(cfg, seed, latent, *splits)
+    checksums, counts = manifest.get("checksums", {}), manifest.get("counts")
+    sources = {}
+    for name in SPLITS:
+        file, count = root / f"{name}.jsonl", counts.get(name) if isinstance(counts, dict) else None
+        if type(count) is not int or count < 0:
+            raise CorpusFormatError(f"{manifest_path}: counts.{name} must be an integer >= 0, got {count!r}")
+        digest = hashlib.sha256()
+        with file.open("rb") as f:
+            for chunk in iter(lambda: f.read(1 << 20), b""):
+                digest.update(chunk)
+        _check_sha256(file, digest, checksums.get(name))
+        sources[name] = functools.partial(_decode_split, file, checksums.get(name), count, cfg)
+    return Corpus(cfg, seed, build_latent_space(cfg, seed), sources)
 
 
 # -- constructed corpora and prompt synthesis ---------------------------------------

@@ -18,9 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (
-    TRAINABLE_PAIRS, Corpus, PairBatch, PairType, check_int_fields, eligible_records, make_pair_batches
-)
+from .data import TRAINABLE_PAIRS, Corpus, PairBatch, PairType, Split, check_int_fields, make_pair_batches
 from .encoders import (
     PARAM_ORDER,
     AlignmentModel,
@@ -179,7 +177,7 @@ def choose_pairs(pairs: list[PairType], rng: np.random.Generator, n: int) -> lis
 
 def validation_retrieval(
     model: AlignmentModel,
-    records,
+    split: Split,
     kind: SimilarityKind,
     ks: tuple[int, ...] = (1, 5),
     max_gallery: int = 1000,
@@ -192,13 +190,11 @@ def validation_retrieval(
         if Modality.TEXT not in pair:
             continue
         modality = pair[0]
-        pool = eligible_records(records, pair)[:max_gallery]
+        pool = split.pair_rows(pair)[:max_gallery]
         if len(pool) <= max(ks):
             continue
-        texts = np.stack([r.text_variants[0] for r in pool])
-        views = np.stack([r.views[modality] for r in pool])
-        mu_q, lv_q = model.encode(Modality.TEXT, texts)
-        mu_g, lv_g = model.encode(modality, views)
+        mu_q, lv_q = model.encode(Modality.TEXT, split.text[pool, 0])
+        mu_g, lv_g = model.encode(modality, split.views[modality][pool])
         sim = pairwise_similarity_arrays(mu_q, lv_q, mu_g, lv_g, kind)
         result = recall_at_k(sim, list(range(len(pool))), list(ks))
         out["tasks"][f"text->{modality.value}"] = {f"r@{k}": result.recall_at[k] for k in ks}
@@ -208,7 +204,7 @@ def validation_retrieval(
 
 def validation_info_nce(
     model: AlignmentModel,
-    records,
+    split: Split,
     cfg: TrainConfig,
     n_batches: int = 2,
 ) -> float | None:
@@ -218,11 +214,9 @@ def validation_info_nce(
     weights = LossWeights(alpha=1.0, beta=0.0, gamma=0.0, tau=cfg.loss_weights.tau)
     values = []
     for i, pair in enumerate(TRAINABLE_PAIRS):
-        pool = eligible_records(records, pair)
-        if len(pool) < cfg.batch_size:
+        if len(split.pair_rows(pair)) < cfg.batch_size:
             continue
-        rng = np.random.default_rng([cfg.seed, 7, i])
-        stream = make_pair_batches(records, pair, cfg.batch_size, rng)
+        stream = make_pair_batches(split, pair, cfg.batch_size, np.random.default_rng([cfg.seed, 7, i]))
         for _ in range(n_batches):
             batch = next(stream)
             b1 = GaussianBatch(*model.encode(pair[0], batch.x_first))
@@ -243,7 +237,7 @@ class TrainResult:
 def sampling_plan(cfg: TrainConfig, corpus: Corpus) -> list[PairType]:
     """The trainable pairs whose train records can fill a batch, which a run
     samples uniformly; raises ValueError when there is none."""
-    pairs = [p for p in TRAINABLE_PAIRS if len(eligible_records(corpus.train, p)) >= cfg.batch_size]
+    pairs = [p for p in TRAINABLE_PAIRS if len(corpus.train.pair_rows(p)) >= cfg.batch_size]
     if not pairs:
         raise ValueError("train: no trainable pair has enough records for a batch")
     return pairs

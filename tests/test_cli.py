@@ -335,21 +335,18 @@ class TestTrain:
         assert not (tmp_path / "o").exists()
 
     def test_parses_only_train_and_valid(self, config_path, corpus_dir, tmp_path, monkeypatch):
-        full = data.read_corpus(corpus_dir)
-        ids = {name: {r.record_id for r in records} for name, records in full.splits.items()}
         decoded = []
-        real_decoder = data._record_from_json
+        real_decode_split = data._decode_split
 
-        def spy(*args):
-            record = real_decoder(*args)
-            decoded.append(record.record_id)
-            return record
+        def spy(path, *rest):
+            decoded.append(path.name)
+            return real_decode_split(path, *rest)
 
         base = ["train", "--config", str(config_path), "--corpus", str(corpus_dir)]
         with monkeypatch.context() as m:
-            m.setattr(data, "_record_from_json", spy)
+            m.setattr(data, "_decode_split", spy)
             assert main(base + ["--out", str(tmp_path / "partial")]) == 0
-        assert sorted(decoded) == sorted(ids["train"] | ids["valid"])
+        assert sorted(decoded) == ["train.jsonl", "valid.jsonl"]
 
         # The same run over a corpus whose every split was decoded first writes the same bytes.
         with monkeypatch.context() as m:
@@ -367,6 +364,18 @@ class TestTrain:
         assert main(argv) == 1
         assert "test.jsonl: sha256 does not match" in capsys.readouterr().err
         assert not (tmp_path / "o" / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize("under", ["", "run"], ids=["file", "under-a-file"])
+    def test_file_as_out_exits_1_before_decoding(self, config_path, corpus_dir, tmp_path, monkeypatch, capsys, under):
+        decoded = []
+        monkeypatch.setattr(data, "_decode_split", lambda path, *rest: decoded.append(path.name))
+        file = tmp_path / "out.txt"
+        file.write_text("kept\n")
+        out = file / under if under else file
+        argv = ["train", "--config", str(config_path), "--corpus", str(corpus_dir), "--out", str(out)]
+        assert main(argv) == 1
+        assert f"--out {out}: {file} exists and is not a directory" in capsys.readouterr().err
+        assert decoded == [] and file.read_text() == "kept\n"
 
     def test_missing_corpus_path_exits_1(self, config_path, tmp_path, capsys):
         assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "x")]) == 1
@@ -476,18 +485,17 @@ class TestEval:
         assert outs[0] == outs[1]
 
     @pytest.mark.parametrize(
-        "extra,parsed,support_rows",
+        "extra,parsed",
         [
-            (["--protocol", "retrieval"], {"test"}, 0),
-            (["--protocol", "retrieval", "--split", "valid"], {"valid"}, 0),
-            (["--protocol", "zeroshot", "--n-prompts", "3"], {"test"}, 0),
-            (["--protocol", "zeroshot", "--split", "train", "--n-prompts", "3"], {"train"}, 0),
-            (["--protocol", "zeroshot", "--prototypes", "mod_b"], {"test", "valid"}, 0),
-            (["--protocol", "zeroshot", "--split", "train", "--prototypes", "mod_b"], {"train", "valid"}, 0),
-            # 3 classes: of the train split only the support rows are decoded.
-            (["--protocol", "fewshot", "--shots", "2", "--seeds", "1"], {"test"}, 3 * 2),
-            (["--protocol", "multimodal", "--k-shot", "4", "--n-prompts", "2"], {"test"}, 3 * 4),
-            (["--protocol", "noiseprobe", "--levels", "0,1,2", "--n-items", "5"], {"test"}, 0),
+            (["--protocol", "retrieval"], {"test"}),
+            (["--protocol", "retrieval", "--split", "valid"], {"valid"}),
+            (["--protocol", "zeroshot", "--n-prompts", "3"], {"test"}),
+            (["--protocol", "zeroshot", "--split", "train", "--n-prompts", "3"], {"train"}),
+            (["--protocol", "zeroshot", "--prototypes", "mod_b"], {"test", "valid"}),
+            (["--protocol", "zeroshot", "--split", "train", "--prototypes", "mod_b"], {"train", "valid"}),
+            (["--protocol", "fewshot", "--shots", "2", "--seeds", "1"], {"train", "test"}),
+            (["--protocol", "multimodal", "--k-shot", "4", "--n-prompts", "2"], {"train", "test"}),
+            (["--protocol", "noiseprobe", "--levels", "0,1,2", "--n-items", "5"], {"test"}),
         ],
         ids=[
             "retrieval",
@@ -501,27 +509,19 @@ class TestEval:
             "noiseprobe",
         ],
     )
-    def test_protocol_parses_only_its_splits(
-        self, trained_dir, corpus_dir, tmp_path, monkeypatch, extra, parsed, support_rows
-    ):
-        full = data.read_corpus(corpus_dir)
-        ids = {name: {r.record_id for r in records} for name, records in full.splits.items()}
+    def test_protocol_parses_only_its_splits(self, trained_dir, corpus_dir, tmp_path, monkeypatch, extra, parsed):
         decoded = []
-        real_decoder = data._record_from_json
+        real_decode_split = data._decode_split
 
-        def spy(*args):
-            record = real_decoder(*args)
-            decoded.append(record.record_id)
-            return record
+        def spy(path, *rest):
+            decoded.append(path.stem)
+            return real_decode_split(path, *rest)
 
         base = ["eval", "--checkpoint", str(trained_dir / "checkpoint.json"), "--corpus", str(corpus_dir)]
         with monkeypatch.context() as m:
-            m.setattr(data, "_record_from_json", spy)
+            m.setattr(data, "_decode_split", spy)
             assert main(base + extra + ["--out", str(tmp_path / "partial")]) == 0
-        support = [i for i in decoded if i in ids["train"] and "train" not in parsed]
-        assert len(support) == len(set(support)) == support_rows
-        rest = sorted(i for i in decoded if i not in support)
-        assert rest == sorted(i for name in parsed for i in ids[name])
+        assert sorted(decoded) == sorted(parsed)
 
         # The same command over a corpus whose every split was decoded first writes the same bytes.
         with monkeypatch.context() as m:
@@ -894,10 +894,12 @@ class TestSupportRowsOnly:
         edited = tmp_path / "edited"
         shutil.copytree(corpus_dir, edited)
         lines = (edited / "train.jsonl").read_text().splitlines(keepends=True)
-        body = "".join(line for line in lines if '"mod_c"' not in line).encode()
+        kept = [line for line in lines if '"mod_c"' not in line]
+        body = "".join(kept).encode()
         (edited / "train.jsonl").write_bytes(body)
         manifest = json.loads((edited / "manifest.json").read_text())
         manifest["checksums"]["train"] = hashlib.sha256(body).hexdigest()
+        manifest["counts"]["train"] = len(kept)
         (edited / "manifest.json").write_text(json.dumps(manifest))
         argv = ["eval", "--checkpoint", str(trained_dir / "checkpoint.json"), "--corpus", str(edited),
                 "--protocol", "fewshot", "--modality", "mod_c", "--out", str(tmp_path / "o")]
@@ -1008,6 +1010,10 @@ class TestSeedAndSections:
             (["gen", "--config", "DIR", "--out", "OUT"], {}, "is not a file"),
             (["eval", "--checkpoint", "DIR", "--corpus", "CORPUS", "--protocol", "retrieval", "--out", "OUT"], {},
              "is not a file"),
+            (GEN[:-1] + ["CONFIG"], {}, "config.json exists and is not a directory"),
+            (TRAIN[:-1] + ["CONFIG"], {}, "config.json exists and is not a directory"),
+            (EVAL[:-1] + ["CONFIG"], {}, "config.json exists and is not a directory"),
+            (["verify", "--fast", "--out", "CONFIG"], {}, "config.json exists and is not a directory"),
         ],
         ids=[
             "train-flag-seed", "gen-flag-seed", "eval-flag-seed", "gen-string-seed", "train-string-seed",
@@ -1019,6 +1025,7 @@ class TestSeedAndSections:
             "mistyped-view-dims", "negative-cluster-std", "float-batch-size", "float-hidden-dim",
             "checkpoint-without-encoders", "encoder-without-hidden-dim", "checkpoint-with-no-encoder",
             "bool-noise-scale", "string-pair-prob", "directory-config", "directory-checkpoint",
+            "gen-file-out", "train-file-out", "eval-file-out", "verify-file-out",
         ],
     )
     def test_exits_1_before_the_run_dir(self, corpus_dir, tmp_path, capsys, argv, doc, message):

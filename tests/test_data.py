@@ -4,6 +4,7 @@ import base64
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,10 +17,9 @@ from probalign.data import (
     Modality,
     SPLITS,
     TRAINABLE_PAIRS,
-    SplitIndex,
+    Split,
     complementary_config,
     config_from_json,
-    eligible_records,
     generate,
     make_pair_batches,
     read_corpus,
@@ -235,10 +235,10 @@ class TestGenerate:
 
 class TestBatching:
     def test_full_availability_single_batch(self, corpus):
-        pool = eligible_records(corpus.train, (A, T))
+        pool = corpus.train.pair_rows((A, T))
         stream = make_pair_batches(corpus.train, (A, T), len(pool), np.random.default_rng(0))
         batch = next(stream)
-        assert sorted(batch.record_ids) == sorted(r.record_id for r in pool)
+        assert sorted(batch.record_ids) == sorted(corpus.train.record_ids[pool].tolist())
 
     def test_batch_records_have_requested_pair(self, corpus):
         stream = make_pair_batches(corpus.train, (A, B), 16, np.random.default_rng(1))
@@ -250,8 +250,8 @@ class TestBatching:
                 assert (A, B) in by_id[rid].available_pairs
 
     def test_text_variant_choice_varies_with_rng(self, corpus):
-        pool = eligible_records(corpus.train, (A, T))[:16]
-        ids = [r.record_id for r in pool]
+        pool = corpus.train[corpus.train.pair_rows((A, T))[:16]]
+        ids = pool.record_ids.tolist()
         s1 = make_pair_batches(pool, (A, T), 16, np.random.default_rng(2))
         s2 = make_pair_batches(pool, (A, T), 16, np.random.default_rng(3))
         b1, b2 = next(s1), next(s2)
@@ -344,13 +344,13 @@ class TestSerialization:
         # read_corpus parses no split; each split is parsed when first used.
         write_corpus(corpus, tmp_path / "part")
         parsed = []
-        real_split_lines = data._split_lines
+        real_decode_split = data._decode_split
 
         def spy(path, *rest):
             parsed.append(path.name)
-            return real_split_lines(path, *rest)
+            return real_decode_split(path, *rest)
 
-        monkeypatch.setattr(data, "_split_lines", spy)
+        monkeypatch.setattr(data, "_decode_split", spy)
         part = read_corpus(tmp_path / "part")
         assert parsed == []
         assert part.valid == corpus.valid and part.test == corpus.test
@@ -364,19 +364,19 @@ class TestSerialization:
     )
     def test_sequence_use_decodes_the_split_once(self, corpus, tmp_path, monkeypatch, use):
         write_corpus(corpus, tmp_path / "part")
-        part = read_corpus(tmp_path / "part")
         decoded = []
-        real_decoder = data._record_from_json
+        real_decode_split = data._decode_split
 
-        def spy(head, blob):
-            decoded.append(head[0])
-            return real_decoder(head, blob)
+        def spy(*args):
+            decoded.append(real_decode_split(*args))
+            return decoded[-1]
 
-        monkeypatch.setattr(data, "_record_from_json", spy)
+        monkeypatch.setattr(data, "_decode_split", spy)
+        part = read_corpus(tmp_path / "part")
         assert use(part.train) == use(corpus.train)
-        assert sorted(decoded) == sorted(r.record_id for r in corpus.train)
-        assert part.train == corpus.train and part.train.records([0, 1]) == corpus.train[:2]
-        assert len(decoded) == len(corpus.train)
+        assert len(decoded) == 1
+        assert sorted(decoded[0].record_ids.tolist()) == sorted(r.record_id for r in corpus.train)
+        assert part.train == corpus.train and part.train[[0, 1]] == corpus.train[:2]
 
     def test_unread_split_still_checked_against_manifest(self, corpus, tmp_path):
         # A split file rewritten after read_corpus returned fails when first used,
@@ -461,9 +461,9 @@ class TestSerialization:
 
     def test_record_not_matching_its_pairs_is_not_written(self, corpus, tmp_path):
         bad = generate(SMALL, seed=11)
-        record = next(r for r in bad.train if A in r.views)
-        del record.views[A]
-        with pytest.raises(ValueError, match=f"record {record.record_id}"):
+        row = bad.train.rows_with_views(A)[0]
+        bad.train.views[A][row] = np.nan  # how a split marks a view its record lacks
+        with pytest.raises(ValueError, match=f"record {bad.train.record_ids[row]} has NaN"):
             write_corpus(bad, tmp_path / "nope")
 
     def test_default_split_files_match_pinned_sha256(self, tmp_path):
@@ -484,19 +484,17 @@ class TestSerialization:
 
 
 class TestSplitIndex:
+    """A split's row selectors and its decode on first use."""
+
     def test_rows_equal_the_full_read(self, corpus, tmp_path):
         write_corpus(corpus, tmp_path / "ix")
         part = read_corpus(tmp_path / "ix")
-        assert isinstance(part.train, SplitIndex)
+        assert isinstance(part.train, Split)
         assert part.train.labels.tolist() == [r.class_label for r in corpus.train]
         rows = [5, 0, 17, 5, len(corpus.train) - 1]
-        assert part.train.records(rows) == [corpus.train[i] for i in rows]
-        assert part.train.records(range(len(corpus.train))) == corpus.train
-        # Used as a sequence after the index, the split is decoded and its parsed lines dropped.
+        assert part.train[rows] == [corpus.train[i] for i in rows]
+        assert part.train[np.arange(len(corpus.train))] == list(corpus.train)
         assert len(part.train) == len(corpus.train)
-        assert part.train._lines is None
-        assert part.train.records(rows) == [corpus.train[i] for i in rows]
-        assert part.train.labels.tolist() == [r.class_label for r in corpus.train]
         want = [i for i, r in enumerate(corpus.train) if A in r.views and B in r.views]
         assert part.train.rows_with_views(A, B).tolist() == want
 
@@ -524,11 +522,11 @@ class TestSplitIndex:
         doc["floats"] = corrupt(doc["floats"])
         lines[6] = json.dumps(doc)
         rewrite_split(tmp_path / "bad", "train", lines)
-        # The index itself parses, and rows other than the bad one decode.
-        index = read_corpus(tmp_path / "bad").train
-        assert index.records([0, 5, 7]) == [corpus.train[i] for i in (0, 5, 7)]
+        # The corpus reads and its other splits decode; the bad split fails when first used.
+        again = read_corpus(tmp_path / "bad")
+        assert again.valid == corpus.valid and again.test == corpus.test
         with pytest.raises(CorpusFormatError, match="train.jsonl line 7"):
-            index.records([0, 6])
+            again.train
 
     def test_malformed_structure_fails_at_index_time(self, corpus, tmp_path):
         write_corpus(corpus, tmp_path / "bad")
@@ -537,19 +535,69 @@ class TestSplitIndex:
         del doc["floats"]
         lines[3] = json.dumps(doc)
         rewrite_split(tmp_path / "bad", "train", lines)
-        index = read_corpus(tmp_path / "bad").train
+        again = read_corpus(tmp_path / "bad")
         with pytest.raises(CorpusFormatError, match="train.jsonl line 4"):
-            index.labels
+            again.train.labels
 
     def test_indexed_split_still_checked_against_manifest(self, corpus, tmp_path):
         write_corpus(corpus, tmp_path / "flip")
-        index = read_corpus(tmp_path / "flip").train
+        again = read_corpus(tmp_path / "flip")
         path = tmp_path / "flip" / "train.jsonl"
         body = bytearray(path.read_bytes())
         body[len(body) // 2] ^= 0x01
         path.write_bytes(bytes(body))
         with pytest.raises(CorpusFormatError, match="train.jsonl: sha256 does not match"):
-            index.rows_with_views(A)
+            again.train.rows_with_views(A)
+
+    @pytest.mark.parametrize("change", [1, -1], ids=["more", "fewer"])
+    def test_record_count_checked_against_manifest(self, corpus, tmp_path, change):
+        # A copied manifest whose train count is edited: the file's sha256 still matches.
+        write_corpus(corpus, tmp_path / "c")
+        path = tmp_path / "c" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["counts"]["train"] += change
+        path.write_text(json.dumps(manifest))
+        again = read_corpus(tmp_path / "c")
+        assert again.valid == corpus.valid
+        found = len(corpus.train)
+        message = f"train.jsonl: manifest.json counts {found + change} records, the file holds {found}"
+        with pytest.raises(CorpusFormatError, match=message):
+            again.train
+
+    def test_count_the_file_cannot_hold_allocates_no_columns_for_it(self, corpus, tmp_path):
+        # The columns are preallocated from the count, bounded by the file's size.
+        write_corpus(corpus, tmp_path / "c")
+        path = tmp_path / "c" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["counts"]["train"] = 10**15
+        path.write_text(json.dumps(manifest))
+        again = read_corpus(tmp_path / "c")
+        with pytest.raises(CorpusFormatError, match=f"counts {10**15} records, the file holds {len(corpus.train)}"):
+            again.train
+
+    @pytest.mark.parametrize("counts", [None, {"train": "5"}, {"train": -1, "valid": 1, "test": 1}])
+    def test_counts_must_be_integers(self, corpus, tmp_path, counts):
+        write_corpus(corpus, tmp_path / "c")
+        path = tmp_path / "c" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["counts"] = counts
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(CorpusFormatError, match="counts.train must be an integer >= 0"):
+            read_corpus(tmp_path / "c")
+
+    def test_decode_peak_memory_near_the_columns(self, tmp_path):
+        # Decoding streams the file into preallocated columns: its tracemalloc
+        # peak stays near the columns it returns.
+        write_corpus(generate(CorpusConfig(n_records=2000), seed=4), tmp_path / "big")
+        again = read_corpus(tmp_path / "big")
+        tracemalloc.start()
+        try:
+            split = again.train
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nbytes = sum(column.nbytes for column in split._columns())
+        assert len(split) == 1600 and peak < 1.5 * nbytes, (peak, nbytes)
 
 
 class TestComplementaryCorpus:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from probalign.data import CorpusConfig, Modality, TRAINABLE_PAIRS, eligible_records, generate, make_pair_batches
+from probalign.data import CorpusConfig, Modality, TRAINABLE_PAIRS, generate, make_pair_batches
 from probalign.encoders import AlignmentModel, checkpoint_document, save_checkpoint
 from probalign.losses import LossWeights
 from probalign.training import (
@@ -170,7 +170,7 @@ class TestPairSampling:
             assert abs(drawn.count(p) - n * w) < 3 * sigma
 
     def test_plan_keeps_the_pairs_that_fill_a_batch(self, corpus):
-        pools = {p: len(eligible_records(corpus.train, p)) for p in TRAINABLE_PAIRS}
+        pools = {p: len(corpus.train.pair_rows(p)) for p in TRAINABLE_PAIRS}
         batch_size = min(pools.values()) + 1
         plan = sampling_plan(small_cfg(batch_size=batch_size), corpus)
         assert plan == [p for p in TRAINABLE_PAIRS if pools[p] >= batch_size]
