@@ -308,12 +308,17 @@ def sqrt(a) -> Tensor:
     return out
 
 
+def relu_values(x: np.ndarray) -> np.ndarray:
+    """max(x, 0) on an array, the forward of :func:`relu`. NaN passes through
+    (NaN <= 0 is false): a corrupt weight must show up in the output, not be
+    zeroed like a negative pre-activation."""
+    return np.where(x <= 0.0, 0.0, x)
+
+
 def relu(a) -> Tensor:
     a = tensor(a)
     mask = a.data > 0.0
-    # NaN passes through (NaN <= 0 is false): a corrupt weight must show up in
-    # the output, not be zeroed like a negative pre-activation.
-    out = Tensor(np.where(a.data <= 0.0, 0.0, a.data), (a,))
+    out = Tensor(relu_values(a.data), (a,))
 
     def _back(g):
         _accumulate(a, g * mask)

@@ -15,8 +15,8 @@ emergent-alignment evaluations rely on.
 A split, generated or read back, is one ``Split`` of columns: record ids,
 labels, concepts, one ``(n, dim)`` array per feature modality, the text
 variants as ``(n, V, dim)`` and an ``(n, 4)`` mask of the available pairs. A
-view or text a record lacks is NaN. Callers select rows with index arrays;
-``split[i]`` builds one ``SyntheticRecord`` on demand.
+view or text a record lacks is NaN. Callers select rows with index arrays
+(``split.pair_rows``, ``split.rows_with_views``) and ``split[rows]``.
 
 The corpus serializes to one JSONL file per split plus a manifest with the
 config, seed, per-split counts and the sha256 of each split file (format
@@ -100,7 +100,7 @@ class CorpusConfig:
 
     def __post_init__(self):
         check_int_fields(self, {"n_records": 0, "n_classes": 1, "latent_dim": 1, "n_text_variants": 2})
-        if type(self.cluster_std) not in (int, float) or self.cluster_std < 0:
+        if json_number("CorpusConfig: cluster_std", self.cluster_std) < 0:
             raise ValueError(f"CorpusConfig: cluster_std must be a number >= 0, got {self.cluster_std!r}")
         not_int = [f"{m.value} {dim!r}" for m, dim in self.view_dims.items() if type(dim) is not int]
         if not_int:
@@ -130,32 +130,6 @@ class CorpusConfig:
             raise ValueError("CorpusConfig: label_rule 'sum_sign' needs n_classes 2 and latent_dim >= 2")
 
 
-@dataclass
-class SyntheticRecord:
-    """One record, as ``Split.__getitem__`` builds it: its arrays are views
-    into the split's columns."""
-
-    record_id: int
-    class_label: int
-    concept: np.ndarray
-    views: dict[Modality, np.ndarray]
-    text_variants: list[np.ndarray]
-    available_pairs: tuple[PairType, ...]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SyntheticRecord)
-            and self.record_id == other.record_id
-            and self.class_label == other.class_label
-            and np.array_equal(self.concept, other.concept)
-            and set(self.views) == set(other.views)
-            and all(np.array_equal(self.views[m], other.views[m]) for m in self.views)
-            and len(self.text_variants) == len(other.text_variants)
-            and all(np.array_equal(a, b) for a, b in zip(self.text_variants, other.text_variants))
-            and self.available_pairs == other.available_pairs
-        )
-
-
 FEATURE_MODALITIES = tuple(m for m in Modality if m is not Modality.TEXT)
 
 
@@ -163,9 +137,8 @@ FEATURE_MODALITIES = tuple(m for m in Modality if m is not Modality.TEXT)
 class Split:
     """One split as columns; row i holds one record. A view or the text a
     record lacks is NaN in its row, so reading it by accident fails the
-    finite checks downstream. Indexing with an int builds a
-    ``SyntheticRecord``; with a slice or an index array, a ``Split`` of
-    those rows."""
+    finite checks downstream. Indexing with a slice or an index array gives
+    a ``Split`` of those rows; there is no per-record view."""
 
     record_ids: np.ndarray  # (n,) int64
     labels: np.ndarray  # (n,) int64
@@ -198,33 +171,24 @@ class Split:
 
     def rows_with_views(self, *modalities: Modality) -> np.ndarray:
         """Indices of the rows whose records have a view of every given
-        modality. Text is no view: its rows are those of the text pairs."""
+        modality. Text is no view: naming it selects no row."""
         keep = np.ones(len(self), dtype=bool)
         for m in modalities:
             keep &= self.pairs[:, [m in p and m is not Modality.TEXT for p in TRAINABLE_PAIRS]].any(axis=1)
         return np.flatnonzero(keep)
 
-    def __getitem__(self, item):
-        if isinstance(item, (int, np.integer)):
-            pairs = tuple(p for p, keep in zip(TRAINABLE_PAIRS, self.pairs[item]) if keep)
-            modalities = _record_modalities(pairs)
-            views = {m: self.views[m][item] for m in modalities if m is not Modality.TEXT}
-            text = list(self.text[item]) if Modality.TEXT in modalities else []
-            return SyntheticRecord(
-                int(self.record_ids[item]), int(self.labels[item]), self.concept[item], views, text, pairs
-            )
+    def __getitem__(self, rows) -> Split:
+        if isinstance(rows, (int, np.integer)):
+            raise TypeError("a Split takes a slice or an index array of rows, not an int")
         return Split(
-            self.record_ids[item], self.labels[item], self.concept[item],
-            {m: v[item] for m, v in self.views.items()}, self.text[item], self.pairs[item],
+            self.record_ids[rows], self.labels[rows], self.concept[rows],
+            {m: v[rows] for m, v in self.views.items()}, self.text[rows], self.pairs[rows],
         )
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, Split):
-            return all(np.array_equal(a, b, equal_nan=True) for a, b in zip(self._columns(), other._columns()))
-        return isinstance(other, list) and list(self) == other
+        return isinstance(other, Split) and all(
+            np.array_equal(a, b, equal_nan=True) for a, b in zip(self._columns(), other._columns())
+        )
 
 
 @dataclass
@@ -474,17 +438,17 @@ def _modality_map(name: str, doc: dict, cast) -> dict[Modality, object]:
     return {Modality(k): cast(v) for k, v in json_object(f"corpus.{name}", doc).items()}
 
 
-def _real(section: str, value) -> float:
+def json_number(name: str, value) -> float:
     """``value`` as a float; only a JSON number (an int or a float, not a bool) is accepted."""
     if type(value) not in (int, float):
-        raise ValueError(f"{section} values must be numbers, got {value!r}")
+        raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
 
 
 _CONFIG_CASTS = {
     "view_dims": lambda v: _modality_map("view_dims", v, lambda dim: dim),
-    "noise_scales": lambda v: _modality_map("noise_scales", v, lambda s: _real("corpus.noise_scales", s)),
-    "pair_probs": lambda v: {_pair_from_json(p): _real("corpus.pair_probs", w) for p, w in v},
+    "noise_scales": lambda v: _modality_map("noise_scales", v, lambda s: json_number("a corpus.noise_scales value", s)),
+    "pair_probs": lambda v: {_pair_from_json(p): json_number("a corpus.pair_probs value", w) for p, w in v},
     "split_fractions": tuple,
 }
 
@@ -595,9 +559,10 @@ def read_corpus(path) -> Corpus:
     """Read a corpus written by ``write_corpus``. Every split file is checked
     against its sha256 in the manifest here; a split is decoded when first used.
 
-    Raises CorpusFormatError for a missing manifest, a manifest of another
-    format, a manifest whose projection seeds are not ``PROJECTION_SEEDS`` or
-    whose counts are not integers, or a split file whose sha256 differs from
+    Raises CorpusFormatError for a missing manifest, a manifest that is not a
+    JSON object or is of another format, a manifest whose projection seeds are
+    not ``PROJECTION_SEEDS``, whose seed or counts are not integers >= 0 or
+    whose checksums are not an object, or a split file whose sha256 differs from
     the manifest's. A line that does not parse, or a split file holding another
     number of records than the manifest's ``counts``, raises it when the split
     is first used, naming the file (and line).
@@ -607,6 +572,8 @@ def read_corpus(path) -> Corpus:
     if not manifest_path.exists():
         raise CorpusFormatError(f"read_corpus: no manifest.json under {root}")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise CorpusFormatError(f"{manifest_path} must be a JSON object, got {type(manifest).__name__}")
     if manifest.get("format") != CORPUS_FORMAT:
         raise CorpusFormatError(
             f"{manifest_path}: corpus format {manifest.get('format')!r} is not {CORPUS_FORMAT!r}; "
@@ -626,8 +593,11 @@ def read_corpus(path) -> Corpus:
         cfg = config_from_json(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise CorpusFormatError(f"{manifest_path}: bad corpus config: {exc}") from exc
-    seed = manifest["seed"]
-    checksums, counts = manifest.get("checksums", {}), manifest.get("counts")
+    seed, checksums, counts = manifest.get("seed"), manifest.get("checksums", {}), manifest.get("counts")
+    if type(seed) is not int or seed < 0:
+        raise CorpusFormatError(f"{manifest_path}: seed must be an integer >= 0, got {seed!r}")
+    if not isinstance(checksums, dict):
+        raise CorpusFormatError(f"{manifest_path}: checksums must be a JSON object, got {type(checksums).__name__}")
     sources = {}
     for name in SPLITS:
         file, count = root / f"{name}.jsonl", counts.get(name) if isinstance(counts, dict) else None

@@ -70,38 +70,43 @@ class Encoder:
         self.bn_running_var = np.ones(dims.hidden_dim)
 
     def encode(self, x: np.ndarray, train: bool = False) -> GaussianBatch:
-        """Map raw feature rows to a batch of Gaussian embeddings."""
+        """Map raw feature rows to a batch of Gaussian embeddings. Train mode
+        builds a graph over the parameters; eval mode runs the same expressions
+        on their arrays, so its mu and log_var are leaves with no graph behind them."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.dims.input_dim:
             raise ValueError(
                 f"encode: expected (N, {self.dims.input_dim}) features, got {x.shape}"
             )
-        p = self.params
-        h = ad.relu(ad.matmul(ad.constant(x), p["w1"]) + p["b1"])
-        h = ad.relu(ad.matmul(h, p["w2"]) + p["b2"])
+        if train:
+            p, h, relu = self.params, ad.constant(x), ad.relu
+        else:
+            p, h, relu = {name: t.data for name, t in self.params.items()}, x, ad.relu_values
+        h = relu(h @ p["w1"] + p["b1"])
+        h = relu(h @ p["w2"] + p["b2"])
         if self.bn_enabled:
-            h = self._batch_norm(h, train)
-        mu = ad.matmul(h, p["w_mu"]) + p["b_mu"]
-        log_var = ad.matmul(h, p["w_lv"]) + p["b_lv"]
+            h = p["bn_scale"] * self._normalize(h, train) + p["bn_shift"]
+        mu = h @ p["w_mu"] + p["b_mu"]
+        log_var = h @ p["w_lv"] + p["b_lv"]
         return GaussianBatch(mu, log_var)
 
-    def _batch_norm(self, h: Tensor, train: bool) -> Tensor:
-        if train:
-            n = h.shape[0]
-            if n < 2:
-                raise ValueError("encode: train-mode batch norm needs a batch of at least 2")
-            mean = ad.mean_axis0(h)
-            centered = h - mean
-            var = ad.mean_axis0(centered * centered)
-            normalized = centered / ad.sqrt(var + BN_EPS)
-            # Running stats track the unbiased batch variance, torch-style.
-            self.bn_running_mean = (1 - BN_MOMENTUM) * self.bn_running_mean + BN_MOMENTUM * mean.data
-            self.bn_running_var = (
-                1 - BN_MOMENTUM
-            ) * self.bn_running_var + BN_MOMENTUM * var.data * n / (n - 1)
-        else:
-            normalized = (h - self.bn_running_mean) / np.sqrt(self.bn_running_var + BN_EPS)
-        return self.params["bn_scale"] * normalized + self.params["bn_shift"]
+    def _normalize(self, h, train: bool):
+        """Batch norm before its affine: batch statistics in train mode, which
+        also update the running ones, and the running statistics in eval mode."""
+        if not train:
+            return (h - self.bn_running_mean) / np.sqrt(self.bn_running_var + BN_EPS)
+        n = h.shape[0]
+        if n < 2:
+            raise ValueError("encode: train-mode batch norm needs a batch of at least 2")
+        mean = ad.mean_axis0(h)
+        centered = h - mean
+        var = ad.mean_axis0(centered * centered)
+        # Running stats track the unbiased batch variance, torch-style.
+        self.bn_running_mean = (1 - BN_MOMENTUM) * self.bn_running_mean + BN_MOMENTUM * mean.data
+        self.bn_running_var = (
+            1 - BN_MOMENTUM
+        ) * self.bn_running_var + BN_MOMENTUM * var.data * n / (n - 1)
+        return centered / ad.sqrt(var + BN_EPS)
 
 
 def init_encoder(seed: int, dims: EncoderDims, bn_enabled: bool = False) -> Encoder:
@@ -253,6 +258,14 @@ def model_from_document(doc: dict) -> AlignmentModel:
             raise ValueError(f"checkpoint: the {key} encoder has no {exc.args[0]!r} entry") from exc
         except TypeError as exc:
             raise ValueError(f"checkpoint: the {key} encoder entry is malformed: {exc}") from exc
+        # Eval mode runs on numpy arrays, which would broadcast a mis-shaped bias instead of failing.
+        i, h, e = dims.input_dim, dims.hidden_dim, dims.embed_dim
+        shapes = [(i, h), (h,), (h, h), (h,), (h, e), (e,), (h, e), (e,), (h,), (h,), (h,), (h,)]
+        names = [*PARAM_ORDER, "bn_running_mean", "bn_running_var"]
+        arrays = [*(t.data for t in params.values()), enc.bn_running_mean, enc.bn_running_var]
+        wrong = [f"{n} {a.shape}, expected {s}" for n, a, s in zip(names, arrays, shapes) if a.shape != s]
+        if wrong:
+            raise ValueError(f"checkpoint: the {key} encoder's shapes do not match its dims: {'; '.join(wrong)}")
         encoders[modality] = enc
     return AlignmentModel(encoders, doc["embed_dim"])
 

@@ -226,6 +226,9 @@ def _log_affinity(
     block = (rows, cols, d)
     log_sum = np.empty((n, cols))
     quad_sum = np.empty((n if keep_terms else rows, cols))
+    # keep_terms stays a route of its own because the training backward reuses the (A, B, D)
+    # terms. Recomputing them in the vjp instead gave the same bytes but cost about 0.4 ms
+    # per training step at batch 64 (step p50 5.55 -> 5.93 ms, 2 vCPUs).
     mean_var = np.empty((n, cols, d) if keep_terms else block)
     diff = np.empty_like(mean_var)
     log_m, quad = (np.empty(block), np.empty(block)) if keep_terms else (mean_var, diff)

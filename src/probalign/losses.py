@@ -22,6 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import json_number
 from .gaussians import GaussianBatch, SimilarityKind, pairwise_similarity_graph
 
 _MASK = -1e9  # additive mask removing self-similarity from NT-Xent rows
@@ -37,10 +38,10 @@ class LossWeights:
     tau: float = 0.07
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("LossWeights: tau must be positive")
-        if min(self.alpha, self.beta, self.gamma) < 0:
+        if min(json_number(f"LossWeights: {name}", getattr(self, name)) for name in ("alpha", "beta", "gamma")) < 0:
             raise ValueError("LossWeights: component weights must be nonnegative")
+        if json_number("LossWeights: tau", self.tau) <= 0:
+            raise ValueError("LossWeights: tau must be positive")
 
 
 @dataclass

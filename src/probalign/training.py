@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TRAINABLE_PAIRS, Corpus, PairBatch, PairType, Split, check_int_fields, make_pair_batches
+from .data import TRAINABLE_PAIRS, Corpus, PairBatch, PairType, Split, check_int_fields, json_number, make_pair_batches
 from .encoders import (
     PARAM_ORDER,
     AlignmentModel,
@@ -57,15 +57,17 @@ class TrainConfig:
     eval_every: int = 500
 
     def __post_init__(self):
-        if self.lr <= 0:
+        if type(self.bn_enabled) is not bool:
+            raise ValueError(f"TrainConfig: bn_enabled must be true or false, got {self.bn_enabled!r}")
+        if json_number("TrainConfig: lr", self.lr) <= 0:
             raise ValueError("TrainConfig: lr must be positive")
-        if self.grad_clip <= 0:
+        if json_number("TrainConfig: grad_clip", self.grad_clip) <= 0:
             raise ValueError("TrainConfig: grad_clip must be positive")
         least = {"batch_size": 2, "total_steps": 0, "eval_every": 1, "hidden_dim": 1, "embed_dim": 1, "seed": 0}
         check_int_fields(self, least)
-        if self.weight_decay < 0:
+        if json_number("TrainConfig: weight_decay", self.weight_decay) < 0:
             raise ValueError("TrainConfig: weight_decay must be nonnegative")
-        if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
+        if len(self.betas) != 2 or not all(0 <= json_number("TrainConfig: each betas entry", b) < 1 for b in self.betas):
             raise ValueError(f"TrainConfig: betas must be two values in [0, 1), got {self.betas}")
 
 

@@ -18,7 +18,6 @@ ROOT = Path(__file__).resolve().parents[1]
 # Runs in a child process: install() replaces module attributes for good.
 TRACED_CALLS = """
 import json
-import numpy as np
 import spans
 from probalign import data, evaluation, training
 from probalign.encoders import AlignmentModel, Modality
@@ -27,8 +26,8 @@ tracer = spans.Tracer()
 spans.install(tracer)
 corpus = data.generate(data.CorpusConfig(n_records=200, latent_dim=4), 0)
 model = AlignmentModel.build(0, corpus.config.view_dims, hidden_dim=8, embed_dim=4)
-items = model.encode(Modality.MOD_A, np.stack([r.views[Modality.MOD_A] for r in corpus.test]))
-prompts = {0: items, 1: model.encode(Modality.TEXT, np.stack([r.text_variants[0] for r in corpus.test]))}
+items = model.encode(Modality.MOD_A, corpus.test.views[Modality.MOD_A])
+prompts = {0: items, 1: model.encode(Modality.TEXT, corpus.test.text[:, 0])}
 names = {}
 for kind in spans.KINDS:
     tracer.spans.clear()

@@ -290,7 +290,7 @@ class TestTrain:
             ({"weight_decay": -1e-5}, "weight_decay must be nonnegative"),
             ({"betas": [0.9]}, "betas must be two values in [0, 1), got (0.9,)"),
             ({"betas": [0.9, 1.0]}, "betas must be two values in [0, 1), got (0.9, 1.0)"),
-            ({"lr": "0.001"}, "'<=' not supported between instances of 'str' and 'int'"),
+            ({"lr": "0.001"}, "TrainConfig: lr must be a number, got '0.001'"),
             ({"sis_enabled": False}, "unknown train key(s): sis_enabled"),
         ],
         ids=[
@@ -376,6 +376,18 @@ class TestTrain:
         assert main(argv) == 1
         assert f"--out {out}: {file} exists and is not a directory" in capsys.readouterr().err
         assert decoded == [] and file.read_text() == "kept\n"
+
+    def test_manifest_without_seed_exits_1(self, config_path, corpus_dir, tmp_path, capsys):
+        edited = tmp_path / "edited"
+        shutil.copytree(corpus_dir, edited)
+        manifest = json.loads((edited / "manifest.json").read_text())
+        del manifest["seed"]
+        (edited / "manifest.json").write_text(json.dumps(manifest))
+        argv = ["train", "--config", str(config_path), "--corpus", str(edited), "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "manifest.json: seed must be an integer >= 0, got None" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_corpus_path_exits_1(self, config_path, tmp_path, capsys):
         assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "x")]) == 1
@@ -704,6 +716,12 @@ def oracle_run(request, tmp_path_factory):
     return root / "run" / "checkpoint.json", root / "corpus"
 
 
+def finite_rows(split, *modalities) -> np.ndarray:
+    """Rows whose view of every given modality is finite, read from the view
+    columns rather than through ``Split.rows_with_views`` and the pairs mask."""
+    return np.flatnonzero(np.all([np.isfinite(split.views[m]).all(axis=1) for m in modalities], axis=0))
+
+
 def full_decode_report(argv) -> str:
     """Reference for the fewshot and multimodal protocols: every train record is
     decoded and embedded, and the support rows are picked from those embeddings."""
@@ -712,21 +730,20 @@ def full_decode_report(argv) -> str:
     corpus = data.read_corpus(args.corpus)
     rng = np.random.default_rng(args.seed)
 
-    def embed(modality, records):
-        return model.encode(modality, np.stack([r.views[modality] for r in records]))
+    def embed(modality, split, rows):
+        return model.encode(modality, split.views[modality][rows])
 
     if args.protocol == "fewshot":
         m = Modality(args.modality)
-        train = [r for r in corpus.train if m in r.views]
-        test = [r for r in corpus.test if m in r.views]
-        mu_train, lv_train = embed(m, train)
+        train, test = finite_rows(corpus.train, m), finite_rows(corpus.test, m)
+        mu_train, lv_train = embed(m, corpus.train, train)
         table = {}
         for shot in args.shots:
             per_seed = few_shot(
-                [r.class_label for r in train],
+                corpus.train.labels[train].tolist(),
                 lambda rows: (mu_train[rows], lv_train[rows]),
-                embed(m, test)[0],
-                [r.class_label for r in test],
+                embed(m, corpus.test, test)[0],
+                corpus.test.labels[test].tolist(),
                 shot,
                 mode=args.fewshot_mode,
                 n_samples=args.n,
@@ -737,16 +754,15 @@ def full_decode_report(argv) -> str:
         return EvalReport("fewshot", metrics, {"mode": args.fewshot_mode, "table": table}).to_json()
 
     pair = (Modality.MOD_A, Modality.MOD_B)
-    train = [r for r in corpus.train if all(m in r.views for m in pair)]
-    test = [r for r in corpus.test if all(m in r.views for m in pair)]
-    train_items = [embed(m, train) for m in pair]
+    train, test = finite_rows(corpus.train, *pair), finite_rows(corpus.test, *pair)
+    train_items = [embed(m, corpus.train, train) for m in pair]
     prompts = cli._prompt_set(corpus, args, rng)
     result = multimodal_classify(
         model,
-        [r.class_label for r in train],
+        corpus.train.labels[train].tolist(),
         lambda rows: [(mu[rows], lv[rows]) for mu, lv in train_items],
-        tuple(np.stack([r.views[m] for r in test]) for m in pair),
-        [r.class_label for r in test],
+        tuple(corpus.test.views[m][test] for m in pair),
+        corpus.test.labels[test].tolist(),
         args.k_shot,
         prompts,
         SimilarityKind(args.similarity),
@@ -768,9 +784,10 @@ def zeroshot_list_report(argv) -> tuple[str, list]:
     corpus = data.read_corpus(args.corpus)
     kind = SimilarityKind(args.similarity)
     m = Modality(args.modality)
-    records = [r for r in corpus.splits[args.split or "test"] if m in r.views]
-    labels = np.array([r.class_label for r in records])
-    items = model.encode(m, np.stack([r.views[m] for r in records]))
+    split = corpus.splits[args.split or "test"]
+    rows = finite_rows(split, m)
+    labels = split.labels[rows]
+    items = model.encode(m, split.views[m][rows])
     if args.prototypes == "text":
         prompts = cli._prompt_set(corpus, args, np.random.default_rng(args.seed))
         base = zero_shot_lists.zero_shot(model, items, prompts, kind)
@@ -786,13 +803,13 @@ def zeroshot_list_report(argv) -> tuple[str, list]:
         return EvalReport("zeroshot", metrics, {"auroc_by_k": per_k}).to_json(), results
 
     proto_modality = Modality(args.prototypes)
-    proto = [r for r in corpus.valid if proto_modality in r.views]
-    if not proto:
+    proto = finite_rows(corpus.valid, proto_modality)
+    if not len(proto):
         raise ConfigError(f"no {proto_modality.value} views in valid split for prototypes")
-    rows = model.encode(proto_modality, np.stack([r.views[proto_modality] for r in proto]))
+    encoded = model.encode(proto_modality, corpus.valid.views[proto_modality][proto])
     by_class = {}
-    for r, e in zip(proto, zero_shot_lists.embeddings_of(rows)):
-        by_class.setdefault(r.class_label, []).append(e)
+    for label, e in zip(corpus.valid.labels[proto].tolist(), zero_shot_lists.embeddings_of(encoded)):
+        by_class.setdefault(label, []).append(e)
     result = zero_shot_lists.zero_shot_from_encoded(items, by_class, kind)
     details = {"prototypes": proto_modality.value, "item_modality": m.value}
     report = EvalReport("zeroshot", {"auroc": macro_ovr_auroc(result.scores, labels, result.classes)}, details)
@@ -1004,9 +1021,9 @@ class TestSeedAndSections:
             (EVAL, {"format": "probalign-checkpoint-v1", "embed_dim": 2, "encoders": {}},
              "checkpoint: no encoder for mod_a, mod_b, mod_c, text"),
             (GEN, {"corpus": {"noise_scales": {"mod_a": True, "mod_b": 0.3, "mod_c": 0.3, "text": 0.3}}},
-             "corpus.noise_scales values must be numbers, got True"),
+             "a corpus.noise_scales value must be a number, got True"),
             (GEN, {"corpus": {"pair_probs": [[["mod_a", "text"], "0.3"]]}},
-             "corpus.pair_probs values must be numbers, got '0.3'"),
+             "a corpus.pair_probs value must be a number, got '0.3'"),
             (["gen", "--config", "DIR", "--out", "OUT"], {}, "is not a file"),
             (["eval", "--checkpoint", "DIR", "--corpus", "CORPUS", "--protocol", "retrieval", "--out", "OUT"], {},
              "is not a file"),
@@ -1014,6 +1031,17 @@ class TestSeedAndSections:
             (TRAIN[:-1] + ["CONFIG"], {}, "config.json exists and is not a directory"),
             (EVAL[:-1] + ["CONFIG"], {}, "config.json exists and is not a directory"),
             (["verify", "--fast", "--out", "CONFIG"], {}, "config.json exists and is not a directory"),
+            (TRAIN, {"train": {"lr": True}}, "TrainConfig: lr must be a number, got True"),
+            (TRAIN, {"train": {"weight_decay": "0"}}, "TrainConfig: weight_decay must be a number, got '0'"),
+            (TRAIN, {"train": {"grad_clip": None}}, "TrainConfig: grad_clip must be a number, got None"),
+            (TRAIN, {"train": {"betas": "ab"}}, "TrainConfig: each betas entry must be a number, got 'a'"),
+            (TRAIN, {"train": {"betas": [0.9, True]}}, "TrainConfig: each betas entry must be a number, got True"),
+            (TRAIN, {"train": {"bn_enabled": "no"}}, "TrainConfig: bn_enabled must be true or false, got 'no'"),
+            (TRAIN, {"train": {"bn_enabled": 1}}, "TrainConfig: bn_enabled must be true or false, got 1"),
+            (TRAIN, {"train": {"loss_weights": {"alpha": True}}}, "LossWeights: alpha must be a number, got True"),
+            (TRAIN, {"train": {"loss_weights": {"beta": "0.5"}}}, "LossWeights: beta must be a number, got '0.5'"),
+            (TRAIN, {"train": {"loss_weights": {"gamma": None}}}, "LossWeights: gamma must be a number, got None"),
+            (TRAIN, {"train": {"loss_weights": {"tau": "0.07"}}}, "LossWeights: tau must be a number, got '0.07'"),
         ],
         ids=[
             "train-flag-seed", "gen-flag-seed", "eval-flag-seed", "gen-string-seed", "train-string-seed",
@@ -1025,7 +1053,9 @@ class TestSeedAndSections:
             "mistyped-view-dims", "negative-cluster-std", "float-batch-size", "float-hidden-dim",
             "checkpoint-without-encoders", "encoder-without-hidden-dim", "checkpoint-with-no-encoder",
             "bool-noise-scale", "string-pair-prob", "directory-config", "directory-checkpoint",
-            "gen-file-out", "train-file-out", "eval-file-out", "verify-file-out",
+            "gen-file-out", "train-file-out", "eval-file-out", "verify-file-out", "bool-lr",
+            "string-weight-decay", "null-grad-clip", "string-betas", "bool-beta-entry", "string-bn-enabled",
+            "int-bn-enabled", "bool-alpha", "string-loss-beta", "null-gamma", "string-tau",
         ],
     )
     def test_exits_1_before_the_run_dir(self, corpus_dir, tmp_path, capsys, argv, doc, message):

@@ -4,6 +4,7 @@ import base64
 import dataclasses
 import hashlib
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -53,6 +54,14 @@ DEFAULT_PROJECTION_SEEDS = {"mod_a": 101, "mod_b": 102, "mod_c": 103, "text": 10
 @pytest.fixture(scope="module")
 def corpus():
     return generate(SMALL, seed=11)
+
+
+def finite_rows(split, *modalities):
+    """Rows whose view of every given modality is finite; text is no view."""
+    keep = np.ones(len(split), dtype=bool)
+    for m in modalities:
+        keep &= m is not T and np.isfinite(split.views[m]).all(axis=1)
+    return np.flatnonzero(keep).tolist()
 
 
 def rewrite_split(root, split, lines):
@@ -177,36 +186,34 @@ class TestGenerate:
         assert corpus != other
 
     def test_record_disjoint_splits(self, corpus):
-        ids = [set(r.record_id for r in split) for split in corpus.splits.values()]
+        ids = [set(split.record_ids.tolist()) for split in corpus.splits.values()]
         assert ids[0] | ids[1] | ids[2] == set(range(SMALL.n_records))
         assert not (ids[0] & ids[1] or ids[0] & ids[2] or ids[1] & ids[2])
 
     def test_every_pair_modality_has_a_view(self, corpus):
+        # A row's view (or text) is finite when one of its pairs names the modality, NaN otherwise.
         for split in corpus.splits.values():
-            for r in split:
-                for pair in r.available_pairs:
-                    for m in pair:
-                        if m is T:
-                            assert len(r.text_variants) >= 2
-                        else:
-                            assert m in r.views
+            for m in Modality:
+                has = split.pairs[:, [m in pair for pair in TRAINABLE_PAIRS]].any(axis=1)
+                column = (split.text if m is T else split.views[m]).reshape(len(split), -1)
+                assert np.isfinite(column[has]).all() and np.isnan(column[~has]).all()
 
     def test_holdout_pair_never_available(self, corpus):
+        assert (A, C) not in TRAINABLE_PAIRS and (B, C) not in TRAINABLE_PAIRS
         for split in corpus.splits.values():
-            for r in split:
-                assert r.available_pairs and set(r.available_pairs) <= set(TRAINABLE_PAIRS)
+            assert split.pairs.shape == (len(split), len(TRAINABLE_PAIRS)) and split.pairs.any(axis=1).all()
 
     def test_view_dimensions(self, corpus):
-        r = corpus.train[0]
-        for m, v in r.views.items():
-            assert v.shape == (SMALL.view_dims[m],)
-        for t in r.text_variants:
-            assert t.shape == (SMALL.view_dims[T],)
+        n = len(corpus.train)
+        assert corpus.train.concept.shape == (n, SMALL.latent_dim)
+        for m, v in corpus.train.views.items():
+            assert v.shape == (n, SMALL.view_dims[m])
+        assert corpus.train.text.shape == (n, SMALL.n_text_variants, SMALL.view_dims[T])
 
     def test_class_balance(self):
         cfg = CorpusConfig(n_records=5000, n_classes=5)
         big = generate(cfg, seed=3)
-        labels = [r.class_label for split in big.splits.values() for r in split]
+        labels = np.concatenate([split.labels for split in big.splits.values()])
         hist = np.bincount(labels, minlength=5) / len(labels)
         assert np.abs(hist - 0.2).max() < 0.02  # < 10% of the 0.2 weight
 
@@ -215,18 +222,16 @@ class TestGenerate:
             n_records=20, n_classes=2, latent_dim=4, noise_scales={m: 1e-12 for m in Modality}
         )
         tiny = generate(cfg, seed=0)
-        r = next(r for s in tiny.splits.values() for r in s if r.text_variants)
-        offsets = tiny.latent.variant_offsets
-        base = r.text_variants[0] - offsets[0]
-        for v, t in enumerate(r.text_variants):
-            np.testing.assert_allclose(t - offsets[v], base, atol=1e-9)
+        text = np.concatenate([s.text for s in tiny.splits.values()])
+        text = text[np.isfinite(text).all(axis=(1, 2))] - tiny.latent.variant_offsets
+        assert len(text) > 0
+        np.testing.assert_allclose(text, np.broadcast_to(text[:, :1], text.shape), atol=1e-9)
 
     def test_latent_classes_linearly_separable(self):
         cfg = CorpusConfig(n_records=2000, n_classes=5)
         big = generate(cfg, seed=5)
         records = big.train
-        x = np.stack([r.concept for r in records])
-        y = np.array([r.class_label for r in records])
+        x, y = records.concept, records.labels
         w = logistic_probe(x, y, 5)
         scores = probe_scores(w, x)
         aurocs = [auroc(scores[:, c], (y == c).astype(int)) for c in range(5)]
@@ -242,12 +247,12 @@ class TestBatching:
 
     def test_batch_records_have_requested_pair(self, corpus):
         stream = make_pair_batches(corpus.train, (A, B), 16, np.random.default_rng(1))
-        by_id = {r.record_id: r for r in corpus.train}
+        row_of = {rid: row for row, rid in enumerate(corpus.train.record_ids.tolist())}
         for _ in range(5):
             batch = next(stream)
             assert len(set(batch.record_ids)) == 16
-            for rid in batch.record_ids:
-                assert (A, B) in by_id[rid].available_pairs
+            rows = [row_of[rid] for rid in batch.record_ids]
+            assert corpus.train.pairs[rows, TRAINABLE_PAIRS.index((A, B))].all()
 
     def test_text_variant_choice_varies_with_rng(self, corpus):
         pool = corpus.train[corpus.train.pair_rows((A, T))[:16]]
@@ -338,7 +343,7 @@ class TestSerialization:
         rewrite_split(tmp_path / "bad", "test", lines)
         again = read_corpus(tmp_path / "bad")
         with pytest.raises(CorpusFormatError, match="test.jsonl line 3"):
-            list(again.test)
+            again.test
 
     def test_partial_read_parses_only_the_asked_splits(self, corpus, tmp_path, monkeypatch):
         # read_corpus parses no split; each split is parsed when first used.
@@ -359,8 +364,15 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "use",
-        [list, len, bool, lambda s: s[0], lambda s: s == [], lambda s: [r for r in s]],
-        ids=["list", "len", "bool", "index", "equals", "iterate"],
+        [
+            lambda s: s.labels.tolist(),
+            len,
+            bool,
+            lambda s: s[[0, 2]],
+            lambda s: s == s[:],
+            lambda s: s.pair_rows((A, T)).tolist(),
+        ],
+        ids=["column", "len", "bool", "index", "equals", "rows"],
     )
     def test_sequence_use_decodes_the_split_once(self, corpus, tmp_path, monkeypatch, use):
         write_corpus(corpus, tmp_path / "part")
@@ -375,7 +387,7 @@ class TestSerialization:
         part = read_corpus(tmp_path / "part")
         assert use(part.train) == use(corpus.train)
         assert len(decoded) == 1
-        assert sorted(decoded[0].record_ids.tolist()) == sorted(r.record_id for r in corpus.train)
+        assert sorted(decoded[0].record_ids.tolist()) == sorted(corpus.train.record_ids.tolist())
         assert part.train == corpus.train and part.train[[0, 1]] == corpus.train[:2]
 
     def test_unread_split_still_checked_against_manifest(self, corpus, tmp_path):
@@ -420,6 +432,24 @@ class TestSerialization:
         with pytest.raises(CorpusFormatError, match=message):
             read_corpus(tmp_path / "stale")
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda m: {k: v for k, v in m.items() if k != "seed"}, "seed must be an integer >= 0, got None"),
+            (lambda m: {**m, "seed": "x"}, "seed must be an integer >= 0, got 'x'"),
+            (lambda m: {**m, "seed": True}, "seed must be an integer >= 0, got True"),
+            (lambda m: {**m, "checksums": [1]}, "checksums must be a JSON object, got list"),
+            (lambda m: [m], "must be a JSON object, got list"),
+        ],
+        ids=["no_seed", "string_seed", "bool_seed", "list_checksums", "list_manifest"],
+    )
+    def test_malformed_manifest_names_the_file(self, corpus, tmp_path, edit, message):
+        write_corpus(corpus, tmp_path / "m")
+        path = tmp_path / "m" / "manifest.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(CorpusFormatError, match=f"manifest.json.*{re.escape(message)}"):
+            read_corpus(tmp_path / "m")
+
     def test_manifest_with_retired_keys_reads_back(self, corpus, tmp_path):
         # The shape written before holdout_pair, class_weights and projection_seeds
         # left the corpus config, each at its default.
@@ -440,24 +470,24 @@ class TestSerialization:
         first = (tmp_path / "layout" / "train.jsonl").read_text().splitlines()[0]
         doc = json.loads(first)
         assert sorted(doc) == ["available_pairs", "class_label", "floats", "record_id"]
-        r = corpus.train[0]
-        expected = np.concatenate(
-            [r.concept, *(r.views[m] for m in Modality if m in r.views), *r.text_variants]
-        )
+        split = corpus.train
+        pairs = [tuple(Modality(m) for m in p) for p in doc["available_pairs"]]
+        assert pairs == [p for p, keep in zip(TRAINABLE_PAIRS, split.pairs[0]) if keep]
+        modalities = {m for p in pairs for m in p}
+        views = [split.views[m][0] for m in Modality if m in modalities and m is not T]
+        expected = np.concatenate([split.concept[0], *views, *(split.text[0] if T in modalities else [])])
         blob = np.frombuffer(base64.b64decode(doc["floats"]), dtype="<f8")
         np.testing.assert_array_equal(blob, expected)
 
     def test_read_arrays_are_writable_float64(self, corpus, tmp_path):
         write_corpus(corpus, tmp_path / "w")
         again = read_corpus(tmp_path / "w")
-        r = again.train[0]
-        for a in [r.concept, *r.views.values(), *r.text_variants]:
+        split = again.train
+        for a in [split.concept, *split.views.values(), split.text]:
             assert a.dtype == np.float64 and a.flags.writeable
-        before = again.train[1].concept.copy()
-        r.concept[:] = 0.0
-        r.text_variants[-1][:] = 0.0
-        np.testing.assert_array_equal(again.train[1].concept, before)
-        assert again.train[0] != corpus.train[0] and again.train[1] == corpus.train[1]
+        split.concept[0] = 0.0
+        split.text[0, -1] = 0.0
+        assert split[:1] != corpus.train[:1] and split[1:] == corpus.train[1:]
 
     def test_record_not_matching_its_pairs_is_not_written(self, corpus, tmp_path):
         bad = generate(SMALL, seed=11)
@@ -490,20 +520,27 @@ class TestSplitIndex:
         write_corpus(corpus, tmp_path / "ix")
         part = read_corpus(tmp_path / "ix")
         assert isinstance(part.train, Split)
-        assert part.train.labels.tolist() == [r.class_label for r in corpus.train]
+        assert part.train.labels.tolist() == corpus.train.labels.tolist()
         rows = [5, 0, 17, 5, len(corpus.train) - 1]
-        assert part.train[rows] == [corpus.train[i] for i in rows]
-        assert part.train[np.arange(len(corpus.train))] == list(corpus.train)
+        for got, full in zip(part.train[rows]._columns(), corpus.train._columns()):
+            np.testing.assert_array_equal(got, np.stack([full[i] for i in rows]))
+        assert part.train[np.arange(len(corpus.train))] == corpus.train
         assert len(part.train) == len(corpus.train)
-        want = [i for i, r in enumerate(corpus.train) if A in r.views and B in r.views]
-        assert part.train.rows_with_views(A, B).tolist() == want
+        assert part.train.rows_with_views(A, B).tolist() == finite_rows(corpus.train, A, B)
+
+    @pytest.mark.parametrize("row", [0, np.int64(0)], ids=["int", "numpy-int"])
+    def test_int_index_and_iteration_rejected(self, corpus, row):
+        # Rows are selected by index arrays; a split has no per-record view.
+        with pytest.raises(TypeError, match="not an int"):
+            corpus.train[row]
+        with pytest.raises(TypeError, match="not an int"):
+            list(corpus.train)
 
     @pytest.mark.parametrize("modalities", [(A,), (B,), (C,), (A, B), (T,)], ids=["a", "b", "c", "a+b", "text"])
     def test_rows_with_views(self, corpus, tmp_path, modalities):
         write_corpus(corpus, tmp_path / "ix")
         index = read_corpus(tmp_path / "ix").valid
-        want = [i for i, r in enumerate(corpus.valid) if all(m in r.views for m in modalities)]
-        assert index.rows_with_views(*modalities).tolist() == want
+        assert index.rows_with_views(*modalities).tolist() == finite_rows(corpus.valid, *modalities)
 
     def test_indexed_split_of_empty_corpus(self, tmp_path):
         write_corpus(generate(CorpusConfig(n_records=0), seed=1), tmp_path / "empty")
@@ -610,21 +647,23 @@ class TestComplementaryCorpus:
 
     def test_label_is_sign_of_factor_sum(self):
         comp = generate(complementary_config(200), seed=4)
-        records = [r for split in comp.splits.values() for r in split]
-        assert len(records) == 200
-        for r in records:
-            assert r.class_label == int(r.concept.sum() > 0)
-            assert r.available_pairs == ((A, T), (B, T), (A, B))
-        assert {r.class_label for r in records} == {0, 1}
+        labels, concept, pairs = (
+            np.concatenate([getattr(split, name) for split in comp.splits.values()])
+            for name in ("labels", "concept", "pairs")
+        )
+        assert len(labels) == 200
+        assert labels.tolist() == [int(c.sum() > 0) for c in concept]
+        assert pairs.tolist() == [[p in ((A, T), (B, T), (A, B)) for p in TRAINABLE_PAIRS]] * 200
+        assert set(labels.tolist()) == {0, 1}
 
     def test_views_follow_the_masked_projections(self):
         # At negligible noise each view is its projection of one factor of the concept.
         cfg = dataclasses.replace(complementary_config(20), noise_scales={m: 1e-12 for m in Modality})
         comp = generate(cfg, seed=4)
-        for r in comp.train:
-            u_only, v_only = r.concept * [1.0, 0.0], r.concept * [0.0, 1.0]
-            np.testing.assert_allclose(r.views[A], comp.latent.projections[A] @ u_only, atol=1e-9)
-            np.testing.assert_allclose(r.views[B], comp.latent.projections[B] @ v_only, atol=1e-9)
+        split = comp.train
+        u_only, v_only = split.concept * [1.0, 0.0], split.concept * [0.0, 1.0]
+        np.testing.assert_allclose(split.views[A], u_only @ comp.latent.projections[A].T, atol=1e-9)
+        np.testing.assert_allclose(split.views[B], v_only @ comp.latent.projections[B].T, atol=1e-9)
 
     def test_round_trips_with_label_rule(self, tmp_path):
         comp = generate(complementary_config(100), seed=5)

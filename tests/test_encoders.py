@@ -14,6 +14,7 @@ from probalign.encoders import (
     EncoderDims,
     Modality,
     checkpoint_document,
+    encode_array,
     init_encoder,
     load_checkpoint,
     model_from_document,
@@ -53,6 +54,28 @@ class TestEncode:
         loss.backward()
         assert enc.params["w1"].grad is not None
 
+    @pytest.mark.parametrize("bn", [False, True], ids=["plain", "batchnorm"])
+    def test_eval_mode_builds_no_graph(self, bn):
+        enc = init_encoder(5, DIMS, bn_enabled=bn)
+        out = enc.encode(np.random.default_rng(5).normal(size=(3, 6)))
+        assert out.mu._parents == () and out.log_var._parents == ()
+
+    def test_eval_and_train_modes_agree_bitwise_without_batch_norm(self):
+        # One formula: eval mode runs train mode's expressions on the parameters' arrays.
+        enc = init_encoder(6, DIMS, bn_enabled=False)
+        x = np.random.default_rng(6).normal(size=(5, 6))
+        evaluated, trained = enc.encode(x), enc.encode(x, train=True)
+        np.testing.assert_array_equal(evaluated.mu.data, trained.mu.data)
+        np.testing.assert_array_equal(evaluated.log_var.data, trained.log_var.data)
+
+    @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+    def test_nan_weight_reaches_the_output(self, train):
+        # ReLU passes NaN through in both modes instead of zeroing it.
+        enc = init_encoder(7, DIMS, bn_enabled=False)
+        enc.params["w1"].data[0, 0] = np.nan
+        out = enc.encode(np.random.default_rng(7).normal(size=(4, 6)), train=train)
+        assert np.isnan(out.mu.data).all() and np.isnan(out.log_var.data).all()
+
     def test_input_dim_mismatch(self):
         enc = init_encoder(2, DIMS)
         with pytest.raises(ValueError, match="expected"):
@@ -84,7 +107,7 @@ class TestBatchNorm:
         p = enc.params
         h = ad.relu(ad.matmul(Tensor(x), p["w1"]) + p["b1"])
         h = ad.relu(ad.matmul(h, p["w2"]) + p["b2"])
-        normalized = enc._batch_norm(h, train=True)
+        normalized = enc._normalize(h, train=True)
         # With scale 1 and shift 0 at init: mean is 0; the variance equals
         # v/(v + eps) exactly, which is 1 up to the eps-induced shrinkage.
         assert np.abs(normalized.data.mean(axis=0)).max() < 1e-6
@@ -244,6 +267,20 @@ class TestCheckpoint:
     def test_missing_key_or_modality_rejected(self, change, message):
         doc = checkpoint_document(self._model())
         change(doc)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            model_from_document(doc)
+
+    @pytest.mark.parametrize(
+        "name,shape",
+        [("b1", (1,)), ("w2", (16, 1)), ("b_lv", (8, 1)), ("bn_running_var", (1,))],
+        ids=["scalar-bias", "narrow-weight", "column-bias", "scalar-running-var"],
+    )
+    def test_mis_shaped_array_rejected(self, name, shape):
+        # Eval mode's numpy arithmetic would broadcast these instead of failing.
+        doc = checkpoint_document(self._model())
+        entry = doc["encoders"]["mod_a"]
+        (entry["params"] if name in entry["params"] else entry)[name] = encode_array(np.zeros(shape))
+        message = f"the mod_a encoder's shapes do not match its dims: {name} {shape}"
         with pytest.raises(ValueError, match=re.escape(message)):
             model_from_document(doc)
 
