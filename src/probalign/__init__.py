@@ -22,7 +22,7 @@ from .gaussians import (
     hellinger_sq,
     sample,
 )
-from .losses import LossBreakdown, LossWeights, pair_loss, sis_loss, vib_loss
+from .losses import LossWeights, pair_loss, sis_loss, vib_loss
 from .training import TrainConfig, TrainResult, cosine_lr, train
 
 __version__ = "0.1.0"
@@ -33,7 +33,6 @@ __all__ = [
     "EncoderDims",
     "GaussianBatch",
     "GaussianEmbedding",
-    "LossBreakdown",
     "LossWeights",
     "Modality",
     "SimilarityKind",

@@ -1,22 +1,24 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
-Every operation builds a node in an implicit computation graph (parents plus a
-closure computing local gradients), in the style of scalar micrograd engines but
-generalized to numpy arrays. Calling ``backward()`` on a scalar node runs the
-closures in reverse topological order and accumulates gradients into ``.grad``.
+Every operation builds its node through one constructor, :func:`_node`: the
+value, the parents, and per parent a function of the upstream gradient, in the
+style of scalar micrograd engines but generalized to numpy arrays. Calling
+``backward()`` on a scalar node runs them in reverse topological order and
+accumulates gradients into ``.grad``.
 
 A leaf built with ``Tensor(...)`` is trainable. A leaf built with
 :func:`constant`, and any scalar or raw array an op wraps implicitly, needs no
 gradient; neither does an op output whose parents are all constants. The
 backward pass does not visit such nodes and never sets their ``.grad``, and
-the binary ops skip the gradient of a constant operand.
+it alone skips the gradient function of a constant parent; no op tests
+``needs_grad``.
 
 Broadcasting in binary elementwise ops is deliberately restricted to three
 cases: identical shapes, a scalar on either side, and a trailing-axis vector
 against a higher-rank operand (the row-wise bias/scale case). Pairwise
 structures have no general op here: :func:`custom` builds a node from a
-forward value and a hand-written backward, which is how the fused pairwise
-similarities in :mod:`probalign.gaussians` enter a graph.
+forward value and a hand-written joint backward, which is how the fused
+pairwise similarities in :mod:`probalign.gaussians` enter a graph.
 
 A node's first incoming gradient is stored as is, without a copy, so gradient
 arrays may alias one another (``add`` hands the same array to both parents).
@@ -38,18 +40,13 @@ def _shape_error(op: str, a_shape, b_shape) -> ShapeError:
     return ShapeError(f"{op}: operand shapes {tuple(a_shape)} and {tuple(b_shape)} do not conform")
 
 
-def _as_array(value) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    return arr
-
-
 class Tensor:
     """A dense float64 array plus the graph bookkeeping needed for backward."""
 
     __slots__ = ("data", "grad", "needs_grad", "_parents", "_backward")
 
-    def __init__(self, data, parents: tuple["Tensor", ...] = (), backward=None):
-        self.data = _as_array(data)
+    def __init__(self, data, parents: tuple["Tensor", ...] = ()):
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         # A leaf is trainable; an op's output needs a gradient when a parent does.
         self.needs_grad = not parents
@@ -58,7 +55,6 @@ class Tensor:
                 self.needs_grad = True
                 break
         self._parents = parents
-        self._backward = backward
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -123,8 +119,16 @@ class Tensor:
         order = _topo_order(self)
         _accumulate(self, np.ones_like(self.data))
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            g = node.grad
+            if g is None or not node._parents:
+                continue
+            if type(node._backward) is tuple:  # built by _node
+                for parent, grad in zip(node._parents, node._backward):
+                    if parent.needs_grad:
+                        _accumulate(parent, grad(g))
+            else:  # a custom node's joint vjp
+                for parent, grad in zip(node._parents, node._backward(g)):
+                    _accumulate(parent, grad)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -161,6 +165,15 @@ def tensor(value) -> Tensor:
     if isinstance(value, Tensor):
         return value
     return constant(value)
+
+
+def _node(value, parents: tuple[Tensor, ...], *grads) -> Tensor:
+    """An op's output. ``grads[i](g)`` is the gradient for ``parents[i]`` given
+    the upstream gradient ``g``; backward calls it only when that parent needs
+    one. A leaf has no ``_backward``."""
+    out = Tensor(value, parents)
+    out._backward = grads
+    return out
 
 
 def _accumulate(node: Tensor, grad: np.ndarray) -> None:
@@ -202,72 +215,40 @@ def _check_elementwise(op: str, a: np.ndarray, b: np.ndarray) -> None:
 def add(a, b) -> Tensor:
     a, b = tensor(a), tensor(b)
     _check_elementwise("add", a.data, b.data)
-    out = Tensor(a.data + b.data, (a, b))
-
-    def _back(g):
-        if a.needs_grad:
-            _accumulate(a, _reduce_to(g, a.shape))
-        if b.needs_grad:
-            _accumulate(b, _reduce_to(g, b.shape))
-
-    out._backward = _back
-    return out
+    return _node(a.data + b.data, (a, b), lambda g: _reduce_to(g, a.shape), lambda g: _reduce_to(g, b.shape))
 
 
 def sub(a, b) -> Tensor:
     a, b = tensor(a), tensor(b)
     _check_elementwise("sub", a.data, b.data)
-    out = Tensor(a.data - b.data, (a, b))
-
-    def _back(g):
-        if a.needs_grad:
-            _accumulate(a, _reduce_to(g, a.shape))
-        if b.needs_grad:
-            _accumulate(b, _reduce_to(-g, b.shape))
-
-    out._backward = _back
-    return out
+    return _node(a.data - b.data, (a, b), lambda g: _reduce_to(g, a.shape), lambda g: _reduce_to(-g, b.shape))
 
 
 def mul(a, b) -> Tensor:
     a, b = tensor(a), tensor(b)
     _check_elementwise("mul", a.data, b.data)
-    out = Tensor(a.data * b.data, (a, b))
-
-    def _back(g):
-        if a.needs_grad:
-            _accumulate(a, _reduce_to(g * b.data, a.shape))
-        if b.needs_grad:
-            _accumulate(b, _reduce_to(g * a.data, b.shape))
-
-    out._backward = _back
-    return out
+    return _node(
+        a.data * b.data,
+        (a, b),
+        lambda g: _reduce_to(g * b.data, a.shape),
+        lambda g: _reduce_to(g * a.data, b.shape),
+    )
 
 
 def div(a, b) -> Tensor:
     a, b = tensor(a), tensor(b)
     _check_elementwise("div", a.data, b.data)
-    out = Tensor(a.data / b.data, (a, b))
-
-    def _back(g):
-        if a.needs_grad:
-            _accumulate(a, _reduce_to(g / b.data, a.shape))
-        if b.needs_grad:
-            _accumulate(b, _reduce_to(-g * a.data / (b.data * b.data), b.shape))
-
-    out._backward = _back
-    return out
+    return _node(
+        a.data / b.data,
+        (a, b),
+        lambda g: _reduce_to(g / b.data, a.shape),
+        lambda g: _reduce_to(-g * a.data / (b.data * b.data), b.shape),
+    )
 
 
 def neg(a) -> Tensor:
     a = tensor(a)
-    out = Tensor(-a.data, (a,))
-
-    def _back(g):
-        _accumulate(a, -g)
-
-    out._backward = _back
-    return out
+    return _node(-a.data, (a,), lambda g: -g)
 
 
 # -- elementwise unary ops -------------------------------------------------
@@ -276,36 +257,18 @@ def neg(a) -> Tensor:
 def exp(a) -> Tensor:
     a = tensor(a)
     value = np.exp(a.data)
-    out = Tensor(value, (a,))
-
-    def _back(g):
-        _accumulate(a, g * value)
-
-    out._backward = _back
-    return out
+    return _node(value, (a,), lambda g: g * value)
 
 
 def log(a) -> Tensor:
     a = tensor(a)
-    out = Tensor(np.log(a.data), (a,))
-
-    def _back(g):
-        _accumulate(a, g / a.data)
-
-    out._backward = _back
-    return out
+    return _node(np.log(a.data), (a,), lambda g: g / a.data)
 
 
 def sqrt(a) -> Tensor:
     a = tensor(a)
     value = np.sqrt(a.data)
-    out = Tensor(value, (a,))
-
-    def _back(g):
-        _accumulate(a, g * 0.5 / value)
-
-    out._backward = _back
-    return out
+    return _node(value, (a,), lambda g: g * 0.5 / value)
 
 
 def relu_values(x: np.ndarray) -> np.ndarray:
@@ -318,26 +281,14 @@ def relu_values(x: np.ndarray) -> np.ndarray:
 def relu(a) -> Tensor:
     a = tensor(a)
     mask = a.data > 0.0
-    out = Tensor(relu_values(a.data), (a,))
-
-    def _back(g):
-        _accumulate(a, g * mask)
-
-    out._backward = _back
-    return out
+    return _node(relu_values(a.data), (a,), lambda g: g * mask)
 
 
 def clamp_min(a, floor: float) -> Tensor:
     """max(a, floor) elementwise; the gradient is zero at and below the floor."""
     a = tensor(a)
     mask = a.data > floor
-    out = Tensor(np.where(mask, a.data, floor), (a,))
-
-    def _back(g):
-        _accumulate(a, g * mask)
-
-    out._backward = _back
-    return out
+    return _node(np.where(mask, a.data, floor), (a,), lambda g: g * mask)
 
 
 # -- linear algebra ---------------------------------------------------------
@@ -347,29 +298,14 @@ def matmul(a, b) -> Tensor:
     a, b = tensor(a), tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise _shape_error("matmul", a.shape, b.shape)
-    out = Tensor(a.data @ b.data, (a, b))
-
-    def _back(g):
-        if a.needs_grad:
-            _accumulate(a, g @ b.data.T)
-        if b.needs_grad:
-            _accumulate(b, a.data.T @ g)
-
-    out._backward = _back
-    return out
+    return _node(a.data @ b.data, (a, b), lambda g: g @ b.data.T, lambda g: a.data.T @ g)
 
 
 def transpose(a) -> Tensor:
     a = tensor(a)
     if a.data.ndim != 2:
         raise _shape_error("transpose", a.shape, a.shape)
-    out = Tensor(a.data.T.copy(), (a,))
-
-    def _back(g):
-        _accumulate(a, g.T)
-
-    out._backward = _back
-    return out
+    return _node(a.data.T.copy(), (a,), lambda g: g.T)
 
 
 def diagonal(a) -> Tensor:
@@ -378,15 +314,13 @@ def diagonal(a) -> Tensor:
     if a.data.ndim != 2 or a.shape[0] != a.shape[1]:
         raise _shape_error("diagonal", a.shape, a.shape)
     n = a.shape[0]
-    out = Tensor(np.diagonal(a.data).copy(), (a,))
 
-    def _back(g):
+    def grad(g):
         full = np.zeros_like(a.data)
         full[np.arange(n), np.arange(n)] = g
-        _accumulate(a, full)
+        return full
 
-    out._backward = _back
-    return out
+    return _node(np.diagonal(a.data).copy(), (a,), grad)
 
 
 # -- reductions --------------------------------------------------------------
@@ -395,13 +329,7 @@ def diagonal(a) -> Tensor:
 def mean_all(a) -> Tensor:
     a = tensor(a)
     n = a.size
-    out = Tensor(a.data.mean(), (a,))
-
-    def _back(g):
-        _accumulate(a, np.full_like(a.data, float(g) / n))
-
-    out._backward = _back
-    return out
+    return _node(a.data.mean(), (a,), lambda g: np.full_like(a.data, float(g) / n))
 
 
 def sum_last(a) -> Tensor:
@@ -409,13 +337,7 @@ def sum_last(a) -> Tensor:
     a = tensor(a)
     if a.data.ndim == 0:
         raise _shape_error("sum_last", a.shape, a.shape)
-    out = Tensor(a.data.sum(axis=-1), (a,))
-
-    def _back(g):
-        _accumulate(a, np.broadcast_to(g[..., None], a.shape).copy())
-
-    out._backward = _back
-    return out
+    return _node(a.data.sum(axis=-1), (a,), lambda g: np.broadcast_to(g[..., None], a.shape).copy())
 
 
 def mean_axis0(a) -> Tensor:
@@ -424,13 +346,7 @@ def mean_axis0(a) -> Tensor:
     if a.data.ndim < 1:
         raise _shape_error("mean_axis0", a.shape, a.shape)
     n = a.shape[0]
-    out = Tensor(a.data.mean(axis=0), (a,))
-
-    def _back(g):
-        _accumulate(a, np.broadcast_to(g / n, a.shape).copy())
-
-    out._backward = _back
-    return out
+    return _node(a.data.mean(axis=0), (a,), lambda g: np.broadcast_to(g / n, a.shape).copy())
 
 
 def logsumexp(a) -> Tensor:
@@ -443,13 +359,7 @@ def logsumexp(a) -> Tensor:
     total = shifted.sum(axis=-1, keepdims=True)
     value = (m + np.log(total)).reshape(a.data.shape[:-1])
     softmax_weights = shifted / total
-    out = Tensor(value, (a,))
-
-    def _back(g):
-        _accumulate(a, g[..., None] * softmax_weights)
-
-    out._backward = _back
-    return out
+    return _node(value, (a,), lambda g: g[..., None] * softmax_weights)
 
 
 # -- structure ops ------------------------------------------------------------
@@ -459,18 +369,14 @@ def concat(parts, axis: int = 0) -> Tensor:
     parts = [tensor(p) for p in parts]
     if not parts:
         raise ValueError("concat: need at least one operand")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis), tuple(parts))
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    value = np.concatenate([p.data for p in parts], axis=axis)
+    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
 
-    def _back(g):
-        for p, start, stop in zip(parts, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(start, stop)
-            _accumulate(p, g[tuple(idx)])
+    def slice_of(start, stop):
+        idx = (slice(None),) * (axis % value.ndim) + (slice(start, stop),)
+        return lambda g: g[idx]
 
-    out._backward = _back
-    return out
+    return _node(value, tuple(parts), *map(slice_of, offsets[:-1], offsets[1:]))
 
 
 def l2_normalize(a) -> Tensor:
@@ -478,29 +384,22 @@ def l2_normalize(a) -> Tensor:
     a = tensor(a)
     norm = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=True))
     y = a.data / norm
-    out = Tensor(y, (a,))
 
-    def _back(g):
+    def grad(g):
         inner = (g * y).sum(axis=-1, keepdims=True)
-        _accumulate(a, (g - y * inner) / norm)
+        return (g - y * inner) / norm
 
-    out._backward = _back
-    return out
+    return _node(y, (a,), grad)
 
 
 def custom(value, parents: tuple[Tensor, ...], vjp) -> Tensor:
     """A node with a hand-written backward.
 
     ``vjp(g)`` maps the upstream gradient to one gradient per parent, in the
-    order of ``parents``.
+    order of ``parents``, computed jointly so that they can share intermediates.
     """
     out = Tensor(value, parents)
-
-    def _back(g):
-        for parent, grad in zip(parents, vjp(g)):
-            _accumulate(parent, grad)
-
-    out._backward = _back
+    out._backward = vjp
     return out
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -80,7 +81,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"config path {p} is not a file")
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
     return json_object(f"config file {p}", doc)
 
@@ -459,8 +460,10 @@ def sweep_or_positive_int(text: str) -> str | int:
 
 
 def noise_levels(text: str) -> list[float]:
-    """A comma-separated list of floats that ascends from 0."""
+    """A comma-separated list of finite floats that ascends from 0."""
     levels = [float(part) for part in text.split(",")]
+    if not all(map(math.isfinite, levels)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
     if levels != sorted(levels) or levels[0] != 0.0:
         raise argparse.ArgumentTypeError(f"must ascend from 0, got {text}")
     return levels

@@ -40,6 +40,7 @@ import base64
 import functools
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -439,9 +440,14 @@ def _modality_map(name: str, doc: dict, cast) -> dict[Modality, object]:
 
 
 def json_number(name: str, value) -> float:
-    """``value`` as a float; only a JSON number (an int or a float, not a bool) is accepted."""
+    """``value`` as a float; only a finite JSON number (an int or a float, not a
+    bool) is accepted. ``json`` reads ``NaN`` and ``Infinity``, and ``float``
+    reads ``nan`` and ``inf``, so each can arrive here."""
     if type(value) not in (int, float):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    # NaN fails the comparison too; an int too large for a float is not converted.
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return float(value)
 
 
@@ -449,7 +455,7 @@ _CONFIG_CASTS = {
     "view_dims": lambda v: _modality_map("view_dims", v, lambda dim: dim),
     "noise_scales": lambda v: _modality_map("noise_scales", v, lambda s: json_number("a corpus.noise_scales value", s)),
     "pair_probs": lambda v: {_pair_from_json(p): json_number("a corpus.pair_probs value", w) for p, w in v},
-    "split_fractions": tuple,
+    "split_fractions": lambda v: tuple(json_number("a corpus.split_fractions value", f) for f in v),
 }
 
 
@@ -559,19 +565,22 @@ def read_corpus(path) -> Corpus:
     """Read a corpus written by ``write_corpus``. Every split file is checked
     against its sha256 in the manifest here; a split is decoded when first used.
 
-    Raises CorpusFormatError for a missing manifest, a manifest that is not a
-    JSON object or is of another format, a manifest whose projection seeds are
-    not ``PROJECTION_SEEDS``, whose seed or counts are not integers >= 0 or
-    whose checksums are not an object, or a split file whose sha256 differs from
-    the manifest's. A line that does not parse, or a split file holding another
-    number of records than the manifest's ``counts``, raises it when the split
-    is first used, naming the file (and line).
+    Raises CorpusFormatError for a missing manifest, a manifest that is not
+    valid JSON, not a JSON object or of another format, a manifest whose
+    projection seeds are not ``PROJECTION_SEEDS``, whose seed or counts are not
+    integers >= 0 or whose checksums are not an object, or a split file whose
+    sha256 differs from the manifest's. A line that does not parse, or a split
+    file holding another number of records than the manifest's ``counts``,
+    raises it when the split is first used, naming the file (and line).
     """
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise CorpusFormatError(f"read_corpus: no manifest.json under {root}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CorpusFormatError(f"{manifest_path} is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise CorpusFormatError(f"{manifest_path} must be a JSON object, got {type(manifest).__name__}")
     if manifest.get("format") != CORPUS_FORMAT:

@@ -275,7 +275,10 @@ def load_checkpoint(path) -> AlignmentModel:
     if path.exists() and not path.is_file():
         raise ValueError(f"checkpoint path {path} is not a file")
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"checkpoint {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"checkpoint {path} must be a JSON object, got {type(doc).__name__}")
     return model_from_document(doc)

@@ -44,30 +44,6 @@ class LossWeights:
             raise ValueError("LossWeights: tau must be positive")
 
 
-@dataclass
-class LossBreakdown:
-    """Per-component values of one pair objective (floats, for logging)."""
-
-    total: float
-    mod_forward: float
-    mod_backward: float
-    sis_m1: float
-    sis_m2: float
-    vib_m1: float
-    vib_m2: float
-
-    def as_row(self) -> list[float]:
-        return [
-            self.total,
-            self.mod_forward,
-            self.mod_backward,
-            self.sis_m1,
-            self.sis_m2,
-            self.vib_m1,
-            self.vib_m2,
-        ]
-
-
 def _nce_from_logits(logits: Tensor) -> Tensor:
     """Mean over rows of (logsumexp(row) - diagonal entry)."""
     return ad.mean_all(ad.logsumexp(logits) - ad.diagonal(logits))
@@ -161,14 +137,16 @@ def pair_loss(
     kind: SimilarityKind,
     rng: np.random.Generator | None = None,
     sis_eps: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[Tensor, LossBreakdown]:
-    """Weighted pair objective; returns the scalar graph node and its breakdown.
+) -> tuple[Tensor, dict[str, float]]:
+    """Weighted pair objective; returns the scalar graph node and its
+    components as floats, keyed by their ``metrics.csv`` columns: ``total``,
+    ``mod_f``, ``mod_b``, ``sis1``, ``sis2``, ``vib1``, ``vib2``.
 
     total = alpha*(nce(m1->m2) + nce(m2->m1)) + beta*(sis(m1) + sis(m2))
             + gamma*(vib(m1) + vib(m2))
 
-    Components with a zero weight are skipped (their breakdown entries are 0,
-    and no sampling noise is consumed for a zero beta).
+    Components with a zero weight are skipped (their entries are 0, and no
+    sampling noise is consumed for a zero beta).
     """
     if batch_m1.n != batch_m2.n:
         raise ValueError(f"pair_loss: batch sizes differ ({batch_m1.n} vs {batch_m2.n})")
@@ -195,13 +173,5 @@ def pair_loss(
         vib1 = vib2 = zero
 
     total = w.alpha * (mod_f + mod_b) + w.beta * (sis1 + sis2) + w.gamma * (vib1 + vib2)
-    breakdown = LossBreakdown(
-        total=total.item(),
-        mod_forward=mod_f.item(),
-        mod_backward=mod_b.item(),
-        sis_m1=sis1.item(),
-        sis_m2=sis2.item(),
-        vib_m1=vib1.item(),
-        vib_m2=vib2.item(),
-    )
-    return total, breakdown
+    parts = {"total": total, "mod_f": mod_f, "mod_b": mod_b, "sis1": sis1, "sis2": sis2, "vib1": vib1, "vib2": vib2}
+    return total, {name: node.item() for name, node in parts.items()}

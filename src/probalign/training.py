@@ -140,10 +140,10 @@ def train_step(state: TrainerState, pair: PairType, batch: PairBatch) -> dict:
     enc1, enc2 = (state.model.encoders[m] for m in pair)
     b1 = enc1.encode(batch.x_first, train=True)
     b2 = enc2.encode(batch.x_second, train=True)
-    total, breakdown = pair_loss(b1, b2, cfg.loss_weights, cfg.similarity, rng=state.rng)
-    if not math.isfinite(breakdown.total):
+    total, parts = pair_loss(b1, b2, cfg.loss_weights, cfg.similarity, rng=state.rng)
+    if not math.isfinite(parts["total"]):
         raise TrainingAbort(
-            f"non-finite loss {breakdown.total} at step {state.step} on pair "
+            f"non-finite loss {parts['total']} at step {state.step} on pair "
             f"{tuple(m.value for m in pair)}, record ids {batch.record_ids[:8]}..."
         )
 
@@ -161,8 +161,7 @@ def train_step(state: TrainerState, pair: PairType, batch: PairBatch) -> dict:
     _adamw_update(enc2, state.optimizer[pair[1]], clipped, lr, cfg)
     for p in params:
         p.zero_grad()
-    row = {"step": state.step, "pair": "+".join(m.value for m in pair)}
-    row.update(zip(METRICS_COLUMNS[2:-1], breakdown.as_row()), lr=lr)
+    row = {"step": state.step, "pair": "+".join(m.value for m in pair), **parts, "lr": lr}
     state.step += 1
     return row
 
@@ -224,7 +223,7 @@ def validation_info_nce(
             b1 = GaussianBatch(*model.encode(pair[0], batch.x_first))
             b2 = GaussianBatch(*model.encode(pair[1], batch.x_second))
             _, parts = pair_loss(b1, b2, weights, cfg.similarity)
-            values.append(0.5 * (parts.mod_forward + parts.mod_backward))
+            values.append(0.5 * (parts["mod_f"] + parts["mod_b"]))
     return float(np.mean(values)) if values else None
 
 

@@ -82,6 +82,11 @@ class TestBackwardBasics:
         assert b.grad == pytest.approx(2.0)
 
 
+def concat_columns(a, b):
+    """The two operands side by side, folded back to (3, 3) as a + 2b."""
+    return ad.matmul(ad.concat([a, b], axis=1), np.vstack([np.eye(3), 2.0 * np.eye(3)]))
+
+
 class TestConstants:
     def test_implicit_wraps_are_constants(self):
         x = Tensor([1.0, 2.0])
@@ -109,7 +114,9 @@ class TestConstants:
         assert x.grad is None and scale.grad is None and hidden.grad is None
         assert w.grad is not None
 
-    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div, ad.matmul], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "op", [ad.add, ad.sub, ad.mul, ad.div, ad.matmul, concat_columns], ids=lambda f: f.__name__
+    )
     def test_gradients_equal_those_of_trainable_leaves(self, op):
         # The constant operand on either side: the parameter's gradient is the
         # one the same graph gives when the constant is a trainable leaf.

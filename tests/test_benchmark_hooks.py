@@ -5,7 +5,8 @@ a name breaks this test rather than ``perfbench/run.py --trace 1``. The
 tracer also reads call shapes: the similarity kind as the fifth positional
 argument of ``pairwise_similarity_arrays``, and eval mode from an
 ``Encoder.encode`` call without ``train``; the evaluation paths must still
-record those spans."""
+record those spans. It counts a ``pair_loss`` graph's nodes by walking
+``Tensor._parents``, and the count must not change when the engine does."""
 
 import json
 import os
@@ -39,6 +40,31 @@ names["validation_retrieval"] = [span[0] for span in tracer.spans]
 print(json.dumps(names))
 """
 
+# One traced pair_loss per similarity kind, through two train-mode encoders.
+TRACED_PAIR_LOSS = """
+import json
+import numpy as np
+import spans
+from probalign import training
+from probalign.encoders import EncoderDims, init_encoder
+from probalign.gaussians import SimilarityKind
+from probalign.losses import LossWeights
+
+tracer = spans.Tracer()
+spans.install(tracer)
+rng = np.random.default_rng(0)
+enc1 = init_encoder(0, EncoderDims(6, 8, 4), bn_enabled=True)
+enc2 = init_encoder(1, EncoderDims(5, 8, 4), bn_enabled=True)
+counts = {}
+for kind in spans.KINDS:
+    tracer.counters.clear()
+    b1 = enc1.encode(rng.normal(size=(8, 6)), train=True)
+    b2 = enc2.encode(rng.normal(size=(8, 5)), train=True)
+    training.pair_loss(b1, b2, LossWeights(), SimilarityKind(kind), rng=rng)
+    counts[kind] = tracer.counters[(0, "losses.pair_loss.graph_nodes")]
+print(json.dumps(counts))
+"""
+
 
 def run_traced(code: str) -> subprocess.CompletedProcess:
     paths = [str(ROOT / "src"), str(ROOT / "perfbench"), os.environ.get("PYTHONPATH")]
@@ -66,3 +92,11 @@ def test_evaluation_calls_record_kind_and_eval_spans():
     assert "training.validation_retrieval" in recorded
     assert "gaussians.pairwise_similarity_arrays.csd" in recorded
     assert "encoders.encode.eval" in recorded and "encoders.encode.train" not in recorded
+
+
+def test_pair_loss_graph_node_counts_are_unchanged():
+    # The counts the engine gave before its ops were built through one node
+    # constructor: the graph is the same op for op.
+    proc = run_traced(TRACED_PAIR_LOSS)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"hellinger": 116, "bhattacharyya": 109, "csd": 109, "cosine": 112}

@@ -3,6 +3,7 @@
 import base64
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -608,6 +609,8 @@ class TestEval:
             (["--protocol", "zeroshot", "--modality", "bogus"], "argument --modality: invalid choice: 'bogus'"),
             (["--protocol", "zeroshot", "--filter-prompts", "0"], "argument --filter-prompts: must be >= 1, got 0"),
             (["--protocol", "noiseprobe", "--levels", "1,2"], "argument --levels: must ascend from 0, got 1,2"),
+            (["--protocol", "noiseprobe", "--levels", "0,1,inf"], "argument --levels: must be finite, got 0,1,inf"),
+            (["--protocol", "noiseprobe", "--levels", "0,nan,1"], "argument --levels: must be finite, got 0,nan,1"),
         ],
         ids=[
             "n",
@@ -621,6 +624,8 @@ class TestEval:
             "modality",
             "filter-prompts",
             "levels",
+            "levels-inf",
+            "levels-nan",
         ],
     )
     def test_sizes_checked_before_any_file_is_read(self, tmp_path, monkeypatch, capsys, extra, message):
@@ -1042,6 +1047,21 @@ class TestSeedAndSections:
             (TRAIN, {"train": {"loss_weights": {"beta": "0.5"}}}, "LossWeights: beta must be a number, got '0.5'"),
             (TRAIN, {"train": {"loss_weights": {"gamma": None}}}, "LossWeights: gamma must be a number, got None"),
             (TRAIN, {"train": {"loss_weights": {"tau": "0.07"}}}, "LossWeights: tau must be a number, got '0.07'"),
+            (TRAIN + ["--lr", "nan"], {}, "TrainConfig: lr must be finite, got nan"),
+            (TRAIN + ["--lr", "inf"], {}, "TrainConfig: lr must be finite, got inf"),
+            (TRAIN, {"train": {"loss_weights": {"tau": math.inf}}}, "LossWeights: tau must be finite, got inf"),
+            (TRAIN, {"train": {"grad_clip": math.inf, "weight_decay": math.nan}},
+             "TrainConfig: grad_clip must be finite, got inf"),
+            (TRAIN, {"train": {"weight_decay": math.nan}}, "TrainConfig: weight_decay must be finite, got nan"),
+            (TRAIN, {"train": {"lr": 10**400}}, "TrainConfig: lr must be finite, got 1000"),
+            (GEN, {"corpus": {"cluster_std": math.inf}}, "CorpusConfig: cluster_std must be finite, got inf"),
+            (GEN, {"corpus": {"noise_scales": {"mod_a": math.nan, "mod_b": 0.3, "mod_c": 0.3, "text": 0.3}}},
+             "a corpus.noise_scales value must be finite, got nan"),
+            (GEN, {"corpus": {"split_fractions": [math.nan, 0.1, 0.1]}},
+             "a corpus.split_fractions value must be finite, got nan"),
+            (EVAL, b"{", "checkpoint CONFIG is not valid JSON: Expecting property name"),
+            (EVAL, b"\xff{}", "checkpoint CONFIG is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+            (GEN, b"\xff{}", "config file CONFIG is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
         ],
         ids=[
             "train-flag-seed", "gen-flag-seed", "eval-flag-seed", "gen-string-seed", "train-string-seed",
@@ -1055,12 +1075,16 @@ class TestSeedAndSections:
             "bool-noise-scale", "string-pair-prob", "directory-config", "directory-checkpoint",
             "gen-file-out", "train-file-out", "eval-file-out", "verify-file-out", "bool-lr",
             "string-weight-decay", "null-grad-clip", "string-betas", "bool-beta-entry", "string-bn-enabled",
-            "int-bn-enabled", "bool-alpha", "string-loss-beta", "null-gamma", "string-tau",
+            "int-bn-enabled", "bool-alpha", "string-loss-beta", "null-gamma", "string-tau", "nan-lr-flag",
+            "inf-lr-flag", "inf-tau", "inf-grad-clip-nan-weight-decay", "nan-weight-decay", "huge-int-lr",
+            "inf-cluster-std", "nan-noise-scale", "nan-split-fraction",
+            "unparseable-checkpoint", "non-utf8-checkpoint", "non-utf8-config",
         ],
     )
     def test_exits_1_before_the_run_dir(self, corpus_dir, tmp_path, capsys, argv, doc, message):
+        # ``doc`` is written as JSON, or as it is when it is bytes.
         config, out = tmp_path / "config.json", tmp_path / "o"
-        config.write_text(json.dumps(doc))
+        config.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
         (tmp_path / "dir").mkdir()
         values = {"CONFIG": str(config), "CORPUS": str(corpus_dir), "OUT": str(out), "DIR": str(tmp_path / "dir")}
         try:
@@ -1069,7 +1093,7 @@ class TestSeedAndSections:
             code = exc.code
         err = capsys.readouterr().err
         assert code == 1
-        assert message in err and "Traceback" not in err
+        assert message.replace("CONFIG", str(config)) in err and "Traceback" not in err
         assert not out.exists()
 
 

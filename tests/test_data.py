@@ -440,13 +440,17 @@ class TestSerialization:
             (lambda m: {**m, "seed": True}, "seed must be an integer >= 0, got True"),
             (lambda m: {**m, "checksums": [1]}, "checksums must be a JSON object, got list"),
             (lambda m: [m], "must be a JSON object, got list"),
+            (lambda m: b"{", "is not valid JSON: Expecting property name"),
+            (lambda m: b"\xff{}", "is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
         ],
-        ids=["no_seed", "string_seed", "bool_seed", "list_checksums", "list_manifest"],
+        ids=["no_seed", "string_seed", "bool_seed", "list_checksums", "list_manifest", "unparseable", "not_utf8"],
     )
     def test_malformed_manifest_names_the_file(self, corpus, tmp_path, edit, message):
+        # An edit returns the manifest's new document, or bytes written as they are.
         write_corpus(corpus, tmp_path / "m")
         path = tmp_path / "m" / "manifest.json"
-        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        edited = edit(json.loads(path.read_text()))
+        path.write_bytes(edited if isinstance(edited, bytes) else json.dumps(edited).encode())
         with pytest.raises(CorpusFormatError, match=f"manifest.json.*{re.escape(message)}"):
             read_corpus(tmp_path / "m")
 

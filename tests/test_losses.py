@@ -11,7 +11,6 @@ import probalign.autodiff as ad
 from probalign.autodiff import Tensor, grad_check
 from probalign.gaussians import GaussianBatch, GaussianEmbedding, SimilarityKind, pairwise_similarity_arrays
 from probalign.losses import (
-    LossBreakdown,
     LossWeights,
     pair_loss,
     sis_loss,
@@ -28,7 +27,7 @@ def random_batch(rng, n, d, mu_scale=1.0):
 
 
 def info_nce(b1, b2, kind, tau):
-    """The InfoNCE-only pair objective (beta = gamma = 0): (total node, breakdown)."""
+    """The InfoNCE-only pair objective (beta = gamma = 0): (total node, components)."""
     return pair_loss(b1, b2, LossWeights(alpha=1.0, beta=0.0, gamma=0.0, tau=tau), kind)
 
 
@@ -64,7 +63,7 @@ class TestInfoNce:
         b = batch([[100.0, 0.0], [-100.0, 0.0]], np.zeros((2, 2)))
         total, parts = info_nce(b, b, SimilarityKind.HELLINGER, 0.07)
         expected = math.log1p(math.exp(-1.0 / 0.07))
-        assert parts.mod_forward == parts.mod_backward == pytest.approx(expected, rel=1e-4)
+        assert parts["mod_f"] == parts["mod_b"] == pytest.approx(expected, rel=1e-4)
         assert total.item() == pytest.approx(0.0, abs=1e-5)
 
     def test_uniform_similarities_give_ln_n(self):
@@ -72,15 +71,15 @@ class TestInfoNce:
         mu = np.tile([0.5, -0.5], (2, 1))
         b = batch(mu, np.zeros((2, 2)))
         _, parts = info_nce(b, b, SimilarityKind.HELLINGER, 0.07)
-        assert parts.mod_forward == pytest.approx(math.log(2.0), abs=1e-12)
-        assert parts.mod_backward == pytest.approx(math.log(2.0), abs=1e-12)
+        assert parts["mod_f"] == pytest.approx(math.log(2.0), abs=1e-12)
+        assert parts["mod_b"] == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_ln_n_at_larger_batch(self):
         mu = np.tile([0.3, 0.7, -0.2], (5, 1))
         b = batch(mu, np.zeros((5, 3)))
         _, parts = info_nce(b, b, SimilarityKind.COSINE, 0.2)
-        assert parts.mod_forward == pytest.approx(math.log(5.0), abs=1e-12)
-        assert parts.mod_backward == pytest.approx(math.log(5.0), abs=1e-12)
+        assert parts["mod_f"] == pytest.approx(math.log(5.0), abs=1e-12)
+        assert parts["mod_b"] == pytest.approx(math.log(5.0), abs=1e-12)
 
     def test_strong_diagonal_hand_value(self):
         # Scalar recomputation oracle: s_ii = 1, s_ij = 0, tau = 0.07 gives
@@ -108,7 +107,7 @@ class TestInfoNce:
             q = random_batch(rng, 5, 3)
             k = random_batch(rng, 5, 3)
             _, parts = info_nce(q, k, SimilarityKind.HELLINGER, 0.07)
-            assert parts.mod_forward >= 0.0 and parts.mod_backward >= 0.0
+            assert parts["mod_f"] >= 0.0 and parts["mod_b"] >= 0.0
 
     def test_validation_errors(self):
         b = random_batch(np.random.default_rng(0), 2, 3)
@@ -256,13 +255,13 @@ class TestPairLoss:
         b1 = random_batch(rng, 4, 3, mu_scale=0.3)
         b2 = random_batch(rng, 4, 3, mu_scale=0.3)
         w = LossWeights(alpha=1.0, beta=0.0, gamma=0.0)
-        total, breakdown = pair_loss(b1, b2, w, SimilarityKind.HELLINGER)
+        total, parts = pair_loss(b1, b2, w, SimilarityKind.HELLINGER)
         sim = pairwise_similarity_arrays(b1.mu.data, b1.log_var.data, b2.mu.data, b2.log_var.data, "hellinger")
-        assert breakdown.mod_forward == pytest.approx(nce_reference(sim, w.tau), rel=1e-12)
-        assert breakdown.mod_backward == pytest.approx(nce_reference(sim.T, w.tau), rel=1e-12)
-        assert total.item() == breakdown.mod_forward + breakdown.mod_backward
-        assert breakdown.sis_m1 == breakdown.sis_m2 == 0.0
-        assert breakdown.vib_m1 == breakdown.vib_m2 == 0.0
+        assert parts["mod_f"] == pytest.approx(nce_reference(sim, w.tau), rel=1e-12)
+        assert parts["mod_b"] == pytest.approx(nce_reference(sim.T, w.tau), rel=1e-12)
+        assert total.item() == parts["mod_f"] + parts["mod_b"]
+        assert parts["sis1"] == parts["sis2"] == 0.0
+        assert parts["vib1"] == parts["vib2"] == 0.0
 
     def test_vib_only_at_prior_is_zero(self):
         b = batch(np.zeros((3, 4)), np.zeros((3, 4)))
@@ -279,16 +278,16 @@ class TestPairLoss:
         total, bd = pair_loss(b1, b2, w, SimilarityKind.HELLINGER, sis_eps=eps)
 
         _, nce = info_nce(b1, b2, SimilarityKind.HELLINGER, w.tau)
-        mod_f, mod_b = nce.mod_forward, nce.mod_backward
+        mod_f, mod_b = nce["mod_f"], nce["mod_b"]
         sis1 = sis_loss(b1, w.tau, eps=eps[0]).item()
         sis2 = sis_loss(b2, w.tau, eps=eps[1]).item()
         vib1 = vib_loss(b1).item()
         vib2 = vib_loss(b2).item()
         expect = w.alpha * (mod_f + mod_b) + w.beta * (sis1 + sis2) + w.gamma * (vib1 + vib2)
         assert total.item() == pytest.approx(expect, abs=1e-12)
-        assert bd.mod_forward == pytest.approx(mod_f)
-        assert bd.sis_m1 == pytest.approx(sis1)
-        assert bd.vib_m2 == pytest.approx(vib2)
+        assert bd["mod_f"] == pytest.approx(mod_f)
+        assert bd["sis1"] == pytest.approx(sis1)
+        assert bd["vib2"] == pytest.approx(vib2)
 
     def test_breakdown_identity(self):
         rng = np.random.default_rng(9)
@@ -298,12 +297,12 @@ class TestPairLoss:
             b2 = random_batch(rng, 3, 4)
             total, bd = pair_loss(b1, b2, w, SimilarityKind.HELLINGER, rng=rng)
             recombined = (
-                w.alpha * (bd.mod_forward + bd.mod_backward)
-                + w.beta * (bd.sis_m1 + bd.sis_m2)
-                + w.gamma * (bd.vib_m1 + bd.vib_m2)
+                w.alpha * (bd["mod_f"] + bd["mod_b"])
+                + w.beta * (bd["sis1"] + bd["sis2"])
+                + w.gamma * (bd["vib1"] + bd["vib2"])
             )
-            assert abs(bd.total - recombined) < 1e-10
-            assert bd.total == total.item()
+            assert abs(bd["total"] - recombined) < 1e-10
+            assert bd["total"] == total.item()
 
     def test_unequal_batches_rejected(self):
         rng = np.random.default_rng(10)
