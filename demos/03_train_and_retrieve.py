@@ -55,5 +55,5 @@ print(f"  query record {ids[0]} (class {labels[0]}) ->")
 for rank, g in enumerate(top, 1):
     marker = "  <-- ground truth" if g == 0 else ""
     print(f"    rank {rank}: record {ids[g]} (class {labels[g]}), PS={sim[0, g]:.4f}{marker}")
-result5 = recall_at_k(sim, list(range(len(pool))), [1, 5])
-print(f"  over these {len(pool)} queries: R@1={result5.recall_at[1]:.1f}  R@5={result5.recall_at[5]:.1f}")
+recall = recall_at_k(sim, list(range(len(pool))), [1, 5])
+print(f"  over these {len(pool)} queries: R@1={recall[1]:.1f}  R@5={recall[5]:.1f}")

@@ -15,12 +15,12 @@ import numpy as np
 
 from probalign.data import NOISY_PROMPT_SCALE, CorpusConfig, Modality, generate, synth_text_prompts
 from probalign.evaluation import (
-    PromptSet,
     encode_prompts,
     few_shot,
     filtered_zero_shot,
     macro_ovr_auroc,
     mean_uncertainty_by_noise,
+    prompt_uncertainty,
     zero_shot,
 )
 from probalign.gaussians import SimilarityKind
@@ -44,17 +44,19 @@ rng = np.random.default_rng(3)
 clean = synth_text_prompts(corpus, 3, rng=rng)
 noisy_scale = corpus.config.noise_scales[T] * NOISY_PROMPT_SCALE
 noisy = synth_text_prompts(corpus, 3, noise_scale=noisy_scale, rng=rng)
-prompts = PromptSet({c: clean[c] + noisy[c] for c in clean})
+prompts = {c: np.vstack([clean[c], noisy[c]]) for c in clean}  # (6, text_dim) rows per class
 
+# {class: (mu, log_var)}; score matrices have one column per class, in sorted order.
 encoded = encode_prompts(model, prompts)
+classes = sorted(encoded)
 base = zero_shot(items, encoded, KIND)
 print("Zero-shot with 3 clean + 3 noisy prompts per class.")
-unc = base.prompt_uncertainties[0]
+unc = prompt_uncertainty(encoded[0][1])
 print(f"  predicted prompt uncertainty, class 0: clean {np.round(unc[:3], 3)} noisy {np.round(unc[3:], 3)}")
-print(f"  all prompts:   macro AUROC {macro_ovr_auroc(base.scores, labels, base.classes):.4f}")
+print(f"  all prompts:   macro AUROC {macro_ovr_auroc(base, labels, classes):.4f}")
 for k in (1, 2, 3, 4, 5):
-    r = filtered_zero_shot(items, encoded, k, KIND)
-    print(f"  keep best {k}:   macro AUROC {macro_ovr_auroc(r.scores, labels, r.classes):.4f}")
+    scores = filtered_zero_shot(items, encoded, k, KIND)
+    print(f"  keep best {k}:   macro AUROC {macro_ovr_auroc(scores, labels, classes):.4f}")
 
 # -- 2. sampling-based few-shot ----------------------------------------------
 print("\nFew-shot linear probe, mean-only vs sampling-expanded support:")
@@ -80,9 +82,9 @@ for shot in (2, 4, 8):
 
 # -- 3. uncertainty under input noise ----------------------------------------
 print("\nMean predicted uncertainty under growing input noise (100 items):")
-probe = mean_uncertainty_by_noise(
+series, rho = mean_uncertainty_by_noise(
     model, A, corpus.test.views[A][test_rows[:100]], [0, 0.5, 1, 2, 3, 5], np.random.default_rng(4)
 )
-for level, value in probe.series:
+for level, value in series:
     print(f"  noise sd {level:4.1f} -> mean sigma {value:.4f}")
-print(f"  Spearman(level, uncertainty) = {probe.spearman:.3f}")
+print(f"  Spearman(level, uncertainty) = {rho:.3f}")

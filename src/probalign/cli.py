@@ -39,8 +39,8 @@ from .data import (
 )
 from .encoders import NonFiniteEmbedding, load_checkpoint
 from .evaluation import (
+    MULTIMODAL_PAIR,
     EvalReport,
-    PromptSet,
     encode_prompts,
     few_shot,
     filtered_zero_shot,
@@ -282,14 +282,14 @@ def _protocol_retrieval(model, corpus, kind, args) -> EvalReport:
     return EvalReport("retrieval", {"rsum": out["rsum"]}, {"tasks": out["tasks"], "ks": ks})
 
 
-def _prompt_set(corpus, args, rng) -> PromptSet:
-    clean = synth_text_prompts(corpus, args.n_prompts, rng=rng)
+def _prompt_set(corpus, args, rng) -> dict:
+    """``{class: prompt rows}``: the clean prompts, then any noisy ones."""
+    prompts = synth_text_prompts(corpus, args.n_prompts, rng=rng)
     if args.noisy_prompts > 0:
         noisy_scale = corpus.config.noise_scales[Modality.TEXT] * NOISY_PROMPT_SCALE
         noisy = synth_text_prompts(corpus, args.noisy_prompts, noise_scale=noisy_scale, rng=rng)
-        for cls in clean:
-            clean[cls] = clean[cls] + noisy[cls]
-    return PromptSet(clean)
+        prompts = {cls: np.vstack([rows, noisy[cls]]) for cls, rows in prompts.items()}
+    return prompts
 
 
 def _protocol_zeroshot(model, corpus, kind, args, rng) -> EvalReport:
@@ -305,16 +305,14 @@ def _protocol_zeroshot(model, corpus, kind, args, rng) -> EvalReport:
         prompts = _prompt_set(corpus, args, rng)
         per_k = {}
         if args.filter_prompts == "sweep":
-            ks = range(1, prompts.prompts_per_class() + 1)
+            ks = range(1, min(map(len, prompts.values())) + 1)
         else:
             ks = [args.filter_prompts] if args.filter_prompts else []
         encoded = encode_prompts(model, prompts)
-        base = zero_shot(items, encoded, kind)
-        base_auroc = macro_ovr_auroc(base.scores, labels, base.classes)
+        classes = sorted(prompts)
+        metrics = {"auroc_all_prompts": macro_ovr_auroc(zero_shot(items, encoded, kind), labels, classes)}
         for k in ks:
-            result = filtered_zero_shot(items, encoded, k, kind)
-            per_k[k] = macro_ovr_auroc(result.scores, labels, result.classes)
-        metrics = {"auroc_all_prompts": base_auroc}
+            per_k[k] = macro_ovr_auroc(filtered_zero_shot(items, encoded, k, kind), labels, classes)
         if per_k:
             best_k = max(per_k, key=per_k.get)
             metrics["auroc_best_k"] = per_k[best_k]
@@ -330,8 +328,7 @@ def _protocol_zeroshot(model, corpus, kind, args, rng) -> EvalReport:
     mu, log_var = model.encode(proto_modality, corpus.valid.views[proto_modality][proto_rows])
     proto_labels = corpus.valid.labels[proto_rows]
     by_class = {int(c): (mu[proto_labels == c], log_var[proto_labels == c]) for c in np.unique(proto_labels)}
-    result = score_prototypes(items, by_class, kind)
-    value = macro_ovr_auroc(result.scores, labels, result.classes)
+    value = macro_ovr_auroc(score_prototypes(items, by_class, kind), labels, sorted(by_class))
     return EvalReport(
         "zeroshot",
         {"auroc": value},
@@ -339,20 +336,21 @@ def _protocol_zeroshot(model, corpus, kind, args, rng) -> EvalReport:
     )
 
 
-def _train_embedder(model, train, rows, modalities):
-    """Embeds train rows given as positions in ``rows`` (rows of the train
-    split), encoding only those: one ``(mu, log_var)`` pair per modality."""
-    return lambda chosen: [model.encode(m, train.views[m][rows[chosen]]) for m in modalities]
+def _train_embedder(model, train, rows, modality):
+    """A ``few_shot`` embedder of train rows given as positions in ``rows``
+    (rows of the train split), encoding only those."""
+    return lambda chosen: model.encode(modality, train.views[modality][rows[chosen]])
 
 
 def _protocol_fewshot(model, corpus, args, rng) -> EvalReport:
     modality = Modality(args.modality)
     train_rows = corpus.train.rows_with_views(modality)
-    if not len(train_rows):
-        raise ConfigError(f"no {modality.value} views in split train")
-    y_train = corpus.train.labels[train_rows]
-    embed = _train_embedder(model, corpus.train, train_rows, [modality])
     test_rows = corpus.test.rows_with_views(modality)
+    for name, rows in (("train", train_rows), ("test", test_rows)):
+        if not len(rows):
+            raise ConfigError(f"no {modality.value} views in split {name}")
+    y_train = corpus.train.labels[train_rows]
+    embed = _train_embedder(model, corpus.train, train_rows, modality)
     test_mu, _ = model.encode(modality, corpus.test.views[modality][test_rows])
     y_test = corpus.test.labels[test_rows]
     table = {}
@@ -360,7 +358,7 @@ def _protocol_fewshot(model, corpus, args, rng) -> EvalReport:
         rngs = [np.random.default_rng([args.seed, shot, s]) for s in range(args.seeds)]
         per_seed = few_shot(
             y_train,
-            lambda chosen: embed(chosen)[0],
+            embed,
             test_mu,
             y_test,
             shot,
@@ -374,23 +372,21 @@ def _protocol_fewshot(model, corpus, args, rng) -> EvalReport:
 
 
 def _protocol_multimodal(model, corpus, kind, args, rng) -> EvalReport:
-    pair = (Modality.MOD_A, Modality.MOD_B)
-    train_rows = corpus.train.rows_with_views(*pair)
-    test_rows = corpus.test.rows_with_views(*pair)
+    train_rows = corpus.train.rows_with_views(*MULTIMODAL_PAIR)
+    test_rows = corpus.test.rows_with_views(*MULTIMODAL_PAIR)
     if not len(train_rows) or not len(test_rows):
         raise ConfigError("multimodal protocol needs records with both mod_a and mod_b views")
     prompts = _prompt_set(corpus, args, rng)
     result = multimodal_classify(
         model,
         corpus.train.labels[train_rows],
-        _train_embedder(model, corpus.train, train_rows, pair),
-        tuple(corpus.test.views[m][test_rows] for m in pair),
+        [_train_embedder(model, corpus.train, train_rows, m) for m in MULTIMODAL_PAIR],
+        tuple(corpus.test.views[m][test_rows] for m in MULTIMODAL_PAIR),
         corpus.test.labels[test_rows],
         args.k_shot,
         prompts,
         kind,
         rng,
-        pair=pair,
         fusion=args.fusion,
     )
     metrics = {f"fs_{name}": v for name, v in result["fs"].items()}
@@ -403,12 +399,8 @@ def _protocol_noiseprobe(model, corpus, args, rng) -> EvalReport:
     rows = corpus.test.rows_with_views(modality)[: args.n_items]
     if not len(rows):
         raise ConfigError(f"no {modality.value} views in test split")
-    probe = mean_uncertainty_by_noise(model, modality, corpus.test.views[modality][rows], args.levels, rng)
-    return EvalReport(
-        "noiseprobe",
-        {"spearman": probe.spearman},
-        {"series": probe.series, "n_items": len(rows)},
-    )
+    series, rho = mean_uncertainty_by_noise(model, modality, corpus.test.views[modality][rows], args.levels, rng)
+    return EvalReport("noiseprobe", {"spearman": rho}, {"series": series, "n_items": len(rows)})
 
 
 def cmd_verify(args) -> int:

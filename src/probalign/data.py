@@ -657,8 +657,8 @@ def synth_text_prompts(
     n_per_class: int,
     noise_scale: float | None = None,
     rng: np.random.Generator | None = None,
-) -> dict[int, list[np.ndarray]]:
-    """Synthetic text feature vectors describing each class.
+) -> dict[int, np.ndarray]:
+    """Synthetic text feature vectors describing each class, ``{class: (n_per_class, text_dim)}``.
 
     A prompt is the text projection of a latent drawn near the class (cluster
     center jitter for the mixture corpus, rejection sampling for constructed
@@ -668,7 +668,7 @@ def synth_text_prompts(
     rng = rng if rng is not None else np.random.default_rng(0)
     scale = cfg.noise_scales[Modality.TEXT] if noise_scale is None else noise_scale
     proj = corpus.latent.projections[Modality.TEXT]
-    prompts: dict[int, list[np.ndarray]] = {}
+    prompts = {}
     for label in range(cfg.n_classes):
         rows = []
         for _ in range(n_per_class):
@@ -682,5 +682,5 @@ def synth_text_prompts(
                     0.0, cfg.cluster_std / 2.0, size=cfg.latent_dim
                 )
             rows.append(proj @ latent + rng.normal(0.0, scale, size=proj.shape[0]))
-        prompts[label] = rows
+        prompts[label] = np.stack(rows)
     return prompts

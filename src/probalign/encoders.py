@@ -234,7 +234,8 @@ def save_checkpoint(model: AlignmentModel, path) -> None:
 
 def model_from_document(doc: dict) -> AlignmentModel:
     """The model of a checkpoint document; an ``optimizer`` block older files carry is ignored.
-    A missing key or modality raises ValueError naming it."""
+    A missing key or modality, a ``bn_enabled`` that is not a JSON bool, or a
+    top-level ``embed_dim`` other than each encoder's raises ValueError naming it."""
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"checkpoint: unrecognized format {doc.get('format')!r}")
     for key in ("encoders", "embed_dim"):
@@ -251,7 +252,10 @@ def model_from_document(doc: dict) -> AlignmentModel:
         try:
             dims = EncoderDims(entry["input_dim"], entry["hidden_dim"], entry["embed_dim"])
             params = {name: Tensor(decode_array(entry["params"][name])) for name in PARAM_ORDER}
-            enc = Encoder(dims, params, entry["bn_enabled"])
+            bn = entry["bn_enabled"]
+            if type(bn) is not bool:
+                raise ValueError(f"checkpoint: the {key} encoder's bn_enabled must be true or false, got {bn!r}")
+            enc = Encoder(dims, params, bn)
             enc.bn_running_mean = decode_array(entry["bn_running_mean"])
             enc.bn_running_var = decode_array(entry["bn_running_var"])
         except KeyError as exc:
@@ -260,6 +264,8 @@ def model_from_document(doc: dict) -> AlignmentModel:
             raise ValueError(f"checkpoint: the {key} encoder entry is malformed: {exc}") from exc
         # Eval mode runs on numpy arrays, which would broadcast a mis-shaped bias instead of failing.
         i, h, e = dims.input_dim, dims.hidden_dim, dims.embed_dim
+        if type(doc["embed_dim"]) is not int or doc["embed_dim"] != e:
+            raise ValueError(f"checkpoint: the top-level embed_dim {doc['embed_dim']!r} is not the {key} encoder's {e}")
         shapes = [(i, h), (h,), (h, h), (h,), (h, e), (e,), (h, e), (e,), (h,), (h,), (h,), (h,)]
         names = [*PARAM_ORDER, "bn_running_mean", "bn_running_var"]
         arrays = [*(t.data for t in params.values()), enc.bn_running_mean, enc.bn_running_var]

@@ -14,6 +14,7 @@ Everything here is read-only over the model and takes explicit rngs.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 
@@ -116,23 +117,16 @@ def permutation_pvalue(
 # -- retrieval ------------------------------------------------------------------
 
 
-@dataclass
-class RetrievalResult:
-    recall_at: dict[int, float]
-    rsum: float
+def recall_at_k(sim: np.ndarray, ground_truth, ks) -> dict[int, float]:
+    """Recall@K in percent over a query x gallery similarity matrix, as
+    ``{k: recall}`` in ascending k; RSUM is the sum of its values.
 
-
-def recall_at_k(sim: np.ndarray, ground_truth, ks) -> RetrievalResult:
-    """Recall@K over a query x gallery similarity matrix.
-
-    ``ground_truth`` maps each query row to its single correct gallery column
-    (as a sequence or a dict). Ranking is by descending similarity with ties
-    broken in favor of the lower gallery index.
+    ``ground_truth`` holds each query row's single correct gallery column.
+    Ranking is by descending similarity with ties broken in favor of the
+    lower gallery index.
     """
     sim = np.asarray(sim, dtype=np.float64)
     n_q, n_g = sim.shape
-    if isinstance(ground_truth, dict):
-        ground_truth = [ground_truth[i] for i in range(n_q)]
     gt = np.asarray(ground_truth, dtype=int)
     if gt.shape != (n_q,):
         raise ValueError("recall_at_k: need one ground-truth index per query")
@@ -146,32 +140,10 @@ def recall_at_k(sim: np.ndarray, ground_truth, ks) -> RetrievalResult:
     better = (sim > target[:, None]).sum(axis=1)
     tie_before = ((sim == target[:, None]) & (np.arange(n_g) < gt[:, None])).sum(axis=1)
     rank = 1 + better + tie_before
-    recall = {k: float(100.0 * (rank <= k).mean()) for k in ks}
-    return RetrievalResult(recall, float(sum(recall.values())))
+    return {k: float(100.0 * (rank <= k).mean()) for k in ks}
 
 
 # -- zero-shot ---------------------------------------------------------------------
-
-
-@dataclass
-class PromptSet:
-    """Synthetic text feature vectors per class."""
-
-    class_prompts: dict[int, list[np.ndarray]]
-
-    def __post_init__(self):
-        if not self.class_prompts:
-            raise ValueError("PromptSet: no classes")
-        for cls, prompts in self.class_prompts.items():
-            if len(prompts) == 0:
-                raise ValueError(f"PromptSet: class {cls} has no prompts")
-
-    @property
-    def classes(self) -> list[int]:
-        return sorted(self.class_prompts)
-
-    def prompts_per_class(self) -> int:
-        return min(len(p) for p in self.class_prompts.values())
 
 
 def prompt_uncertainty(log_var: np.ndarray) -> np.ndarray:
@@ -193,36 +165,27 @@ def class_prototype(mu: np.ndarray, log_var: np.ndarray) -> tuple[np.ndarray, np
     return _mean_exact(mu), np.log(_mean_exact(np.exp(log_var)))
 
 
-@dataclass
-class ZeroShotResult:
-    scores: np.ndarray  # (n_items, n_classes)
-    classes: list[int]
-    prototypes: tuple[np.ndarray, np.ndarray]  # (mu, log_var), each (n_classes, D)
-    prompt_uncertainties: dict[int, list[float]] = field(default_factory=dict)
+def encode_prompts(model: AlignmentModel, prompts: dict) -> dict:
+    """Each class's ``(n, dim)`` text prompt rows as embeddings, ``{class: (mu, log_var)}``."""
+    return {cls: model.encode(Modality.TEXT, prompts[cls]) for cls in sorted(prompts)}
 
 
-def encode_prompts(model: AlignmentModel, prompts: PromptSet) -> dict:
-    """Each class's prompts as text embeddings, ``{class: (mu, log_var)}``."""
-    return {cls: model.encode(Modality.TEXT, np.stack(prompts.class_prompts[cls])) for cls in prompts.classes}
+def score_prototypes(items: tuple, by_class: dict, kind: SimilarityKind) -> np.ndarray:
+    """The (items, classes) similarities of ``(mu, log_var)`` items to the
+    prototype of each class's ``(mu, log_var)`` rows, classes in sorted order."""
+    mu_p, lv_p = map(np.stack, zip(*(class_prototype(*by_class[cls]) for cls in sorted(by_class))))
+    return pairwise_similarity_arrays(*items, mu_p, lv_p, kind)
 
 
-def score_prototypes(items: tuple, by_class: dict, kind: SimilarityKind) -> ZeroShotResult:
-    """Score ``(mu, log_var)`` items against the prototype of each class's ``(mu, log_var)`` rows."""
-    classes = sorted(by_class)
-    mu_p, lv_p = map(np.stack, zip(*(class_prototype(*by_class[cls]) for cls in classes)))
-    uncertainties = {cls: prompt_uncertainty(by_class[cls][1]).tolist() for cls in classes}
-    scores = pairwise_similarity_arrays(*items, mu_p, lv_p, kind)
-    return ZeroShotResult(scores, classes, (mu_p, lv_p), uncertainties)
+def zero_shot(items: tuple, encoded_prompts: dict, kind: SimilarityKind) -> np.ndarray:
+    """Score items against the class prototypes of prompt rows from ``encode_prompts``.
 
-
-def zero_shot(items: tuple, encoded_prompts: dict, kind: SimilarityKind) -> ZeroShotResult:
-    """Score items against the class prototypes of prompt rows from ``encode_prompts``."""
+    Kept beside ``score_prototypes`` as the zero-shot patch point that
+    ``perfbench/spans.py`` times."""
     return score_prototypes(items, encoded_prompts, kind)
 
 
-def filtered_zero_shot(
-    items: tuple, encoded_prompts: dict, k: int, kind: SimilarityKind
-) -> ZeroShotResult:
+def filtered_zero_shot(items: tuple, encoded_prompts: dict, k: int, kind: SimilarityKind) -> np.ndarray:
     """Zero-shot over only the k lowest-uncertainty prompt rows of each class.
 
     Selected rows keep their original order, so k equal to the full prompt
@@ -311,13 +274,6 @@ def _sample_rows(
     return (mu[:, None, :] + sigma[:, None, :] * eps).reshape(-1, mu.shape[1])
 
 
-def _union(supports) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct rows of one or more support sets, and where each
-    support entry sits in them."""
-    rows, where = np.unique(np.concatenate(supports), return_inverse=True)
-    return rows, where.reshape(len(supports), -1)
-
-
 def few_shot(
     train_labels,
     embed_train,
@@ -354,11 +310,12 @@ def few_shot(
     classes = sorted(set(int(c) for c in train_labels))
     class_index = {cls: i for i, cls in enumerate(classes)}
     supports = [_select_support(train_labels, classes, k_shot, rng) for rng in rngs]
-    rows, where = _union(supports)
+    # The sorted distinct support rows, and where each support entry sits in them.
+    rows, where = np.unique(np.concatenate(supports), return_inverse=True)
     mu_train, lv_train = embed_train(rows)
 
     xs, ys = [], []
-    for rng, support, at in zip(rngs, supports, where):
+    for rng, support, at in zip(rngs, supports, where.reshape(len(rngs), -1)):
         x = mu_train[at]
         y = np.array([class_index[int(c)] for c in train_labels[support]])
         if mode == "sampled":
@@ -374,71 +331,55 @@ def few_shot(
 # -- multimodal classification -----------------------------------------------------
 
 
+# The two modalities the multimodal protocol combines.
+MULTIMODAL_PAIR = (Modality.MOD_A, Modality.MOD_B)
+
+
 def multimodal_classify(
     model: AlignmentModel,
     train_labels,
-    embed_train,
+    embedders,
     test_views: tuple[np.ndarray, np.ndarray],
     test_labels,
     k_shot: int,
-    prompts: PromptSet,
+    prompts: dict,
     kind: SimilarityKind,
     rng: np.random.Generator,
-    pair: tuple[Modality, Modality] = (Modality.MOD_A, Modality.MOD_B),
     fusion: str = "mean",
 ) -> dict:
-    """ZS and FS AUROCs for each single modality and their combination.
+    """ZS and FS AUROCs for each modality of ``MULTIMODAL_PAIR`` and their combination.
 
-    ``embed_train`` maps an ascending array of train row indices to one
-    ``(mu, log_var)`` pair per modality of ``pair``, as ``few_shot``'s does for
-    one; it is called once, with the support rows. FS combines the
-    modalities by concatenating mean embeddings before the probe; ZS fuses
-    the two per-modality prototype-similarity scores of the test items with
-    the configured rule (mean or max).
+    ``embedders`` holds one ``few_shot`` embedder and ``test_views`` one
+    feature array per modality of the pair. FS is one ``few_shot`` probe
+    each for the two modalities and for their concatenated embeddings, each
+    drawing from its own copy of ``rng``, so all three fit the same support
+    rows. ZS fuses the two per-modality prototype-similarity scores of the
+    test items with the configured rule (mean or max).
     """
     if fusion not in ("mean", "max"):
         raise ValueError(f"multimodal_classify: unknown fusion {fusion!r}")
-    train_labels = np.asarray(train_labels)
     test_labels = np.asarray(test_labels)
-
-    # Few-shot support: the same rows for the singles and the concatenation.
-    classes = sorted(set(int(c) for c in train_labels))
-    class_index = {cls: i for i, cls in enumerate(classes)}
-    support = _select_support(train_labels, classes, k_shot, rng)
-    rows, [at] = _union([support])
-    mu_train = [mu[at] for mu, _ in embed_train(rows)]
-    y = np.array([class_index[int(c)] for c in train_labels[support]])
-    enc_test = [model.encode(m, x) for m, x in zip(pair, test_views)]
-
-    out = {"zs": {}, "fs": {}}
-    names = [pair[0].value, pair[1].value, "both"]
+    names = [m.value for m in MULTIMODAL_PAIR] + ["both"]
+    enc_test = [model.encode(m, x) for m, x in zip(MULTIMODAL_PAIR, test_views)]
 
     # Zero-shot: per-modality prototype similarities, then fused.
     encoded_prompts = encode_prompts(model, prompts)
-    zs_scores = [score_prototypes(enc, encoded_prompts, kind).scores for enc in enc_test]
-    fused = (
-        0.5 * (zs_scores[0] + zs_scores[1]) if fusion == "mean" else np.maximum(*zs_scores)
-    )
-    for name, scores in zip(names, zs_scores + [fused]):
-        out["zs"][name] = _class_auroc(scores, test_labels, prompts.classes)
+    zs_scores = [score_prototypes(enc, encoded_prompts, kind) for enc in enc_test]
+    fused = 0.5 * (zs_scores[0] + zs_scores[1]) if fusion == "mean" else np.maximum(*zs_scores)
+    zs = {name: _class_auroc(s, test_labels, sorted(prompts)) for name, s in zip(names, [*zs_scores, fused])}
 
-    # The single-modality probes share support rows and width: one stack of two.
-    singles = logistic_probe(np.stack(mu_train), np.stack([y, y]), len(classes))
-    probes = [*singles, logistic_probe(np.hstack(mu_train), y, len(classes))]
+    def embed_both(rows):
+        return tuple(map(np.hstack, zip(*(embed(rows) for embed in embedders))))
+
     mu_test = [mu for mu, _ in enc_test]
-    test_sets = [*mu_test, np.hstack(mu_test)]
-    for name, w, x_test in zip(names, probes, test_sets):
-        out["fs"][name] = _class_auroc(probe_scores(w, x_test), test_labels, classes)
-    return out
+    fs = {
+        name: few_shot(train_labels, embed, x_test, test_labels, k_shot, rngs=[copy.deepcopy(rng)])[0]
+        for name, embed, x_test in zip(names, [*embedders, embed_both], [*mu_test, np.hstack(mu_test)])
+    }
+    return {"zs": zs, "fs": fs}
 
 
 # -- uncertainty probes ----------------------------------------------------------------
-
-
-@dataclass
-class UncertaintyProbe:
-    series: list[tuple[float, float]]  # (noise level, mean uncertainty)
-    spearman: float
 
 
 def mean_uncertainty_by_noise(
@@ -447,8 +388,9 @@ def mean_uncertainty_by_noise(
     items: np.ndarray,
     noise_levels,
     rng: np.random.Generator,
-) -> UncertaintyProbe:
-    """Average the per-level uncertainty over many items, then correlate."""
+) -> tuple[list[tuple[float, float]], float]:
+    """Average the per-level uncertainty over many items, then correlate:
+    ``(series, rho)``, the series as (noise level, mean uncertainty) pairs."""
     levels = [float(v) for v in noise_levels]
     if levels != sorted(levels) or levels[0] != 0.0:
         raise ValueError("mean_uncertainty_by_noise: levels must ascend and start at 0")
@@ -458,8 +400,7 @@ def mean_uncertainty_by_noise(
         noisy = items + rng.standard_normal(items.shape) * level
         _, log_var = model.encode(modality, noisy)
         means.append(float(prompt_uncertainty(log_var).mean()))
-    rho = spearman(levels, means)
-    return UncertaintyProbe(list(zip(levels, means)), rho)
+    return list(zip(levels, means)), spearman(levels, means)
 
 
 # -- report container --------------------------------------------------------------------

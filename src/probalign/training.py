@@ -197,9 +197,9 @@ def validation_retrieval(
         mu_q, lv_q = model.encode(Modality.TEXT, split.text[pool, 0])
         mu_g, lv_g = model.encode(modality, split.views[modality][pool])
         sim = pairwise_similarity_arrays(mu_q, lv_q, mu_g, lv_g, kind)
-        result = recall_at_k(sim, list(range(len(pool))), list(ks))
-        out["tasks"][f"text->{modality.value}"] = {f"r@{k}": result.recall_at[k] for k in ks}
-        out["rsum"] += result.rsum
+        recall = recall_at_k(sim, list(range(len(pool))), list(ks))
+        out["tasks"][f"text->{modality.value}"] = {f"r@{k}": recall[k] for k in ks}
+        out["rsum"] += sum(recall.values())
     return out
 
 

@@ -765,14 +765,13 @@ def full_decode_report(argv) -> str:
     result = multimodal_classify(
         model,
         corpus.train.labels[train].tolist(),
-        lambda rows: [(mu[rows], lv[rows]) for mu, lv in train_items],
+        [lambda rows, mu=mu, lv=lv: (mu[rows], lv[rows]) for mu, lv in train_items],
         tuple(corpus.test.views[m][test] for m in pair),
         corpus.test.labels[test].tolist(),
         args.k_shot,
         prompts,
         SimilarityKind(args.similarity),
         rng,
-        pair=pair,
         fusion=args.fusion,
     )
     metrics = {f"fs_{name}": v for name, v in result["fs"].items()}
@@ -796,12 +795,13 @@ def zeroshot_list_report(argv) -> tuple[str, list]:
     if args.prototypes == "text":
         prompts = cli._prompt_set(corpus, args, np.random.default_rng(args.seed))
         base = zero_shot_lists.zero_shot(model, items, prompts, kind)
-        metrics = {"auroc_all_prompts": macro_ovr_auroc(base.scores, labels, base.classes)}
-        ks = range(1, prompts.prompts_per_class() + 1) if args.filter_prompts == "sweep" else []
+        classes = sorted(prompts)
+        metrics = {"auroc_all_prompts": macro_ovr_auroc(base, labels, classes)}
+        ks = range(1, min(len(rows) for rows in prompts.values()) + 1) if args.filter_prompts == "sweep" else []
         per_k, results = {}, [base]
         for k in ks:
             results.append(zero_shot_lists.filtered_zero_shot(model, items, prompts, k, kind))
-            per_k[k] = macro_ovr_auroc(results[-1].scores, labels, results[-1].classes)
+            per_k[k] = macro_ovr_auroc(results[-1], labels, classes)
         if per_k:
             best_k = max(per_k, key=per_k.get)
             metrics.update(auroc_best_k=per_k[best_k], best_k=best_k)
@@ -817,7 +817,7 @@ def zeroshot_list_report(argv) -> tuple[str, list]:
         by_class.setdefault(label, []).append(e)
     result = zero_shot_lists.zero_shot_from_encoded(items, by_class, kind)
     details = {"prototypes": proto_modality.value, "item_modality": m.value}
-    report = EvalReport("zeroshot", {"auroc": macro_ovr_auroc(result.scores, labels, result.classes)}, details)
+    report = EvalReport("zeroshot", {"auroc": macro_ovr_auroc(result, labels, sorted(by_class))}, details)
     return report.to_json(), [result]
 
 
@@ -911,22 +911,23 @@ class TestSupportRowsOnly:
         assert "train.jsonl: sha256 does not match" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_modality_without_train_views_exits_1(self, trained_dir, corpus_dir, tmp_path, capsys):
-        # A train split without mod_c views: the records that have one are dropped.
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_modality_without_train_views_exits_1(self, trained_dir, corpus_dir, tmp_path, capsys, split):
+        # A split without mod_c views: the records that have one are dropped.
         edited = tmp_path / "edited"
         shutil.copytree(corpus_dir, edited)
-        lines = (edited / "train.jsonl").read_text().splitlines(keepends=True)
+        lines = (edited / f"{split}.jsonl").read_text().splitlines(keepends=True)
         kept = [line for line in lines if '"mod_c"' not in line]
         body = "".join(kept).encode()
-        (edited / "train.jsonl").write_bytes(body)
+        (edited / f"{split}.jsonl").write_bytes(body)
         manifest = json.loads((edited / "manifest.json").read_text())
-        manifest["checksums"]["train"] = hashlib.sha256(body).hexdigest()
-        manifest["counts"]["train"] = len(kept)
+        manifest["checksums"][split] = hashlib.sha256(body).hexdigest()
+        manifest["counts"][split] = len(kept)
         (edited / "manifest.json").write_text(json.dumps(manifest))
         argv = ["eval", "--checkpoint", str(trained_dir / "checkpoint.json"), "--corpus", str(edited),
                 "--protocol", "fewshot", "--modality", "mod_c", "--out", str(tmp_path / "o")]
         assert main(argv) == 1
-        assert "no mod_c views in split train" in capsys.readouterr().err
+        assert f"no mod_c views in split {split}" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -261,8 +261,18 @@ class TestCheckpoint:
             (lambda doc: doc["encoders"].pop("mod_c"), "checkpoint: no encoder for mod_c"),
             (lambda doc: doc.update(encoders=5), "checkpoint: 'encoders' must be an object, got int"),
             (lambda doc: doc["encoders"].update(mod_b=5), "checkpoint: the mod_b encoder entry is malformed"),
+            (lambda doc: doc["encoders"]["mod_a"].update(bn_enabled=0),
+             "the mod_a encoder's bn_enabled must be true or false, got 0"),
+            (lambda doc: doc["encoders"]["text"].update(bn_enabled="false"),
+             "the text encoder's bn_enabled must be true or false, got 'false'"),
+            (lambda doc: doc["encoders"]["mod_c"].pop("bn_enabled"), "the mod_c encoder has no 'bn_enabled' entry"),
+            (lambda doc: doc.update(embed_dim="x"), "the top-level embed_dim 'x' is not the mod_a encoder's 8"),
+            (lambda doc: doc.update(embed_dim=4), "the top-level embed_dim 4 is not the mod_a encoder's 8"),
+            (lambda doc: doc.update(embed_dim=8.0), "the top-level embed_dim 8.0 is not the mod_a encoder's 8"),
         ],
-        ids=["no-hidden-dim", "no-param", "one-encoder-missing", "number-encoders", "number-encoder-entry"],
+        ids=["no-hidden-dim", "no-param", "one-encoder-missing", "number-encoders", "number-encoder-entry",
+             "bn-enabled-0", "bn-enabled-string", "no-bn-enabled", "embed-dim-string", "embed-dim-other",
+             "embed-dim-float"],
     )
     def test_missing_key_or_modality_rejected(self, change, message):
         doc = checkpoint_document(self._model())

@@ -9,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 from probalign.data import CorpusConfig, generate
 from probalign.encoders import AlignmentModel, Modality
 from probalign.evaluation import (
+    MULTIMODAL_PAIR,
     EvalReport,
-    PromptSet,
-    UncertaintyProbe,
     auroc,
     class_prototype,
     encode_prompts,
@@ -25,6 +24,7 @@ from probalign.evaluation import (
     probe_scores,
     prompt_uncertainty,
     recall_at_k,
+    score_prototypes,
     spearman,
     tied_ranks,
     zero_shot,
@@ -118,21 +118,29 @@ def rows_of(items, calls=None):
     return embed
 
 
-def views_of(model, views, pair=(Modality.MOD_A, Modality.MOD_B)):
-    """A multimodal ``embed_train`` that encodes the given rows of each view."""
-    return lambda rows: [model.encode(m, x[rows]) for m, x in zip(pair, views)]
+def views_of(model, views, calls=None):
+    """``multimodal_classify``'s embedders: one ``few_shot`` embedder per
+    modality of ``MULTIMODAL_PAIR`` that encodes the given rows of its view,
+    appending each requested row array to ``calls`` when given."""
+
+    def embedder(modality, x):
+        def embed(rows):
+            if calls is not None:
+                calls.append(rows)
+            return model.encode(modality, x[rows])
+
+        return embed
+
+    return [embedder(m, x) for m, x in zip(MULTIMODAL_PAIR, views)]
 
 
 class TestRecallAtK:
     def test_identity_matrix_perfect(self):
-        result = recall_at_k(np.eye(5), list(range(5)), [1, 5])
-        assert result.recall_at == {1: 100.0, 5: 100.0}
-        assert result.rsum == 200.0
+        assert recall_at_k(np.eye(5), list(range(5)), [1, 5]) == {1: 100.0, 5: 100.0}
 
     def test_reversed_ranking_zero(self):
         sim = -np.eye(10)
-        result = recall_at_k(sim + 0.5, list(range(10)), [5])
-        assert result.recall_at[5] == 0.0
+        assert recall_at_k(sim + 0.5, list(range(10)), [5]) == {5: 0.0}
 
     def test_hand_counted_swap(self):
         # Query 0 ranks its ground truth second; the rest rank first.
@@ -144,13 +152,13 @@ class TestRecallAtK:
             ]
         )
         result = recall_at_k(sim, [0, 1, 2], [1, 2])
-        assert result.recall_at[1] == pytest.approx(100 * 2 / 3)
-        assert result.recall_at[2] == pytest.approx(100.0)
+        assert result[1] == pytest.approx(100 * 2 / 3)
+        assert result[2] == pytest.approx(100.0)
 
     def test_tie_broken_by_lower_gallery_index(self):
         sim = np.array([[0.5, 0.5]])
-        assert recall_at_k(sim, [0], [1]).recall_at[1] == 100.0
-        assert recall_at_k(sim, [1], [1]).recall_at[1] == 0.0
+        assert recall_at_k(sim, [0], [1]) == {1: 100.0}
+        assert recall_at_k(sim, [1], [1]) == {1: 0.0}
 
     def test_ties_before_and_after_ground_truth_match_the_loop(self):
         # Scores on a grid of 4 values, so most rows tie their ground truth
@@ -163,10 +171,10 @@ class TestRecallAtK:
         ranks = [1 + (sim[i] > target[i]).sum() + (sim[i, : gt[i]] == target[i]).sum() for i in range(40)]
         ks = range(1, 13)
         for i in range(40):
-            row = recall_at_k(sim[i : i + 1], [gt[i]], ks).recall_at
+            row = recall_at_k(sim[i : i + 1], [gt[i]], ks)
             assert 1 + sum(v == 0.0 for v in row.values()) == ranks[i]
         expect = {k: 100.0 * np.mean(np.array(ranks) <= k) for k in ks}
-        assert recall_at_k(sim, list(gt), ks).recall_at == expect
+        assert recall_at_k(sim, list(gt), ks) == expect
 
     @pytest.mark.parametrize("gt", [[0, -1, 2], [0, 1, 3]], ids=["negative", "past-the-gallery"])
     def test_ground_truth_outside_gallery_rejected(self, gt):
@@ -181,11 +189,11 @@ class TestRecallAtK:
         rng = np.random.default_rng(0)
         sim = rng.normal(size=(20, 30))
         gt = rng.integers(0, 30, size=20)
-        result = recall_at_k(sim, list(gt), [1, 2, 5, 10, 30])
-        values = [result.recall_at[k] for k in (1, 2, 5, 10, 30)]
+        result = recall_at_k(sim, list(gt), [30, 1, 5, 2, 10])
+        assert list(result) == [1, 2, 5, 10, 30]
+        values = list(result.values())
         assert all(b >= a for a, b in zip(values, values[1:]))
-        assert result.recall_at[30] == 100.0
-        assert result.rsum == pytest.approx(sum(values))
+        assert result[30] == 100.0
 
 
 class TestAuroc:
@@ -299,40 +307,34 @@ class TestPromptsAndPrototypes:
         assert proto_mu[0] == pytest.approx(1.0)
         assert np.exp(proto_lv[0]) == pytest.approx(2.0)
 
-    def test_prompt_set_validation(self):
-        with pytest.raises(ValueError, match="no prompts"):
-            PromptSet({0: []})
-
 
 class TestZeroShot:
     def _prompts(self, rng, n_per_class=4):
-        return PromptSet(
-            {
-                0: [rng.normal(size=4) for _ in range(n_per_class)],
-                1: [rng.normal(loc=2.0, size=4) for _ in range(n_per_class)],
-            }
-        )
+        return {0: rng.normal(size=(n_per_class, 4)), 1: rng.normal(loc=2.0, size=(n_per_class, 4))}
 
     def test_scores_shape_and_classes(self, model):
         rng = np.random.default_rng(6)
         prompts = self._prompts(rng)
         items = model.encode(Modality.MOD_A, rng.normal(size=(5, 6)))
-        result = zero_shot(items, encode_prompts(model, prompts), SimilarityKind.HELLINGER)
-        assert result.scores.shape == (5, 2)
-        assert result.classes == [0, 1]
-        assert set(result.prompt_uncertainties) == {0, 1}
+        encoded = encode_prompts(model, {1: prompts[1], 0: prompts[0]})
+        assert list(encoded) == [0, 1]
+        result = zero_shot(items, encoded, SimilarityKind.HELLINGER)
+        assert result.shape == (5, 2)
+        # Columns follow the sorted classes, whatever the dict's order.
+        for col, cls in enumerate([0, 1]):
+            alone = zero_shot(items, {cls: encoded[cls]}, SimilarityKind.HELLINGER)
+            np.testing.assert_array_equal(result[:, col], alone[:, 0])
 
     def test_item_matching_prototype_scores_highest(self, model):
-        rng = np.random.default_rng(7)
-        prompts = PromptSet({0: [np.zeros(4)], 1: [np.full(4, 3.0)]})
+        prompts = {0: np.zeros((1, 4)), 1: np.full((1, 4), 3.0)}
         result = zero_shot(
             model.encode(Modality.TEXT, np.zeros((1, 4))),
             encode_prompts(model, prompts),
             SimilarityKind.HELLINGER,
         )
         # The item IS the class-0 prompt (same encoder): exact similarity 1.
-        assert result.scores[0, 0] == pytest.approx(1.0)
-        assert result.scores[0, 0] > result.scores[0, 1]
+        assert result[0, 0] == pytest.approx(1.0)
+        assert result[0, 0] > result[0, 1]
 
     def test_full_k_filter_reproduces_zero_shot_bitwise(self, model):
         rng = np.random.default_rng(8)
@@ -341,7 +343,7 @@ class TestZeroShot:
         encoded = encode_prompts(model, prompts)
         base = zero_shot(items, encoded, SimilarityKind.HELLINGER)
         filtered = filtered_zero_shot(items, encoded, 4, SimilarityKind.HELLINGER)
-        np.testing.assert_array_equal(base.scores, filtered.scores)
+        np.testing.assert_array_equal(base, filtered)
 
     def test_k_one_selects_lowest_uncertainty_prompt(self, model):
         rng = np.random.default_rng(9)
@@ -349,12 +351,11 @@ class TestZeroShot:
         items = model.encode(Modality.MOD_A, rng.normal(size=(3, 6)))
         encoded = encode_prompts(model, prompts)
         result = filtered_zero_shot(items, encoded, 1, SimilarityKind.HELLINGER)
-        base = zero_shot(items, encoded, SimilarityKind.HELLINGER)
-        for cls in (0, 1):
-            chosen = result.prototypes[0][cls]
-            idx = int(np.argmin(base.prompt_uncertainties[cls]))
-            encoded = model.encode(Modality.TEXT, np.stack(prompts.class_prompts[cls]))[0][idx]
-            np.testing.assert_array_equal(chosen, encoded)
+        chosen = {}
+        for cls, (mu, log_var) in encoded.items():
+            idx = int(np.argmin(prompt_uncertainty(log_var)))
+            chosen[cls] = (mu[[idx]], log_var[[idx]])
+        np.testing.assert_array_equal(result, score_prototypes(items, chosen, SimilarityKind.HELLINGER))
 
     def test_k_out_of_range(self, model):
         rng = np.random.default_rng(10)
@@ -370,9 +371,9 @@ class TestZeroShotEqualsListForm:
     @staticmethod
     def _prompts():
         rng = np.random.default_rng(30)
-        prompts = {c: [rng.normal(loc=c, size=4) * s for s in (0.5, 1.0, 2.0, 4.0, 8.0)] for c in (0, 1)}
-        prompts[2] = [np.full(4, -1.0)] * 5  # identical prompts: the exact-average branch
-        return PromptSet(prompts)
+        prompts = {c: rng.normal(loc=c, size=(5, 4)) * [[0.5], [1.0], [2.0], [4.0], [8.0]] for c in (0, 1)}
+        prompts[2] = np.full((5, 4), -1.0)  # identical prompts: the exact-average branch
+        return prompts
 
     @pytest.mark.parametrize("kind", list(SimilarityKind))
     def test_zero_shot_and_every_filter(self, model, kind):
@@ -382,7 +383,7 @@ class TestZeroShotEqualsListForm:
         zero_shot_lists.assert_same(
             zero_shot(items, encoded, kind), zero_shot_lists.zero_shot(model, items, prompts, kind)
         )
-        for k in range(1, prompts.prompts_per_class() + 1):
+        for k in range(1, 6):
             zero_shot_lists.assert_same(
                 filtered_zero_shot(items, encoded, k, kind),
                 zero_shot_lists.filtered_zero_shot(model, items, prompts, k, kind),
@@ -401,10 +402,9 @@ class TestZeroShotEqualsListForm:
             np.random.default_rng(33), fusion=fusion,
         )
         encoded = zero_shot_lists.encode_prompts(model, prompts)
-        pair = (Modality.MOD_A, Modality.MOD_B)
         scores = [
-            zero_shot_lists.zero_shot_from_encoded(model.encode(m, x), encoded, kind).scores
-            for m, x in zip(pair, test)
+            zero_shot_lists.zero_shot_from_encoded(model.encode(m, x), encoded, kind)
+            for m, x in zip(MULTIMODAL_PAIR, test)
         ]
         fused = 0.5 * (scores[0] + scores[1]) if fusion == "mean" else np.maximum(*scores)
         names = ["mod_a", "mod_b", "both"]
@@ -564,7 +564,7 @@ class TestMultimodal:
         signal = labels[:, None] * 2.0
         x_a = np.hstack([signal + 0.1 * rng.normal(size=(n, 1))] * 6)
         x_b = np.hstack([signal + 0.1 * rng.normal(size=(n, 1))] * 5)
-        prompts = PromptSet({0: [np.zeros(4)], 1: [np.ones(4)]})
+        prompts = {0: np.zeros((1, 4)), 1: np.ones((1, 4))}
         out = multimodal_classify(
             model,
             labels[: n // 2],
@@ -586,30 +586,52 @@ class TestMultimodal:
         x_a = rng.normal(size=(n, 6)) + labels[:, None]
         x_b = rng.normal(size=(n, 5)) - labels[:, None]
         half = n // 2
-        prompts = PromptSet({c: [np.full(4, float(c))] for c in range(3)})
+        prompts = {c: np.full((1, 4), float(c)) for c in range(3)}
         calls = []
-
-        def embed(rows):
-            calls.append(rows)
-            return views_of(model, (x_a[:half], x_b[:half]))(rows)
-
         out = multimodal_classify(
-            model, labels[:half], embed, (x_a[half:], x_b[half:]), labels[half:],
-            4, prompts, SimilarityKind.HELLINGER, np.random.default_rng(24),
+            model, labels[:half], views_of(model, (x_a[:half], x_b[:half]), calls), (x_a[half:], x_b[half:]),
+            labels[half:], 4, prompts, SimilarityKind.HELLINGER, np.random.default_rng(24),
         )
         views = ((Modality.MOD_A, x_a), (Modality.MOD_B, x_b))
         mu_train = [model.encode(m, x[:half])[0] for m, x in views]
         mu_test = [model.encode(m, x[half:])[0] for m, x in views]
         support = _select_support(labels[:half], [0, 1, 2], 4, np.random.default_rng(24))
         # Only the support rows were encoded, in ascending order.
-        [rows] = calls
-        assert rows.tolist() == sorted(support.tolist())
+        assert calls and all(rows.tolist() == sorted(support.tolist()) for rows in calls)
         want = {}
         for name, x_train, x_test in zip(
             ["mod_a", "mod_b", "both"], [*mu_train, np.hstack(mu_train)], [*mu_test, np.hstack(mu_test)]
         ):
             w = logistic_probe_loop(x_train[support], labels[:half][support], 3)
             want[name] = _class_auroc(probe_scores_loop(w, x_test), labels[half:], [0, 1, 2])
+        assert out["fs"] == want
+
+    @pytest.mark.parametrize("n_classes,k_shot", [(2, 4), (8, 3)])
+    def test_few_shot_half_equals_one_support_draw(self, model, n_classes, k_shot):
+        # fs_mod_a, fs_mod_b and fs_both all fit the support rows of one draw
+        # from the generator passed in: the binary AUROC at 2 classes, the
+        # macro one-vs-rest at 8.
+        rng = np.random.default_rng(25)
+        n = 20 * n_classes
+        labels = np.arange(n) % n_classes
+        x_a = rng.normal(size=(n, 6)) + labels[:, None]
+        x_b = rng.normal(size=(n, 5)) - 0.5 * labels[:, None]
+        half = n // 2
+        prompts = {c: np.full((1, 4), float(c)) for c in range(n_classes)}
+        out = multimodal_classify(
+            model, labels[:half], views_of(model, (x_a[:half], x_b[:half])), (x_a[half:], x_b[half:]),
+            labels[half:], k_shot, prompts, SimilarityKind.HELLINGER, np.random.default_rng(26),
+        )
+        classes = list(range(n_classes))
+        support = _select_support(labels[:half], classes, k_shot, np.random.default_rng(26))
+        mu_train = [model.encode(m, x[:half])[0][support] for m, x in zip(MULTIMODAL_PAIR, (x_a, x_b))]
+        mu_test = [model.encode(m, x[half:])[0] for m, x in zip(MULTIMODAL_PAIR, (x_a, x_b))]
+        want = {}
+        for name, x_train, x_test in zip(
+            ["mod_a", "mod_b", "both"], [*mu_train, np.hstack(mu_train)], [*mu_test, np.hstack(mu_test)]
+        ):
+            w = logistic_probe(x_train, labels[:half][support], n_classes)
+            want[name] = _class_auroc(probe_scores(w, x_test), labels[half:], classes)
         assert out["fs"] == want
 
     def test_k_shot_below_1_rejected(self, model):
@@ -621,7 +643,7 @@ class TestMultimodal:
                 (np.zeros((4, 6)), np.zeros((4, 5))),
                 [0, 0, 1, 1],
                 0,
-                PromptSet({0: [np.zeros(4)], 1: [np.ones(4)]}),
+                {0: np.zeros((1, 4)), 1: np.ones((1, 4))},
                 SimilarityKind.HELLINGER,
                 np.random.default_rng(0),
             )
@@ -635,7 +657,7 @@ class TestMultimodal:
                 (np.zeros((4, 6)), np.zeros((4, 5))),
                 [0, 0, 1, 1],
                 2,
-                PromptSet({0: [np.zeros(4)], 1: [np.ones(4)]}),
+                {0: np.zeros((1, 4)), 1: np.ones((1, 4))},
                 SimilarityKind.HELLINGER,
                 np.random.default_rng(0),
                 fusion="typo",
@@ -646,18 +668,18 @@ class TestNoiseProbe:
     def test_level_zero_matches_clean_encoding(self, model):
         rng = np.random.default_rng(19)
         items = rng.normal(size=(5, 6))
-        probe = mean_uncertainty_by_noise(
+        series, _ = mean_uncertainty_by_noise(
             model, Modality.MOD_A, items, [0.0, 0.5, 1.0], np.random.default_rng(20)
         )
         _, clean_log_var = model.encode(Modality.MOD_A, items)
-        assert probe.series[0][1] == pytest.approx(np.mean(prompt_uncertainty(clean_log_var)))
+        assert series[0][1] == pytest.approx(np.mean(prompt_uncertainty(clean_log_var)))
 
     def test_deterministic_given_seed(self, model):
         rng = np.random.default_rng(21)
         items = rng.normal(size=(5, 6))
         p1 = mean_uncertainty_by_noise(model, Modality.MOD_A, items, [0.0, 1.0], np.random.default_rng(7))
         p2 = mean_uncertainty_by_noise(model, Modality.MOD_A, items, [0.0, 1.0], np.random.default_rng(7))
-        assert p1.series == p2.series and p1.spearman == p2.spearman
+        assert p1 == p2
 
     def test_levels_must_ascend_from_zero(self, model):
         with pytest.raises(ValueError, match="ascend"):
@@ -672,11 +694,11 @@ class TestNoiseProbe:
     def test_batch_version_returns_probe(self, model):
         rng = np.random.default_rng(22)
         items = rng.normal(size=(10, 6))
-        probe = mean_uncertainty_by_noise(
+        series, rho = mean_uncertainty_by_noise(
             model, Modality.MOD_A, items, [0.0, 1.0, 2.0], np.random.default_rng(1)
         )
-        assert isinstance(probe, UncertaintyProbe)
-        assert len(probe.series) == 3
+        assert [level for level, _ in series] == [0.0, 1.0, 2.0]
+        assert rho == spearman([0.0, 1.0, 2.0], [value for _, value in series])
 
 
 class TestEvalReport:

@@ -4,13 +4,12 @@
 Each embedding is one ``GaussianEmbedding`` and each class a list of them;
 prototypes and prompt uncertainties are computed one embedding at a time and
 stacked only for the similarity kernel. The array form must give the same
-scores, prototypes and uncertainties bit for bit.
+(items, classes) score matrix bit for bit.
 """
 
 import numpy as np
 
 from probalign.encoders import Modality
-from probalign.evaluation import ZeroShotResult
 from probalign.gaussians import GaussianEmbedding, pairwise_similarity_arrays
 
 
@@ -46,26 +45,21 @@ def class_prototype(embeddings: list[GaussianEmbedding]) -> GaussianEmbedding:
 
 
 def encode_prompts(model, prompts) -> dict:
-    return {
-        cls: embeddings_of(model.encode(Modality.TEXT, np.stack(prompts.class_prompts[cls])))
-        for cls in prompts.classes
-    }
+    """``{class: [GaussianEmbedding, ...]}`` of ``{class: (n, dim) prompt rows}``."""
+    return {cls: embeddings_of(model.encode(Modality.TEXT, prompts[cls])) for cls in sorted(prompts)}
 
 
-def zero_shot_from_encoded(items, encoded_prompts: dict, kind) -> ZeroShotResult:
+def zero_shot_from_encoded(items, encoded_prompts: dict, kind) -> np.ndarray:
     """Score ``(mu, log_var)`` items against the prototype of each class's list."""
-    classes = sorted(encoded_prompts)
-    prototypes = [class_prototype(encoded_prompts[cls]) for cls in classes]
-    uncertainties = {cls: [prompt_uncertainty(e) for e in encoded_prompts[cls]] for cls in classes}
-    scores = pairwise_similarity_arrays(*stack(embeddings_of(items)), *stack(prototypes), kind)
-    return ZeroShotResult(scores, classes, stack(prototypes), uncertainties)
+    prototypes = [class_prototype(encoded_prompts[cls]) for cls in sorted(encoded_prompts)]
+    return pairwise_similarity_arrays(*stack(embeddings_of(items)), *stack(prototypes), kind)
 
 
-def zero_shot(model, items, prompts, kind) -> ZeroShotResult:
+def zero_shot(model, items, prompts, kind) -> np.ndarray:
     return zero_shot_from_encoded(items, encode_prompts(model, prompts), kind)
 
 
-def filtered_zero_shot(model, items, prompts, k, kind) -> ZeroShotResult:
+def filtered_zero_shot(model, items, prompts, k, kind) -> np.ndarray:
     filtered = {}
     for cls, embeddings in encode_prompts(model, prompts).items():
         uncertainties = np.array([prompt_uncertainty(e) for e in embeddings])
@@ -74,9 +68,7 @@ def filtered_zero_shot(model, items, prompts, k, kind) -> ZeroShotResult:
     return zero_shot_from_encoded(items, filtered, kind)
 
 
-def assert_same(got: ZeroShotResult, want: ZeroShotResult) -> None:
-    """Scores, classes, prototypes and prompt uncertainties equal bit for bit."""
-    assert got.classes == want.classes
-    assert got.scores.tobytes() == want.scores.tobytes()
-    assert [a.tobytes() for a in got.prototypes] == [a.tobytes() for a in want.prototypes]
-    assert got.prompt_uncertainties == want.prompt_uncertainties
+def assert_same(got: np.ndarray, want: np.ndarray) -> None:
+    """Score matrices equal in shape and bit for bit."""
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
