@@ -211,8 +211,8 @@ def cmd_train(args) -> int:
 
 
 # Protocols that always read the same splits, so --split does not apply to
-# them, with the splits they read. The few-shot protocols decode all of train
-# and embed only its support rows.
+# them, with the splits they read. The few-shot protocols read all of train's
+# columns, a raw read of its file, and embed only its support rows.
 FIXED_SPLITS = {
     "fewshot": "the train and test splits",
     "multimodal": "the train and test splits",
@@ -239,18 +239,6 @@ def cmd_eval(args) -> int:
     corpus = _load_corpus(args.corpus)
     kind = SimilarityKind(args.similarity)
     rng = np.random.default_rng(args.seed)
-    run_dir = resolve_run_dir(args.out, f"eval-{args.protocol}")
-    echo_config(
-        run_dir,
-        {
-            "protocol": args.protocol,
-            "checkpoint": str(args.checkpoint),
-            "corpus": str(args.corpus),
-            "similarity": kind.value,
-            "seed": args.seed,
-        },
-    )
-
     if args.protocol == "retrieval":
         report = _protocol_retrieval(model, corpus, kind, args)
     elif args.protocol == "zeroshot":
@@ -262,6 +250,18 @@ def cmd_eval(args) -> int:
     else:
         report = _protocol_noiseprobe(model, corpus, args, rng)
 
+    # Made only once there is a report: a protocol that exits early leaves no run directory.
+    run_dir = resolve_run_dir(args.out, f"eval-{args.protocol}")
+    echo_config(
+        run_dir,
+        {
+            "protocol": args.protocol,
+            "checkpoint": str(args.checkpoint),
+            "corpus": str(args.corpus),
+            "similarity": kind.value,
+            "seed": args.seed,
+        },
+    )
     report.save(run_dir / "report.json")
     print(report.to_json())
     print(f"report: {run_dir / 'report.json'}")
@@ -398,7 +398,7 @@ def _protocol_noiseprobe(model, corpus, args, rng) -> EvalReport:
     modality = Modality(args.modality)
     rows = corpus.test.rows_with_views(modality)[: args.n_items]
     if not len(rows):
-        raise ConfigError(f"no {modality.value} views in test split")
+        raise ConfigError(f"no {modality.value} views in split test")
     series, rho = mean_uncertainty_by_noise(model, modality, corpus.test.views[modality][rows], args.levels, rng)
     return EvalReport("noiseprobe", {"spearman": rho}, {"series": series, "n_items": len(rows)})
 

@@ -18,28 +18,31 @@ variants as ``(n, V, dim)`` and an ``(n, 4)`` mask of the available pairs. A
 view or text a record lacks is NaN. Callers select rows with index arrays
 (``split.pair_rows``, ``split.rows_with_views``) and ``split[rows]``.
 
-The corpus serializes to one JSONL file per split plus a manifest with the
+The corpus serializes to one binary file per split plus a manifest with the
 config, seed, per-split counts and the sha256 of each split file (format
-``probalign-corpus-v2``). A record line holds its structure as plain JSON
-(``record_id``, ``class_label``, ``available_pairs``) and all its floats in one
-``floats`` field: the base64 of the little-endian float64 values of the
-concept, then each view in ``Modality`` order, then the text variants. The
-reader slices that buffer back using the config's dimensions, so the round
-trip is exact bit for bit and no decimal float is formatted or parsed.
-``read_corpus`` checks every split file against its manifest checksum; a
-split's first use streams the file, hashing the bytes it decodes into columns
-preallocated from the manifest's count. Latent generator parameters
-(cluster centers, projections, variant offsets) are derived from dedicated
-seed streams, the projections from the fixed ``PROJECTION_SEEDS``, so a
-corpus read back from disk can rebuild them exactly.
+``probalign-corpus-v3``). A split file ``{split}.bin`` holds the ``Split``
+columns back to back, row-major and little-endian: ``record_ids`` and
+``labels`` (int64), ``concept`` (float64, (n, K)), ``mod_a``, ``mod_b`` and
+``mod_c`` (float64, (n, dim)), ``text`` (float64, (n, V, dim)), then
+``pairs`` (uint8 0 or 1, (n, 4)). The manifest's config and count fix every
+offset, so the file has no header, and a cell the record's pairs do not call
+for is NaN; the round trip is exact bit for bit. ``read_corpus`` checks every
+split file against its manifest checksum; a split's first use checks the
+file's size against the count, reads each column into its array, hashing
+the same buffers, and rejects a pairs byte other than 0 or 1, a label outside
+``[0, n_classes)``, NaN or inf in a cell the pairs call for and anything but
+NaN in one they do not. Latent generator parameters (cluster centers,
+projections, variant offsets) are derived from dedicated seed streams, the
+projections from the fixed ``PROJECTION_SEEDS``, so a corpus read back from
+disk can rebuild them exactly.
 """
 
 from __future__ import annotations
 
-import base64
 import functools
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -60,7 +63,7 @@ TRAINABLE_PAIRS: tuple[PairType, ...] = (
 # The seed of each modality's projection stream.
 PROJECTION_SEEDS = {Modality.MOD_A: 101, Modality.MOD_B: 102, Modality.MOD_C: 103, Modality.TEXT: 104}
 
-CORPUS_FORMAT = "probalign-corpus-v2"
+CORPUS_FORMAT = "probalign-corpus-v3"
 
 SPLITS = ("train", "valid", "test")
 
@@ -161,7 +164,9 @@ class Split:
         )
 
     def _columns(self) -> list[np.ndarray]:
-        return [self.record_ids, self.labels, self.concept, *self.views.values(), self.text, self.pairs]
+        """The columns in the order a split file holds them."""
+        views = [self.views[m] for m in FEATURE_MODALITIES]
+        return [self.record_ids, self.labels, self.concept, *views, self.text, self.pairs]
 
     def __len__(self) -> int:
         return len(self.record_ids)
@@ -170,13 +175,25 @@ class Split:
         """Indices of the rows whose records have ``pair`` available."""
         return np.flatnonzero(self.pairs[:, TRAINABLE_PAIRS.index(pair)])
 
+    def calls_for(self, modality: Modality) -> np.ndarray:
+        """(n,) bool: the rows with an available pair naming ``modality``."""
+        return self.pairs[:, [modality in p for p in TRAINABLE_PAIRS]].any(axis=1)
+
     def rows_with_views(self, *modalities: Modality) -> np.ndarray:
         """Indices of the rows whose records have a view of every given
         modality. Text is no view: naming it selects no row."""
         keep = np.ones(len(self), dtype=bool)
         for m in modalities:
-            keep &= self.pairs[:, [m in p and m is not Modality.TEXT for p in TRAINABLE_PAIRS]].any(axis=1)
+            keep &= m is not Modality.TEXT and self.calls_for(m)
         return np.flatnonzero(keep)
+
+    def _float_cells(self) -> list[tuple[str, np.ndarray, np.ndarray]]:
+        """(name, column, rows whose pairs call for it) of each float column,
+        in file order: the concept belongs to every row."""
+        cells = [("concept", self.concept, np.ones(len(self), dtype=bool))]
+        for m in Modality:
+            cells.append((m.value, self.text if m is Modality.TEXT else self.views[m], self.calls_for(m)))
+        return cells
 
     def __getitem__(self, rows) -> Split:
         if isinstance(rows, (int, np.integer)):
@@ -352,74 +369,6 @@ def _pair_from_json(obj) -> PairType:
     return (Modality(obj[0]), Modality(obj[1]))
 
 
-def _blob_columns(split: Split, pairs) -> list[np.ndarray]:
-    """The 2-D columns of ``split`` whose rows, concatenated, are the floats
-    blob of a record with these pairs: the concept, then each view in
-    ``Modality`` order, then the text variants."""
-    columns = [split.concept]
-    for m in _record_modalities(pairs):
-        columns.append(split.text.reshape(len(split), -1) if m is Modality.TEXT else split.views[m])
-    return columns
-
-
-def _split_body(split: Split) -> bytes:
-    """A split's JSONL file: one record line per row, in row order."""
-    layouts: dict = {}
-    lines = []
-    ids, labels = split.record_ids.tolist(), split.labels.tolist()
-    for row, mask in enumerate(map(tuple, split.pairs.tolist())):
-        if mask not in layouts:
-            pairs = tuple(p for p, keep in zip(TRAINABLE_PAIRS, mask) if keep)
-            layouts[mask] = (_blob_columns(split, pairs), [_pair_to_json(p) for p in pairs])
-        columns, pairs_json = layouts[mask]
-        floats = np.concatenate([column[row] for column in columns]).astype("<f8", copy=False)
-        if not np.isfinite(floats).all():
-            raise ValueError(
-                f"write_corpus: record {ids[row]} has NaN or inf in a view or text its available pairs call for"
-            )
-        doc = {
-            "record_id": ids[row],
-            "class_label": labels[row],
-            "floats": base64.b64encode(floats.tobytes()).decode("ascii"),
-            "available_pairs": pairs_json,
-        }
-        lines.append(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-    return "".join(lines).encode("ascii")
-
-
-def _line_layout(split: Split, key: tuple) -> tuple:
-    """How a record line with the JSON pairs ``key`` fills a row of ``split``:
-    (its pairs mask row, (column, start, end) per blob segment, blob bytes)."""
-    pairs = tuple(_pair_from_json(p) for p in key)
-    if not set(pairs) <= set(TRAINABLE_PAIRS):
-        raise ValueError(f"pairs {list(key)} are not all trainable")
-    columns = _blob_columns(split, pairs)
-    ends = np.cumsum([column.shape[1] for column in columns]).tolist()
-    mask = [p in pairs for p in TRAINABLE_PAIRS]
-    return mask, list(zip(columns, [0, *ends[:-1]], ends)), 8 * ends[-1]
-
-
-def _decode_line(split: Split, row: int, line: bytes, layouts: dict) -> None:
-    """Parse one record line into ``split``'s row ``row``. ``layouts`` caches
-    ``_line_layout`` by the pairs' JSON form, since a corpus has only a few
-    distinct pair sets."""
-    doc = json.loads(line.decode())
-    key = tuple(tuple(p) for p in doc["available_pairs"])
-    if key not in layouts:
-        layouts[key] = _line_layout(split, key)
-    mask, segments, n_bytes = layouts[key]
-    raw = base64.b64decode(doc["floats"], validate=True)
-    if len(raw) != n_bytes:
-        raise ValueError(f"floats holds {len(raw)} bytes, expected {n_bytes} for pairs {list(key)}")
-    record_id, label = doc["record_id"], doc["class_label"]
-    if type(record_id) is not int or type(label) is not int:
-        raise ValueError(f"record_id and class_label must be integers, got {record_id!r} and {label!r}")
-    floats = np.frombuffer(raw, dtype="<f8")
-    split.record_ids[row], split.labels[row], split.pairs[row] = record_id, label, mask
-    for column, start, end in segments:
-        column[row] = floats[start:end]
-
-
 def _config_to_json(cfg: CorpusConfig) -> dict:
     return {
         "n_records": cfg.n_records,
@@ -510,15 +459,45 @@ def corpus_manifest(corpus: Corpus, checksums: dict[str, str]) -> dict:
     }
 
 
+def _file_layout(cfg: CorpusConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(dtype, row shape) of each column of a split file, in ``Split._columns`` order."""
+    views = [("<f8", (cfg.view_dims[m],)) for m in FEATURE_MODALITIES]
+    text = ("<f8", (cfg.n_text_variants, cfg.view_dims[Modality.TEXT]))
+    return [("<i8", ()), ("<i8", ()), ("<f8", (cfg.latent_dim,)), *views, text, ("u1", (len(TRAINABLE_PAIRS),))]
+
+
+def _row_axes(column: np.ndarray) -> tuple[int, ...]:
+    return tuple(range(1, column.ndim))
+
+
+def _write_split(split: Split, path: Path, cfg: CorpusConfig) -> str:
+    """Write ``split``'s columns back to back to ``path``, a cell its record's
+    pairs do not call for as NaN; returns the file's sha256."""
+    unfit, floats = np.zeros(len(split), dtype=bool), []
+    for _, column, rows in split._float_cells():
+        unfit |= rows & ~np.isfinite(column).all(axis=_row_axes(column))
+        floats.append(np.array(column, dtype="<f8"))
+        floats[-1][~rows] = np.nan
+    if unfit.any():
+        raise ValueError(
+            f"write_corpus: record {split.record_ids[unfit.argmax()]} has NaN or inf in a view or text "
+            f"its available pairs call for"
+        )
+    columns = [split.record_ids, split.labels, *floats, split.pairs]
+    digest = hashlib.sha256()
+    with path.open("wb") as f:
+        for column, (dtype, shape) in zip(columns, _file_layout(cfg)):
+            buffer = np.ascontiguousarray(column, dtype=dtype).reshape(len(split), *shape)
+            f.write(buffer)
+            digest.update(buffer)
+    return digest.hexdigest()
+
+
 def write_corpus(corpus: Corpus, path) -> dict:
-    """Write one JSONL file per split plus manifest.json; returns the manifest."""
+    """Write one binary file per split plus manifest.json; returns the manifest."""
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    checksums = {}
-    for name, split in corpus.splits.items():
-        body = _split_body(split)
-        (out / f"{name}.jsonl").write_bytes(body)
-        checksums[name] = hashlib.sha256(body).hexdigest()
+    checksums = {name: _write_split(split, out / f"{name}.bin", corpus.config) for name, split in corpus.splits.items()}
     manifest = corpus_manifest(corpus, checksums)
     (out / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -533,31 +512,40 @@ def _check_sha256(path: Path, digest, expected: str | None) -> None:
         )
 
 
+def _first_bad_row(path: Path, bad: np.ndarray, what: str) -> None:
+    """Raise CorpusFormatError naming ``path`` and the first row ``bad`` marks, if any."""
+    if bad.any():
+        raise CorpusFormatError(f"{path} row {bad.argmax()}: {what}")
+
+
 def _decode_split(path: Path, sha256: str | None, count: int, cfg: CorpusConfig) -> Split:
-    """Decode a split file into a ``Split`` of ``count`` rows, streaming it
-    line by line and hashing the bytes it decodes. A digest other than
-    ``sha256``, then a line that does not parse (named by file and line), then
-    a record count other than ``count`` raises CorpusFormatError."""
-    # The file's size bounds the rows preallocated: a record line holds at least its concept's 8K bytes.
-    split = Split.empty(cfg, min(count, path.stat().st_size // (8 * cfg.latent_dim)))
-    layouts: dict = {}
-    digest, found, failure = hashlib.sha256(), 0, None
+    """Read a split file into a ``Split`` of ``count`` rows. A file size other
+    than ``count`` rows of the config's layout (checked before any column is
+    allocated), then a digest other than ``sha256``, then a pairs byte other
+    than 0 or 1, a label outside ``[0, n_classes)``, NaN or inf in a cell the
+    row's pairs call for or anything but NaN in one they do not raises
+    CorpusFormatError naming the file."""
+    layout = _file_layout(cfg)
+    row_bytes = sum(np.dtype(dtype).itemsize * math.prod(shape) for dtype, shape in layout)
+    size = path.stat().st_size
+    if size != count * row_bytes:
+        raise CorpusFormatError(
+            f"{path}: manifest.json counts {count} records of {row_bytes} bytes, the file holds {size} bytes"
+        )
+    digest, columns = hashlib.sha256(), []
     with path.open("rb") as f:
-        for lineno, line in enumerate(f, start=1):
-            digest.update(line)
-            if failure is not None or line.isspace():
-                continue
-            if found < len(split):
-                try:
-                    _decode_line(split, found, line, layouts)
-                except (KeyError, TypeError, ValueError) as exc:
-                    failure = (lineno, exc)
-            found += 1
+        for dtype, shape in layout:
+            columns.append(np.fromfile(f, dtype=dtype, count=count * math.prod(shape)).reshape(count, *shape))
+            digest.update(columns[-1])
     _check_sha256(path, digest, sha256)
-    if failure is not None:
-        raise CorpusFormatError(f"{path} line {failure[0]}: {failure[1]}") from failure[1]
-    if found != count:
-        raise CorpusFormatError(f"{path}: manifest.json counts {count} records, the file holds {found}")
+    record_ids, labels, concept, *views, text, pairs = columns
+    _first_bad_row(path, (pairs > 1).any(axis=1), "a pairs byte is not 0 or 1")
+    _first_bad_row(path, (labels < 0) | (labels >= cfg.n_classes), f"label outside [0, {cfg.n_classes})")
+    split = Split(record_ids, labels, concept, dict(zip(FEATURE_MODALITIES, views)), text, pairs.view(bool))
+    for name, column, rows in split._float_cells():
+        finite, nan = np.isfinite(column).all(axis=_row_axes(column)), np.isnan(column).all(axis=_row_axes(column))
+        _first_bad_row(path, rows & ~finite, f"NaN or inf in {name}, which the row's pairs call for")
+        _first_bad_row(path, ~rows & ~nan, f"{name} is not NaN, but the row's pairs do not call for it")
     return split
 
 
@@ -569,9 +557,8 @@ def read_corpus(path) -> Corpus:
     valid JSON, not a JSON object or of another format, a manifest whose
     projection seeds are not ``PROJECTION_SEEDS``, whose seed or counts are not
     integers >= 0 or whose checksums are not an object, or a split file whose
-    sha256 differs from the manifest's. A line that does not parse, or a split
-    file holding another number of records than the manifest's ``counts``,
-    raises it when the split is first used, naming the file (and line).
+    sha256 differs from the manifest's. A split file that ``_decode_split``
+    rejects raises it when the split is first used, naming the file.
     """
     root = Path(path)
     manifest_path = root / "manifest.json"
@@ -609,7 +596,7 @@ def read_corpus(path) -> Corpus:
         raise CorpusFormatError(f"{manifest_path}: checksums must be a JSON object, got {type(checksums).__name__}")
     sources = {}
     for name in SPLITS:
-        file, count = root / f"{name}.jsonl", counts.get(name) if isinstance(counts, dict) else None
+        file, count = root / f"{name}.bin", counts.get(name) if isinstance(counts, dict) else None
         if type(count) is not int or count < 0:
             raise CorpusFormatError(f"{manifest_path}: counts.{name} must be an integer >= 0, got {count!r}")
         digest = hashlib.sha256()

@@ -6,7 +6,9 @@ tracer also reads call shapes: the similarity kind as the fifth positional
 argument of ``pairwise_similarity_arrays``, and eval mode from an
 ``Encoder.encode`` call without ``train``; the evaluation paths must still
 record those spans. It counts a ``pair_loss`` graph's nodes by walking
-``Tensor._parents``, and the count must not change when the engine does."""
+``Tensor._parents``, and the count must not change when the engine does. Its
+set-up layers wrap ``generate``, ``write_corpus`` and ``read_corpus`` as
+``cli`` attributes, so ``gen`` and a corpus read must still pass through them."""
 
 import json
 import os
@@ -65,6 +67,24 @@ for kind in spans.KINDS:
 print(json.dumps(counts))
 """
 
+# gen through cli.main, then a corpus read through cli: the benchmark's set-up layers.
+TRACED_CORPUS = """
+import json
+import tempfile
+from pathlib import Path
+import spans
+from probalign import cli
+
+tracer = spans.Tracer()
+spans.install(tracer)
+with tempfile.TemporaryDirectory() as tmp:
+    root = Path(tmp)
+    (root / "config.json").write_text(json.dumps({"seed": 1, "corpus": {"n_records": 50}}))
+    code = cli.main(["gen", "--config", str(root / "config.json"), "--out", str(root / "corpus")])
+    corpus = cli.read_corpus(root / "corpus")
+    print(json.dumps({"code": code, "train": len(corpus.train), "spans": [span[0] for span in tracer.spans]}))
+"""
+
 
 def run_traced(code: str) -> subprocess.CompletedProcess:
     paths = [str(ROOT / "src"), str(ROOT / "perfbench"), os.environ.get("PYTHONPATH")]
@@ -100,3 +120,12 @@ def test_pair_loss_graph_node_counts_are_unchanged():
     proc = run_traced(TRACED_PAIR_LOSS)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"hellinger": 116, "bhattacharyya": 109, "csd": 109, "cosine": 112}
+
+
+def test_gen_and_corpus_read_record_the_setup_spans():
+    proc = run_traced(TRACED_CORPUS)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["code"] == 0 and out["train"] == 40
+    for name in ("data.generate", "data.write_corpus", "data.read_corpus"):
+        assert name in out["spans"]

@@ -1,7 +1,6 @@
 """End-to-end command tests: exit codes, artifacts, determinism, oracles."""
 
 import base64
-import hashlib
 import json
 import math
 import os
@@ -78,12 +77,12 @@ class TestGen:
         manifest = json.loads((corpus_dir / "manifest.json").read_text())
         assert manifest["counts"] == {"train": 400, "valid": 50, "test": 50}
         assert set(manifest["pair_counts"]) == {"train", "valid", "test"}
-        assert (corpus_dir / "train.jsonl").exists()
+        assert (corpus_dir / "train.bin").exists()
 
     def test_rerun_is_bit_identical(self, config_path, corpus_dir, tmp_path):
         out2 = tmp_path / "again"
         assert main(["gen", "--config", str(config_path), "--out", str(out2)]) == 0
-        for name in ("manifest.json", "train.jsonl", "valid.jsonl", "test.jsonl"):
+        for name in ("manifest.json", "train.bin", "valid.bin", "test.bin"):
             assert (corpus_dir / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_invalid_corpus_config_exits_1(self, tmp_path, capsys):
@@ -163,6 +162,21 @@ COMPLEMENTARY_DOC = {
 
 
 class TestComplementaryPipeline:
+    @pytest.mark.parametrize("protocol", ["zeroshot", "fewshot", "noiseprobe"])
+    def test_modality_without_views_exits_1_without_a_run_dir(self, tmp_path, capsys, protocol):
+        # The complementary corpus has no mod_c view in any split.
+        config = tmp_path / "comp.json"
+        config.write_text(json.dumps(COMPLEMENTARY_DOC))
+        corpus_dir, run_dir, out = tmp_path / "corpus", tmp_path / "run", tmp_path / "report"
+        assert main(["gen", "--config", str(config), "--out", str(corpus_dir)]) == 0
+        assert main(["train", "--config", str(config), "--corpus", str(corpus_dir), "--out", str(run_dir),
+                     "--steps", "0"]) == 0
+        argv = ["eval", "--checkpoint", str(run_dir / "checkpoint.json"), "--corpus", str(corpus_dir),
+                "--protocol", protocol, "--modality", "mod_c", "--out", str(out)]
+        assert main(argv) == 1
+        assert "no mod_c views in split" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gen_train_eval_multimodal(self, tmp_path):
         config = tmp_path / "comp.json"
         config.write_text(json.dumps(COMPLEMENTARY_DOC))
@@ -347,7 +361,7 @@ class TestTrain:
         with monkeypatch.context() as m:
             m.setattr(data, "_decode_split", spy)
             assert main(base + ["--out", str(tmp_path / "partial")]) == 0
-        assert sorted(decoded) == ["train.jsonl", "valid.jsonl"]
+        assert sorted(decoded) == ["train.bin", "valid.bin"]
 
         # The same run over a corpus whose every split was decoded first writes the same bytes.
         with monkeypatch.context() as m:
@@ -359,11 +373,11 @@ class TestTrain:
     def test_edited_test_split_still_fails_checksum(self, config_path, corpus_dir, tmp_path, capsys):
         edited = tmp_path / "edited"
         shutil.copytree(corpus_dir, edited)
-        lines = (edited / "test.jsonl").read_text().splitlines(keepends=True)
-        (edited / "test.jsonl").write_text("".join(lines[1:]))
+        body = (edited / "test.bin").read_bytes()
+        (edited / "test.bin").write_bytes(body[8:])  # the first record's id gone
         argv = ["train", "--config", str(config_path), "--corpus", str(edited), "--out", str(tmp_path / "o")]
         assert main(argv) == 1
-        assert "test.jsonl: sha256 does not match" in capsys.readouterr().err
+        assert "test.bin: sha256 does not match" in capsys.readouterr().err
         assert not (tmp_path / "o" / "checkpoint.json").exists()
 
     @pytest.mark.parametrize("under", ["", "run"], ids=["file", "under-a-file"])
@@ -546,12 +560,12 @@ class TestEval:
     def test_edited_unread_split_still_fails_checksum(self, trained_dir, corpus_dir, tmp_path, capsys):
         edited = tmp_path / "edited"
         shutil.copytree(corpus_dir, edited)
-        lines = (edited / "train.jsonl").read_text().splitlines(keepends=True)
-        (edited / "train.jsonl").write_text("".join(lines[1:]))
+        body = (edited / "train.bin").read_bytes()
+        (edited / "train.bin").write_bytes(body[8:])  # the first record's id gone
         argv = ["eval", "--checkpoint", str(trained_dir / "checkpoint.json"), "--corpus", str(edited),
                 "--protocol", "retrieval", "--out", str(tmp_path / "o")]
         assert main(argv) == 1
-        assert "train.jsonl: sha256 does not match" in capsys.readouterr().err
+        assert "train.bin: sha256 does not match" in capsys.readouterr().err
         assert not (tmp_path / "o" / "report.json").exists()
 
     def test_unknown_split_exits_1(self, trained_dir, corpus_dir, tmp_path, capsys):
@@ -902,13 +916,13 @@ class TestSupportRowsOnly:
     def test_tampered_train_split_exits_1(self, trained_dir, corpus_dir, tmp_path, capsys, protocol):
         edited = tmp_path / "edited"
         shutil.copytree(corpus_dir, edited)
-        body = bytearray((edited / "train.jsonl").read_bytes())
+        body = bytearray((edited / "train.bin").read_bytes())
         body[len(body) // 2] ^= 0x01
-        (edited / "train.jsonl").write_bytes(bytes(body))
+        (edited / "train.bin").write_bytes(bytes(body))
         argv = ["eval", "--checkpoint", str(trained_dir / "checkpoint.json"), "--corpus", str(edited),
                 "--protocol", protocol, "--out", str(tmp_path / "o")]
         assert main(argv) == 1
-        assert "train.jsonl: sha256 does not match" in capsys.readouterr().err
+        assert "train.bin: sha256 does not match" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("split", ["train", "test"])
@@ -916,12 +930,11 @@ class TestSupportRowsOnly:
         # A split without mod_c views: the records that have one are dropped.
         edited = tmp_path / "edited"
         shutil.copytree(corpus_dir, edited)
-        lines = (edited / f"{split}.jsonl").read_text().splitlines(keepends=True)
-        kept = [line for line in lines if '"mod_c"' not in line]
-        body = "".join(kept).encode()
-        (edited / f"{split}.jsonl").write_bytes(body)
+        corpus = data.read_corpus(edited)
+        records = corpus.split(split)
+        kept = records[~records.calls_for(Modality.MOD_C)]
         manifest = json.loads((edited / "manifest.json").read_text())
-        manifest["checksums"][split] = hashlib.sha256(body).hexdigest()
+        manifest["checksums"][split] = data._write_split(kept, edited / f"{split}.bin", corpus.config)
         manifest["counts"][split] = len(kept)
         (edited / "manifest.json").write_text(json.dumps(manifest))
         argv = ["eval", "--checkpoint", str(trained_dir / "checkpoint.json"), "--corpus", str(edited),

@@ -1,9 +1,9 @@
 """Corpus generation, batching, and serialization tests."""
 
-import base64
 import dataclasses
 import hashlib
 import json
+import math
 import re
 import tracemalloc
 
@@ -64,13 +64,64 @@ def finite_rows(split, *modalities):
     return np.flatnonzero(keep).tolist()
 
 
-def rewrite_split(root, split, lines):
-    """Replace a split file's lines and update its manifest checksum to match."""
-    body = ("\n".join(lines) + "\n").encode("utf-8")
-    (root / f"{split}.jsonl").write_bytes(body)
+def split_columns(root, split):
+    """Writable copies of a split file's columns, in ``Split._columns()`` order."""
+    manifest = json.loads((root / "manifest.json").read_text())
+    n, raw, columns, offset = manifest["counts"][split], (root / f"{split}.bin").read_bytes(), [], 0
+    for dtype, shape in data._file_layout(config_from_json(manifest["config"])):
+        columns.append(np.frombuffer(raw, dtype, n * math.prod(shape), offset).reshape(n, *shape).copy())
+        offset += columns[-1].nbytes
+    return columns
+
+
+def rewrite_split(root, split, body):
+    """Replace a split file's bytes and update its manifest checksum to match."""
+    (root / f"{split}.bin").write_bytes(body)
     manifest = json.loads((root / "manifest.json").read_text())
     manifest["checksums"][split] = hashlib.sha256(body).hexdigest()
     (root / "manifest.json").write_text(json.dumps(manifest))
+
+
+def joined(columns):
+    return b"".join(column.tobytes() for column in columns)
+
+
+def set_cell(column, row, value):
+    """An edit of a split file's columns (``split_columns``) that sets the first
+    cell of a row of one column; ``row`` is an index or a function of the split."""
+
+    def edit(columns, split):
+        at = row(split) if callable(row) else row
+        columns[column][at : at + 1].flat[0] = value
+        return joined(columns)
+
+    return edit
+
+
+def first_row(modality, called_for):
+    return lambda split: int(np.flatnonzero(split.calls_for(modality) == called_for)[0])
+
+
+# Edits of a split file that keep it matching a rewritten manifest checksum,
+# each with (part of) the error its first use raises. An edit takes the file's
+# columns, 0 record_ids, 1 labels, 2 concept, 3-5 mod_a to mod_c, 6 text and
+# 7 pairs, and the split, and returns the new file.
+BAD_SPLIT_FILES = {
+    "truncated": (lambda columns, split: joined(columns)[:-1], "bytes, the file holds"),
+    "extended": (lambda columns, split: joined(columns) + bytes(8), "bytes, the file holds"),
+    "pairs_byte": (set_cell(7, 3, 2), "row 3: a pairs byte is not 0 or 1"),
+    "label_negative": (set_cell(1, 3, -1), "row 3: label outside [0, 3)"),
+    "label_too_large": (set_cell(1, 3, 3), "row 3: label outside [0, 3)"),
+    "inf_concept": (set_cell(2, 3, np.inf), "row 3: NaN or inf in concept, which the row's pairs call for"),
+    "nan_available": (
+        set_cell(3, first_row(A, True), np.nan),
+        "NaN or inf in mod_a, which the row's pairs call for",
+    ),
+    "value_unavailable": (
+        set_cell(5, first_row(C, False), 0.0),
+        "mod_c is not NaN, but the row's pairs do not call for it",
+    ),
+}
 
 
 class TestConfig:
@@ -289,8 +340,23 @@ class TestSerialization:
         write_corpus(corpus, tmp_path / "c1")
         again = read_corpus(tmp_path / "c1")
         write_corpus(again, tmp_path / "c2")
-        for name in ("manifest.json", "train.jsonl", "valid.jsonl", "test.jsonl"):
+        for name in ("manifest.json", "train.bin", "valid.bin", "test.bin"):
             assert (tmp_path / "c1" / name).read_bytes() == (tmp_path / "c2" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [CorpusConfig(), complementary_config(200), CorpusConfig(n_records=0)],
+        ids=["default", "complementary", "empty"],
+    )
+    def test_round_trip_is_bit_exact(self, tmp_path, cfg):
+        # Every column of every split comes back with its dtype, shape and bytes,
+        # NaN cells included; the complementary corpus has no mod_c view at all.
+        write_corpus(generate(cfg, seed=5), tmp_path / "c")
+        again, fresh = read_corpus(tmp_path / "c"), generate(cfg, seed=5)
+        assert again == fresh
+        for name in SPLITS:
+            for got, want in zip(again.split(name)._columns(), fresh.split(name)._columns()):
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
     def test_empty_corpus_round_trips(self, tmp_path):
         cfg = CorpusConfig(n_records=0, n_classes=2)
@@ -314,36 +380,14 @@ class TestSerialization:
         assert manifest["counts"] == {s: len(r) for s, r in again.splits.items()}
         assert manifest["counts"] == {"train": 800, "valid": 100, "test": 100}
 
-    def test_malformed_line_reports_line_number(self, corpus, tmp_path):
+    @pytest.mark.parametrize("edit,message", BAD_SPLIT_FILES.values(), ids=BAD_SPLIT_FILES.keys())
+    def test_bad_split_file_names_the_file(self, corpus, tmp_path, edit, message):
         write_corpus(corpus, tmp_path / "bad")
-        path = tmp_path / "bad" / "valid.jsonl"
-        lines = path.read_text().splitlines()
-        lines[1] = '{"record_id": 3, "oops": true}'
-        rewrite_split(tmp_path / "bad", "valid", lines)
+        rewrite_split(tmp_path / "bad", "test", edit(split_columns(tmp_path / "bad", "test"), corpus.test))
         again = read_corpus(tmp_path / "bad")
-        with pytest.raises(CorpusFormatError, match="valid.jsonl line 2"):
-            len(again.valid)
-
-    @pytest.mark.parametrize(
-        "corrupt",
-        [
-            lambda floats: "!" + floats[1:],
-            lambda floats: floats[:-1],
-            lambda floats: base64.b64encode(base64.b64decode(floats)[:-8]).decode(),
-            lambda floats: base64.b64encode(base64.b64decode(floats) + bytes(8)).decode(),
-        ],
-        ids=["invalid_base64", "bad_padding", "one_float_short", "one_float_long"],
-    )
-    def test_bad_float_blob_reports_line_number(self, corpus, tmp_path, corrupt):
-        write_corpus(corpus, tmp_path / "bad")
-        lines = (tmp_path / "bad" / "test.jsonl").read_text().splitlines()
-        doc = json.loads(lines[2])
-        doc["floats"] = corrupt(doc["floats"])
-        lines[2] = json.dumps(doc)
-        rewrite_split(tmp_path / "bad", "test", lines)
-        again = read_corpus(tmp_path / "bad")
-        with pytest.raises(CorpusFormatError, match="test.jsonl line 3"):
+        with pytest.raises(CorpusFormatError, match=re.escape(f"{tmp_path / 'bad' / 'test.bin'}")) as exc:
             again.test
+        assert message in str(exc.value)
 
     def test_partial_read_parses_only_the_asked_splits(self, corpus, tmp_path, monkeypatch):
         # read_corpus parses no split; each split is parsed when first used.
@@ -360,7 +404,7 @@ class TestSerialization:
         assert parsed == []
         assert part.valid == corpus.valid and part.test == corpus.test
         assert part.config == corpus.config and part.seed == corpus.seed
-        assert parsed == ["valid.jsonl", "test.jsonl"]
+        assert parsed == ["valid.bin", "test.bin"]
 
     @pytest.mark.parametrize(
         "use",
@@ -392,28 +436,30 @@ class TestSerialization:
 
     def test_unread_split_still_checked_against_manifest(self, corpus, tmp_path):
         # A split file rewritten after read_corpus returned fails when first used,
-        # although every line of it still parses.
+        # although it keeps its size and a valid label in the cell changed.
         write_corpus(corpus, tmp_path / "late")
         again = read_corpus(tmp_path / "late")
-        path = tmp_path / "late" / "train.jsonl"
-        path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
+        columns = split_columns(tmp_path / "late", "train")
+        columns[1][0] = (columns[1][0] + 1) % SMALL.n_classes
+        (tmp_path / "late" / "train.bin").write_bytes(joined(columns))
         assert again.test == corpus.test
-        with pytest.raises(CorpusFormatError, match="train.jsonl: sha256 does not match"):
+        with pytest.raises(CorpusFormatError, match="train.bin: sha256 does not match"):
             len(again.train)
 
     def test_flipped_byte_fails_checksum(self, corpus, tmp_path):
         write_corpus(corpus, tmp_path / "flip")
-        path = tmp_path / "flip" / "train.jsonl"
+        path = tmp_path / "flip" / "train.bin"
         body = bytearray(path.read_bytes())
         body[len(body) // 2] ^= 0x01
         path.write_bytes(bytes(body))
-        with pytest.raises(CorpusFormatError, match="train.jsonl: sha256 does not match"):
+        with pytest.raises(CorpusFormatError, match="train.bin: sha256 does not match"):
             read_corpus(tmp_path / "flip")
 
     @pytest.mark.parametrize(
         "edit,message",
         [
             (lambda m: m.update(format="probalign-corpus-v1"), "regenerate the corpus with `probalign gen`"),
+            (lambda m: m.update(format="probalign-corpus-v2"), "regenerate the corpus with `probalign gen`"),
             (lambda m: m.pop("format"), "format None"),
             (lambda m: m["config"].update(n_record=5), "bad corpus config: unknown corpus key"),
             (
@@ -421,7 +467,7 @@ class TestSerialization:
                 "bad corpus config: projection_seeds",
             ),
         ],
-        ids=["v1_format", "no_format", "unknown_config_key", "other_projection_seeds"],
+        ids=["v1_format", "v2_format", "no_format", "unknown_config_key", "other_projection_seeds"],
     )
     def test_stale_or_bad_manifest_rejected(self, corpus, tmp_path, edit, message):
         write_corpus(corpus, tmp_path / "stale")
@@ -470,18 +516,20 @@ class TestSerialization:
             np.testing.assert_array_equal(again.latent.projections[m], corpus.latent.projections[m])
 
     def test_floats_blob_layout(self, corpus, tmp_path):
-        write_corpus(corpus, tmp_path / "layout")
-        first = (tmp_path / "layout" / "train.jsonl").read_text().splitlines()[0]
-        doc = json.loads(first)
-        assert sorted(doc) == ["available_pairs", "class_label", "floats", "record_id"]
+        # A split file is its columns back to back, little-endian, with NaN in
+        # each cell the record's pairs do not call for, and nothing else.
+        manifest = write_corpus(corpus, tmp_path / "layout")
+        body = (tmp_path / "layout" / "train.bin").read_bytes()
         split = corpus.train
-        pairs = [tuple(Modality(m) for m in p) for p in doc["available_pairs"]]
-        assert pairs == [p for p, keep in zip(TRAINABLE_PAIRS, split.pairs[0]) if keep]
-        modalities = {m for p in pairs for m in p}
-        views = [split.views[m][0] for m in Modality if m in modalities and m is not T]
-        expected = np.concatenate([split.concept[0], *views, *(split.text[0] if T in modalities else [])])
-        blob = np.frombuffer(base64.b64decode(doc["floats"]), dtype="<f8")
-        np.testing.assert_array_equal(blob, expected)
+        views = [split.views[m] for m in (A, B, C)]
+        columns = [split.record_ids, split.labels, split.concept, *views, split.text]
+        expected = b"".join(np.asarray(c, dtype="<f8" if c.dtype.kind == "f" else "<i8").tobytes() for c in columns)
+        assert body == expected + split.pairs.astype("u1").tobytes()
+        assert manifest["checksums"]["train"] == hashlib.sha256(body).hexdigest()
+        row_floats = SMALL.latent_dim + sum(SMALL.view_dims[m] for m in (A, B, C))
+        row_floats += SMALL.n_text_variants * SMALL.view_dims[T]
+        assert len(body) == len(split) * (8 + 8 + 8 * row_floats + len(TRAINABLE_PAIRS))
+        assert np.isnan(split.views[C][~split.calls_for(C)]).all()
 
     def test_read_arrays_are_writable_float64(self, corpus, tmp_path):
         write_corpus(corpus, tmp_path / "w")
@@ -500,15 +548,22 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"record {bad.train.record_ids[row]} has NaN"):
             write_corpus(bad, tmp_path / "nope")
 
+    def test_cell_its_pairs_do_not_call_for_is_written_as_nan(self, corpus, tmp_path):
+        edited = generate(SMALL, seed=11)
+        row = first_row(C, False)(edited.train)
+        edited.train.views[C][row] = 1.0
+        write_corpus(edited, tmp_path / "w")
+        assert read_corpus(tmp_path / "w") == corpus
+
     def test_default_split_files_match_pinned_sha256(self, tmp_path):
-        # Taken from the writer before the label rule became a config field;
-        # the default (cluster) corpus must stay byte-identical.
+        # Taken from the first writer of format probalign-corpus-v3; the default
+        # (cluster) corpus must stay byte-identical.
         write_corpus(generate(CorpusConfig(n_records=200), seed=3), tmp_path / "pin")
-        digests = {s: hashlib.sha256((tmp_path / "pin" / f"{s}.jsonl").read_bytes()).hexdigest() for s in SPLITS}
+        digests = {s: hashlib.sha256((tmp_path / "pin" / f"{s}.bin").read_bytes()).hexdigest() for s in SPLITS}
         assert digests == {
-            "train": "56fd4c097e8a2bc9b585e695c5e3ebd69128a08831db0e443ddd0c9e433f2fd5",
-            "valid": "023beafc02263c97382a68e37ff516f20dfe43b392b2c1ac7d92abdee890a51e",
-            "test": "b2e634426caa3a24c8922db3823a7ca39b59564882e8913014bb4885a7a271d4",
+            "train": "88dc76a4b700ecff6e1ef3eca33a732e0a7fbedd0e93c776a59971944c574c3d",
+            "valid": "96d3ba9cbbd955e22b7e247cdc49abb15782e84045684bc0011a9aec96110af0",
+            "test": "bcade5f944d3e261ba8e8d897bfb2e529da0765ee7bbd3dc71c780a6bed61268",
         }
 
     def test_missing_manifest(self, tmp_path):
@@ -551,43 +606,34 @@ class TestSplitIndex:
         index = read_corpus(tmp_path / "empty").train
         assert len(index) == 0 and index.labels.tolist() == [] and index.rows_with_views(A).tolist() == []
 
-    @pytest.mark.parametrize(
-        "corrupt",
-        [lambda floats: "!" + floats[1:], lambda floats: base64.b64encode(base64.b64decode(floats)[:-8]).decode()],
-        ids=["invalid_base64", "one_float_short"],
-    )
-    def test_chosen_bad_blob_names_file_and_line(self, corpus, tmp_path, corrupt):
+    @pytest.mark.parametrize("bad", ["nan_available", "truncated"])
+    def test_bad_split_fails_when_first_used(self, corpus, tmp_path, bad):
+        edit, message = BAD_SPLIT_FILES[bad]
         write_corpus(corpus, tmp_path / "bad")
-        lines = (tmp_path / "bad" / "train.jsonl").read_text().splitlines()
-        doc = json.loads(lines[6])
-        doc["floats"] = corrupt(doc["floats"])
-        lines[6] = json.dumps(doc)
-        rewrite_split(tmp_path / "bad", "train", lines)
+        rewrite_split(tmp_path / "bad", "train", edit(split_columns(tmp_path / "bad", "train"), corpus.train))
         # The corpus reads and its other splits decode; the bad split fails when first used.
         again = read_corpus(tmp_path / "bad")
         assert again.valid == corpus.valid and again.test == corpus.test
-        with pytest.raises(CorpusFormatError, match="train.jsonl line 7"):
+        with pytest.raises(CorpusFormatError, match=f"train.bin.*{re.escape(message)}"):
             again.train
 
     def test_malformed_structure_fails_at_index_time(self, corpus, tmp_path):
         write_corpus(corpus, tmp_path / "bad")
-        lines = (tmp_path / "bad" / "train.jsonl").read_text().splitlines()
-        doc = json.loads(lines[3])
-        del doc["floats"]
-        lines[3] = json.dumps(doc)
-        rewrite_split(tmp_path / "bad", "train", lines)
+        columns = split_columns(tmp_path / "bad", "train")
+        columns[-1][4, 1] = 255
+        rewrite_split(tmp_path / "bad", "train", joined(columns))
         again = read_corpus(tmp_path / "bad")
-        with pytest.raises(CorpusFormatError, match="train.jsonl line 4"):
+        with pytest.raises(CorpusFormatError, match="train.bin row 4: a pairs byte is not 0 or 1"):
             again.train.labels
 
     def test_indexed_split_still_checked_against_manifest(self, corpus, tmp_path):
         write_corpus(corpus, tmp_path / "flip")
         again = read_corpus(tmp_path / "flip")
-        path = tmp_path / "flip" / "train.jsonl"
+        path = tmp_path / "flip" / "train.bin"
         body = bytearray(path.read_bytes())
         body[len(body) // 2] ^= 0x01
         path.write_bytes(bytes(body))
-        with pytest.raises(CorpusFormatError, match="train.jsonl: sha256 does not match"):
+        with pytest.raises(CorpusFormatError, match="train.bin: sha256 does not match"):
             again.train.rows_with_views(A)
 
     @pytest.mark.parametrize("change", [1, -1], ids=["more", "fewer"])
@@ -600,20 +646,21 @@ class TestSplitIndex:
         path.write_text(json.dumps(manifest))
         again = read_corpus(tmp_path / "c")
         assert again.valid == corpus.valid
-        found = len(corpus.train)
-        message = f"train.jsonl: manifest.json counts {found + change} records, the file holds {found}"
+        found, row_bytes = len(corpus.train), (tmp_path / "c" / "train.bin").stat().st_size // len(corpus.train)
+        message = f"train.bin: manifest.json counts {found + change} records of {row_bytes} bytes, "
+        message += f"the file holds {found * row_bytes} bytes"
         with pytest.raises(CorpusFormatError, match=message):
             again.train
 
     def test_count_the_file_cannot_hold_allocates_no_columns_for_it(self, corpus, tmp_path):
-        # The columns are preallocated from the count, bounded by the file's size.
+        # The file's size is checked against the count before any column is allocated.
         write_corpus(corpus, tmp_path / "c")
         path = tmp_path / "c" / "manifest.json"
         manifest = json.loads(path.read_text())
         manifest["counts"]["train"] = 10**15
         path.write_text(json.dumps(manifest))
         again = read_corpus(tmp_path / "c")
-        with pytest.raises(CorpusFormatError, match=f"counts {10**15} records, the file holds {len(corpus.train)}"):
+        with pytest.raises(CorpusFormatError, match=f"counts {10**15} records of \\d+ bytes, the file holds"):
             again.train
 
     @pytest.mark.parametrize("counts", [None, {"train": "5"}, {"train": -1, "valid": 1, "test": 1}])
@@ -627,7 +674,7 @@ class TestSplitIndex:
             read_corpus(tmp_path / "c")
 
     def test_decode_peak_memory_near_the_columns(self, tmp_path):
-        # Decoding streams the file into preallocated columns: its tracemalloc
+        # Decoding reads the file straight into its columns: its tracemalloc
         # peak stays near the columns it returns.
         write_corpus(generate(CorpusConfig(n_records=2000), seed=4), tmp_path / "big")
         again = read_corpus(tmp_path / "big")
