@@ -12,6 +12,13 @@ availability subset of the four trainable modality pairs; the two held-out
 pairs, mod_a+mod_c and mod_b+mod_c, never appear, which is what the
 emergent-alignment evaluations rely on.
 
+``generate`` draws each column whole: labels and concepts as one (n, K) draw,
+the pairs mask as one (n, 4) draw with only the rows left without a pair
+redrawn, and each modality's view as one noise array plus the projection of
+the rows whose pairs call for it. ``synth_text_prompts`` draws all prompts at
+once the same way. Projections go through ``_project``, which calls no BLAS
+routine, so a corpus and its prompts are bit-identical on every machine.
+
 A split, generated or read back, is one ``Split`` of columns: record ids,
 labels, concepts, one ``(n, dim)`` array per feature modality, the text
 variants as ``(n, V, dim)`` and an ``(n, 4)`` mask of the available pairs. A
@@ -151,18 +158,6 @@ class Split:
     text: np.ndarray  # (n, V, text dim)
     pairs: np.ndarray  # (n, len(TRAINABLE_PAIRS)) bool; column j is TRAINABLE_PAIRS[j]
 
-    @classmethod
-    def empty(cls, cfg: CorpusConfig, n: int) -> Split:
-        """A split of n rows: floats all NaN, no pairs available, ids and labels unset."""
-        return cls(
-            record_ids=np.empty(n, dtype=np.int64),
-            labels=np.empty(n, dtype=np.int64),
-            concept=np.full((n, cfg.latent_dim), np.nan),
-            views={m: np.full((n, cfg.view_dims[m]), np.nan) for m in FEATURE_MODALITIES},
-            text=np.full((n, cfg.n_text_variants, cfg.view_dims[Modality.TEXT]), np.nan),
-            pairs=np.zeros((n, len(TRAINABLE_PAIRS)), dtype=bool),
-        )
-
     def _columns(self) -> list[np.ndarray]:
         """The columns in the order a split file holds them."""
         views = [self.views[m] for m in FEATURE_MODALITIES]
@@ -269,47 +264,49 @@ def build_latent_space(cfg: CorpusConfig, seed: int) -> LatentSpace:
     return LatentSpace(centers, projections, offsets)
 
 
-def _record_modalities(pairs) -> list[Modality]:
-    """The modalities of a record with these pairs, in ``Modality`` order (text last)."""
-    return [m for m in Modality if any(m in pair for pair in pairs)]
+def _project(latent: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """``latent @ proj.T`` for latents (n, K) and a projection (dim, K), summed
+    over the K factors in order with elementwise ops. No BLAS kernel takes part,
+    so the bits are the same on every machine."""
+    out = np.zeros((len(latent), len(proj)))
+    for j in range(proj.shape[1]):
+        out += latent[:, j, None] * proj[:, j]
+    return out
+
+
+def _draw_rows(cfg: CorpusConfig, latent: LatentSpace, rng: np.random.Generator) -> Split:
+    """All ``cfg.n_records`` records in generation order, each column drawn whole."""
+    n = cfg.n_records
+    if cfg.label_rule == "sum_sign":
+        concept = rng.normal(0.0, cfg.cluster_std, size=(n, cfg.latent_dim))
+        labels = (concept.sum(axis=1) > 0.0).astype(np.int64)
+    else:
+        labels = rng.integers(cfg.n_classes, size=n)
+        concept = latent.centers[labels] + rng.normal(0.0, cfg.cluster_std, size=(n, cfg.latent_dim))
+    probs = np.array([cfg.pair_probs.get(p, 0.0) for p in TRAINABLE_PAIRS])
+    pairs = rng.random((n, len(probs))) < probs
+    while (empty := ~pairs.any(axis=1)).any():  # every record has at least one pair
+        pairs[empty] = rng.random((int(empty.sum()), len(probs))) < probs
+
+    views = {m: np.full((n, cfg.view_dims[m]), np.nan) for m in FEATURE_MODALITIES}
+    text = np.full((n, cfg.n_text_variants, cfg.view_dims[Modality.TEXT]), np.nan)
+    rows = Split(np.arange(n), labels, concept, views, text, pairs)
+    for modality in Modality:
+        called = rows.calls_for(modality)
+        clean = _project(concept[called], latent.projections[modality])
+        if modality is Modality.TEXT:
+            clean = clean[:, None] + latent.variant_offsets
+        column = rows.text if modality is Modality.TEXT else rows.views[modality]
+        column[called] = clean + rng.normal(0.0, cfg.noise_scales[modality], size=clean.shape)
+    return rows
 
 
 def generate(cfg: CorpusConfig, seed: int) -> Corpus:
     """Generate a record-disjoint train/valid/test corpus, deterministically."""
     latent = build_latent_space(cfg, seed)
     rng = np.random.default_rng([seed, 2])
-    # Labels are drawn with an explicit uniform p: numpy's stream differs without it.
-    uniform = np.full(cfg.n_classes, 1.0 / cfg.n_classes)
-    pair_list = [p for p in TRAINABLE_PAIRS if cfg.pair_probs.get(p, 0.0) > 0.0]
-    probs = np.array([cfg.pair_probs[p] for p in pair_list])
-
-    rows = Split.empty(cfg, cfg.n_records)
-    rows.record_ids[:] = np.arange(cfg.n_records)
-    pair_columns = [TRAINABLE_PAIRS.index(p) for p in pair_list]
-    for record_id in range(cfg.n_records):
-        if cfg.label_rule == "sum_sign":
-            concept = rng.normal(0.0, cfg.cluster_std, size=cfg.latent_dim)
-            label = int(concept.sum() > 0.0)
-        else:
-            label = int(rng.choice(cfg.n_classes, p=uniform))
-            concept = latent.centers[label] + rng.normal(0.0, cfg.cluster_std, size=cfg.latent_dim)
-        while True:
-            mask = rng.random(len(pair_list)) < probs
-            if mask.any():
-                break
-        pairs = tuple(p for p, keep in zip(pair_list, mask) if keep)
-        rows.labels[record_id], rows.concept[record_id], rows.pairs[record_id, pair_columns] = label, concept, mask
-
-        for modality in _record_modalities(pairs):
-            clean = latent.projections[modality] @ concept
-            if modality is Modality.TEXT:
-                for v in range(cfg.n_text_variants):
-                    noise = rng.normal(0.0, cfg.noise_scales[modality], size=clean.shape)
-                    rows.text[record_id, v] = clean + latent.variant_offsets[v] + noise
-            else:
-                noise = rng.normal(0.0, cfg.noise_scales[modality], size=clean.shape)
-                rows.views[modality][record_id] = clean + noise
-
+    # The draw's temporaries are freed on return, before the splits are copied out.
+    rows = _draw_rows(cfg, latent, rng)
     order = rng.permutation(cfg.n_records)
     n_train = int(round(cfg.split_fractions[0] * cfg.n_records))
     n_valid = int(round(cfg.split_fractions[1] * cfg.n_records))
@@ -555,8 +552,8 @@ def read_corpus(path) -> Corpus:
 
     Raises CorpusFormatError for a missing manifest, a manifest that is not
     valid JSON, not a JSON object or of another format, a manifest whose
-    projection seeds are not ``PROJECTION_SEEDS``, whose seed or counts are not
-    integers >= 0 or whose checksums are not an object, or a split file whose
+    config is no valid corpus config, whose seed or counts are not integers
+    >= 0 or whose checksums are not an object, or a split file whose
     sha256 differs from the manifest's. A split file that ``_decode_split``
     rejects raises it when the split is first used, naming the file.
     """
@@ -576,18 +573,8 @@ def read_corpus(path) -> Corpus:
             f"regenerate the corpus with `probalign gen`"
         )
     try:
-        # A manifest written before the label rule was a config field has it at the top level.
-        # One written before holdout_pair, class_weights and projection_seeds left the config
-        # carries them, at the values the generator now fixes.
-        doc = {"label_rule": manifest.get("label_rule", "cluster"), **manifest["config"]}
-        for key in ("holdout_pair", "class_weights"):
-            doc.pop(key, None)
-        seeds = doc.pop("projection_seeds", None)
-        fixed = {m.value: s for m, s in PROJECTION_SEEDS.items()}
-        if seeds not in (None, fixed):
-            raise CorpusFormatError(f"projection_seeds {seeds} are not {fixed}; the projections cannot be rebuilt")
-        cfg = config_from_json(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+        cfg = config_from_json(manifest["config"])
+    except (KeyError, ValueError) as exc:
         raise CorpusFormatError(f"{manifest_path}: bad corpus config: {exc}") from exc
     seed, checksums, counts = manifest.get("seed"), manifest.get("checksums", {}), manifest.get("counts")
     if type(seed) is not int or seed < 0:
@@ -648,26 +635,21 @@ def synth_text_prompts(
     """Synthetic text feature vectors describing each class, ``{class: (n_per_class, text_dim)}``.
 
     A prompt is the text projection of a latent drawn near the class (cluster
-    center jitter for the mixture corpus, rejection sampling for constructed
-    label rules) plus text noise at ``noise_scale``.
+    center jitter for the mixture corpus; for ``sum_sign``, a Gaussian draw
+    negated where its sign disagrees with the class, which the symmetric
+    Gaussian leaves exact) plus text noise at ``noise_scale``. Each is drawn
+    for all prompts at once.
     """
     cfg = corpus.config
     rng = rng if rng is not None else np.random.default_rng(0)
     scale = cfg.noise_scales[Modality.TEXT] if noise_scale is None else noise_scale
     proj = corpus.latent.projections[Modality.TEXT]
-    prompts = {}
-    for label in range(cfg.n_classes):
-        rows = []
-        for _ in range(n_per_class):
-            if cfg.label_rule == "sum_sign":
-                while True:
-                    latent = rng.normal(0.0, cfg.cluster_std, size=cfg.latent_dim)
-                    if int(latent.sum() > 0.0) == label:
-                        break
-            else:
-                latent = corpus.latent.centers[label] + rng.normal(
-                    0.0, cfg.cluster_std / 2.0, size=cfg.latent_dim
-                )
-            rows.append(proj @ latent + rng.normal(0.0, scale, size=proj.shape[0]))
-        prompts[label] = np.stack(rows)
-    return prompts
+    labels = np.repeat(np.arange(cfg.n_classes), n_per_class)
+    size = (len(labels), cfg.latent_dim)
+    if cfg.label_rule == "sum_sign":
+        latent = rng.normal(0.0, cfg.cluster_std, size=size)
+        latent[(latent.sum(axis=1) > 0.0) != (labels == 1)] *= -1.0
+    else:
+        latent = corpus.latent.centers[labels] + rng.normal(0.0, cfg.cluster_std / 2.0, size=size)
+    text = _project(latent, proj) + rng.normal(0.0, scale, size=(len(labels), len(proj)))
+    return dict(enumerate(text.reshape(cfg.n_classes, n_per_class, len(proj))))

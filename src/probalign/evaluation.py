@@ -76,14 +76,6 @@ def macro_ovr_auroc(scores: np.ndarray, labels, classes) -> float:
     return float(np.mean(per_class))
 
 
-def _class_auroc(scores: np.ndarray, labels: np.ndarray, classes) -> float:
-    """AUROC of a score matrix whose columns follow ``classes``: the binary
-    AUROC of the second column for two classes, else the macro one-vs-rest."""
-    if len(classes) == 2:
-        return auroc(scores[:, 1], (labels == classes[1]).astype(int))
-    return macro_ovr_auroc(scores, labels, classes)
-
-
 def spearman(x, y) -> float:
     """Spearman rank correlation (average ranks for ties); 0 if degenerate."""
     rx = tied_ranks(np.asarray(x, dtype=np.float64))
@@ -284,8 +276,9 @@ def few_shot(
     n_samples: int = 16,
     rngs=(),
 ) -> list[float]:
-    """Linear-probe AUROCs, one per generator in ``rngs``, each from its own
-    k-shot support set drawn from the train pool.
+    """Linear-probe macro one-vs-rest AUROCs (``macro_ovr_auroc``, two classes
+    included), one per generator in ``rngs``, each from its own k-shot support
+    set drawn from the train pool.
 
     ``embed_train`` maps an ascending array of train row indices to the
     ``(mu, log_var)`` arrays of their embeddings, in that order. It is called once,
@@ -325,7 +318,7 @@ def few_shot(
         ys.append(y)
 
     w = logistic_probe(np.stack(xs), np.stack(ys), len(classes))
-    return [_class_auroc(scores, test_labels, classes) for scores in probe_scores(w, test_mu)]
+    return [macro_ovr_auroc(scores, test_labels, classes) for scores in probe_scores(w, test_mu)]
 
 
 # -- multimodal classification -----------------------------------------------------
@@ -354,7 +347,8 @@ def multimodal_classify(
     each for the two modalities and for their concatenated embeddings, each
     drawing from its own copy of ``rng``, so all three fit the same support
     rows. ZS fuses the two per-modality prototype-similarity scores of the
-    test items with the configured rule (mean or max).
+    test items with the configured rule (mean or max). Every AUROC is the
+    macro one-vs-rest one, as ``zeroshot`` reports, at any class count.
     """
     if fusion not in ("mean", "max"):
         raise ValueError(f"multimodal_classify: unknown fusion {fusion!r}")
@@ -366,7 +360,7 @@ def multimodal_classify(
     encoded_prompts = encode_prompts(model, prompts)
     zs_scores = [score_prototypes(enc, encoded_prompts, kind) for enc in enc_test]
     fused = 0.5 * (zs_scores[0] + zs_scores[1]) if fusion == "mean" else np.maximum(*zs_scores)
-    zs = {name: _class_auroc(s, test_labels, sorted(prompts)) for name, s in zip(names, [*zs_scores, fused])}
+    zs = {name: macro_ovr_auroc(s, test_labels, sorted(prompts)) for name, s in zip(names, [*zs_scores, fused])}
 
     def embed_both(rows):
         return tuple(map(np.hstack, zip(*(embed(rows) for embed in embedders))))

@@ -29,8 +29,9 @@ tracer = spans.Tracer()
 spans.install(tracer)
 corpus = data.generate(data.CorpusConfig(n_records=200, latent_dim=4), 0)
 model = AlignmentModel.build(0, corpus.config.view_dims, hidden_dim=8, embed_dim=4)
-items = model.encode(Modality.MOD_A, corpus.test.views[Modality.MOD_A])
-prompts = {0: items, 1: model.encode(Modality.TEXT, corpus.test.text[:, 0])}
+test = corpus.test
+items = model.encode(Modality.MOD_A, test.views[Modality.MOD_A][test.calls_for(Modality.MOD_A)])
+prompts = {0: items, 1: model.encode(Modality.TEXT, test.text[test.calls_for(Modality.TEXT), 0])}
 names = {}
 for kind in spans.KINDS:
     tracer.spans.clear()

@@ -4,8 +4,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +100,20 @@ def set_cell(column, row, value):
         return joined(columns)
 
     return edit
+
+
+def corpus_and_probe_digests() -> tuple[str, str]:
+    """sha256 of every column of ``generate(CorpusConfig(), 7)`` and of its
+    prompts, and of one BLAS matrix-vector product, which tells BLAS kernels apart."""
+    corpus, digest = generate(CorpusConfig(), 7), hashlib.sha256()
+    for split in corpus.splits.values():
+        for column in split._columns():
+            digest.update(np.ascontiguousarray(column))
+    prompts = synth_text_prompts(corpus, 6, rng=np.random.default_rng(0))
+    for label in sorted(prompts):
+        digest.update(prompts[label])
+    probe = corpus.latent.projections[A] @ corpus.train.concept[0]
+    return digest.hexdigest(), hashlib.sha256(probe).hexdigest()
 
 
 def first_row(modality, called_for):
@@ -464,7 +482,7 @@ class TestSerialization:
             (lambda m: m["config"].update(n_record=5), "bad corpus config: unknown corpus key"),
             (
                 lambda m: m["config"].update(projection_seeds={**DEFAULT_PROJECTION_SEEDS, "mod_b": 7}),
-                "bad corpus config: projection_seeds",
+                re.escape("bad corpus config: unknown corpus key(s): projection_seeds"),
             ),
         ],
         ids=["v1_format", "v2_format", "no_format", "unknown_config_key", "other_projection_seeds"],
@@ -499,21 +517,6 @@ class TestSerialization:
         path.write_bytes(edited if isinstance(edited, bytes) else json.dumps(edited).encode())
         with pytest.raises(CorpusFormatError, match=f"manifest.json.*{re.escape(message)}"):
             read_corpus(tmp_path / "m")
-
-    def test_manifest_with_retired_keys_reads_back(self, corpus, tmp_path):
-        # The shape written before holdout_pair, class_weights and projection_seeds
-        # left the corpus config, each at its default.
-        write_corpus(corpus, tmp_path / "old")
-        path = tmp_path / "old" / "manifest.json"
-        manifest = json.loads(path.read_text())
-        manifest["config"].update(
-            holdout_pair=["mod_a", "mod_c"], class_weights=None, projection_seeds=DEFAULT_PROJECTION_SEEDS
-        )
-        path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-        again = read_corpus(tmp_path / "old")
-        assert again == corpus
-        for m in Modality:
-            np.testing.assert_array_equal(again.latent.projections[m], corpus.latent.projections[m])
 
     def test_floats_blob_layout(self, corpus, tmp_path):
         # A split file is its columns back to back, little-endian, with NaN in
@@ -556,20 +559,49 @@ class TestSerialization:
         assert read_corpus(tmp_path / "w") == corpus
 
     def test_default_split_files_match_pinned_sha256(self, tmp_path):
-        # Taken from the first writer of format probalign-corpus-v3; the default
-        # (cluster) corpus must stay byte-identical.
+        # Taken from the first writer whose corpus no BLAS kernel takes part in;
+        # the default (cluster) corpus must stay byte-identical on every machine.
         write_corpus(generate(CorpusConfig(n_records=200), seed=3), tmp_path / "pin")
         digests = {s: hashlib.sha256((tmp_path / "pin" / f"{s}.bin").read_bytes()).hexdigest() for s in SPLITS}
         assert digests == {
-            "train": "88dc76a4b700ecff6e1ef3eca33a732e0a7fbedd0e93c776a59971944c574c3d",
-            "valid": "96d3ba9cbbd955e22b7e247cdc49abb15782e84045684bc0011a9aec96110af0",
-            "test": "bcade5f944d3e261ba8e8d897bfb2e529da0765ee7bbd3dc71c780a6bed61268",
+            "train": "fa364842a0f79396d15ef5a27029472d992294741bc4793d7fb86bf664182ae1",
+            "valid": "5571d374bc6916256c1922dd0aebb1de2b8cb74f0f9b1aae147987d39605efa7",
+            "test": "0808203bed724c9525142e3c2169168becc3aa4893a7c25aeb2663271cf3d199",
         }
 
     def test_missing_manifest(self, tmp_path):
         (tmp_path / "nothing").mkdir()
         with pytest.raises(CorpusFormatError, match="manifest"):
             read_corpus(tmp_path / "nothing")
+
+
+class TestNoBlas:
+    """Generation calls no BLAS routine, so its bits do not depend on the kernel."""
+
+    @pytest.mark.parametrize("n,k,dim", [(0, 3, 4), (7, 1, 5), (200, 16, 48)])
+    def test_project_matches_the_matrix_product(self, n, k, dim):
+        rng = np.random.default_rng(n)
+        latent, proj = rng.normal(size=(n, k)), rng.normal(size=(dim, k))
+        np.testing.assert_allclose(data._project(latent, proj), latent @ proj.T, rtol=1e-12, atol=1e-13)
+
+    def test_corpus_and_prompts_do_not_depend_on_the_blas_kernel(self):
+        # OPENBLAS_CORETYPE picks the kernel of an OpenBLAS built with DYNAMIC_ARCH,
+        # as numpy's wheels are, and acts only on the child process.
+        src, tests = Path(data.__file__).resolve().parents[1], Path(__file__).resolve().parent
+        path = os.pathsep.join(filter(None, [str(src), str(tests), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import test_data; print(*test_data.corpus_and_probe_digests())"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": "Prescott"},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        child_corpus, child_probe = proc.stdout.split()
+        here_corpus, here_probe = corpus_and_probe_digests()
+        if child_probe == here_probe:
+            pytest.skip("OPENBLAS_CORETYPE=Prescott did not change the BLAS kernel's rounding")
+        assert child_corpus == here_corpus
 
 
 class TestSplitIndex:
@@ -741,23 +773,6 @@ class TestComplementaryCorpus:
         assert again == comp and sum(manifest["counts"].values()) == n_records
         for modality, proj in comp.latent.projections.items():
             np.testing.assert_array_equal(again.latent.projections[modality], proj)
-
-    @pytest.mark.parametrize("rule", ["sum_sign", "cluster"])
-    def test_manifest_with_top_level_rule_reads_back(self, tmp_path, rule):
-        # The shape written before the label rule was a config field: the rule
-        # at the manifest's top level, none in the config.
-        cfg = complementary_config(50) if rule == "sum_sign" else SMALL
-        comp = generate(cfg, seed=9)
-        write_corpus(comp, tmp_path / "old")
-        path = tmp_path / "old" / "manifest.json"
-        manifest = json.loads(path.read_text())
-        manifest["label_rule"] = manifest["config"].pop("label_rule")
-        path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-        again = read_corpus(tmp_path / "old")
-        assert again.config.label_rule == rule
-        assert again == comp
-        pa, pb = again.latent.projections[A], again.latent.projections[B]
-        assert (np.all(pa[:, 1] == 0.0) and np.all(pb[:, 0] == 0.0)) == (rule == "sum_sign")
 
 
 class TestPrompts:

@@ -29,7 +29,7 @@ from probalign.evaluation import (
     tied_ranks,
     zero_shot,
 )
-from probalign.evaluation import _class_auroc, _sample_rows, _select_support
+from probalign.evaluation import _sample_rows, _select_support
 from probalign.gaussians import GaussianEmbedding, SimilarityKind, sample
 
 import zero_shot_lists
@@ -102,7 +102,7 @@ def few_shot_one_rng(train_items, train_labels, test_items, test_labels, k_shot,
             y.extend([class_index[int(train_labels[idx])]] * n_samples)
         x, y = np.vstack(rows), np.array(y)
     w = logistic_probe_loop(x, y, len(classes))
-    return _class_auroc(probe_scores_loop(w, mu_test), test_labels, classes)
+    return macro_ovr_auroc(probe_scores_loop(w, mu_test), test_labels, classes)
 
 
 def rows_of(items, calls=None):
@@ -408,7 +408,7 @@ class TestZeroShotEqualsListForm:
         ]
         fused = 0.5 * (scores[0] + scores[1]) if fusion == "mean" else np.maximum(*scores)
         names = ["mod_a", "mod_b", "both"]
-        assert out["zs"] == {n: _class_auroc(s, labels[30:], [0, 1, 2]) for n, s in zip(names, [*scores, fused])}
+        assert out["zs"] == {n: macro_ovr_auroc(s, labels[30:], [0, 1, 2]) for n, s in zip(names, [*scores, fused])}
 
 
 class TestFewShot:
@@ -603,14 +603,14 @@ class TestMultimodal:
             ["mod_a", "mod_b", "both"], [*mu_train, np.hstack(mu_train)], [*mu_test, np.hstack(mu_test)]
         ):
             w = logistic_probe_loop(x_train[support], labels[:half][support], 3)
-            want[name] = _class_auroc(probe_scores_loop(w, x_test), labels[half:], [0, 1, 2])
+            want[name] = macro_ovr_auroc(probe_scores_loop(w, x_test), labels[half:], [0, 1, 2])
         assert out["fs"] == want
 
     @pytest.mark.parametrize("n_classes,k_shot", [(2, 4), (8, 3)])
     def test_few_shot_half_equals_one_support_draw(self, model, n_classes, k_shot):
         # fs_mod_a, fs_mod_b and fs_both all fit the support rows of one draw
-        # from the generator passed in: the binary AUROC at 2 classes, the
-        # macro one-vs-rest at 8.
+        # from the generator passed in; each scored by the macro one-vs-rest
+        # AUROC, at 2 classes as at 8.
         rng = np.random.default_rng(25)
         n = 20 * n_classes
         labels = np.arange(n) % n_classes
@@ -631,7 +631,7 @@ class TestMultimodal:
             ["mod_a", "mod_b", "both"], [*mu_train, np.hstack(mu_train)], [*mu_test, np.hstack(mu_test)]
         ):
             w = logistic_probe(x_train, labels[:half][support], n_classes)
-            want[name] = _class_auroc(probe_scores(w, x_test), labels[half:], classes)
+            want[name] = macro_ovr_auroc(probe_scores(w, x_test), labels[half:], classes)
         assert out["fs"] == want
 
     def test_k_shot_below_1_rejected(self, model):
