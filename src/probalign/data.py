@@ -139,6 +139,9 @@ class CorpusConfig:
             raise ValueError(f"CorpusConfig: label_rule must be 'cluster' or 'sum_sign', not {self.label_rule!r}")
         if self.label_rule == "sum_sign" and not (self.n_classes == 2 and self.latent_dim >= 2):
             raise ValueError("CorpusConfig: label_rule 'sum_sign' needs n_classes 2 and latent_dim >= 2")
+        if self.label_rule == "sum_sign" and self.cluster_std == 0:
+            # Every concept would be 0, and so every label.
+            raise ValueError(f"CorpusConfig: label_rule 'sum_sign' needs cluster_std > 0, got {self.cluster_std!r}")
 
 
 FEATURE_MODALITIES = tuple(m for m in Modality if m is not Modality.TEXT)

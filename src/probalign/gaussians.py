@@ -26,13 +26,17 @@ S as soon as it is reduced, so S is the only |A| x |B| array it allocates.
 matmul. ``pairwise_similarity_arrays`` finishes those arrays with numpy for
 evaluation, and ``pairwise_similarity_graph`` wraps each in one
 :mod:`probalign.autodiff` node with an analytic backward for training, so the
-two routes share their forward values.
+two routes share their forward values. ``LogAffinityPairs`` is the pairs
+entry of the same per-term code, for retrieval: it scores chosen pairs, equal
+to the matrix's entries bit for bit, and bounds whole rows of S from above,
+so a ranking can skip the pairs that cannot outrank its match.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +55,12 @@ _H2_FLOOR = 1e-12
 # float64 block buffer, so the kernel's two buffers fit one core's L2 cache.
 # No result depends on it.
 AFFINITY_TERMS = 32768
+
+# Multiply-adds per gemm call of LogAffinityPairs.bound: OpenBLAS runs a gemm
+# of at most 65536 * 4 on the calling thread. On 2 vCPUs, 71 x 32 x 918 gemms
+# that it split over two threads had a p99 of 15 ms against a p50 of 0.1 ms;
+# 8-row calls (under this size) a p99 of 0.25 ms. No result depends on it.
+SERIAL_GEMM = 262144
 
 
 class SimilarityKind(str, Enum):
@@ -179,13 +189,43 @@ def _variances(log_var: np.ndarray) -> np.ndarray:
     return np.maximum(np.exp(log_var), VAR_FLOOR)
 
 
+def _row_terms(log_var: np.ndarray) -> np.ndarray:
+    """1/4 sum_o ln var_o of each row: the separable part of S."""
+    return 0.25 * np.einsum("io->i", log_var)
+
+
+def _sum_terms(m, dm, log_m, quad, log_sum, quad_sum) -> None:
+    """S's per-dimension terms, summed over the last axis: log_sum = sum ln m and
+    quad_sum = sum dm^2 / m, from m = half_a + half_b and dm = mu_a - mu_b.
+
+    Fills log_m = ln m and quad = dm^2 / m on the way; they may be ``m`` and
+    ``dm`` themselves when the terms need not be kept. The matrix kernel and
+    the pairs entry both go through here, so a pair gets the same bits
+    whichever computes it.
+    """
+    np.multiply(dm, dm, out=quad)
+    np.divide(quad, m, out=quad)
+    np.log(m, out=log_m)
+    np.einsum("...o->...", log_m, out=log_sum)
+    np.einsum("...o->...", quad, out=quad_sum)
+
+
 def _finish_log_affinity(log_sum, quad_sum, row_a, row_b) -> None:
     """S = -1/2 log_sum + row_a + row_b - 1/8 quad_sum, in place in ``log_sum``."""
     log_sum *= -0.5
-    log_sum += row_a[:, None]
-    log_sum += row_b[None, :]
+    log_sum += row_a
+    log_sum += row_b
     quad_sum *= 0.125
     log_sum -= quad_sum
+
+
+def _hellinger_from_log_affinity(out: np.ndarray) -> None:
+    """1 - sqrt(H^2) with H^2 = max(1 - e^S, 0), in place; nondecreasing in S."""
+    np.exp(out, out=out)
+    np.subtract(1.0, out, out=out)
+    np.maximum(out, 0.0, out=out)
+    np.sqrt(out, out=out)
+    np.subtract(1.0, out, out=out)
 
 
 def _log_affinity(
@@ -220,8 +260,7 @@ def _log_affinity(
     n, d = mu_a.shape
     cols = mu_b.shape[0]
     half_a, half_b = 0.5 * va, 0.5 * vb
-    row_a = 0.25 * np.einsum("io->i", np.log(va))
-    row_b = 0.25 * np.einsum("io->i", np.log(vb))
+    row_a, row_b = _row_terms(np.log(va)), _row_terms(np.log(vb))
     rows = max(1, min(n, AFFINITY_TERMS // max(1, cols * d)))
     block = (rows, cols, d)
     log_sum = np.empty((n, cols))
@@ -238,16 +277,11 @@ def _log_affinity(
         m, dm = mean_var[at], diff[at]
         np.add(half_a[start:stop, None, :], half_b[None, :, :], out=m)
         np.subtract(mu_a[start:stop, None, :], mu_b[None, :, :], out=dm)
-        lm, q = log_m[: stop - start], quad[: stop - start]
-        np.multiply(dm, dm, out=q)
-        np.divide(q, m, out=q)
-        np.log(m, out=lm)
-        np.einsum("ijo->ij", lm, out=log_sum[start:stop])
-        np.einsum("ijo->ij", q, out=quad_sum[at])
+        _sum_terms(m, dm, log_m[: stop - start], quad[: stop - start], log_sum[start:stop], quad_sum[at])
         if not keep_terms:
-            _finish_log_affinity(log_sum[start:stop], quad_sum[at], row_a[start:stop], row_b)
+            _finish_log_affinity(log_sum[start:stop], quad_sum[at], row_a[start:stop, None], row_b)
     if keep_terms:
-        _finish_log_affinity(log_sum, quad_sum, row_a, row_b)
+        _finish_log_affinity(log_sum, quad_sum, row_a[:, None], row_b)
         return log_sum, mean_var, diff
     return log_sum
 
@@ -295,13 +329,104 @@ def pairwise_similarity_arrays(
         return out
     out = _log_affinity(mu_a, va, mu_b, vb)
     if kind is SimilarityKind.HELLINGER:
-        # 1 - sqrt(H^2) with H^2 = max(1 - e^S, 0), in place.
-        np.exp(out, out=out)
-        np.subtract(1.0, out, out=out)
-        np.maximum(out, 0.0, out=out)
-        np.sqrt(out, out=out)
-        np.subtract(1.0, out, out=out)
+        _hellinger_from_log_affinity(out)
     return out
+
+
+class _Rows(NamedTuple):
+    """Per-row operands of one side of :class:`LogAffinityPairs`."""
+
+    mu: np.ndarray
+    half: np.ndarray  # half the floored variance, as _log_affinity adds it
+    row: np.ndarray  # 1/4 sum ln var, as _log_affinity forms it
+    scaled_norm2: np.ndarray  # -(1 - 4 tol) |mu|^2
+    spread: np.ndarray  # 4 max_o var_o
+    slack: np.ndarray  # tol sum |ln var|, plus tol on one side
+
+
+class LogAffinityPairs:
+    """Hellinger or Bhattacharyya similarities of chosen (a_i, b_j) pairs, and
+    upper bounds on whole rows of them, without the |A| x |B| matrix.
+
+    ``similarity(rows, cols)`` scores the pairs (rows[p], cols[p]) through the
+    per-term code of :func:`_log_affinity`, ``chunk`` pairs (at most
+    AFFINITY_TERMS terms) at a time, so each value is the matching entry of
+    :func:`pairwise_similarity_arrays` bit for bit.
+
+    ``bound(block)`` is at least the similarity that ``similarity`` computes
+    for every pair of the rows in ``block``. It rests on
+
+        S_ij <= U_ij = -|mua_i - mub_j|^2 / (4 (max_o va_io + max_o vb_jo)),
+
+    as the log terms sum to at most 0 (AM-GM) and no m_o exceeds half the
+    denominator's sum. |mua_i - mub_j|^2 comes from a matmul, in calls of at
+    most SERIAL_GEMM multiply-adds. A margin covers the rounding of S and of U, with tol = 8 eps (d + 8):
+
+        tol (4 (|mua_i|^2 + |mub_j|^2) / (4 (max va + max vb)) + 1 + sum |ln va_i| + sum |ln vb_j|),
+
+    several times the worst-case error of the sums of d terms. U plus the
+    margin then goes through the kind's similarity, nondecreasing in S.
+    """
+
+    def __init__(self, mu_a, lv_a, mu_b, lv_b, kind: SimilarityKind):
+        kind = SimilarityKind(kind)
+        if kind not in (SimilarityKind.HELLINGER, SimilarityKind.BHATTACHARYYA):
+            raise ValueError(f"LogAffinityPairs: {kind.value} is not a log-affinity similarity")
+        self.kind = kind
+        d = mu_a.shape[1]
+        self.tol = 8.0 * np.finfo(np.float64).eps * (d + 8)
+        self.chunk = max(1, AFFINITY_TERMS // max(1, d))
+        self.a, self.b = self._rows(mu_a, lv_a, 1.0), self._rows(mu_b, lv_b, 0.0)
+
+    def _rows(self, mu, lv, slack) -> _Rows:
+        var = _variances(lv)
+        log_var = np.log(var)
+        return _Rows(
+            mu,
+            0.5 * var,
+            _row_terms(log_var),
+            (4.0 * self.tol - 1.0) * np.einsum("io,io->i", mu, mu),
+            4.0 * var.max(axis=1),
+            self.tol * (slack + np.abs(log_var).sum(axis=1)),
+        )
+
+    def similarity(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        a, b = self.a, self.b
+        out = np.empty(len(rows))
+        m, dm, other = (np.empty((min(self.chunk, len(rows)), a.mu.shape[1])) for _ in range(3))
+        quad_sum = np.empty(len(m))
+        for start in range(0, len(rows), self.chunk):
+            r, c = rows[start : start + self.chunk], cols[start : start + self.chunk]
+            k, s = len(r), out[start : start + self.chunk]
+            # m = half_a + half_b and dm = mu_a - mu_b as in _log_affinity, on gathered rows.
+            np.take(a.half, r, axis=0, out=m[:k], mode="clip")
+            np.add(m[:k], np.take(b.half, c, axis=0, out=other[:k], mode="clip"), out=m[:k])
+            np.take(a.mu, r, axis=0, out=dm[:k], mode="clip")
+            np.subtract(dm[:k], np.take(b.mu, c, axis=0, out=other[:k], mode="clip"), out=dm[:k])
+            _sum_terms(m[:k], dm[:k], m[:k], dm[:k], s, quad_sum[:k])
+            _finish_log_affinity(s, quad_sum[:k], a.row[r], b.row[c])
+        if self.kind is SimilarityKind.HELLINGER:
+            _hellinger_from_log_affinity(out)
+        return out
+
+    def bound(self, block: slice) -> np.ndarray:
+        a, b = self.a, self.b
+        # 2 mua.mub - (1 - 4 tol)(|mua|^2 + |mub|^2) = 4 tol (|mua|^2 + |mub|^2) - |mua - mub|^2
+        twice_a, mu_bt = 2.0 * a.mu[block], b.mu.T
+        out = np.empty((len(twice_a), len(b.mu)))
+        step = max(1, SERIAL_GEMM // max(1, mu_bt.size))
+        for start in range(0, len(twice_a), step):
+            np.matmul(twice_a[start : start + step], mu_bt, out=out[start : start + step])
+        out += a.scaled_norm2[block, None]
+        out += b.scaled_norm2[None, :]
+        out /= np.add(a.spread[block, None], b.spread[None, :])
+        out += a.slack[block, None]
+        out += b.slack[None, :]
+        if self.kind is SimilarityKind.HELLINGER:
+            # Every S >= 0 maps to similarity 1; clipping keeps e^S finite.
+            np.minimum(out, 0.0, out=out)
+            _hellinger_from_log_affinity(out)
+        return out
 
 
 # -- batched similarities (autodiff route) -------------------------------------

@@ -28,6 +28,9 @@ from .encoders import (
     model_from_document,
     save_checkpoint,
 )
+from .evaluation import retrieval_recall
+
+# ``pairwise_similarity_arrays`` is unused here; perfbench/spans.py wraps it here.
 from .gaussians import GaussianBatch, SimilarityKind, pairwise_similarity_arrays
 from .losses import LossWeights, pair_loss
 
@@ -183,9 +186,11 @@ def validation_retrieval(
     ks: tuple[int, ...] = (1, 5),
     max_gallery: int = 1000,
 ) -> dict:
-    """Text->modality recall for each text pair; queries are first variants."""
-    from .evaluation import recall_at_k
+    """Text->modality recall for each text pair; queries are first variants.
 
+    Each task ranks its gallery with :func:`~probalign.evaluation.retrieval_recall`:
+    the recalls of the |pool| x |pool| similarity matrix, which is never formed.
+    """
     out = {"rsum": 0.0, "tasks": {}}
     for pair in TRAINABLE_PAIRS:
         if Modality.TEXT not in pair:
@@ -196,8 +201,7 @@ def validation_retrieval(
             continue
         mu_q, lv_q = model.encode(Modality.TEXT, split.text[pool, 0])
         mu_g, lv_g = model.encode(modality, split.views[modality][pool])
-        sim = pairwise_similarity_arrays(mu_q, lv_q, mu_g, lv_g, kind)
-        recall = recall_at_k(sim, list(range(len(pool))), list(ks))
+        recall = retrieval_recall(mu_q, lv_q, mu_g, lv_g, kind, np.arange(len(pool)), ks)
         out["tasks"][f"text->{modality.value}"] = {f"r@{k}": recall[k] for k in ks}
         out["rsum"] += sum(recall.values())
     return out

@@ -37,9 +37,10 @@ for kind in spans.KINDS:
     tracer.spans.clear()
     evaluation.score_prototypes(items, prompts, kind)
     names["score_prototypes." + kind] = [span[0] for span in tracer.spans]
-tracer.spans.clear()
-training.validation_retrieval(model, corpus.train, "csd")
-names["validation_retrieval"] = [span[0] for span in tracer.spans]
+for kind in ("csd", "hellinger"):
+    tracer.spans.clear()
+    training.validation_retrieval(model, corpus.train, kind)
+    names["validation_retrieval." + kind] = [span[0] for span in tracer.spans]
 print(json.dumps(names))
 """
 
@@ -109,10 +110,14 @@ def test_evaluation_calls_record_kind_and_eval_spans():
     names = json.loads(proc.stdout)
     for kind in ("hellinger", "bhattacharyya", "csd", "cosine"):
         assert f"gaussians.pairwise_similarity_arrays.{kind}" in names[f"score_prototypes.{kind}"]
-    recorded = names["validation_retrieval"]
-    assert "training.validation_retrieval" in recorded
-    assert "gaussians.pairwise_similarity_arrays.csd" in recorded
-    assert "encoders.encode.eval" in recorded and "encoders.encode.train" not in recorded
+    for kind in ("csd", "hellinger"):
+        recorded = names["validation_retrieval." + kind]
+        assert "training.validation_retrieval" in recorded
+        assert "encoders.encode.eval" in recorded and "encoders.encode.train" not in recorded
+    # csd ranks blocks of its similarity matrix through the wrapped name; Hellinger
+    # scores only the pairs that can outrank the match, outside it.
+    assert "gaussians.pairwise_similarity_arrays.csd" in names["validation_retrieval.csd"]
+    assert not any(n.startswith("gaussians.pairwise_similarity_arrays") for n in names["validation_retrieval.hellinger"])
 
 
 def test_pair_loss_graph_node_counts_are_unchanged():

@@ -1031,6 +1031,8 @@ class TestSeedAndSections:
             (GEN, {"corpus": {"view_dims": {"mod_a": 2.5, "mod_b": "40"}}},
              "view dims must be integers, got mod_a 2.5, mod_b '40'"),
             (GEN, {"corpus": {"cluster_std": -1}}, "CorpusConfig: cluster_std must be a number >= 0, got -1"),
+            (GEN, {"corpus": {"label_rule": "sum_sign", "n_classes": 2, "cluster_std": 0}},
+             "CorpusConfig: label_rule 'sum_sign' needs cluster_std > 0, got 0"),
             (TRAIN, {"train": {"batch_size": 8.5}}, "TrainConfig: batch_size must be an integer, got 8.5"),
             (TRAIN, {"train": {"hidden_dim": 8.5}}, "TrainConfig: hidden_dim must be an integer, got 8.5"),
             (EVAL, {"format": "probalign-checkpoint-v1"}, "checkpoint: no 'encoders' entry"),
@@ -1084,7 +1086,7 @@ class TestSeedAndSections:
             "list-loss-weights-no-sis", "list-paths", "number-corpus-path", "list-checkpoint",
             "string-checkpoint", "null-checkpoint", "string-n-records", "float-n-records",
             "float-text-variants", "number-pair-probs", "number-split-fractions", "null-view-dim",
-            "mistyped-view-dims", "negative-cluster-std", "float-batch-size", "float-hidden-dim",
+            "mistyped-view-dims", "negative-cluster-std", "sum-sign-zero-cluster-std", "float-batch-size", "float-hidden-dim",
             "checkpoint-without-encoders", "encoder-without-hidden-dim", "checkpoint-with-no-encoder",
             "bool-noise-scale", "string-pair-prob", "directory-config", "directory-checkpoint",
             "gen-file-out", "train-file-out", "eval-file-out", "verify-file-out", "bool-lr",

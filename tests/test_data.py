@@ -187,8 +187,9 @@ class TestConfig:
         [
             ({"n_classes": 3}, "n_classes 2"),
             ({"latent_dim": 1}, "latent_dim >= 2"),
+            ({"cluster_std": 0.0}, "label_rule 'sum_sign' needs cluster_std > 0, got 0.0"),
         ],
-        ids=["three-classes", "one-factor"],
+        ids=["three-classes", "one-factor", "no-spread"],
     )
     def test_invalid_sum_sign_config_rejected(self, change, message):
         with pytest.raises(ValueError, match=message):

@@ -1,6 +1,7 @@
 """Metric and protocol mechanics: retrieval ranks, AUROC, prototypes, probes."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,14 +25,17 @@ from probalign.evaluation import (
     probe_scores,
     prompt_uncertainty,
     recall_at_k,
+    retrieval_recall,
     score_prototypes,
     spearman,
     tied_ranks,
     zero_shot,
 )
 from probalign.evaluation import _sample_rows, _select_support
-from probalign.gaussians import GaussianEmbedding, SimilarityKind, sample
+from probalign import evaluation
+from probalign.gaussians import GaussianEmbedding, SimilarityKind, pairwise_similarity_arrays, sample
 
+import retrieval_cases
 import zero_shot_lists
 
 
@@ -194,6 +198,70 @@ class TestRecallAtK:
         values = list(result.values())
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert result[30] == 100.0
+
+
+RETRIEVAL_CASES = retrieval_cases.cases()
+
+
+class TestRetrievalRecall:
+    """The blocked exact ranking against recall_at_k over the whole similarity matrix."""
+
+    @pytest.mark.parametrize("kind", list(SimilarityKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("case", sorted(RETRIEVAL_CASES))
+    @pytest.mark.parametrize("entries,probe", [(None, None), (40, 0.2)], ids=["default-blocks", "1-row-blocks-short-probe"])
+    def test_equals_recall_over_the_matrix(self, monkeypatch, kind, case, entries, probe):
+        # The second setting makes one row per block (no gallery here exceeds
+        # 40 items) and a probe shorter than max(ks), so most queries score the rest.
+        if entries is not None:
+            monkeypatch.setattr(evaluation, "RANK_ENTRIES", entries)
+            monkeypatch.setattr(evaluation, "RANK_PROBE", probe)
+        mu_q, lv_q, mu_g, lv_g, gt, ks = RETRIEVAL_CASES[case]
+        expect = recall_at_k(pairwise_similarity_arrays(mu_q, lv_q, mu_g, lv_g, kind), gt, ks)
+        assert retrieval_recall(mu_q, lv_q, mu_g, lv_g, kind, gt, ks) == expect
+
+    def test_cases_hold_the_ties_they_name(self):
+        hell = SimilarityKind.HELLINGER
+        mu_q, lv_q, mu_g, lv_g, gt, _ = RETRIEVAL_CASES["identical-pairs"]
+        sim = pairwise_similarity_arrays(mu_q, lv_q, mu_g, lv_g, SimilarityKind.BHATTACHARYYA)
+        assert np.all(sim[np.arange(len(gt)), gt] == 0.0) and np.all((sim == 0.0).sum(axis=1) >= 2)
+        mu_q, lv_q, mu_g, lv_g, gt, ks = RETRIEVAL_CASES["saturated"]
+        assert np.all(pairwise_similarity_arrays(mu_q, lv_q, mu_g, lv_g, hell) == 0.0)
+        assert retrieval_recall(mu_q, lv_q, mu_g, lv_g, hell, gt, ks) == {k: 100.0 * np.mean(gt < k) for k in ks}
+        for kind in (SimilarityKind.COSINE, SimilarityKind.CSD):
+            mu_q, lv_q, mu_g, lv_g, _, _ = RETRIEVAL_CASES["duplicated-gallery"]
+            sim = pairwise_similarity_arrays(mu_q, lv_q, mu_g, lv_g, kind)
+            assert all(len(np.unique(row)) <= 8 for row in sim), kind.value
+
+    @pytest.mark.parametrize("kind", list(SimilarityKind), ids=lambda k: k.value)
+    def test_peak_memory_below_the_matrix(self, kind):
+        # Row blocks keep every temporary well under the 600 x 600 float64
+        # matrix that recall_at_k would rank, so a fallback to it fails here.
+        rng = np.random.default_rng(15)
+        mu_q, lv_q = rng.normal(size=(600, 32)), rng.uniform(-3, 0, (600, 32))
+        mu_g, lv_g = mu_q + rng.normal(size=(600, 32)), rng.uniform(-3, 0, (600, 32))
+        tracemalloc.start()
+        try:
+            retrieval_recall(mu_q, lv_q, mu_g, lv_g, kind, np.arange(600), (1, 5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 600 * 600 * 8, f"peak {peak / (600 * 600 * 8):.2f}x the matrix"
+
+    @pytest.mark.parametrize(
+        "gt,ks,message",
+        [
+            ([0, 1], [1], "need one ground-truth index per query"),
+            ([0, 1, 3], [1], r"ground-truth indices must lie in \[0, 3\)"),
+            ([0, 1, 2], [4], "K must lie"),
+        ],
+        ids=["short-ground-truth", "past-the-gallery", "k-past-the-gallery"],
+    )
+    def test_rejects_what_recall_at_k_rejects(self, gt, ks, message):
+        mu, lv = np.eye(3), np.zeros((3, 3))
+        with pytest.raises(ValueError, match=message):
+            recall_at_k(pairwise_similarity_arrays(mu, lv, mu, lv, SimilarityKind.HELLINGER), gt, ks)
+        with pytest.raises(ValueError, match="retrieval_recall: " + message):
+            retrieval_recall(mu, lv, mu, lv, SimilarityKind.HELLINGER, gt, ks)
 
 
 class TestAuroc:

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from composed_graph import composed_similarity_graph
+import retrieval_cases
 
 import probalign.autodiff as ad
 from probalign import gaussians
@@ -23,6 +24,7 @@ from probalign.gaussians import (
     VAR_FLOOR,
     GaussianBatch,
     GaussianEmbedding,
+    LogAffinityPairs,
     SimilarityKind,
     _log_affinity,
     _log_affinity_op,
@@ -310,6 +312,62 @@ class TestPairwise:
         assert np.all(np.diag(bhatt) == 0.0)
         assert np.all(np.diag(hell) == 1.0)
         assert np.all(bhatt <= 0.0) and np.all((hell >= 0.0) & (hell <= 1.0))
+
+
+LOG_AFFINITY_KINDS = (SimilarityKind.HELLINGER, SimilarityKind.BHATTACHARYYA)
+RETRIEVAL_CASES = retrieval_cases.cases()
+
+
+class TestLogAffinityPairs:
+    """The pairs entry and the row bound used by the exact retrieval ranking."""
+
+    @pytest.mark.parametrize("kind", LOG_AFFINITY_KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("d", [1, 3, 32, 33, 128])
+    def test_pairs_equal_the_matrix_bit_for_bit(self, kind, d):
+        # Every pair, in a shuffled order, through chunks that end off the row
+        # boundaries: each value is the matrix kernel's entry, bit for bit.
+        rng = np.random.default_rng(d)
+        mu_a, lv_a = rng.normal(size=(23, d)), rng.uniform(-3, 3, (23, d))
+        mu_b, lv_b = rng.normal(size=(29, d)), rng.uniform(-3, 3, (29, d))
+        matrix = pairwise_similarity_arrays(mu_a, lv_a, mu_b, lv_b, kind)
+        order = rng.permutation(matrix.size)
+        rows, cols = np.divmod(order, 29)
+        pairs = LogAffinityPairs(mu_a, lv_a, mu_b, lv_b, kind)
+        assert pairs.chunk * d <= gaussians.AFFINITY_TERMS
+        assert pairs.similarity(rows, cols).tobytes() == matrix.ravel()[order].tobytes()
+
+    @pytest.mark.parametrize("kind", LOG_AFFINITY_KINDS, ids=lambda k: k.value)
+    @pytest.mark.parametrize("case", sorted(RETRIEVAL_CASES))
+    def test_bound_covers_every_pair(self, kind, case):
+        mu_a, lv_a, mu_b, lv_b, _, _ = RETRIEVAL_CASES[case]
+        matrix = pairwise_similarity_arrays(mu_a, lv_a, mu_b, lv_b, kind)
+        pairs = LogAffinityPairs(mu_a, lv_a, mu_b, lv_b, kind)
+        bound = np.vstack([pairs.bound(slice(s, s + 7)) for s in range(0, len(mu_a), 7)])
+        assert np.all(bound >= matrix)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.floats(min_value=-4.0, max_value=3.0),
+        st.floats(min_value=-40.0, max_value=3.0),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_bound_holds_across_scales(self, d, log10_scale, lv_center, seed):
+        # Means from 1e-4 to 1e3 and log-variances down to far below the floor,
+        # with near-duplicate pairs, where the bound is nearly tight.
+        rng = np.random.default_rng(seed)
+        mu_a = 10.0**log10_scale * rng.normal(size=(6, d))
+        mu_b = np.vstack([mu_a + 1e-3 * 10.0**log10_scale * rng.normal(size=(6, d)), mu_a])
+        lv_a = lv_center + rng.uniform(-1, 1, (6, d))
+        lv_b = np.vstack([lv_a, lv_center + rng.uniform(-1, 1, (6, d))])
+        for kind in LOG_AFFINITY_KINDS:
+            pairs = LogAffinityPairs(mu_a, lv_a, mu_b, lv_b, kind)
+            assert np.all(pairs.bound(slice(0, 6)) >= pairwise_similarity_arrays(mu_a, lv_a, mu_b, lv_b, kind))
+
+    @pytest.mark.parametrize("kind", [SimilarityKind.COSINE, SimilarityKind.CSD], ids=lambda k: k.value)
+    def test_other_kinds_rejected(self, kind):
+        with pytest.raises(ValueError, match="not a log-affinity similarity"):
+            LogAffinityPairs(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)), kind)
 
 
 class TestFusedOps:
