@@ -79,15 +79,16 @@ class Encoder:
                 f"encode: expected (N, {self.dims.input_dim}) features, got {x.shape}"
             )
         if train:
-            p, h, relu = self.params, ad.constant(x), ad.relu
+            p, h, relu, matmul = self.params, ad.constant(x), ad.relu, ad.matmul
         else:
-            p, h, relu = {name: t.data for name, t in self.params.items()}, x, ad.relu_values
-        h = relu(h @ p["w1"] + p["b1"])
-        h = relu(h @ p["w2"] + p["b2"])
+            p, h = {name: t.data for name, t in self.params.items()}, x
+            relu, matmul = ad.relu_values, ad.matmul_values
+        h = relu(matmul(h, p["w1"]) + p["b1"])
+        h = relu(matmul(h, p["w2"]) + p["b2"])
         if self.bn_enabled:
             h = p["bn_scale"] * self._normalize(h, train) + p["bn_shift"]
-        mu = h @ p["w_mu"] + p["b_mu"]
-        log_var = h @ p["w_lv"] + p["b_lv"]
+        mu = matmul(h, p["w_mu"]) + p["b_mu"]
+        log_var = matmul(h, p["w_lv"]) + p["b_lv"]
         return GaussianBatch(mu, log_var)
 
     def _normalize(self, h, train: bool):

@@ -56,12 +56,6 @@ _H2_FLOOR = 1e-12
 # No result depends on it.
 AFFINITY_TERMS = 32768
 
-# Multiply-adds per gemm call of LogAffinityPairs.bound: OpenBLAS runs a gemm
-# of at most 65536 * 4 on the calling thread. On 2 vCPUs, 71 x 32 x 918 gemms
-# that it split over two threads had a p99 of 15 ms against a p50 of 0.1 ms;
-# 8-row calls (under this size) a p99 of 0.25 ms. No result depends on it.
-SERIAL_GEMM = 262144
-
 
 class SimilarityKind(str, Enum):
     """Which similarity ranks/aligns embedding pairs."""
@@ -254,8 +248,10 @@ def _log_affinity(
     is the only |A| x |B| array allocated. With ``keep_terms`` the blocks
     fill whole (|A|, |B|, D) arrays m and mua - mub, which are returned after
     S for a backward pass to reuse, and S is finished once over the whole
-    matrix. Both routes apply the same operations to each entry in the same
-    order, so S is the same bit for bit, whatever the block size.
+    matrix. Nothing else holds the two term arrays, so the caller owns them:
+    :func:`_log_affinity_op`'s backward overwrites them. Both routes apply the
+    same operations to each entry in the same order, so S is the same bit for
+    bit, whatever the block size.
     """
     n, d = mu_a.shape
     cols = mu_b.shape[0]
@@ -291,7 +287,7 @@ def _csd_distance(mu_a: np.ndarray, va: np.ndarray, mu_b: np.ndarray, vb: np.nda
 
         csd_ij = |mua_i|^2 + |mub_j|^2 - 2 mua_i . mub_j + sum va_i + sum vb_j
     """
-    out = mu_a @ mu_b.T
+    out = ad.matmul_values(mu_a, mu_b.T)
     out *= -2.0
     out += (np.einsum("ij,ij->i", mu_a, mu_a) + va.sum(axis=1))[:, None]
     out += (np.einsum("ij,ij->i", mu_b, mu_b) + vb.sum(axis=1))[None, :]
@@ -320,7 +316,7 @@ def pairwise_similarity_arrays(
         norms_b = np.linalg.norm(mu_b, axis=1, keepdims=True)
         if np.any(norms_a == 0.0) or np.any(norms_b == 0.0):
             raise ValueError("pairwise_similarity_arrays: zero-norm mean vector under cosine")
-        return (mu_a / norms_a) @ (mu_b / norms_b).T
+        return ad.matmul_values(mu_a / norms_a, (mu_b / norms_b).T)
 
     va, vb = _variances(lv_a), _variances(lv_b)
     if kind is SimilarityKind.CSD:
@@ -359,8 +355,9 @@ class LogAffinityPairs:
         S_ij <= U_ij = -|mua_i - mub_j|^2 / (4 (max_o va_io + max_o vb_jo)),
 
     as the log terms sum to at most 0 (AM-GM) and no m_o exceeds half the
-    denominator's sum. |mua_i - mub_j|^2 comes from a matmul, in calls of at
-    most SERIAL_GEMM multiply-adds. A margin covers the rounding of S and of U, with tol = 8 eps (d + 8):
+    denominator's sum. |mua_i - mub_j|^2 comes from one
+    :func:`~probalign.autodiff.matmul_values`. A margin covers the rounding of
+    S and of U, with tol = 8 eps (d + 8):
 
         tol (4 (|mua_i|^2 + |mub_j|^2) / (4 (max va + max vb)) + 1 + sum |ln va_i| + sum |ln vb_j|),
 
@@ -412,11 +409,7 @@ class LogAffinityPairs:
     def bound(self, block: slice) -> np.ndarray:
         a, b = self.a, self.b
         # 2 mua.mub - (1 - 4 tol)(|mua|^2 + |mub|^2) = 4 tol (|mua|^2 + |mub|^2) - |mua - mub|^2
-        twice_a, mu_bt = 2.0 * a.mu[block], b.mu.T
-        out = np.empty((len(twice_a), len(b.mu)))
-        step = max(1, SERIAL_GEMM // max(1, mu_bt.size))
-        for start in range(0, len(twice_a), step):
-            np.matmul(twice_a[start : start + step], mu_bt, out=out[start : start + step])
+        out = ad.matmul_values(2.0 * a.mu[block], b.mu.T)
         out += a.scaled_norm2[block, None]
         out += b.scaled_norm2[None, :]
         out /= np.add(a.spread[block, None], b.spread[None, :])
@@ -464,19 +457,29 @@ def _variance_grad(var: np.ndarray) -> np.ndarray:
 
 
 def _log_affinity_op(a: GaussianBatch, b: GaussianBatch) -> Tensor:
-    """S of :func:`_log_affinity` as one node; backward reuses the forward's (A, B, D) terms."""
+    """S of :func:`_log_affinity` as one node whose backward runs once.
+
+    The backward works in the forward's (A, B, D) terms m and mua - mub,
+    overwriting them, so a training step's backward allocates no (A, B, D)
+    array. A second backward through the node raises RuntimeError: its terms
+    are gone.
+    """
     va, vb = _variances(a.log_var.data), _variances(b.log_var.data)
     value, m, dm = _log_affinity(a.mu.data, va, b.mu.data, vb, keep_terms=True)
+    spent = False
 
     def vjp(g):
         # With r = (mua - mub) / m:  dS/dmua = -r/4,  dS/dmub = r/4,
         # dS/dva = 1/(4 va) + (r^2 - 4/m)/16, and likewise for vb.
-        r = dm / m
-        w = r * r
-        four_over_m = np.reciprocal(m)
-        four_over_m *= 4.0
-        w -= four_over_m
+        nonlocal spent
+        if spent:
+            raise RuntimeError("log-affinity backward runs once: the first overwrote the forward's terms")
+        spent = True
+        r = np.divide(dm, m, out=dm)
+        four_over_m = np.divide(4.0, m, out=m)
         g_r_a, g_r_b = np.einsum("ij,ijo->io", g, r), np.einsum("ij,ijo->jo", g, r)
+        w = np.multiply(r, r, out=r)
+        w -= four_over_m
         g_w_a, g_w_b = np.einsum("ij,ijo->io", g, w), np.einsum("ij,ijo->jo", g, w)
         live_a, live_b = _variance_grad(va), _variance_grad(vb)
         grad_lv_a = live_a * (0.25 * g.sum(axis=1)[:, None] / va + g_w_a / 16.0)

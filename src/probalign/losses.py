@@ -84,7 +84,7 @@ def sis_loss(
     norm = np.sqrt((z * z).sum(axis=-1, keepdims=True))
     zn = z / norm
     # A plain product with a transposed copy, as the graph's matmul computes it.
-    logits = (zn @ zn.T.copy()) * (1.0 / tau)
+    logits = ad.matmul_values(zn, zn.T.copy()) * (1.0 / tau)
 
     idx = np.arange(2 * n)
     sibling = (idx + n) % (2 * n)
@@ -115,7 +115,7 @@ def _sis_backward(g, tau, eps, sigma, zn, norm, softmax, sibling):
     g_logits = softmax * row
     g_logits[np.arange(two_n), sibling] -= row
     g_logits *= 1.0 / tau
-    g_zn = (g_logits + g_logits.T) @ zn
+    g_zn = ad.matmul_values(g_logits + g_logits.T, zn)
     g_z = (g_zn - zn * (g_zn * zn).sum(axis=-1, keepdims=True)) / norm
     g_mu = g_z[:n] + g_z[n:]
     g_lv = 0.5 * sigma * (g_z[:n] * eps[0] + g_z[n:] * eps[1])

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 import probalign.autodiff as ad
-from probalign.autodiff import ShapeError, Tensor, grad_check
+from probalign.autodiff import SERIAL_GEMM, ShapeError, Tensor, grad_check
+from probalign.encoders import EncoderDims, init_encoder
+from probalign.gaussians import GaussianBatch, LogAffinityPairs, SimilarityKind, pairwise_similarity_arrays
+from probalign.losses import sis_loss
 
 
 def rand(rng, shape, low=0.5, high=2.0):
@@ -240,3 +243,84 @@ def test_independent_graphs_do_not_interfere():
     l1.backward()
     np.testing.assert_allclose(x1.grad, [1.0, 2.0])
     np.testing.assert_allclose(x2.grad, 1.5 * np.array([9.0, 16.0]))
+
+
+def encode_1000_rows() -> int:
+    encoder = init_encoder(0, EncoderDims(48, 64, 32), bn_enabled=True)
+    encoder.encode(np.random.default_rng(0).normal(size=(1000, 48)))
+    return 1000 * (48 * 64 + 64 * 64 + 2 * 64 * 32)
+
+
+def sis_loss_at_batch_128() -> int:
+    rng = np.random.default_rng(1)
+    batch = GaussianBatch(rng.normal(size=(128, 32)), rng.normal(size=(128, 32)))
+    sis_loss(batch, 0.07, rng=rng).backward()
+    return 2 * 256 * 32 * 256
+
+
+def similarity_1000_by_1000(kind):
+    def run() -> int:
+        rng = np.random.default_rng(2)
+        pairwise_similarity_arrays(*(rng.normal(size=(1000, 32)) for _ in range(4)), kind)
+        return 1000 * 32 * 1000
+
+    return run
+
+
+def bound_of_71_rows() -> int:
+    rng = np.random.default_rng(3)
+    pairs = LogAffinityPairs(*(rng.normal(size=(918, 32)) for _ in range(4)), SimilarityKind.HELLINGER)
+    pairs.bound(slice(0, 71))
+    return 71 * 32 * 918
+
+
+class TestMatmulValues:
+    """``matmul_values``: ``a @ b`` in gemm calls that OpenBLAS keeps on the calling thread."""
+
+    # (n, k, m): 2048 multiply-adds a row give 128-row slices, so 128 rows are
+    # one call and 129 and 257 rows two and three slices; 600 x 600 is one
+    # row over SERIAL_GEMM, so each row is a call of its own.
+    @pytest.mark.parametrize("n,k,m", [(0, 32, 64), (1, 32, 64), (127, 32, 64), (128, 32, 64),
+                                       (129, 32, 64), (256, 32, 64), (257, 32, 64), (1000, 48, 64),
+                                       (3, 600, 600)])
+    @pytest.mark.parametrize("transposed", [False, True], ids=["plain", "transposed"])
+    def test_matches_the_matrix_product(self, n, k, m, transposed):
+        rng = np.random.default_rng(n + k + m)
+        a = rng.normal(size=(n, k))
+        b = rng.normal(size=(m, k)).T if transposed else rng.normal(size=(k, m))
+        got = ad.matmul_values(a, b)
+        assert got.shape == (n, m)
+        np.testing.assert_allclose(got, a @ b, rtol=1e-12, atol=1e-12)
+
+    @pytest.fixture
+    def gemm_sizes(self, monkeypatch):
+        sizes, matmul = [], np.matmul
+
+        def spy(a, b, *args, **kwargs):
+            sizes.append(a.shape[0] * a.shape[1] * b.shape[1])
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        return sizes
+
+    def test_slices_are_within_one_row_of_each_other(self, gemm_sizes):
+        ad.matmul_values(np.ones((257, 32)), np.ones((32, 64)))
+        assert gemm_sizes == [85 * 2048, 86 * 2048, 86 * 2048]
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            encode_1000_rows,
+            sis_loss_at_batch_128,
+            similarity_1000_by_1000(SimilarityKind.CSD),
+            similarity_1000_by_1000(SimilarityKind.COSINE),
+            bound_of_71_rows,
+        ],
+        ids=["eval-encode", "sis-loss", "csd", "cosine", "bound"],
+    )
+    def test_large_products_stay_under_the_serial_size(self, gemm_sizes, case):
+        # Every product goes through the helper: the calls add up to the whole
+        # products, and each is small enough to stay on the calling thread.
+        total = case()
+        assert sum(gemm_sizes) == total
+        assert max(gemm_sizes) <= SERIAL_GEMM < total

@@ -112,8 +112,29 @@ def corpus_and_probe_digests() -> tuple[str, str]:
     prompts = synth_text_prompts(corpus, 6, rng=np.random.default_rng(0))
     for label in sorted(prompts):
         digest.update(prompts[label])
-    probe = corpus.latent.projections[A] @ corpus.train.concept[0]
-    return digest.hexdigest(), hashlib.sha256(probe).hexdigest()
+    return digest.hexdigest(), blas_probe(corpus)
+
+
+def blas_probe(corpus) -> str:
+    """sha256 of one BLAS matrix-vector product over ``corpus``, which tells BLAS kernels apart."""
+    return hashlib.sha256(corpus.latent.projections[A] @ corpus.train.concept[0]).hexdigest()
+
+
+def under_prescott(statement: str) -> str:
+    """stdout of ``statement`` run by a child Python under OPENBLAS_CORETYPE=Prescott,
+    with src/ and tests/ importable. The variable picks the kernel of an OpenBLAS built
+    with DYNAMIC_ARCH, as numpy's wheels are, and acts only on the child process."""
+    src, tests = Path(data.__file__).resolve().parents[1], Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(src), str(tests), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", statement],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": "Prescott"},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def first_row(modality, called_for):
@@ -586,19 +607,9 @@ class TestNoBlas:
         np.testing.assert_allclose(data._project(latent, proj), latent @ proj.T, rtol=1e-12, atol=1e-13)
 
     def test_corpus_and_prompts_do_not_depend_on_the_blas_kernel(self):
-        # OPENBLAS_CORETYPE picks the kernel of an OpenBLAS built with DYNAMIC_ARCH,
-        # as numpy's wheels are, and acts only on the child process.
-        src, tests = Path(data.__file__).resolve().parents[1], Path(__file__).resolve().parent
-        path = os.pathsep.join(filter(None, [str(src), str(tests), os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import test_data; print(*test_data.corpus_and_probe_digests())"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": "Prescott"},
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        child_corpus, child_probe = proc.stdout.split()
+        child_corpus, child_probe = under_prescott(
+            "import test_data; print(*test_data.corpus_and_probe_digests())"
+        ).split()
         here_corpus, here_probe = corpus_and_probe_digests()
         if child_probe == here_probe:
             pytest.skip("OPENBLAS_CORETYPE=Prescott did not change the BLAS kernel's rounding")

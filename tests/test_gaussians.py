@@ -425,6 +425,31 @@ class TestFusedOps:
         for g, m in zip(grads, masked_grads):
             np.testing.assert_array_equal(g, m)
 
+    @pytest.mark.parametrize("kind", [SimilarityKind.HELLINGER, SimilarityKind.BHATTACHARYYA], ids=lambda k: k.value)
+    def test_backward_allocates_no_new_terms(self, kind):
+        # The forward keeps two (64, 64, 32) term arrays, 1 MiB each, and with
+        # its block buffers peaks at about 2.8 MiB. The backward works inside
+        # the term arrays, so one more 1 MiB array would cross 3.5 MiB; one
+        # that allocated r, r^2 and 4/m of its own peaked at 5.6 MiB.
+        rng = np.random.default_rng(35)
+        params = [Tensor(rng.normal(size=(64, 32))) for _ in range(4)]
+        tracemalloc.start()
+        try:
+            sim = pairwise_similarity_graph(GaussianBatch(*params[:2]), GaussianBatch(*params[2:]), kind)
+            ad.mean_all(sim).backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+    def test_second_backward_through_log_affinity_raises(self):
+        rng = np.random.default_rng(36)
+        params = [Tensor(rng.normal(size=(5, 3))) for _ in range(4)]
+        loss = ad.mean_all(_log_affinity_op(GaussianBatch(*params[:2]), GaussianBatch(*params[2:])))
+        loss.backward()
+        with pytest.raises(RuntimeError, match="runs once"):
+            loss.backward()
+
     @pytest.mark.parametrize("rows", [1, 17, 33])
     def test_log_affinity_op_forward_equals_eval_kernel(self, rows):
         # Row counts off the 16-row blocks of this size's term budget: the op

@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from test_data import blas_probe, under_prescott
 
+from probalign.autodiff import SERIAL_GEMM
 from probalign.data import CorpusConfig, Modality, TRAINABLE_PAIRS, generate, make_pair_batches
 from probalign.encoders import AlignmentModel, checkpoint_document, save_checkpoint
 from probalign.losses import LossWeights
@@ -41,6 +43,13 @@ def small_cfg(**overrides):
     )
     defaults.update(overrides)
     return TrainConfig(**defaults)
+
+
+def short_run() -> tuple[float, str]:
+    """Best validation RSUM of a 60-step run at the default config on a
+    1,000-record corpus, and the corpus's BLAS probe."""
+    corpus = generate(CorpusConfig(n_records=1000), seed=1)
+    return train(TrainConfig(total_steps=60, eval_every=30), corpus).best_rsum, blas_probe(corpus)
 
 
 def build_state(corpus, cfg):
@@ -249,3 +258,20 @@ class TestTrain:
         finally:
             tr._clip_gradients = original
         assert observed and all(v <= cfg.grad_clip + 1e-9 for v in observed)
+
+
+class TestAcrossBlasKernels:
+    def test_best_rsum_agrees_under_another_kernel(self):
+        # Another kernel rounds the encoders' products differently, so the
+        # weights differ in their last bits. RSUM sums six recalls in percent
+        # over about 95 queries: rtol 0.02 of an RSUM near 100 allows two
+        # queries to move across a cut-off.
+        corpus, hidden = generate(CorpusConfig(n_records=1000), seed=1), TrainConfig().hidden_dim
+        pools = [(len(corpus.valid.pair_rows(p)), corpus.config.view_dims[p[0]]) for p in TRAINABLE_PAIRS if T in p]
+        # A validation gallery is encoded in row slices: it exceeds SERIAL_GEMM.
+        assert max(rows * width * hidden for rows, width in pools) > SERIAL_GEMM
+        child_rsum, child_probe = under_prescott("import test_training; print(*test_training.short_run())").split()
+        rsum, probe = short_run()
+        if child_probe == probe:
+            pytest.skip("OPENBLAS_CORETYPE=Prescott did not change the BLAS kernel's rounding")
+        assert float(child_rsum) == pytest.approx(rsum, rel=0.02)
