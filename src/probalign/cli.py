@@ -27,7 +27,6 @@ from .data import (
     NOISY_PROMPT_SCALE,
     SPLITS,
     TRAINABLE_PAIRS,
-    Corpus,
     Modality,
     config_from_json,
     from_json,
@@ -137,14 +136,6 @@ def echo_config(run_dir: Path, doc: dict) -> None:
     )
 
 
-def _load_corpus(path) -> Corpus:
-    """``read_corpus`` of an existing directory."""
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"corpus directory not found: {p}")
-    return read_corpus(p)
-
-
 # -- subcommands --------------------------------------------------------------------
 
 
@@ -160,18 +151,17 @@ def cmd_gen(args) -> int:
     return 0
 
 
+# The train flags that override a key of the config's ``train`` section; TrainConfig bounds them.
+TRAIN_FLAGS = {"similarity": "similarity", "steps": "total_steps", "batch_size": "batch_size", "lr": "lr"}
+
+
 def cmd_train(args) -> int:
     doc = load_config(args.config)
     seed = resolve_seed(args, doc)
     train_doc = dict(json_object("train", doc.get("train", {})))
-    if args.similarity:
-        train_doc["similarity"] = args.similarity
-    if args.steps is not None:
-        train_doc["total_steps"] = args.steps
-    if args.batch_size is not None:
-        train_doc["batch_size"] = args.batch_size
-    if args.lr is not None:
-        train_doc["lr"] = args.lr
+    for flag, key in TRAIN_FLAGS.items():
+        if getattr(args, flag) is not None:
+            train_doc[key] = getattr(args, flag)
     if args.no_sis:
         weights = json_object("train.loss_weights", train_doc.get("loss_weights", {}))
         train_doc["loss_weights"] = {**weights, "beta": 0.0}
@@ -186,7 +176,7 @@ def cmd_train(args) -> int:
     if not isinstance(corpus_path, str):
         raise ConfigError(f"paths.corpus must be a string, got {type(corpus_path).__name__}")
     # Every split's checksum is verified here; training parses only train and valid.
-    corpus = _load_corpus(corpus_path)
+    corpus = read_corpus(corpus_path)
     sampling_plan(cfg, corpus)  # a batch size the train split cannot fill exits here
 
     run_dir = resolve_run_dir(args.out, "train")
@@ -210,19 +200,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-# Protocols that always read the same splits, so --split does not apply to
-# them, with the splits they read. The few-shot protocols read all of train's
-# columns, a raw read of its file, and embed only its support rows.
-FIXED_SPLITS = {
-    "fewshot": "the train and test splits",
-    "multimodal": "the train and test splits",
-    "noiseprobe": "the test split",
-}
-
-
 def _check_split(args) -> None:
     """Rejects a --split the protocol would ignore, and sets an unset one to test."""
-    reads = FIXED_SPLITS.get(args.protocol)
+    reads = PROTOCOLS[args.protocol][1]
     if reads is not None:
         if args.split is not None:
             raise ConfigError(f"--split does not apply to --protocol {args.protocol}, which reads {reads}")
@@ -236,19 +216,9 @@ def _check_split(args) -> None:
 def cmd_eval(args) -> int:
     _check_split(args)
     model = load_checkpoint(args.checkpoint)
-    corpus = _load_corpus(args.corpus)
+    corpus = read_corpus(args.corpus)
     kind = SimilarityKind(args.similarity)
-    rng = np.random.default_rng(args.seed)
-    if args.protocol == "retrieval":
-        report = _protocol_retrieval(model, corpus, kind, args)
-    elif args.protocol == "zeroshot":
-        report = _protocol_zeroshot(model, corpus, kind, args, rng)
-    elif args.protocol == "fewshot":
-        report = _protocol_fewshot(model, corpus, args, rng)
-    elif args.protocol == "multimodal":
-        report = _protocol_multimodal(model, corpus, kind, args, rng)
-    else:
-        report = _protocol_noiseprobe(model, corpus, args, rng)
+    report = PROTOCOLS[args.protocol][0](model, corpus, kind, args, np.random.default_rng(args.seed))
 
     # Made only once there is a report: a protocol that exits early leaves no run directory.
     run_dir = resolve_run_dir(args.out, f"eval-{args.protocol}")
@@ -268,7 +238,15 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _protocol_retrieval(model, corpus, kind, args) -> EvalReport:
+def _rows_with_views(corpus, split: str, modality: Modality) -> np.ndarray:
+    """The rows of ``split`` with a ``modality`` view; raises ConfigError when there is none."""
+    rows = corpus.split(split).rows_with_views(modality)
+    if not len(rows):
+        raise ConfigError(f"no {modality.value} views in split {split}")
+    return rows
+
+
+def _protocol_retrieval(model, corpus, kind, args, rng) -> EvalReport:
     split = corpus.split(args.split)
     ks = args.ks
     out = validation_retrieval(model, split, kind, ks=tuple(ks), max_gallery=args.max_gallery)
@@ -295,9 +273,7 @@ def _prompt_set(corpus, args, rng) -> dict:
 def _protocol_zeroshot(model, corpus, kind, args, rng) -> EvalReport:
     modality = Modality(args.modality)
     split = corpus.split(args.split)
-    rows = split.rows_with_views(modality)
-    if not len(rows):
-        raise ConfigError(f"no {modality.value} views in split {args.split}")
+    rows = _rows_with_views(corpus, args.split, modality)
     labels = split.labels[rows]
     items = model.encode(modality, split.views[modality][rows])
 
@@ -322,9 +298,7 @@ def _protocol_zeroshot(model, corpus, kind, args, rng) -> EvalReport:
     # Cross-modality prototypes: class means of another modality's embeddings,
     # the emergent-alignment read-out.
     proto_modality = Modality(args.prototypes)
-    proto_rows = corpus.valid.rows_with_views(proto_modality)
-    if not len(proto_rows):
-        raise ConfigError(f"no {proto_modality.value} views in valid split for prototypes")
+    proto_rows = _rows_with_views(corpus, "valid", proto_modality)
     mu, log_var = model.encode(proto_modality, corpus.valid.views[proto_modality][proto_rows])
     proto_labels = corpus.valid.labels[proto_rows]
     by_class = {int(c): (mu[proto_labels == c], log_var[proto_labels == c]) for c in np.unique(proto_labels)}
@@ -342,13 +316,10 @@ def _train_embedder(model, train, rows, modality):
     return lambda chosen: model.encode(modality, train.views[modality][rows[chosen]])
 
 
-def _protocol_fewshot(model, corpus, args, rng) -> EvalReport:
+def _protocol_fewshot(model, corpus, kind, args, rng) -> EvalReport:
     modality = Modality(args.modality)
-    train_rows = corpus.train.rows_with_views(modality)
-    test_rows = corpus.test.rows_with_views(modality)
-    for name, rows in (("train", train_rows), ("test", test_rows)):
-        if not len(rows):
-            raise ConfigError(f"no {modality.value} views in split {name}")
+    train_rows = _rows_with_views(corpus, "train", modality)
+    test_rows = _rows_with_views(corpus, "test", modality)
     y_train = corpus.train.labels[train_rows]
     embed = _train_embedder(model, corpus.train, train_rows, modality)
     test_mu, _ = model.encode(modality, corpus.test.views[modality][test_rows])
@@ -394,13 +365,23 @@ def _protocol_multimodal(model, corpus, kind, args, rng) -> EvalReport:
     return EvalReport("multimodal", metrics, {"k_shot": args.k_shot, "fusion": args.fusion})
 
 
-def _protocol_noiseprobe(model, corpus, args, rng) -> EvalReport:
+def _protocol_noiseprobe(model, corpus, kind, args, rng) -> EvalReport:
     modality = Modality(args.modality)
-    rows = corpus.test.rows_with_views(modality)[: args.n_items]
-    if not len(rows):
-        raise ConfigError(f"no {modality.value} views in split test")
+    rows = _rows_with_views(corpus, "test", modality)[: args.n_items]
     series, rho = mean_uncertainty_by_noise(model, modality, corpus.test.views[modality][rows], args.levels, rng)
     return EvalReport("noiseprobe", {"spearman": rho}, {"series": series, "n_items": len(rows)})
+
+
+# Each --protocol: its function, and the splits it reads when --split does not apply to it.
+# The few-shot protocols read all of train's columns, a raw read of its file, and embed
+# only its support rows.
+PROTOCOLS = {
+    "retrieval": (_protocol_retrieval, None),
+    "zeroshot": (_protocol_zeroshot, None),
+    "fewshot": (_protocol_fewshot, "the train and test splits"),
+    "multimodal": (_protocol_multimodal, "the train and test splits"),
+    "noiseprobe": (_protocol_noiseprobe, "the test split"),
+}
 
 
 def cmd_verify(args) -> int:
@@ -476,8 +457,8 @@ def build_parser() -> Parser:
     p_train.add_argument("--out", default=None)
     p_train.add_argument("--seed", type=nonnegative_int, default=None)
     p_train.add_argument("--similarity", choices=[k.value for k in SimilarityKind], default=None)
-    p_train.add_argument("--steps", type=nonnegative_int, default=None)
-    p_train.add_argument("--batch-size", type=positive_int, default=None)
+    p_train.add_argument("--steps", type=int, default=None)
+    p_train.add_argument("--batch-size", type=int, default=None)
     p_train.add_argument("--lr", type=float, default=None)
     p_train.add_argument("--no-sis", action="store_true")
     p_train.add_argument("--no-bn", action="store_true")
@@ -485,11 +466,7 @@ def build_parser() -> Parser:
     p_eval = sub.add_parser("eval", help="run an evaluation protocol")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--corpus", required=True)
-    p_eval.add_argument(
-        "--protocol",
-        required=True,
-        choices=["retrieval", "zeroshot", "fewshot", "multimodal", "noiseprobe"],
-    )
+    p_eval.add_argument("--protocol", required=True, choices=list(PROTOCOLS))
     p_eval.add_argument("--out", default=None)
     p_eval.add_argument("--seed", type=nonnegative_int, default=0)
     p_eval.add_argument("--similarity", choices=[k.value for k in SimilarityKind], default="hellinger")

@@ -79,6 +79,49 @@ class CorpusFormatError(ValueError):
     """Raised when a corpus file cannot be parsed or fails its checksum."""
 
 
+def json_number(name: str, value) -> float:
+    """``value`` as a float; only a finite JSON number (an int or a float, not a
+    bool) is accepted. ``json`` reads ``NaN`` and ``Infinity``, and ``float``
+    reads ``nan`` and ``inf``, so each can arrive here."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    # NaN fails the comparison too; an int too large for a float is not converted.
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
+def json_object(section: str, value) -> dict:
+    """``value``, which must be a JSON object; raises ValueError naming ``section`` otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{section} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def bounded(default, least=None, above=None):
+    """A dataclass field whose value ``check_fields`` holds to >= ``least`` or > ``above``."""
+    return field(default=default, metadata={"least": least, "above": above})
+
+
+def check_fields(obj) -> None:
+    """Raise ValueError, naming the class and field, unless each bool, int and float field of the
+    dataclass ``obj`` has that type (an int is no bool, a float a ``json_number``) within its bound."""
+    for f in fields(obj):
+        value, name = getattr(obj, f.name), f"{type(obj).__name__}: {f.name}"
+        kind = getattr(f.type, "__name__", f.type)  # annotations may be strings
+        if kind == "bool" and type(value) is not bool:
+            raise ValueError(f"{name} must be true or false, got {value!r}")
+        if kind == "int" and type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if kind == "float":
+            json_number(name, value)
+        least, above = f.metadata.get("least"), f.metadata.get("above")
+        if least is not None and value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value!r}")
+        if above is not None and value <= above:
+            raise ValueError(f"{name} must be > {above}, got {value!r}")
+
+
 def _default_view_dims() -> dict[Modality, int]:
     return {Modality.MOD_A: 48, Modality.MOD_B: 40, Modality.MOD_C: 56, Modality.TEXT: 24}
 
@@ -98,21 +141,19 @@ def _default_pair_probs() -> dict[PairType, float]:
 
 @dataclass
 class CorpusConfig:
-    n_records: int = 10_000
-    n_classes: int = 5
-    latent_dim: int = 16
-    cluster_std: float = 0.4
+    n_records: int = bounded(10_000, least=0)
+    n_classes: int = bounded(5, least=1)
+    latent_dim: int = bounded(16, least=1)
+    cluster_std: float = bounded(0.4, least=0)
     view_dims: dict[Modality, int] = field(default_factory=_default_view_dims)
     noise_scales: dict[Modality, float] = field(default_factory=_default_noise)
-    n_text_variants: int = 3
+    n_text_variants: int = bounded(3, least=2)
     pair_probs: dict[PairType, float] = field(default_factory=_default_pair_probs)
     split_fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
     label_rule: str = "cluster"
 
     def __post_init__(self):
-        check_int_fields(self, {"n_records": 0, "n_classes": 1, "latent_dim": 1, "n_text_variants": 2})
-        if json_number("CorpusConfig: cluster_std", self.cluster_std) < 0:
-            raise ValueError(f"CorpusConfig: cluster_std must be a number >= 0, got {self.cluster_std!r}")
+        check_fields(self)
         not_int = [f"{m.value} {dim!r}" for m, dim in self.view_dims.items() if type(dim) is not int]
         if not_int:
             raise ValueError(f"CorpusConfig: view dims must be integers, got {', '.join(not_int)}")
@@ -123,14 +164,20 @@ class CorpusConfig:
             missing = [m.value for m in Modality if m not in getattr(self, name)]
             if missing:
                 raise ValueError(f"CorpusConfig: {name} must name every modality; missing {', '.join(missing)}")
-        if abs(sum(self.split_fractions) - 1.0) > 1e-9 or min(self.split_fractions) < 0:
-            raise ValueError(f"CorpusConfig: split fractions must be >= 0 and sum to 1, got {self.split_fractions}")
-        if any(s <= 0 for s in self.noise_scales.values()):
-            raise ValueError("CorpusConfig: noise scales must be positive")
         untrainable = [p for p in self.pair_probs if p not in TRAINABLE_PAIRS]
         if untrainable:
             names = ", ".join("+".join(m.value for m in p) for p in untrainable)
             raise ValueError(f"CorpusConfig: pair_probs may name only trainable pairs, not {names}")
+        # Each value a float, so that 1 and 1.0 make one config and one manifest.
+        number = lambda key, value: json_number(f"CorpusConfig: {key}", value)
+        self.noise_scales = {m: number(f"noise_scales[{m.value}]", s) for m, s in self.noise_scales.items()}
+        self.pair_probs = {p: number(f"pair_probs[{p[0].value}+{p[1].value}]", w) for p, w in self.pair_probs.items()}
+        self.split_fractions = tuple(number(f"split_fractions[{i}]", f) for i, f in enumerate(self.split_fractions))
+        fractions = self.split_fractions
+        if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9 or min(fractions) < 0:
+            raise ValueError(f"CorpusConfig: split fractions must be three values >= 0 and sum to 1, got {fractions}")
+        if any(s <= 0 for s in self.noise_scales.values()):
+            raise ValueError("CorpusConfig: noise scales must be positive")
         if not all(0.0 <= w <= 1.0 for w in self.pair_probs.values()):
             raise ValueError("CorpusConfig: pair probabilities must lie in [0, 1]")
         if not any(w > 0.0 for w in self.pair_probs.values()):
@@ -369,60 +416,31 @@ def _pair_from_json(obj) -> PairType:
     return (Modality(obj[0]), Modality(obj[1]))
 
 
-def _config_to_json(cfg: CorpusConfig) -> dict:
-    return {
-        "n_records": cfg.n_records,
-        "n_classes": cfg.n_classes,
-        "latent_dim": cfg.latent_dim,
-        "cluster_std": cfg.cluster_std,
-        "view_dims": {m.value: d for m, d in cfg.view_dims.items()},
-        "noise_scales": {m.value: s for m, s in cfg.noise_scales.items()},
-        "n_text_variants": cfg.n_text_variants,
-        "pair_probs": [[_pair_to_json(p), w] for p, w in cfg.pair_probs.items()],
-        "split_fractions": list(cfg.split_fractions),
-        "label_rule": cfg.label_rule,
-    }
-
-
-def _modality_map(name: str, doc: dict, cast) -> dict[Modality, object]:
-    return {Modality(k): cast(v) for k, v in json_object(f"corpus.{name}", doc).items()}
-
-
-def json_number(name: str, value) -> float:
-    """``value`` as a float; only a finite JSON number (an int or a float, not a
-    bool) is accepted. ``json`` reads ``NaN`` and ``Infinity``, and ``float``
-    reads ``nan`` and ``inf``, so each can arrive here."""
-    if type(value) not in (int, float):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    # NaN fails the comparison too; an int too large for a float is not converted.
-    if not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return float(value)
-
-
-_CONFIG_CASTS = {
-    "view_dims": lambda v: _modality_map("view_dims", v, lambda dim: dim),
-    "noise_scales": lambda v: _modality_map("noise_scales", v, lambda s: json_number("a corpus.noise_scales value", s)),
-    "pair_probs": lambda v: {_pair_from_json(p): json_number("a corpus.pair_probs value", w) for p, w in v},
-    "split_fractions": lambda v: tuple(json_number("a corpus.split_fractions value", f) for f in v),
-}
-
-
-def json_object(section: str, value) -> dict:
-    """``value``, which must be a JSON object; raises ValueError naming ``section`` otherwise."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{section} must be a JSON object, got {type(value).__name__}")
+def _json_form(value):
+    """``value`` as JSON holds it: modality maps by name, pair maps as [pair, value] lists, tuples as lists."""
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, dict) and all(isinstance(key, tuple) for key in value):
+        return [[_pair_to_json(p), w] for p, w in value.items()]
+    if isinstance(value, dict):
+        return {m.value: v for m, v in value.items()}
     return value
 
 
-def check_int_fields(obj, least: dict[str, int]) -> None:
-    """Raise ValueError unless each named field of ``obj`` is an int (not a bool) >= its bound."""
-    for name, bound in least.items():
-        value = getattr(obj, name)
-        if type(value) is not int:
-            raise ValueError(f"{type(obj).__name__}: {name} must be an integer, got {value!r}")
-        if value < bound:
-            raise ValueError(f"{type(obj).__name__}: {name} must be >= {bound}, got {value}")
+def _config_to_json(cfg: CorpusConfig) -> dict:
+    return {f.name: _json_form(getattr(cfg, f.name)) for f in fields(cfg)}
+
+
+def _modality_map(name: str, doc: dict) -> dict[Modality, object]:
+    return {Modality(k): v for k, v in json_object(f"corpus.{name}", doc).items()}
+
+
+_CONFIG_CASTS = {
+    "view_dims": lambda v: _modality_map("view_dims", v),
+    "noise_scales": lambda v: _modality_map("noise_scales", v),
+    "pair_probs": lambda v: {_pair_from_json(p): w for p, w in v},
+    "split_fractions": tuple,
+}
 
 
 def from_json(section: str, cls, doc: dict, casts: dict, **defaults):

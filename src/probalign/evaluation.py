@@ -280,15 +280,9 @@ def filtered_zero_shot(items: tuple, encoded_prompts: dict, k: int, kind: Simila
 # -- few-shot probing -----------------------------------------------------------------
 
 
-def logistic_probe(
-    x: np.ndarray,
-    y: np.ndarray,
-    n_classes: int,
-    iters: int = PROBE_ITERS,
-    lr: float = PROBE_LR,
-    l2: float = PROBE_L2,
-) -> np.ndarray:
-    """Softmax regression by full-batch gradient descent; returns (d+1, C).
+def logistic_probe(x: np.ndarray, y: np.ndarray, n_classes: int) -> np.ndarray:
+    """Softmax regression by full-batch gradient descent (``PROBE_ITERS`` steps
+    of ``PROBE_LR``, L2 weight ``PROBE_L2``); returns (d+1, C).
 
     Stacked problems fit at once: ``x`` of shape (..., n, d) with labels ``y``
     of shape (..., n) gives (..., d+1, C). The softmax runs on a transposed
@@ -302,15 +296,15 @@ def logistic_probe(
     xb_t = xb.swapaxes(-1, -2)
     one_hot_t = (np.arange(n_classes)[:, None] == np.asarray(y)[..., None, :]).astype(np.float64)
     w = np.zeros((*batch, d + 1, n_classes))
-    for _ in range(iters):
+    for _ in range(PROBE_ITERS):
         p_t = (xb @ w).swapaxes(-1, -2).copy()  # (..., C, n)
         p_t -= p_t.max(axis=-2, keepdims=True)
         np.exp(p_t, out=p_t)
         p_t /= p_t.sum(axis=-2, keepdims=True)
         p_t -= one_hot_t
         grad = xb_t @ p_t.swapaxes(-1, -2) / n
-        grad[..., :-1, :] += l2 * w[..., :-1, :]  # bias row not decayed
-        w -= lr * grad
+        grad[..., :-1, :] += PROBE_L2 * w[..., :-1, :]  # bias row not decayed
+        w -= PROBE_LR * grad
     return w
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import json_number
+from .data import bounded, check_fields
 from .gaussians import GaussianBatch, SimilarityKind, pairwise_similarity_graph
 
 _MASK = -1e9  # additive mask removing self-similarity from NT-Xent rows
@@ -32,16 +32,13 @@ _MASK = -1e9  # additive mask removing self-similarity from NT-Xent rows
 class LossWeights:
     """Component weights and the shared softmax temperature."""
 
-    alpha: float = 1.0
-    beta: float = 0.5
-    gamma: float = 1e-4
-    tau: float = 0.07
+    alpha: float = bounded(1.0, least=0)
+    beta: float = bounded(0.5, least=0)
+    gamma: float = bounded(1e-4, least=0)
+    tau: float = bounded(0.07, above=0)
 
     def __post_init__(self):
-        if min(json_number(f"LossWeights: {name}", getattr(self, name)) for name in ("alpha", "beta", "gamma")) < 0:
-            raise ValueError("LossWeights: component weights must be nonnegative")
-        if json_number("LossWeights: tau", self.tau) <= 0:
-            raise ValueError("LossWeights: tau must be positive")
+        check_fields(self)
 
 
 def _nce_from_logits(logits: Tensor) -> Tensor:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TRAINABLE_PAIRS, Corpus, PairBatch, PairType, Split, check_int_fields, json_number, make_pair_batches
+from .data import TRAINABLE_PAIRS, Corpus, PairBatch, PairType, Split, bounded, check_fields, json_number, make_pair_batches
 from .encoders import (
     PARAM_ORDER,
     AlignmentModel,
@@ -47,29 +47,20 @@ class TrainingAbort(RuntimeError):
 class TrainConfig:
     loss_weights: LossWeights = field(default_factory=LossWeights)
     similarity: SimilarityKind = SimilarityKind.HELLINGER
-    batch_size: int = 64
-    total_steps: int = 2000
-    lr: float = 1e-4
-    weight_decay: float = 1e-5
+    batch_size: int = bounded(64, least=2)
+    total_steps: int = bounded(2000, least=0)
+    lr: float = bounded(1e-4, above=0)
+    weight_decay: float = bounded(1e-5, least=0)
     betas: tuple[float, float] = (0.9, 0.95)
-    grad_clip: float = 1.0
+    grad_clip: float = bounded(1.0, above=0)
     bn_enabled: bool = True
-    seed: int = 0
-    hidden_dim: int = 64
-    embed_dim: int = 32
-    eval_every: int = 500
+    seed: int = bounded(0, least=0)
+    hidden_dim: int = bounded(64, least=1)
+    embed_dim: int = bounded(32, least=1)
+    eval_every: int = bounded(500, least=1)
 
     def __post_init__(self):
-        if type(self.bn_enabled) is not bool:
-            raise ValueError(f"TrainConfig: bn_enabled must be true or false, got {self.bn_enabled!r}")
-        if json_number("TrainConfig: lr", self.lr) <= 0:
-            raise ValueError("TrainConfig: lr must be positive")
-        if json_number("TrainConfig: grad_clip", self.grad_clip) <= 0:
-            raise ValueError("TrainConfig: grad_clip must be positive")
-        least = {"batch_size": 2, "total_steps": 0, "eval_every": 1, "hidden_dim": 1, "embed_dim": 1, "seed": 0}
-        check_int_fields(self, least)
-        if json_number("TrainConfig: weight_decay", self.weight_decay) < 0:
-            raise ValueError("TrainConfig: weight_decay must be nonnegative")
+        check_fields(self)
         if len(self.betas) != 2 or not all(0 <= json_number("TrainConfig: each betas entry", b) < 1 for b in self.betas):
             raise ValueError(f"TrainConfig: betas must be two values in [0, 1), got {self.betas}")
 
@@ -207,22 +198,17 @@ def validation_retrieval(
     return out
 
 
-def validation_info_nce(
-    model: AlignmentModel,
-    split: Split,
-    cfg: TrainConfig,
-    n_batches: int = 2,
-) -> float | None:
-    """Symmetric contrastive loss on seeded eval-mode batches, all pairs; None
-    when no pair has records for a batch. Each batch is the mean of the two
-    directions of an InfoNCE-only ``pair_loss``."""
+def validation_info_nce(model: AlignmentModel, split: Split, cfg: TrainConfig) -> float | None:
+    """Symmetric contrastive loss on two seeded eval-mode batches of each pair;
+    None when no pair has records for a batch. Each batch is the mean of the
+    two directions of an InfoNCE-only ``pair_loss``."""
     weights = LossWeights(alpha=1.0, beta=0.0, gamma=0.0, tau=cfg.loss_weights.tau)
     values = []
     for i, pair in enumerate(TRAINABLE_PAIRS):
         if len(split.pair_rows(pair)) < cfg.batch_size:
             continue
         stream = make_pair_batches(split, pair, cfg.batch_size, np.random.default_rng([cfg.seed, 7, i]))
-        for _ in range(n_batches):
+        for _ in range(2):
             batch = next(stream)
             b1 = GaussianBatch(*model.encode(pair[0], batch.x_first))
             b2 = GaussianBatch(*model.encode(pair[1], batch.x_second))

@@ -302,7 +302,7 @@ class TestTrain:
             ({"eval_every": 0}, "eval_every must be >= 1, got 0"),
             ({"hidden_dim": 0}, "hidden_dim must be >= 1, got 0"),
             ({"embed_dim": 0}, "embed_dim must be >= 1, got 0"),
-            ({"weight_decay": -1e-5}, "weight_decay must be nonnegative"),
+            ({"weight_decay": -1e-5}, "TrainConfig: weight_decay must be >= 0, got -1e-05"),
             ({"betas": [0.9]}, "betas must be two values in [0, 1), got (0.9,)"),
             ({"betas": [0.9, 1.0]}, "betas must be two values in [0, 1), got (0.9, 1.0)"),
             ({"lr": "0.001"}, "TrainConfig: lr must be a number, got '0.001'"),
@@ -336,16 +336,14 @@ class TestTrain:
     @pytest.mark.parametrize(
         "extra,message",
         [
-            (["--steps", "-4"], "argument --steps: must be >= 0, got -4"),
-            (["--batch-size", "0"], "argument --batch-size: must be >= 1, got 0"),
+            (["--steps", "-4"], "TrainConfig: total_steps must be >= 0, got -4"),
+            (["--batch-size", "0"], "TrainConfig: batch_size must be >= 2, got 0"),
         ],
         ids=["steps", "batch-size"],
     )
     def test_rejected_train_flag_exits_1(self, config_path, corpus_dir, tmp_path, capsys, extra, message):
         argv = ["train", "--config", str(config_path), "--corpus", str(corpus_dir), "--out", str(tmp_path / "o")]
-        with pytest.raises(SystemExit) as exc:
-            main(argv + extra)
-        assert exc.value.code == 1
+        assert main(argv + extra) == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
@@ -824,7 +822,7 @@ def zeroshot_list_report(argv) -> tuple[str, list]:
     proto_modality = Modality(args.prototypes)
     proto = finite_rows(corpus.valid, proto_modality)
     if not len(proto):
-        raise ConfigError(f"no {proto_modality.value} views in valid split for prototypes")
+        raise ConfigError(f"no {proto_modality.value} views in split valid")
     encoded = model.encode(proto_modality, corpus.valid.views[proto_modality][proto])
     by_class = {}
     for label, e in zip(corpus.valid.labels[proto].tolist(), zero_shot_lists.embeddings_of(encoded)):
@@ -1030,7 +1028,7 @@ class TestSeedAndSections:
             (GEN, {"corpus": {"view_dims": {"mod_a": None}}}, "view dims must be integers, got mod_a None"),
             (GEN, {"corpus": {"view_dims": {"mod_a": 2.5, "mod_b": "40"}}},
              "view dims must be integers, got mod_a 2.5, mod_b '40'"),
-            (GEN, {"corpus": {"cluster_std": -1}}, "CorpusConfig: cluster_std must be a number >= 0, got -1"),
+            (GEN, {"corpus": {"cluster_std": -1}}, "CorpusConfig: cluster_std must be >= 0, got -1"),
             (GEN, {"corpus": {"label_rule": "sum_sign", "n_classes": 2, "cluster_std": 0}},
              "CorpusConfig: label_rule 'sum_sign' needs cluster_std > 0, got 0"),
             (TRAIN, {"train": {"batch_size": 8.5}}, "TrainConfig: batch_size must be an integer, got 8.5"),
@@ -1042,9 +1040,9 @@ class TestSeedAndSections:
             (EVAL, {"format": "probalign-checkpoint-v1", "embed_dim": 2, "encoders": {}},
              "checkpoint: no encoder for mod_a, mod_b, mod_c, text"),
             (GEN, {"corpus": {"noise_scales": {"mod_a": True, "mod_b": 0.3, "mod_c": 0.3, "text": 0.3}}},
-             "a corpus.noise_scales value must be a number, got True"),
+             "CorpusConfig: noise_scales[mod_a] must be a number, got True"),
             (GEN, {"corpus": {"pair_probs": [[["mod_a", "text"], "0.3"]]}},
-             "a corpus.pair_probs value must be a number, got '0.3'"),
+             "CorpusConfig: pair_probs[mod_a+text] must be a number, got '0.3'"),
             (["gen", "--config", "DIR", "--out", "OUT"], {}, "is not a file"),
             (["eval", "--checkpoint", "DIR", "--corpus", "CORPUS", "--protocol", "retrieval", "--out", "OUT"], {},
              "is not a file"),
@@ -1067,14 +1065,14 @@ class TestSeedAndSections:
             (TRAIN + ["--lr", "inf"], {}, "TrainConfig: lr must be finite, got inf"),
             (TRAIN, {"train": {"loss_weights": {"tau": math.inf}}}, "LossWeights: tau must be finite, got inf"),
             (TRAIN, {"train": {"grad_clip": math.inf, "weight_decay": math.nan}},
-             "TrainConfig: grad_clip must be finite, got inf"),
+             "TrainConfig: weight_decay must be finite, got nan"),
             (TRAIN, {"train": {"weight_decay": math.nan}}, "TrainConfig: weight_decay must be finite, got nan"),
             (TRAIN, {"train": {"lr": 10**400}}, "TrainConfig: lr must be finite, got 1000"),
             (GEN, {"corpus": {"cluster_std": math.inf}}, "CorpusConfig: cluster_std must be finite, got inf"),
             (GEN, {"corpus": {"noise_scales": {"mod_a": math.nan, "mod_b": 0.3, "mod_c": 0.3, "text": 0.3}}},
-             "a corpus.noise_scales value must be finite, got nan"),
+             "CorpusConfig: noise_scales[mod_a] must be finite, got nan"),
             (GEN, {"corpus": {"split_fractions": [math.nan, 0.1, 0.1]}},
-             "a corpus.split_fractions value must be finite, got nan"),
+             "CorpusConfig: split_fractions[0] must be finite, got nan"),
             (EVAL, b"{", "checkpoint CONFIG is not valid JSON: Expecting property name"),
             (EVAL, b"\xff{}", "checkpoint CONFIG is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
             (GEN, b"\xff{}", "config file CONFIG is not valid JSON: 'utf-8' codec can't decode byte 0xff"),

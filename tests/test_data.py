@@ -32,6 +32,8 @@ from probalign.data import (
     write_corpus,
 )
 from probalign.evaluation import auroc, logistic_probe, probe_scores
+from probalign.losses import LossWeights
+from probalign.training import TrainConfig
 
 A, B, C, T = Modality.MOD_A, Modality.MOD_B, Modality.MOD_C, Modality.TEXT
 
@@ -180,6 +182,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=r">= 0 and sum to 1"):
             CorpusConfig(split_fractions=(1.2, -0.1, -0.1))
 
+    @pytest.mark.parametrize("fractions", [(0.5, 0.5), (0.5, 0.25, 0.25, 0.0), ()], ids=["two", "four", "none"])
+    def test_fractions_name_three_splits(self, fractions):
+        # Checked by sum and sign alone, two fractions summing to 1 made an empty test split.
+        with pytest.raises(ValueError, match="must be three values >= 0 and sum to 1"):
+            CorpusConfig(split_fractions=fractions)
+
     @pytest.mark.parametrize(
         "pair,names",
         [((A, C), "mod_a\\+mod_c"), ((B, C), "mod_b\\+mod_c"), ((T, A), "text\\+mod_a")],
@@ -189,9 +197,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"only trainable pairs, not {names}"):
             CorpusConfig(pair_probs={(A, T): 0.9, pair: 0.5})
 
-    @pytest.mark.parametrize("prob", [-0.1, 1.5, float("nan")])
-    def test_pair_probabilities_lie_in_unit_interval(self, prob):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+    @pytest.mark.parametrize(
+        "prob,message",
+        [(-0.1, r"\[0, 1\]"), (1.5, r"\[0, 1\]"), (float("nan"), r"pair_probs\[mod_b\+text\] must be finite, got nan")],
+        ids=["-0.1", "1.5", "nan"],
+    )
+    def test_pair_probabilities_lie_in_unit_interval(self, prob, message):
+        with pytest.raises(ValueError, match=message):
             CorpusConfig(pair_probs={(A, T): 0.9, (B, T): prob})
 
     @pytest.mark.parametrize("pair_probs", [{}, {(A, T): 0.0, (A, B): 0.0}], ids=["empty", "all-zero"])
@@ -229,6 +241,27 @@ class TestConfig:
     def test_sizes_gen_cannot_use_rejected(self, change, message):
         with pytest.raises(ValueError, match=message):
             CorpusConfig(**change)
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"noise_scales": {m: math.nan for m in Modality}}, r"noise_scales\[mod_a\] must be finite, got nan"),
+            ({"noise_scales": {A: 0.3, B: 0.3, C: 0.3, T: math.inf}}, r"noise_scales\[text\] must be finite, got inf"),
+            ({"split_fractions": (math.nan, 0.5, 0.5)}, r"split_fractions\[0\] must be finite, got nan"),
+            ({"split_fractions": (0.5, True, 0.5)}, r"split_fractions\[1\] must be a number, got True"),
+        ],
+        ids=["nan-noise-scales", "inf-text-noise", "nan-split-fraction", "bool-split-fraction"],
+    )
+    def test_python_built_map_values_must_be_finite_numbers(self, change, message):
+        # Only the JSON casts once checked these, so a config built in Python took NaN.
+        with pytest.raises(ValueError, match=message):
+            CorpusConfig(n_records=50, **change)
+
+    @pytest.mark.parametrize("cls", [CorpusConfig, TrainConfig, LossWeights], ids=lambda cls: cls.__name__)
+    def test_every_number_field_declares_its_bound(self, cls):
+        numbers = [f for f in dataclasses.fields(cls) if getattr(f.type, "__name__", f.type) in ("int", "float")]
+        assert numbers
+        assert [f.name for f in numbers if f.metadata.get("least") is None and f.metadata.get("above") is None] == []
 
     def test_zero_records_stay_valid(self):
         corpus = generate(CorpusConfig(n_records=0), seed=1)
@@ -397,6 +430,16 @@ class TestSerialization:
         for name in SPLITS:
             for got, want in zip(again.split(name)._columns(), fresh.split(name)._columns()):
                 assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CorpusConfig)])
+    def test_every_field_survives_the_round_trip(self, tmp_path, name):
+        # The manifest's config is built from the fields, so a new one is written without a second edit.
+        cfg = dataclasses.replace(CorpusConfig(n_records=60, n_classes=2), **{name: CHANGED_FIELDS[name]})
+        assert getattr(cfg, name) != getattr(CorpusConfig(), name)
+        write_corpus(generate(cfg, seed=4), tmp_path / "c")
+        again = read_corpus(tmp_path / "c").config
+        assert again == cfg
+        assert getattr(again, name) == CHANGED_FIELDS[name]
 
     def test_empty_corpus_round_trips(self, tmp_path):
         cfg = CorpusConfig(n_records=0, n_classes=2)

@@ -193,8 +193,26 @@ def _corrupt_sis_backward(monkeypatch):
     monkeypatch.setattr(losses, "_sis_backward", lambda *args: tuple(2.0 * g for g in real(*args)))
 
 
+def _corrupt_log_affinity_kernel(monkeypatch):
+    # Shifts every pair's S in the kernel that training and eval run, not in the scalar route.
+    real = gaussians._sum_terms
+
+    def shifted(m, dm, log_m, quad, log_sum, quad_sum):
+        real(m, dm, log_m, quad, log_sum, quad_sum)
+        log_sum += 1.0
+
+    monkeypatch.setattr(gaussians, "_sum_terms", shifted)
+
+
+def _corrupt_csd_kernel(monkeypatch):
+    real = gaussians._csd_distance
+    monkeypatch.setattr(gaussians, "_csd_distance", lambda *args: real(*args) + 0.1)
+
+
 MUTATIONS = [
+    ("log_affinity_kernel", _corrupt_log_affinity_kernel, 0),
     ("vib_loss", _corrupt_vib_loss, 1),
+    ("csd_kernel", _corrupt_csd_kernel, 2),
     ("csd", _corrupt_csd, 2),
     ("bhattacharyya_distance", _corrupt_bhattacharyya, 3),
     ("pairwise_similarity_graph_backward", _corrupt_similarity_backward, 4),
